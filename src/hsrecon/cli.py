@@ -29,7 +29,10 @@ def _parse_anchor(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"anchor must be row,col, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise UsageError(f"anchor must be integers, got {text!r}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -55,11 +58,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     dims = _parse_dims(args.dims)
-    mask = fileio.read_mask(args.mask)
-    cassi = fileio.read_plane(args.meas)
-    pan = fileio.read_plane(args.pan) if args.pan else None
-    mode = imaging.DCCHI if pan is not None else imaging.CASSI
-    sysmod = imaging.SystemModel.default(mask, dims[2], mode=mode)
     params = solver.SolverParams(
         tau=args.tau,
         c=args.c,
@@ -69,8 +67,12 @@ def _cmd_reconstruct(args) -> int:
         window=args.window,
         max_iter=args.iters,
         rematch_every=args.rematch_every,
-        weight_mode=args.weight_mode,
     )
+    mask = fileio.read_mask(args.mask)
+    cassi = fileio.read_plane(args.meas)
+    pan = fileio.read_plane(args.pan) if args.pan else None
+    mode = imaging.DCCHI if pan is not None else imaging.CASSI
+    sysmod = imaging.SystemModel.default(mask, dims[2], mode=mode)
     log = open(args.log, "w") if args.log else None
     try:
         if log:
@@ -154,11 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--iters", type=int, default=600)
     p.add_argument("--rematch-every", type=int, default=40)
-    p.add_argument(
-        "--weight-mode",
-        choices=[solver.WEIGHT_MAGNITUDE, solver.WEIGHT_LITERAL],
-        default=solver.WEIGHT_MAGNITUDE,
-    )
     p.add_argument("--log")
     p.set_defaults(func=_cmd_reconstruct)
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError, UsageError
 
@@ -84,21 +84,27 @@ def band_psnr(ref: np.ndarray, est: np.ndarray) -> list[float]:
     ]
 
 
-def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
+def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     ax = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(ax**2) / (2.0 * sigma**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
-def _ssim_band(x: np.ndarray, y: np.ndarray, kernel: np.ndarray) -> float:
+def _filter_valid(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # "valid" filtering by the 2-D window outer(g, g), one axis at a time.
+    # g is symmetric, so this correlation is also the convolution.
+    a = sliding_window_view(a, g.size, axis=0) @ g
+    return sliding_window_view(a, g.size, axis=1) @ g
+
+
+def _ssim_band(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
     c1 = _SSIM_K1**2
     c2 = _SSIM_K2**2
-    mu_x = convolve2d(x, kernel, mode="valid")
-    mu_y = convolve2d(y, kernel, mode="valid")
-    var_x = convolve2d(x * x, kernel, mode="valid") - mu_x * mu_x
-    var_y = convolve2d(y * y, kernel, mode="valid") - mu_y * mu_y
-    cov = convolve2d(x * y, kernel, mode="valid") - mu_x * mu_y
+    mu_x = _filter_valid(x, g)
+    mu_y = _filter_valid(y, g)
+    var_x = _filter_valid(x * x, g) - mu_x * mu_x
+    var_y = _filter_valid(y * y, g) - mu_y * mu_y
+    cov = _filter_valid(x * y, g) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
     return float(np.mean(num / den))
@@ -111,10 +117,8 @@ def ssim(ref: np.ndarray, est: np.ndarray) -> float:
         raise UsageError(
             f"bands must be at least {_SSIM_WIN}x{_SSIM_WIN} for SSIM"
         )
-    kernel = _gaussian_kernel(_SSIM_WIN, _SSIM_SIGMA)
-    vals = [
-        _ssim_band(ref[:, :, b], est[:, :, b], kernel) for b in range(ref.shape[2])
-    ]
+    g = _gaussian_window(_SSIM_WIN, _SSIM_SIGMA)
+    vals = [_ssim_band(ref[:, :, b], est[:, :, b], g) for b in range(ref.shape[2])]
     return float(np.mean(vals))
 
 

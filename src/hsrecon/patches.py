@@ -4,8 +4,15 @@ Full-band s x s patches are compared by squared Euclidean distance over
 all bands, grouped with their nearest neighbors inside a local window, and
 stacked into an ``(s*s, L, k)`` tensor: ``stacked[:, lam, m]`` is the
 column-major vectorization of member ``m``'s spatial block in band
-``lam``. ``aggregate`` scatters approximated groups back with per-voxel
-contribution counts so the solver can divide them out.
+``lam``.
+
+The solver works on groups in batches. ``gather_groups`` stacks a
+``(g, k, 2)`` array of member anchors into ``(g, s*s, L, k)`` with one
+fancy index into the flattened cube and returns those flat indices;
+``scatter_groups`` adds approximated groups back along the same indices
+with ``np.bincount``; ``coverage_counts`` counts the patches covering
+each voxel. ``build_group`` and ``aggregate`` do the same one group at a
+time and stay as the reference the batched path is tested against.
 """
 from __future__ import annotations
 
@@ -23,6 +30,9 @@ __all__ = [
     "match_blocks",
     "build_group",
     "aggregate",
+    "gather_groups",
+    "scatter_groups",
+    "coverage_counts",
 ]
 
 
@@ -151,3 +161,60 @@ def aggregate(
             total[r : r + s, c : c + s, :] += block
             counts[r : r + s, c : c + s, :] += 1.0
     return total, counts
+
+
+def _flat_indices(members: np.ndarray, s: int, dims: tuple[int, int, int]) -> np.ndarray:
+    # Entry [n, i + s*j, lam, m] is the C-order flat index of voxel
+    # (r + i, c + j, lam) of a ``dims`` cube, (r, c) = members[n, m].
+    rows, cols, bands = dims
+    members = np.asarray(members, dtype=np.intp)
+    if members.ndim != 3 or members.shape[2] != 2:
+        raise DimensionError(f"members must have shape (g, k, 2), got {members.shape}")
+    r, c = members[..., 0], members[..., 1]
+    if members.size and (
+        r.min() < 0 or r.max() > rows - s or c.min() < 0 or c.max() > cols - s
+    ):
+        raise UsageError(f"member anchors out of range for patch size {s} in {dims}")
+    j, i = np.divmod(np.arange(s * s), s)
+    block = ((i * cols + j) * bands)[:, None] + np.arange(bands)
+    origin = (r * cols + c) * bands
+    return origin[:, None, None, :] + block[None, :, :, None]
+
+
+def gather_groups(
+    f: np.ndarray, members: np.ndarray, s: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack groups of member anchors into ``(g, s*s, L, k)`` tensors.
+
+    ``members`` is a ``(g, k, 2)`` int array; ``stacked[n]`` equals
+    ``build_group(f, members[n], s).stacked``. Also returns the flat voxel
+    indices of the stack, for :func:`scatter_groups`.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    idx = _flat_indices(members, s, f.shape)
+    return f.ravel()[idx], idx
+
+
+def scatter_groups(
+    approx: np.ndarray, idx: np.ndarray, dims: tuple[int, int, int]
+) -> np.ndarray:
+    """Sum a stack of approximated groups back into a ``dims`` cube.
+
+    ``idx`` comes from :func:`gather_groups`. This is the ``total`` of
+    :func:`aggregate`, accumulated in index order by ``np.bincount``.
+    """
+    approx = np.asarray(approx, dtype=np.float64)
+    if approx.shape != idx.shape:
+        raise DimensionError(f"approximation shape {approx.shape} != groups {idx.shape}")
+    size = dims[0] * dims[1] * dims[2]
+    return np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size).reshape(dims)
+
+
+def coverage_counts(
+    members: np.ndarray, s: int, dims: tuple[int, int, int]
+) -> np.ndarray:
+    """Patches covering each voxel: the ``counts`` of :func:`aggregate`."""
+    rows, cols, bands = dims
+    plane = _flat_indices(members, s, (rows, cols, 1))
+    counts = np.bincount(plane.ravel(), minlength=rows * cols).astype(np.float64)
+    return np.repeat(counts.reshape(rows, cols, 1), bands, axis=2)

@@ -5,11 +5,19 @@ Each outer iteration (a) groups similar patches of the current estimate,
 adaptive per-coefficient weights, (c) scatters the denoised groups back,
 and (d) solves the coupled least-squares image update with conjugate
 gradient on the matrix-free normal operator.
+
+Steps (b) and (c) run as one array pipeline over fixed-size chunks of
+groups: ``patches.gather_groups`` stacks a chunk, ``denoise_groups``
+shrinks it through ``tensors.hosvd_batch`` and
+``tensors.tucker_reconstruct_batch``, and ``patches.scatter_groups`` adds
+it back, chunk after chunk in a fixed order, so runs repeat bitwise.
+``denoise_group`` is the same step for one group on ``tensors.hosvd``,
+kept as the reference the batched step is tested against.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,23 +25,31 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import imaging, patches
 from .errors import DataError, UsageError
-from .tensors import TuckerFactors, frobenius_norm, hosvd, tucker_reconstruct
+from .tensors import (
+    TuckerFactors,
+    frobenius_norm,
+    hosvd,
+    hosvd_batch,
+    tucker_reconstruct,
+    tucker_reconstruct_batch,
+)
 
 __all__ = [
     "SolverParams",
-    "GroupState",
     "shrink_core",
     "update_weights",
     "denoise_group",
+    "denoise_groups",
     "cg_solve_image",
     "reconstruct",
 ]
 
-WEIGHT_MAGNITUDE = "magnitude"
-WEIGHT_LITERAL = "literal"
-
 # Tikhonov regularizer for the initial backprojection solve.
 INIT_RIDGE = 1e-3
+
+# Gathered float64 bytes per chunk of the batched group step. Bigger chunks
+# raise peak memory and, past about 1 MiB, run slower.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -51,27 +67,15 @@ class SolverParams:
     cg_max_iter: int = 50
     cg_tol: float = 1e-6
     rematch_every: int = 40
-    weight_mode: str = WEIGHT_MAGNITUDE
 
     def __post_init__(self):
-        if self.tau <= 0 or self.c <= 0 or self.eps <= 0:
-            raise UsageError("tau, c and eps must be positive")
-        if self.weight_mode not in (WEIGHT_MAGNITUDE, WEIGHT_LITERAL):
-            raise UsageError(f"unknown weight mode {self.weight_mode!r}")
-
-
-@dataclass(frozen=True)
-class GroupState:
-    """Per-group carry-over between outer iterations.
-
-    ``weights`` and ``core_mag`` are None before the first visit;
-    afterwards they hold the last weights used and the shrunk-core
-    magnitudes feeding the next reweighting.
-    """
-
-    group: patches.PatchGroup
-    weights: np.ndarray | None = None
-    core_mag: np.ndarray | None = None
+        if self.tau <= 0 or self.c <= 0 or self.eps <= 0 or self.cg_tol <= 0:
+            raise UsageError("tau, c, eps and cg_tol must be positive")
+        for name in ("s", "step", "k", "max_iter", "rematch_every", "cg_max_iter"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.window < 0:
+            raise UsageError(f"window must be >= 0, got {self.window}")
 
 
 def shrink_core(g_hat: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
@@ -88,19 +92,28 @@ def update_weights(g: np.ndarray, c: float, eps: float) -> np.ndarray:
 
 
 def denoise_group(
-    stacked: np.ndarray, state: GroupState, p: SolverParams
-) -> tuple[np.ndarray, GroupState]:
-    """Shrink one group's HOSVD core and reconstruct the approximation."""
+    stacked: np.ndarray, core_mag: np.ndarray | None, p: SolverParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink one group's HOSVD core and reconstruct the approximation.
+
+    The weights come from ``core_mag``, the shrunk-core magnitudes of the
+    group's previous visit, or from the unshrunk core on a first visit
+    (``core_mag`` None). Returns the approximation and the new magnitudes.
+    """
     tf = hosvd(stacked)
-    if state.weights is None:
-        w = update_weights(tf.core, p.c, p.eps)
-    elif p.weight_mode == WEIGHT_MAGNITUDE:
-        w = update_weights(state.core_mag, p.c, p.eps)
-    else:
-        w = update_weights(state.weights, p.c, p.eps)
+    w = update_weights(tf.core if core_mag is None else core_mag, p.c, p.eps)
     g = shrink_core(tf.core, w, p.tau)
-    approx = tucker_reconstruct(TuckerFactors(core=g, factors=tf.factors))
-    return approx, replace(state, weights=w, core_mag=np.abs(g))
+    return tucker_reconstruct(TuckerFactors(core=g, factors=tf.factors)), np.abs(g)
+
+
+def denoise_groups(
+    stacked: np.ndarray, core_mag: np.ndarray | None, p: SolverParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`denoise_group` for every group of a ``(g, s*s, L, k)`` stack."""
+    tf = hosvd_batch(stacked)
+    w = update_weights(tf.core if core_mag is None else core_mag, p.c, p.eps)
+    g = shrink_core(tf.core, w, p.tau)
+    return tucker_reconstruct_batch(TuckerFactors(core=g, factors=tf.factors)), np.abs(g)
 
 
 def cg_solve_image(
@@ -144,14 +157,15 @@ def cg_solve_image(
     return x
 
 
-def _match_all(
-    f: np.ndarray, grid: patches.PatchGrid, p: SolverParams
-) -> list[list[tuple[int, int]]]:
+def _match_all(f: np.ndarray, grid: patches.PatchGrid, p: SolverParams) -> np.ndarray:
     view = sliding_window_view(f, (p.s, p.s), axis=(0, 1))
-    return [
-        patches.match_blocks(f, anchor, p.s, p.k, p.window, view=view)
-        for anchor in grid.anchors
-    ]
+    return np.array(
+        [
+            patches.match_blocks(f, anchor, p.s, p.k, p.window, view=view)
+            for anchor in grid.anchors
+        ],
+        dtype=np.intp,
+    )
 
 
 def reconstruct(
@@ -184,21 +198,24 @@ def reconstruct(
     )
 
     grid = patches.plan_grid(rows, cols, p.s, p.step)
-    states: list[GroupState] = []
+    chunk = max(1, CHUNK_BYTES // (8 * p.s * p.s * sys.bands * p.k))
+    core_mag = None  # shrunk-core magnitudes of every group, (G, r1, r2, r3)
     t0 = time.perf_counter()
     for it in range(1, p.max_iter + 1):
-        if it == 1 or (it - 1) % p.rematch_every == 0:
-            members = _match_all(f, grid, p)
-            states = [
-                GroupState(group=patches.build_group(f, mem, p.s)) for mem in members
-            ]
-        approxed: list[tuple[patches.PatchGroup, np.ndarray]] = []
-        for i, state in enumerate(states):
-            group = patches.build_group(f, list(state.group.members), p.s)
-            approx, new_state = denoise_group(group.stacked, state, p)
-            states[i] = replace(new_state, group=group)
-            approxed.append((group, approx))
-        total, counts = patches.aggregate(approxed, dims)
+        if (it - 1) % p.rematch_every == 0:
+            members = _match_all(f, grid, p)  # (G, k, 2)
+            counts = patches.coverage_counts(members, p.s, dims)
+            fresh = True  # first visit: weights from the unshrunk cores
+        total = np.zeros(dims)
+        for lo in range(0, len(members), chunk):
+            part = slice(lo, lo + chunk)
+            stacked, idx = patches.gather_groups(f, members[part], p.s)
+            approx, mag = denoise_groups(stacked, None if fresh else core_mag[part], p)
+            if core_mag is None:
+                core_mag = np.empty((len(members),) + mag.shape[1:])
+            core_mag[part] = mag
+            total += patches.scatter_groups(approx, idx, dims)
+        fresh = False
         rhs = backproj + (2.0 * p.tau) * (total / counts)
         f = cg_solve_image(
             rhs,

@@ -4,6 +4,12 @@ A tensor is a C-contiguous ``float64`` ndarray of shape ``(d1, d2, d3)``
 (mode-1 index slowest). Modes are numbered 1..3 throughout, matching the
 usual multilinear-algebra convention.
 
+``hosvd_batch`` and ``tucker_reconstruct_batch`` do the same work for a
+stack of equally shaped tensors ``(g, d1, d2, d3)`` with batched matrix
+products and one batched symmetric eigensolve per mode; the solver's
+group step runs on them. ``hosvd`` and ``tucker_reconstruct`` stay as the
+per-tensor reference they are tested against.
+
 Unfolding layout contract: for mode ``n`` the columns of the unfolding are
 the mode-``n`` fibers, ordered cyclically over the remaining modes
 ``n+1, n+2`` (wrapping), with the index of mode ``n+2`` varying fastest.
@@ -25,6 +31,8 @@ __all__ = [
     "mode_n_product",
     "hosvd",
     "tucker_reconstruct",
+    "hosvd_batch",
+    "tucker_reconstruct_batch",
 ]
 
 
@@ -86,9 +94,10 @@ def mode_n_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
-    # Deterministic convention: each column's largest-magnitude entry >= 0.
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[idx, np.arange(u.shape[1])])
+    # Deterministic convention: each column's first largest-magnitude entry
+    # >= 0. Works on one (d, r) factor or a (g, d, r) stack of them.
+    idx = np.argmax(np.abs(u), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(u, idx, axis=-2))
     signs[signs == 0] = 1.0
     return u * signs
 
@@ -120,3 +129,59 @@ def tucker_reconstruct(f: TuckerFactors) -> np.ndarray:
     for mode, u in zip((1, 2, 3), f.factors):
         t = mode_n_product(t, u, mode)
     return t
+
+
+def _mode_products_batch(t: np.ndarray, mats) -> np.ndarray:
+    # t: (g, d1, d2, d3); mats[n]: (g, r_n, d_n). Modes 1, 2, 3 in turn.
+    a1, a2, a3 = mats
+    g, d1, d2, d3 = t.shape
+    x = (a1 @ t.reshape(g, d1, d2 * d3)).reshape(g, a1.shape[1], d2, d3)
+    x = a2[:, None] @ x
+    r1, r2 = x.shape[1], x.shape[2]
+    x = x.reshape(g, r1 * r2, d3) @ a3.transpose(0, 2, 1)
+    return x.reshape(g, r1, r2, a3.shape[1])
+
+
+def hosvd_batch(t: np.ndarray) -> TuckerFactors:
+    """HOSVD of every tensor in a ``(g, d1, d2, d3)`` stack.
+
+    Factor ``U_n`` of tensor ``i`` is ``factors[n-1][i]``: the leading
+    eigenvectors of the mode-``n`` Gram matrix, in descending eigenvalue
+    order, truncated to ``min(d_n, d1*d2*d3 / d_n)`` columns (the width of
+    the reduced SVD) and signed as in :func:`hosvd`. The core has shape
+    ``(g, r1, r2, r3)``. Per tensor this equals :func:`hosvd` up to
+    rounding and the choice of basis for repeated singular values.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 4:
+        raise DimensionError(f"expected a stack of 3-order tensors, got ndim={t.ndim}")
+    if not np.all(np.isfinite(t)):
+        raise DataError("tensor contains non-finite entries")
+    g, d1, d2, d3 = t.shape
+    m1 = t.reshape(g, d1, d2 * d3)
+    m3 = t.reshape(g, d1 * d2, d3)
+    grams = (
+        m1 @ m1.transpose(0, 2, 1),
+        (t @ t.transpose(0, 1, 3, 2)).sum(axis=1),
+        m3.transpose(0, 2, 1) @ m3,
+    )
+    size = d1 * d2 * d3
+    factors = []
+    for gram, d in zip(grams, (d1, d2, d3)):
+        _, u = np.linalg.eigh(gram)
+        factors.append(_fix_signs(u[..., ::-1][..., : min(d, size // d)]))
+    core = _mode_products_batch(t, [u.transpose(0, 2, 1) for u in factors])
+    return TuckerFactors(core=core, factors=(factors[0], factors[1], factors[2]))
+
+
+def tucker_reconstruct_batch(f: TuckerFactors) -> np.ndarray:
+    """:func:`tucker_reconstruct` of every core in a ``(g, r1, r2, r3)`` stack."""
+    core = np.asarray(f.core, dtype=np.float64)
+    if core.ndim != 4 or any(
+        u.ndim != 3 or u.shape[0] != core.shape[0] or u.shape[2] != r
+        for u, r in zip(f.factors, core.shape[1:])
+    ):
+        raise DimensionError(
+            f"factor shapes {[u.shape for u in f.factors]} do not fit core {core.shape}"
+        )
+    return _mode_products_batch(core, f.factors)

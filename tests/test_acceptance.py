@@ -12,7 +12,12 @@ from conftest import make_tucker_scene
 from hsrecon import fileio, imaging, metrics, patches, solver
 from hsrecon.imaging import DCCHI, Measurement, SystemModel
 from hsrecon.solver import INIT_RIDGE, SolverParams
-from hsrecon.tensors import hosvd, tucker_reconstruct
+from hsrecon.tensors import (
+    hosvd,
+    hosvd_batch,
+    tucker_reconstruct,
+    tucker_reconstruct_batch,
+)
 
 SCENE_SEED = 42
 DESK_PARAMS = dict(s=5, step=4, k=20, window=10, max_iter=60)
@@ -71,15 +76,20 @@ def test_criterion_1_adjoint_identity(rng):
 
 
 def test_criterion_2_hosvd_round_trip(rng):
+    # each random shape runs through hosvd and, as a stack of three, through
+    # the batched kernel the solver uses
     worst_rec, worst_orth = 0.0, 0.0
     for _ in range(50):
         dims = tuple(int(rng.integers(1, hi + 1)) for hi in (25, 8, 45))
-        t = rng.standard_normal(dims)
-        tf = hosvd(t)
-        rec = tucker_reconstruct(tf)
-        denom = max(np.linalg.norm(t.ravel()), 1e-300)
-        worst_rec = max(worst_rec, np.linalg.norm((rec - t).ravel()) / denom)
-        for u in tf.factors:
+        stack = rng.standard_normal((3,) + dims)
+        tf = hosvd(stack[0])
+        tfb = hosvd_batch(stack)
+        pairs = [(stack[0], tucker_reconstruct(tf))]
+        pairs += zip(stack, tucker_reconstruct_batch(tfb))
+        for t, rec in pairs:
+            denom = max(np.linalg.norm(t.ravel()), 1e-300)
+            worst_rec = max(worst_rec, np.linalg.norm((rec - t).ravel()) / denom)
+        for u in list(tf.factors) + [u for stack_u in tfb.factors for u in stack_u]:
             gram = u.T @ u
             worst_orth = max(
                 worst_orth, np.max(np.abs(gram - np.eye(gram.shape[0])))
@@ -133,16 +143,24 @@ def test_criterion_4_cg_vs_dense_oracle(rng):
 
 
 def test_criterion_5_aggregation_exactness(rng):
+    # the per-group aggregate and the batched scatter the solver uses
     f = rng.random((20, 20, 4))
     grid = patches.plan_grid(20, 20, 5, 4)
     groups = []
+    members = []
     for anchor in grid.anchors:
-        members = patches.match_blocks(f, anchor, 5, 6, 4)
-        g = patches.build_group(f, members, 5)
+        members.append(patches.match_blocks(f, anchor, 5, 6, 4))
+        g = patches.build_group(f, members[-1], 5)
         groups.append((g, g.stacked))
     total, counts = patches.aggregate(groups, f.shape)
-    cov_ok = bool(np.all(counts >= 1.0))
-    err = np.max(np.abs(total - counts * f)) / np.max(np.abs(counts * f))
+    stacked, idx = patches.gather_groups(f, np.array(members), 5)
+    batch_total = patches.scatter_groups(stacked, idx, f.shape)
+    batch_counts = patches.coverage_counts(np.array(members), 5, f.shape)
+    cov_ok = bool(np.all(counts >= 1.0)) and np.array_equal(batch_counts, counts)
+    err = max(
+        np.max(np.abs(t - counts * f)) / np.max(np.abs(counts * f))
+        for t in (total, batch_total)
+    )
     ok = cov_ok and err <= 1e-12
     _report(5, ok, f"sum==counts*f err {err:.2e} <= 1e-12, coverage {cov_ok}")
 

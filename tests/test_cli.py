@@ -134,3 +134,33 @@ def test_dcchi_beats_cassi(tmp_path, cube_file):
     psnr_d = metrics.psnr(truth, fileio.read_cube(tmp_path / "dcchi.hsc"))
     psnr_c = metrics.psnr(truth, fileio.read_cube(tmp_path / "cassi.hsc"))
     assert psnr_d >= psnr_c
+
+
+def test_rematch_every_zero_exit_code(tmp_path, cube_file, capsys):
+    assert _simulate(tmp_path, cube_file) == 0
+    args = [
+        "reconstruct",
+        "--meas", str(tmp_path / "meas.hsp"),
+        "--mask", str(tmp_path / "mask.hsp"),
+        "--dims", "16,16,4",
+        "--out", str(tmp_path / "recon.hsc"),
+        "--rematch-every", "0",
+    ]
+    assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert "rematch_every" in err and "Traceback" not in err
+    assert not (tmp_path / "recon.hsc").exists()
+
+
+@pytest.mark.parametrize("anchor", ["x,1", "1,y", "1.5,2"])
+def test_spectrum_diag_bad_anchor_exit_code(tmp_path, cube_file, capsys, anchor):
+    code = cli(
+        [
+            "spectrum-diag",
+            "--cube", str(cube_file),
+            "--anchor", anchor,
+            "--out", str(tmp_path / "sv.csv"),
+        ]
+    )
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err

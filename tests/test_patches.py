@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from hsrecon.errors import DimensionError, UsageError
-from hsrecon.patches import aggregate, build_group, match_blocks, plan_grid
+from hsrecon.patches import (
+    aggregate,
+    build_group,
+    coverage_counts,
+    gather_groups,
+    match_blocks,
+    plan_grid,
+    scatter_groups,
+)
 
 
 class TestPlanGrid:
@@ -144,3 +152,50 @@ class TestAggregate:
         total, counts = aggregate(groups, f.shape)
         assert np.all(counts >= 1.0)
         np.testing.assert_allclose(total, counts * f, rtol=1e-12)
+
+
+def _matched(f, s, k, window, step):
+    grid = plan_grid(f.shape[0], f.shape[1], s, step)
+    return np.array([match_blocks(f, a, s, k, window) for a in grid.anchors])
+
+
+class TestBatchedGroups:
+    def test_gather_is_build_group_bitwise(self, rng):
+        f = rng.random((13, 11, 3))
+        members = _matched(f, 4, 7, 3, 3)
+        stacked, idx = gather_groups(f, members, 4)
+        assert stacked.shape == idx.shape == (len(members), 16, 3, 7)
+        for n, mem in enumerate(members):
+            expect = build_group(f, [tuple(m) for m in mem], 4).stacked
+            assert stacked[n].tobytes() == expect.tobytes()
+
+    def test_scatter_and_counts_match_aggregate(self, rng):
+        # criterion 5's setup (20x20x4, s=5, step=4, k=6, window=4) on the
+        # batched path, with perturbed approximations
+        f = rng.random((20, 20, 4))
+        members = _matched(f, 5, 6, 4, 4)
+        stacked, idx = gather_groups(f, members, 5)
+        approx = stacked + rng.standard_normal(stacked.shape)
+        groups = [
+            (build_group(f, [tuple(m) for m in mem], 5), approx[n])
+            for n, mem in enumerate(members)
+        ]
+        total, counts = aggregate(groups, f.shape)
+        got = scatter_groups(approx, idx, f.shape)
+        assert np.max(np.abs(got - total)) <= 1e-12 * np.max(np.abs(total))
+        assert np.array_equal(coverage_counts(members, 5, f.shape), counts)
+        exact = scatter_groups(stacked, idx, f.shape)
+        np.testing.assert_allclose(exact, counts * f, rtol=1e-12)
+
+    def test_member_out_of_range(self, rng):
+        f = rng.random((6, 6, 2))
+        with pytest.raises(UsageError):
+            gather_groups(f, np.array([[[0, 0], [3, 0]]]), 4)
+        with pytest.raises(DimensionError):
+            gather_groups(f, np.array([[0, 0]]), 4)
+
+    def test_scatter_shape_mismatch(self, rng):
+        f = rng.random((6, 6, 2))
+        stacked, idx = gather_groups(f, np.array([[[0, 0], [1, 1]]]), 3)
+        with pytest.raises(DimensionError):
+            scatter_groups(stacked[:, :, :, :1], idx, f.shape)

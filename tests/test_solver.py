@@ -4,13 +4,13 @@ import pytest
 from conftest import make_smooth_cube
 
 from hsrecon import imaging, patches, solver
-from hsrecon.errors import UsageError
+from hsrecon.errors import DataError, UsageError
 from hsrecon.imaging import Measurement, SystemModel
 from hsrecon.solver import (
-    GroupState,
     SolverParams,
     cg_solve_image,
     denoise_group,
+    denoise_groups,
     reconstruct,
     shrink_core,
     update_weights,
@@ -72,40 +72,87 @@ class TestUpdateWeights:
         assert np.all(np.diff(w.ravel()[order]) <= 0)
 
 
-class TestDenoiseGroup:
-    def _state(self, stacked):
-        group = patches.PatchGroup(anchor=(0, 0), members=((0, 0),), stacked=stacked)
-        return GroupState(group=group)
+class TestSolverParams:
+    @pytest.mark.parametrize(
+        "field", ["s", "step", "k", "max_iter", "rematch_every", "cg_max_iter"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_must_be_positive(self, field, value):
+        with pytest.raises(UsageError, match=field):
+            SolverParams(**{field: value})
 
+    def test_window_zero_allowed_negative_rejected(self):
+        SolverParams(window=0)
+        with pytest.raises(UsageError, match="window"):
+            SolverParams(window=-1)
+
+    @pytest.mark.parametrize("field", ["tau", "c", "eps", "cg_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3])
+    def test_reals_must_be_positive(self, field, value):
+        with pytest.raises(UsageError):
+            SolverParams(**{field: value})
+
+
+class TestDenoiseGroup:
     def test_dominant_rank_one_preserved(self, rng):
         a = np.abs(rng.standard_normal(25)) + 1.0
         b = np.abs(rng.standard_normal(8)) + 1.0
         c = np.abs(rng.standard_normal(20)) + 1.0
         stacked = np.einsum("i,j,k->ijk", a, b, c)
         p = SolverParams(k=20)
-        approx, _ = denoise_group(stacked, self._state(stacked), p)
+        approx, _ = denoise_group(stacked, None, p)
         err = np.linalg.norm(approx - stacked) / np.linalg.norm(stacked)
         assert err < 1e-6
 
     def test_zero_group(self):
         stacked = np.zeros((9, 4, 5))
-        approx, _ = denoise_group(stacked, self._state(stacked), SolverParams())
-        assert not np.any(approx)
+        approx, core_mag = denoise_group(stacked, None, SolverParams())
+        assert not np.any(approx) and not np.any(core_mag)
 
     def test_huge_tau_is_identity(self, rng):
         stacked = rng.random((9, 4, 5))
         p = SolverParams(tau=1e12)
-        approx, _ = denoise_group(stacked, self._state(stacked), p)
+        approx, _ = denoise_group(stacked, None, p)
         err = np.linalg.norm(approx - stacked) / np.linalg.norm(stacked)
         assert err < 1e-9
 
     def test_state_carries_magnitudes(self, rng):
         stacked = rng.random((9, 4, 5))
         p = SolverParams()
-        _, state = denoise_group(stacked, self._state(stacked), p)
-        assert state.weights is not None and state.core_mag is not None
-        _, state2 = denoise_group(stacked, state, p)
-        assert state2.weights.shape == state.weights.shape
+        _, core_mag = denoise_group(stacked, None, p)
+        assert core_mag.shape == hosvd(stacked).core.shape
+        assert np.all(core_mag >= 0)
+        # a revisit reweights from the carried magnitudes, not the new core
+        _, from_mag = denoise_group(stacked, core_mag, p)
+        _, fresh = denoise_group(stacked, None, p)
+        assert from_mag.shape == core_mag.shape
+        assert not np.array_equal(from_mag, fresh)
+        _, huge = denoise_group(stacked, np.full(core_mag.shape, 1e9), p)
+        np.testing.assert_allclose(huge, np.abs(hosvd(stacked).core), atol=1e-9)
+
+
+class TestDenoiseGroups:
+    @pytest.mark.parametrize("shape", [(25, 8, 20), (9, 2, 30), (25, 1, 6)])
+    def test_matches_single_group_oracle(self, rng, shape):
+        # one batched step, first visit and revisit, against denoise_group
+        stacked = rng.random((4,) + shape) + 0.1 * rng.standard_normal((4,) + shape)
+        p = SolverParams()
+        approx, mag = denoise_groups(stacked, None, p)
+        approx2, mag2 = denoise_groups(stacked, mag, p)
+        for i in range(len(stacked)):
+            ref, ref_mag = denoise_group(stacked[i], None, p)
+            ref2, ref_mag2 = denoise_group(stacked[i], ref_mag, p)
+            scale = np.linalg.norm(stacked[i])
+            assert np.linalg.norm(approx[i] - ref) <= 1e-8 * scale
+            assert np.linalg.norm(approx2[i] - ref2) <= 1e-8 * scale
+            assert np.linalg.norm(mag[i] - ref_mag) <= 1e-8 * scale
+            assert np.linalg.norm(mag2[i] - ref_mag2) <= 1e-8 * scale
+
+    def test_non_finite_group_raises(self):
+        stacked = np.zeros((2, 4, 2, 3))
+        stacked[1, 0, 0, 0] = np.nan
+        with pytest.raises(DataError):
+            denoise_groups(stacked, None, SolverParams())
 
 
 class TestCgSolveImage:
@@ -191,6 +238,36 @@ class TestReconstruct:
         )
         assert [r[0] for r in rows] == [1, 2, 3]
         assert all(r[1] >= 0 and r[2] >= 0 for r in rows)
+
+
+class TestBatchedPipeline:
+    def test_matches_per_group_loop(self, monkeypatch):
+        # reconstruct's chunked pipeline against the per-group loop it
+        # replaced, built from the reference functions; small chunks force
+        # several chunks per iteration
+        f_true = make_smooth_cube(20, 20, 3, seed=4)
+        sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3)
+        y = imaging.forward(f_true, sys)
+        p = SolverParams(k=6, window=4, max_iter=4, rematch_every=3)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)
+        got = reconstruct(y, sys, p)
+
+        backproj = imaging.adjoint(y, sys)
+        f = cg_solve_image(backproj, np.ones(f_true.shape), sys, tau=solver.INIT_RIDGE / 2)
+        grid = patches.plan_grid(20, 20, p.s, p.step)
+        for it in range(p.max_iter):
+            if it % p.rematch_every == 0:
+                members = [patches.match_blocks(f, a, p.s, p.k, p.window) for a in grid.anchors]
+                mags = [None] * len(members)
+            approxed = []
+            for n, mem in enumerate(members):
+                group = patches.build_group(f, mem, p.s)
+                approx, mags[n] = denoise_group(group.stacked, mags[n], p)
+                approxed.append((group, approx))
+            total, counts = patches.aggregate(approxed, f_true.shape)
+            rhs = backproj + 2.0 * p.tau * (total / counts)
+            f = cg_solve_image(rhs, np.ones(f_true.shape), sys, p.tau)
+        np.testing.assert_allclose(got, np.clip(f, 0.0, 1.0), rtol=0, atol=1e-9)
 
 
 class TestObjectiveDescent:

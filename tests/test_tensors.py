@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsrecon.errors import DataError, DimensionError, UsageError
 from hsrecon.tensors import (
@@ -7,8 +9,10 @@ from hsrecon.tensors import (
     fold,
     frobenius_norm,
     hosvd,
+    hosvd_batch,
     mode_n_product,
     tucker_reconstruct,
+    tucker_reconstruct_batch,
     unfold,
 )
 
@@ -174,3 +178,68 @@ def test_mode_n_product_composition(rng):
         lhs = mode_n_product(mode_n_product(t, a, mode), b, mode)
         rhs = mode_n_product(t, b @ a, mode)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+
+
+def _assert_batch_matches_hosvd(stack):
+    """hosvd_batch against per-tensor hosvd: core, reconstruction, factors."""
+    tf = hosvd_batch(stack)
+    rec = tucker_reconstruct_batch(tf)
+    for i, t in enumerate(stack):
+        ref = hosvd(t)
+        scale = max(frobenius_norm(t), 1e-300)
+        assert tf.core[i].shape == ref.core.shape
+        assert frobenius_norm(tf.core[i] - ref.core) / scale <= 1e-8
+        assert frobenius_norm(rec[i] - t) / scale <= 1e-8
+        for u, v in zip(tf.factors, ref.factors):
+            assert u[i].shape == v.shape
+            gram = u[i].T @ u[i]
+            assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "shape", [(25, 8, 20), (25, 1, 45), (1, 8, 20), (9, 2, 30), (4, 5, 3), (1, 1, 1)]
+)
+def test_hosvd_batch_matches_hosvd(rng, shape):
+    _assert_batch_matches_hosvd(rng.standard_normal((5,) + shape))
+
+
+def test_hosvd_batch_zero_and_rank_one_groups(rng):
+    a, b, c = rng.random(9), rng.random(4), rng.random(12)
+    stack = np.stack([np.zeros((9, 4, 12)), np.einsum("i,j,k->ijk", a, b, c)])
+    _assert_batch_matches_hosvd(stack)
+    assert not np.any(hosvd_batch(stack[:1]).core)
+
+
+def test_hosvd_batch_sign_convention(rng):
+    for u in hosvd_batch(rng.standard_normal((3, 6, 5, 4))).factors:
+        first_max = np.argmax(np.abs(u), axis=1)
+        assert np.all(np.take_along_axis(u, first_max[:, None, :], axis=1) >= 0)
+
+
+def test_hosvd_batch_rejects_non_finite_and_bad_ndim():
+    t = np.zeros((2, 2, 2, 2))
+    t[1, 0, 0, 0] = np.inf
+    with pytest.raises(DataError):
+        hosvd_batch(t)
+    with pytest.raises(DimensionError):
+        hosvd_batch(np.zeros((2, 2, 2)))
+
+
+def test_tucker_reconstruct_batch_rejects_mismatched_factors():
+    core = np.zeros((2, 3, 3, 3))
+    eye = np.broadcast_to(np.eye(3), (2, 3, 3))
+    with pytest.raises(DimensionError):
+        tucker_reconstruct_batch(TuckerFactors(core, (eye, eye, eye[:, :, :2])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(
+        st.integers(1, 9), st.integers(1, 6), st.integers(1, 12), st.integers(1, 4)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hosvd_batch_round_trip_property(dims, seed):
+    d1, d2, d3, g = dims
+    stack = np.random.default_rng(seed).standard_normal((g, d1, d2, d3))
+    _assert_batch_matches_hosvd(stack)
