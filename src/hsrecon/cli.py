@@ -36,6 +36,10 @@ def _parse_anchor(text: str) -> tuple[int, int]:
 
 
 def _cmd_simulate(args) -> int:
+    if args.mode == imaging.DCCHI and args.out_pan is None:
+        raise UsageError("dcchi mode requires --out-pan")
+    if not 0.0 <= args.noise_sigma < np.inf:
+        raise UsageError(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma}")
     cube = fileio.read_cube(args.cube)
     rows, cols, bands = cube.shape
     mask = imaging.generate_mask(rows, cols, args.p, args.seed)
@@ -50,8 +54,6 @@ def _cmd_simulate(args) -> int:
     fileio.write_plane(cassi, args.out_meas)
     fileio.write_plane(mask, args.out_mask)
     if args.mode == imaging.DCCHI:
-        if args.out_pan is None:
-            raise UsageError("dcchi mode requires --out-pan")
         fileio.write_plane(pan, args.out_pan)
     return 0
 
@@ -69,6 +71,9 @@ def _cmd_reconstruct(args) -> int:
         rematch_every=args.rematch_every,
     )
     mask = fileio.read_mask(args.mask)
+    if dims[:2] != mask.shape:
+        rows, cols = mask.shape
+        raise UsageError(f"--dims {dims[0]}x{dims[1]} does not match the {rows}x{cols} mask")
     cassi = fileio.read_plane(args.meas)
     pan = fileio.read_plane(args.pan) if args.pan else None
     mode = imaging.DCCHI if pan is not None else imaging.CASSI

@@ -6,13 +6,15 @@ stacked into an ``(s*s, L, k)`` tensor: ``stacked[:, lam, m]`` is the
 column-major vectorization of member ``m``'s spatial block in band
 ``lam``.
 
-The solver works on groups in batches. ``gather_groups`` stacks a
-``(g, k, 2)`` array of member anchors into ``(g, s*s, L, k)`` with one
-fancy index into the flattened cube and returns those flat indices;
-``scatter_groups`` adds approximated groups back along the same indices
-with ``np.bincount``; ``coverage_counts`` counts the patches covering
-each voxel. ``build_group`` and ``aggregate`` do the same one group at a
-time and stay as the reference the batched path is tested against.
+The solver works on groups in batches. ``match_groups`` matches every
+anchor of a grid in one pass over the window's offsets and returns a
+``(g, k, 2)`` array of member anchors; ``gather_groups`` stacks it into
+``(g, s*s, L, k)`` with one fancy index into the flattened cube and
+returns those flat indices; ``scatter_groups`` adds approximated groups
+back along the same indices with ``np.bincount``; ``coverage_counts``
+counts the patches covering each voxel. ``match_blocks``,
+``build_group`` and ``aggregate`` do the same one group at a time and
+stay as the reference the batched path is tested against.
 """
 from __future__ import annotations
 
@@ -21,13 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, UsageError
+from .errors import DataError, DimensionError, UsageError
+
+# Float64 bytes of squared differences computed per block in match_groups;
+# blocks much past the L2 cache run slower.
+MATCH_BLOCK_BYTES = 1 << 18
 
 __all__ = [
     "PatchGrid",
     "PatchGroup",
     "plan_grid",
     "match_blocks",
+    "match_groups",
     "build_group",
     "aggregate",
     "gather_groups",
@@ -85,15 +92,12 @@ def match_blocks(
     s: int,
     k: int,
     window: int,
-    view: np.ndarray | None = None,
 ) -> list[tuple[int, int]]:
     """Anchor plus its k-1 nearest patches inside the search window.
 
     Candidates are every valid anchor whose row and column lie within
     +-window of ``anchor``; ties break in row-major candidate order. If
     fewer than ``k`` candidates exist, the selection repeats cyclically.
-    ``view`` may pass a precomputed ``sliding_window_view(f, (s, s),
-    axis=(0, 1))`` to amortize the windowing across anchors.
     """
     f = np.asarray(f, dtype=np.float64)
     rows, cols, _ = f.shape
@@ -104,8 +108,7 @@ def match_blocks(
         raise UsageError(f"window must be >= 0, got {window}")
     if not (0 <= ar <= rows - s and 0 <= ac <= cols - s):
         raise UsageError(f"anchor {anchor} out of range for patch size {s}")
-    if view is None:
-        view = sliding_window_view(f, (s, s), axis=(0, 1))  # (R, C, L, s, s)
+    view = sliding_window_view(f, (s, s), axis=(0, 1))  # (R, C, L, s, s)
     r0, r1 = max(0, ar - window), min(rows - s, ar + window)
     c0, c1 = max(0, ac - window), min(cols - s, ac + window)
     ref = view[ar, ac]
@@ -124,6 +127,93 @@ def match_blocks(
         base = list(members)
         while len(members) < k:
             members.append(base[len(members) % len(base)])
+    return members
+
+
+def _box_sums(sq: np.ndarray, ys: np.ndarray, s: int) -> np.ndarray:
+    # Sum of sq[y + i, x + j] over i, j < s for each y in ys and every x,
+    # added term by term (no running sums), so equal inputs give equal sums.
+    rowsum = sq[ys]
+    for i in range(1, s):
+        rowsum += sq[ys + i]
+    n = rowsum.shape[1] - s + 1
+    box = rowsum[:, :n].copy()
+    for j in range(1, s):
+        box += rowsum[:, j : j + n]
+    return box
+
+
+def match_groups(
+    f: np.ndarray, grid: PatchGrid, s: int, k: int, window: int
+) -> np.ndarray:
+    """:func:`match_blocks` for every anchor of ``grid`` at once.
+
+    Returns a ``(G, k, 2)`` int array whose row ``n`` equals
+    ``match_blocks(f, grid.anchors[n], s, k, window)``. For each row
+    offset ``dr >= 0`` of the window, the band-summed squared difference
+    between every pixel and the pixels ``dr`` rows below it at every
+    column offset is computed in cache-sized blocks of rows. Its s x s box
+    sum at position ``a`` is the distance from ``a`` to ``a + (dr, dc)``,
+    which gives each anchor its candidate at ``(dr, dc)`` and, read at
+    ``anchor - (dr, dc)``, its candidate at ``(-dr, -dc)``. The
+    distances are sums of squared differences, never
+    ``|a|^2 + |b|^2 - 2ab``, so identical patches are at distance 0 and
+    equal distances stay equal.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 3:
+        raise DimensionError(f"cube must be 3-D, got shape {f.shape}")
+    rows, cols, bands = f.shape
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
+    if window < 0:
+        raise UsageError(f"window must be >= 0, got {window}")
+    ar = np.asarray(grid.rows, dtype=np.intp)
+    ac = np.asarray(grid.cols, dtype=np.intp)
+    if not (
+        1 <= s <= min(rows, cols)
+        and np.all((ar >= 0) & (ar <= rows - s))
+        and np.all((ac >= 0) & (ac <= cols - s))
+    ):
+        raise UsageError(f"grid anchors out of range for patch size {s} in {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise DataError("cube contains non-finite values")
+    wr, wc = min(window, rows - s), min(window, cols - s)
+    tr, tc = 2 * wr + 1, 2 * wc + 1
+    t = np.arange(tc)
+    # Channel-first copy with wc zero columns on each side; shifted[l, y, x, t]
+    # is pixel (y, x + t - wc) of band l.
+    padded = np.zeros((bands, rows, cols + 2 * wc))
+    padded[:, :, wc : wc + cols] = f.transpose(2, 0, 1)
+    shifted = sliding_window_view(padded, tc, axis=2)
+    block = max(1, MATCH_BLOCK_BYTES // (8 * bands * cols * tc))
+    mirror_cols = np.clip(ac[:, None] - t + wc, 0, cols - s)
+    dist = np.full((len(ar), len(ac), tr, tc), np.inf)
+    for dr in range(wr + 1):
+        # sq[y, x, t]: squared distance over bands of pixel (y, x) to pixel
+        # (y + dr, x + t - wc)
+        sq = np.empty((rows - dr, cols, tc))
+        for y0 in range(0, rows - dr, block):
+            y1 = min(rows - dr, y0 + block)
+            diff = padded[:, y0:y1, wc : wc + cols, None] - shifted[:, y0 + dr : y1 + dr]
+            diff *= diff
+            np.sum(diff, axis=0, out=sq[y0:y1])
+        down = ar + dr <= rows - s
+        dist[down, :, wr + dr] = _box_sums(sq, ar[down], s)[:, ac]
+        if dr:
+            up = ar >= dr
+            mirrored = _box_sums(sq, ar[up] - dr, s)[:, mirror_cols, t]
+            dist[up, :, wr - dr] = mirrored[..., ::-1]
+    cand = ac[:, None] + t - wc
+    dist.transpose(0, 2, 1, 3)[..., (cand < 0) | (cand > cols - s)] = np.inf
+    dist = dist.reshape(len(ar) * len(ac), tr * tc)
+    dist[:, wr * tc + wc] = -1.0  # the anchor itself comes first
+    n_valid = np.isfinite(dist).sum(axis=1)
+    order = np.argsort(dist, axis=1, kind="stable")
+    pick = np.take_along_axis(order, np.arange(k) % n_valid[:, None], axis=1)
+    members = np.empty(pick.shape + (2,), dtype=np.intp)
+    members[..., 0] = np.repeat(ar, len(ac))[:, None] + pick // tc - wr
+    members[..., 1] = np.tile(ac, len(ar))[:, None] + pick % tc - wc
     return members
 
 

@@ -6,6 +6,7 @@ adaptive per-coefficient weights, (c) scatters the denoised groups back,
 and (d) solves the coupled least-squares image update with conjugate
 gradient on the matrix-free normal operator.
 
+Step (a) matches every anchor at once with ``patches.match_groups``.
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
 groups: ``patches.gather_groups`` stacks a chunk, ``denoise_groups``
 shrinks it through ``tensors.hosvd_batch`` and
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import imaging, patches
 from .errors import DataError, UsageError
@@ -157,17 +157,6 @@ def cg_solve_image(
     return x
 
 
-def _match_all(f: np.ndarray, grid: patches.PatchGrid, p: SolverParams) -> np.ndarray:
-    view = sliding_window_view(f, (p.s, p.s), axis=(0, 1))
-    return np.array(
-        [
-            patches.match_blocks(f, anchor, p.s, p.k, p.window, view=view)
-            for anchor in grid.anchors
-        ],
-        dtype=np.intp,
-    )
-
-
 def reconstruct(
     y: imaging.Measurement,
     sys: imaging.SystemModel,
@@ -203,7 +192,7 @@ def reconstruct(
     t0 = time.perf_counter()
     for it in range(1, p.max_iter + 1):
         if (it - 1) % p.rematch_every == 0:
-            members = _match_all(f, grid, p)  # (G, k, 2)
+            members = patches.match_groups(f, grid, p.s, p.k, p.window)
             counts = patches.coverage_counts(members, p.s, dims)
             fresh = True  # first visit: weights from the unshrunk cores
         total = np.zeros(dims)

@@ -164,3 +164,40 @@ def test_spectrum_diag_bad_anchor_exit_code(tmp_path, cube_file, capsys, anchor)
     )
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_simulate_dcchi_without_pan_writes_nothing(tmp_path, cube_file, capsys):
+    args = [
+        "simulate",
+        "--cube", str(cube_file),
+        "--mode", "dcchi",
+        "--out-meas", str(tmp_path / "meas.hsp"),
+        "--out-mask", str(tmp_path / "mask.hsp"),
+    ]
+    assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert "--out-pan" in err and "Traceback" not in err
+    assert list(tmp_path.glob("*.hsp")) == []
+
+
+@pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
+def test_simulate_bad_noise_sigma_exit_code(tmp_path, cube_file, capsys, sigma):
+    assert _simulate(tmp_path, cube_file, extra=("--noise-sigma", sigma)) == 2
+    err = capsys.readouterr().err
+    assert "noise-sigma" in err and "Traceback" not in err
+    assert list(tmp_path.glob("*.hsp")) == []
+
+
+def test_reconstruct_dims_mismatch_exit_code(tmp_path, cube_file, capsys):
+    assert _simulate(tmp_path, cube_file) == 0
+    args = [
+        "reconstruct",
+        "--meas", str(tmp_path / "meas.hsp"),
+        "--mask", str(tmp_path / "mask.hsp"),
+        "--dims", "20,20,4",
+        "--out", str(tmp_path / "recon.hsc"),
+    ]
+    assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert "20x20" in err and "16x16" in err and "Traceback" not in err
+    assert not (tmp_path / "recon.hsc").exists()

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsrecon.errors import DimensionError, UsageError
+from hsrecon.errors import DataError, DimensionError, UsageError
 from hsrecon.patches import (
+    PatchGrid,
     aggregate,
     build_group,
     coverage_counts,
     gather_groups,
     match_blocks,
+    match_groups,
     plan_grid,
     scatter_groups,
 )
@@ -87,6 +91,86 @@ class TestMatchBlocks:
         assert dist((1, 2), (5, 6)) == pytest.approx(dist((5, 6), (1, 2)), rel=1e-15)
 
 
+def _stacked_match_blocks(f, grid, s, k, window):
+    return np.array([match_blocks(f, a, s, k, window) for a in grid.anchors], dtype=np.intp)
+
+
+@st.composite
+def _quarter_cubes(draw):
+    # Values are multiples of 1/4, so every distance is exact in any
+    # summation order: ties are real and member lists must agree bitwise.
+    # A period smaller than the plane repeats identical patches.
+    rows = draw(st.integers(1, 14))
+    cols = draw(st.integers(1, 14))
+    bands = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 4))
+    period_r = draw(st.integers(1, rows))
+    period_c = draw(st.integers(1, cols))
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = np.random.default_rng(seed).integers(0, levels, (period_r, period_c, bands))
+    cube = np.tile(base, (-(-rows // period_r), -(-cols // period_c), 1))
+    return cube[:rows, :cols] / 4.0
+
+
+class TestMatchGroups:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        f=_quarter_cubes(),
+        s=st.integers(1, 4),
+        step=st.integers(1, 4),
+        k=st.integers(1, 60),
+        window=st.integers(0, 16),
+    )
+    def test_equals_match_blocks_on_exact_distances(self, f, s, step, k, window):
+        s = min(s, f.shape[0], f.shape[1])
+        grid = plan_grid(f.shape[0], f.shape[1], s, step)
+        got = match_groups(f, grid, s, k, window)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
+
+    @pytest.mark.parametrize(
+        "shape, s, step, k, window",
+        [
+            ((13, 11, 3), 4, 3, 7, 3),
+            ((20, 17, 5), 5, 4, 45, 20),
+            ((9, 30, 2), 3, 2, 12, 6),
+            ((24, 24, 31), 5, 4, 45, 20),
+            ((16, 16, 4), 4, 3, 300, 40),
+        ],
+    )
+    def test_equals_match_blocks_real_valued(self, rng, shape, s, step, k, window):
+        f = rng.random(shape)
+        grid = plan_grid(shape[0], shape[1], s, step)
+        got = match_groups(f, grid, s, k, window)
+        assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
+
+    def test_identical_patches_at_distance_zero(self, rng):
+        # real-valued duplicates, as in test_duplicate_patch_found
+        f = rng.random((10, 10, 3))
+        f[6 : 6 + 3, 1 : 1 + 3, :] = f[1 : 1 + 3, 2 : 2 + 3, :]
+        grid = PatchGrid(patch_size=3, step=1, rows=(1, 6), cols=(1, 2))
+        got = match_groups(f, grid, 3, 2, 7)
+        assert got[1].tolist() == [[1, 2], [6, 1]]
+        assert got[2].tolist() == [[6, 1], [1, 2]]
+
+    @pytest.mark.parametrize("k, window", [(0, 2), (-1, 2), (2, -1)])
+    def test_rejects_bad_k_and_window(self, k, window):
+        with pytest.raises(UsageError):
+            match_groups(np.zeros((8, 8, 2)), plan_grid(8, 8, 3, 2), 3, k, window)
+
+    def test_rejects_bad_grid_and_cube(self):
+        f = np.zeros((8, 8, 2))
+        with pytest.raises(UsageError):
+            match_groups(f, PatchGrid(3, 2, rows=(0, 6), cols=(0,)), 3, 2, 2)
+        with pytest.raises(UsageError):
+            match_groups(f, plan_grid(8, 8, 3, 2), 9, 2, 2)
+        with pytest.raises(DimensionError):
+            match_groups(np.zeros((8, 8)), plan_grid(8, 8, 3, 2), 3, 2, 2)
+        f[4, 4, 1] = np.nan
+        with pytest.raises(DataError):
+            match_groups(f, plan_grid(8, 8, 3, 2), 3, 2, 2)
+
+
 class TestBuildGroup:
     def test_degenerate_patch(self, rng):
         f = rng.random((6, 6, 4))
@@ -155,8 +239,7 @@ class TestAggregate:
 
 
 def _matched(f, s, k, window, step):
-    grid = plan_grid(f.shape[0], f.shape[1], s, step)
-    return np.array([match_blocks(f, a, s, k, window) for a in grid.anchors])
+    return _stacked_match_blocks(f, plan_grid(f.shape[0], f.shape[1], s, step), s, k, window)
 
 
 class TestBatchedGroups:
