@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -78,7 +77,7 @@ def _cmd_reconstruct(args) -> int:
     pan = fileio.read_plane(args.pan) if args.pan else None
     mode = imaging.DCCHI if pan is not None else imaging.CASSI
     sysmod = imaging.SystemModel.default(mask, dims[2], mode=mode)
-    log = open(args.log, "w") if args.log else None
+    log = open(args.log, "w", buffering=1) if args.log else None  # flushed per row
     try:
         if log:
             log.write("iter,residual,seconds\n")
@@ -102,9 +101,8 @@ def _cmd_evaluate(args) -> int:
     report = metrics.evaluate(ref, est)
     band_cols = ",".join(f"band{i}_psnr_db" for i in range(len(report.band_psnr)))
     band_vals = ",".join(f"{v:.6f}" for v in report.band_psnr)
-    Path(args.out).write_text(
-        f"psnr_db,ssim,ergas,rmse,{band_cols}\n{report.csv_row()},{band_vals}\n"
-    )
+    text = f"psnr_db,ssim,ergas,rmse,{band_cols}\n{report.csv_row()},{band_vals}\n"
+    fileio.write_atomic(args.out, text.encode())
     print(report.text())
     return 0
 
@@ -125,7 +123,7 @@ def _cmd_spectrum_diag(args) -> int:
     mags = np.sort(np.abs(hosvd(group.stacked).core).ravel())[::-1]
     lines = ["rank,magnitude"]
     lines += [f"{i},{m:.10e}" for i, m in enumerate(mags)]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    fileio.write_atomic(args.out, ("\n".join(lines) + "\n").encode())
     return 0
 
 

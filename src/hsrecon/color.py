@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, UsageError
+from .fileio import write_atomic
 
 __all__ = ["cmf_at", "rgb_preview", "write_ppm"]
 
@@ -103,4 +104,4 @@ def write_ppm(image: np.ndarray, path: str | Path) -> None:
         raise DimensionError("expected a rows x cols x 3 uint8 image")
     rows, cols = image.shape[:2]
     header = f"P6\n{cols} {rows}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.tobytes())
+    write_atomic(path, header + image.tobytes())

@@ -5,9 +5,13 @@ then rows*cols*bands little-endian float32 in band-major order (band
 slowest, then rows, then columns). Plane files: magic ``HSP1``, two u32
 (rows, cols), then row-major float32. Masks are stored as planes holding
 only 0.0/1.0.
+
+Every writer goes through :func:`write_atomic`, so a reader never sees a
+half-written file and a failed write leaves any earlier file in place.
 """
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -21,6 +25,7 @@ __all__ = [
     "read_plane",
     "write_plane",
     "read_mask",
+    "write_atomic",
 ]
 
 CUBE_MAGIC = b"HSC1"
@@ -69,7 +74,7 @@ def write_cube(cube: np.ndarray, path: str | Path) -> None:
     rows, cols, bands = cube.shape
     header = CUBE_MAGIC + struct.pack("<III", rows, cols, bands)
     payload = np.ascontiguousarray(cube.transpose(2, 0, 1), dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header + payload)
 
 
 def read_plane(path: str | Path) -> np.ndarray:
@@ -89,7 +94,7 @@ def write_plane(plane: np.ndarray, path: str | Path) -> None:
     rows, cols = plane.shape
     header = PLANE_MAGIC + struct.pack("<II", rows, cols)
     payload = np.ascontiguousarray(plane, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header + payload)
 
 
 def read_mask(path: str | Path) -> np.ndarray:
@@ -98,3 +103,20 @@ def read_mask(path: str | Path) -> np.ndarray:
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise DataError(f"{path}: mask plane contains values other than 0/1")
     return mask
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
+
+    On any failure the temp file is removed and ``path`` keeps whatever it
+    held before.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as out:
+            out.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

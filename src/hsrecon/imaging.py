@@ -12,7 +12,7 @@ conjugate-gradient image update in :mod:`hsrecon.solver`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "forward",
     "adjoint",
     "apply_normal_operator",
-    "system_to_config",
-    "system_from_config",
 ]
 
 
@@ -179,53 +177,3 @@ def adjoint(y: Measurement, sys: SystemModel) -> np.ndarray:
 def apply_normal_operator(f: np.ndarray, sys: SystemModel) -> np.ndarray:
     """Adjoint composed with forward, fused into one call."""
     return adjoint(forward(f, sys), sys)
-
-
-def system_to_config(sys: SystemModel, mask_path: str, seed: int | None = None) -> str:
-    """Serialize the system as key=value lines (mask stored by path)."""
-    rows, cols = sys.mask.shape
-    lines = [
-        f"mode={sys.mode}",
-        f"rows={rows}",
-        f"cols={cols}",
-        f"bands={sys.bands}",
-        "dispersion=" + ",".join(str(int(d)) for d in sys.dispersion),
-        "response=" + ",".join(repr(float(r)) for r in sys.response),
-        f"mask={mask_path}",
-    ]
-    if sys.pan_response is not None:
-        lines.append("pan_response=" + ",".join(repr(float(r)) for r in sys.pan_response))
-    if seed is not None:
-        lines.append(f"seed={seed}")
-    return "\n".join(lines) + "\n"
-
-
-def system_from_config(text: str, mask: np.ndarray) -> SystemModel:
-    """Rebuild a system from :func:`system_to_config` output.
-
-    The mask is supplied by the caller (loaded from the path named in the
-    ``mask=`` line).
-    """
-    kv: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"malformed config line: {line!r}")
-        key, val = line.split("=", 1)
-        kv[key] = val
-    try:
-        return SystemModel(
-            mask=mask,
-            dispersion=np.array([int(x) for x in kv["dispersion"].split(",")]),
-            response=np.array([float(x) for x in kv["response"].split(",")]),
-            mode=kv["mode"],
-            pan_response=(
-                np.array([float(x) for x in kv["pan_response"].split(",")])
-                if "pan_response" in kv
-                else None
-            ),
-        )
-    except KeyError as e:
-        raise DataError(f"config missing key: {e.args[0]}") from None

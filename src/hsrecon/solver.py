@@ -10,13 +10,20 @@ Step (a) matches every anchor at once with ``patches.match_groups``.
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
 groups: ``patches.gather_groups`` stacks a chunk, ``denoise_groups``
 shrinks it through ``tensors.hosvd_batch`` and
-``tensors.tucker_reconstruct_batch``, and ``patches.scatter_groups`` adds
-it back, chunk after chunk in a fixed order, so runs repeat bitwise.
-``denoise_group`` is the same step for one group on ``tensors.hosvd``,
-kept as the reference the batched step is tested against.
+``tensors.tucker_reconstruct_batch``, and ``patches.scatter_groups`` turns
+it into a partial cube. The chunks of an iteration run on ``WORKERS``
+threads, the calling thread among them (NumPy's ``eigh`` and ``matmul``
+release the GIL). Each thread takes the next chunk in order as it comes
+free, and the partial cubes are added in chunk order, each as soon as all
+before it are in, so the output is bitwise the same for any CPU count and
+timing. ``denoise_group`` is the same step for one group on
+``tensors.hosvd``, kept as the reference the batched step is tested
+against.
 """
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -48,8 +55,15 @@ __all__ = [
 INIT_RIDGE = 1e-3
 
 # Gathered float64 bytes per chunk of the batched group step. Bigger chunks
-# raise peak memory and, past about 1 MiB, run slower.
-CHUNK_BYTES = 1 << 20
+# raise peak memory, most of all with several threads: each thread's
+# allocator keeps its own chunk temporaries.
+CHUNK_BYTES = 384 << 10
+
+# Threads of the group step, the calling thread included: the CPUs this
+# process may run on. With one, no thread is started.
+WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 @dataclass(frozen=True)
@@ -188,23 +202,27 @@ def reconstruct(
 
     grid = patches.plan_grid(rows, cols, p.s, p.step)
     chunk = max(1, CHUNK_BYTES // (8 * p.s * p.s * sys.bands * p.k))
-    core_mag = None  # shrunk-core magnitudes of every group, (G, r1, r2, r3)
     t0 = time.perf_counter()
     for it in range(1, p.max_iter + 1):
         if (it - 1) % p.rematch_every == 0:
             members = patches.match_groups(f, grid, p.s, p.k, p.window)
             counts = patches.coverage_counts(members, p.s, dims)
-            fresh = True  # first visit: weights from the unshrunk cores
-        total = np.zeros(dims)
-        for lo in range(0, len(members), chunk):
-            part = slice(lo, lo + chunk)
-            stacked, idx = patches.gather_groups(f, members[part], p.s)
-            approx, mag = denoise_groups(stacked, None if fresh else core_mag[part], p)
-            if core_mag is None:
-                core_mag = np.empty((len(members),) + mag.shape[1:])
-            core_mag[part] = mag
-            total += patches.scatter_groups(approx, idx, dims)
-        fresh = False
+            parts = [slice(lo, lo + chunk) for lo in range(0, len(members), chunk)]
+            mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
+        # Shrunk-core magnitudes per chunk, kept only if the next iteration
+        # reads them: it exists and does not rematch.
+        keep = it < p.max_iter and it % p.rematch_every != 0
+        last, mags = mags, [None] * len(parts)
+
+        def step(i: int) -> np.ndarray:
+            stacked, idx = patches.gather_groups(f, members[parts[i]], p.s)
+            approx, mag = denoise_groups(stacked, last[i], p)
+            last[i] = None
+            if keep:
+                mags[i] = mag
+            return patches.scatter_groups(approx, idx, dims)
+
+        total = _ordered_sum(len(parts), step, np.zeros(dims))
         rhs = backproj + (2.0 * p.tau) * (total / counts)
         f = cg_solve_image(
             rhs,
@@ -218,6 +236,65 @@ def reconstruct(
             fit = _data_fit(y, f, sys)
             progress(it, fit, time.perf_counter() - t0)
     return np.clip(f, 0.0, 1.0)
+
+
+def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -> np.ndarray:
+    """Add ``work(0)``, ..., ``work(n - 1)`` to ``total`` in that order.
+
+    ``min(WORKERS, n) - 1`` threads and the calling thread each take the
+    next index as they come free. A result is added as soon as all before
+    it are, so ``total`` is bitwise the same for any worker count and
+    timing. No thread runs more than two indexes per thread ahead of the
+    last one added, which bounds the results held while one is late. If
+    ``work`` raises, no further index is handed out, every thread ends,
+    and the error of the lowest failing index is raised.
+    """
+    workers = min(WORKERS, n)
+    window = 2 * workers
+    threads: list[threading.Thread] = []
+    cond = threading.Condition()
+    taken = added = 0
+    done: dict[int, np.ndarray] = {}
+    errors: dict[int, BaseException] = {}
+
+    def run() -> None:
+        nonlocal taken, added, total
+        while True:
+            with cond:
+                while taken - added >= window and taken < n and not errors:
+                    cond.wait()
+                i = taken
+                if i >= n or errors:
+                    return
+                taken += 1
+            try:
+                part = work(i)
+            except BaseException as e:
+                with cond:
+                    errors[i] = e
+                    cond.notify_all()
+                return
+            with cond:
+                done[i] = part
+                while added in done:
+                    total += done.pop(added)
+                    added += 1
+                cond.notify_all()
+
+    try:
+        for _ in range(workers - 1):
+            threads.append(threading.Thread(target=run))
+            threads[-1].start()
+        run()
+    finally:
+        with cond:
+            taken = n
+            cond.notify_all()
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return total
 
 
 def _data_fit(y: imaging.Measurement, f: np.ndarray, sys: imaging.SystemModel) -> float:

@@ -1,9 +1,11 @@
+import errno
+
 import numpy as np
 import pytest
 
 from conftest import make_smooth_cube
 
-from hsrecon import fileio, metrics
+from hsrecon import fileio, metrics, solver
 from hsrecon.cli import cli
 
 
@@ -201,3 +203,45 @@ def test_reconstruct_dims_mismatch_exit_code(tmp_path, cube_file, capsys):
     err = capsys.readouterr().err
     assert "20x20" in err and "16x16" in err and "Traceback" not in err
     assert not (tmp_path / "recon.hsc").exists()
+
+
+def test_log_row_on_disk_when_progress_returns(tmp_path, cube_file, monkeypatch):
+    assert _simulate(tmp_path, cube_file) == 0
+    log = tmp_path / "progress.csv"
+    seen = []
+    real = solver.reconstruct
+
+    def reconstruct(y, sys, p, progress):
+        def check(it, residual, seconds):
+            progress(it, residual, seconds)
+            rows = log.read_text().splitlines()
+            seen.append(it)
+            assert rows[0] == "iter,residual,seconds"
+            assert rows[-1].startswith(f"{it},") and len(rows) == it + 1
+
+        return real(y, sys, p, progress=check)
+
+    monkeypatch.setattr(solver, "reconstruct", reconstruct)
+    assert _reconstruct(tmp_path) == 0
+    assert seen == list(range(1, 9))
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EXDEV, "injected rename failure")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "spectrum-diag"])
+def test_text_output_failure_keeps_earlier_file(tmp_path, cube_file, monkeypatch, capsys,
+                                                command):
+    out = tmp_path / "out.csv"
+    out.write_text("earlier\n")
+    args = {
+        "evaluate": ["evaluate", "--ref", str(cube_file), "--est", str(cube_file)],
+        "spectrum-diag": ["spectrum-diag", "--cube", str(cube_file), "--anchor", "4,4",
+                          "--s", "4", "--k", "6", "--window", "4"],
+    }[command]
+    monkeypatch.setattr(fileio.os, "replace", _fail_replace)
+    assert cli(args + ["--out", str(out)]) == 1
+    assert "injected" in capsys.readouterr().err
+    assert out.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "truth.hsc"]

@@ -1,13 +1,17 @@
+import errno
 import struct
 
 import numpy as np
 import pytest
 
+from hsrecon import fileio
+from hsrecon.color import write_ppm
 from hsrecon.errors import DataError
 from hsrecon.fileio import (
     read_cube,
     read_mask,
     read_plane,
+    write_atomic,
     write_cube,
     write_plane,
 )
@@ -87,3 +91,56 @@ class TestPlaneFile:
         path.write_bytes(b"HSP1\x01")
         with pytest.raises(DataError, match="truncated header"):
             read_plane(path)
+
+
+class _FullDisk:
+    """An open file that stores half of a write, then fails as a full disk does."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EXDEV, "injected rename failure")
+
+
+WRITERS = {
+    "cube": lambda path: write_cube(np.ones((2, 3, 4)), path),
+    "plane": lambda path: write_plane(np.ones((3, 5)), path),
+    "ppm": lambda path: write_ppm(np.zeros((2, 2, 3), np.uint8), path),
+    "bytes": lambda path: write_atomic(path, b"new contents"),
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("fault", ["write", "replace"])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failure_keeps_earlier_file(self, tmp_path, monkeypatch, writer, fault):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"earlier")
+        if fault == "write":
+            monkeypatch.setattr(fileio, "open", _FullDisk, raising=False)
+        else:
+            monkeypatch.setattr(fileio.os, "replace", _fail_replace)
+        with pytest.raises(OSError):
+            WRITERS[writer](path)
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_replaces_earlier_file(self, tmp_path, writer):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"earlier" * 100)
+        WRITERS[writer](path)
+        assert not path.read_bytes().startswith(b"earlier")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

@@ -14,8 +14,6 @@ from hsrecon.imaging import (
     forward,
     generate_mask,
     pan_forward,
-    system_from_config,
-    system_to_config,
 )
 
 
@@ -181,23 +179,3 @@ class TestSystemModel:
     def test_rejects_decreasing_dispersion(self):
         with pytest.raises(DataError):
             SystemModel(np.ones((2, 2)), np.array([1, 0]), np.ones(2))
-
-    def test_config_round_trip(self, rng):
-        mask = generate_mask(4, 4, 0.5, 2)
-        sys = SystemModel(
-            mask=mask,
-            dispersion=np.array([0, 2, 4]),
-            response=np.array([1.0, 0.5, 2.0]),
-            mode=DCCHI,
-            pan_response=np.array([0.3, 0.3, 0.4]),
-        )
-        text = system_to_config(sys, "mask.hsp", seed=7)
-        back = system_from_config(text, mask)
-        assert back.mode == DCCHI
-        np.testing.assert_array_equal(back.dispersion, sys.dispersion)
-        np.testing.assert_array_equal(back.response, sys.response)
-        np.testing.assert_array_equal(back.pan_response, sys.pan_response)
-
-    def test_config_missing_key(self):
-        with pytest.raises(DataError):
-            system_from_config("mode=cassi\n", np.ones((2, 2)))

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,10 +8,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_import_loads_no_scipy():
-    # scipy.signal alone once took most of the package's import time
+    # scipy.signal alone once took most of the package's import time, and
+    # concurrent.futures adds about 5 ms; the group step's threads start
+    # only inside reconstruct
     code = (
-        "import sys, hsrecon, hsrecon.cli; "
-        "print(','.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import json, sys, threading, hsrecon, hsrecon.cli; "
+        "print(json.dumps({"
+        "'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+        "'futures': 'concurrent.futures' in sys.modules, "
+        "'threads': threading.active_count()}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -20,4 +26,4 @@ def test_import_loads_no_scipy():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == ""
+    assert json.loads(out.stdout) == {"scipy": [], "futures": False, "threads": 1}

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -242,13 +245,21 @@ class TestReconstruct:
 
 class TestBatchedPipeline:
     def test_matches_per_group_loop(self, monkeypatch):
+        self._check_against_loop(monkeypatch, rematch_every=3)
+
+    def test_matches_per_group_loop_rematching_every_iteration(self, monkeypatch):
+        # no iteration reads the shrunk-core magnitudes of the one before
+        self._check_against_loop(monkeypatch, rematch_every=1)
+
+    @staticmethod
+    def _check_against_loop(monkeypatch, rematch_every):
         # reconstruct's chunked pipeline against the per-group loop it
         # replaced, built from the reference functions; small chunks force
         # several chunks per iteration
         f_true = make_smooth_cube(20, 20, 3, seed=4)
         sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3)
         y = imaging.forward(f_true, sys)
-        p = SolverParams(k=6, window=4, max_iter=4, rematch_every=3)
+        p = SolverParams(k=6, window=4, max_iter=4, rematch_every=rematch_every)
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)
         got = reconstruct(y, sys, p)
 
@@ -268,6 +279,133 @@ class TestBatchedPipeline:
             rhs = backproj + 2.0 * p.tau * (total / counts)
             f = cg_solve_image(rhs, np.ones(f_true.shape), sys, p.tau)
         np.testing.assert_allclose(got, np.clip(f, 0.0, 1.0), rtol=0, atol=1e-9)
+
+
+class TestWorkerPool:
+    @staticmethod
+    def _problem():
+        f_true = make_smooth_cube(20, 20, 3, seed=4)
+        sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3)
+        return imaging.forward(f_true, sys), sys, SolverParams(
+            k=6, window=4, max_iter=4, rematch_every=3
+        )
+
+    def test_output_independent_of_worker_count(self, monkeypatch):
+        y, sys, p = self._problem()
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(solver, "WORKERS", workers)
+            outputs.append(reconstruct(y, sys, p).tobytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_sum_order_fixed_under_any_timing(self, monkeypatch):
+        # float addition does not associate, so any other order changes bits
+        rng = np.random.default_rng(3)
+        parts = [rng.standard_normal(64) * 10.0 ** rng.integers(-8, 9) for _ in range(40)]
+        expect = np.zeros(64)
+        for part in parts:
+            expect += part
+        delays = rng.random(40) * 2e-3
+
+        def work(i):
+            time.sleep(delays[i])
+            return parts[i]
+
+        for workers in (2, 3, 5):
+            monkeypatch.setattr(solver, "WORKERS", workers)
+            got = solver._ordered_sum(len(parts), work, np.zeros(64))
+            assert got.tobytes() == expect.tobytes()
+
+    def test_threads_stay_within_window_of_a_late_chunk(self, monkeypatch):
+        # while chunk 0 runs, nothing is added, so at most 2 * WORKERS
+        # chunks may be taken: later results would pile up unbounded
+        monkeypatch.setattr(solver, "WORKERS", 3)
+        first_done = threading.Event()
+        started_early = []
+
+        def work(i):
+            if i == 0:
+                time.sleep(0.1)
+                first_done.set()
+            elif not first_done.is_set():
+                started_early.append(i)
+            return np.full(2, float(i))
+
+        total = solver._ordered_sum(40, work, np.zeros(2))
+        assert total.tolist() == [780.0, 780.0]
+        assert started_early and max(started_early) < 6
+
+    def test_failure_wakes_a_thread_waiting_on_the_window(self, monkeypatch):
+        # the caller's chunks are quick, so it fills the window and waits
+        # for the worker's chunk, which fails
+        monkeypatch.setattr(solver, "WORKERS", 2)
+        caller, errors = [], []
+
+        def work(i):
+            if threading.current_thread() is caller[0]:
+                time.sleep(0.002)
+                return np.ones(2)
+            time.sleep(0.05)
+            raise DataError("late chunk")
+
+        def call():
+            caller.append(threading.current_thread())
+            try:
+                solver._ordered_sum(50, work, np.zeros(2))
+            except DataError as e:
+                errors.append(e)
+
+        t = threading.Thread(target=call, daemon=True)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive() and len(errors) == 1
+
+    def test_lowest_failing_chunk_raised_and_threads_joined(self, monkeypatch):
+        # chunk 5 fails first in time, chunk 4 later: the error raised is
+        # chunk 4's, as in a serial run. The calling thread's chunks are
+        # slow, so a worker meets the first failure and must stop the rest.
+        monkeypatch.setattr(solver, "WORKERS", 3)
+        start = threading.active_count()
+        calls = []
+
+        def work(i):
+            calls.append(i)
+            if i == 5:
+                raise DataError("chunk 5")
+            slow = i == 4 or threading.current_thread() is threading.main_thread()
+            time.sleep(0.05 if slow else 0.005)
+            if i == 4:
+                raise DataError("chunk 4")
+            return np.ones(2)
+
+        with pytest.raises(DataError, match="chunk 4"):
+            solver._ordered_sum(30, work, np.zeros(2))
+        assert threading.active_count() == start
+        assert len(calls) <= 10  # no new chunks once a failure is seen
+
+    def test_non_finite_group_raises_and_threads_end(self, monkeypatch):
+        y, sys, p = self._problem()
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)
+        monkeypatch.setattr(solver, "WORKERS", 3)
+        start = threading.active_count()
+        reconstruct(y, sys, p)
+        assert threading.active_count() == start
+
+        real = solver.denoise_groups
+        calls = []
+
+        def poisoned(stacked, core_mag, params):
+            calls.append(None)
+            if len(calls) == 5:
+                stacked = stacked.copy()
+                stacked[0, 0, 0, 0] = np.nan
+            return real(stacked, core_mag, params)
+
+        monkeypatch.setattr(solver, "denoise_groups", poisoned)
+        with pytest.raises(DataError):
+            reconstruct(y, sys, p)
+        assert threading.active_count() == start
 
 
 class TestObjectiveDescent:
