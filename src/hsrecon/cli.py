@@ -108,6 +108,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_preview(args) -> int:
+    if not np.all(np.isfinite([args.wl_start, args.wl_step])):
+        raise UsageError(
+            f"wavelengths must be finite, got --wl-start {args.wl_start} --wl-step {args.wl_step}"
+        )
     cube = fileio.read_cube(args.cube)
     wavelengths = args.wl_start + args.wl_step * np.arange(cube.shape[2])
     image = color.rgb_preview(cube, wavelengths)

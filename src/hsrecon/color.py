@@ -61,8 +61,8 @@ _XYZ_TO_SRGB = np.array([
 def cmf_at(wavelengths: np.ndarray) -> np.ndarray:
     """Interpolated (xbar, ybar, zbar) rows at the given wavelengths (nm)."""
     wl = np.asarray(wavelengths, dtype=np.float64)
-    if np.any(wl < 380.0) or np.any(wl > 780.0):
-        raise UsageError("wavelengths must lie within 380-780 nm")
+    if not np.all((wl >= 380.0) & (wl <= 780.0)):  # NaN fails both
+        raise UsageError("wavelengths must be finite and within 380-780 nm")
     grid = _CMF_START + _CMF_STEP * np.arange(_CMF.shape[0])
     return np.column_stack(
         [np.interp(wl, grid, _CMF[:, c]) for c in range(3)]

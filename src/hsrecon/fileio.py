@@ -11,6 +11,7 @@ half-written file and a failed write leaves any earlier file in place.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -41,7 +42,9 @@ def _read_payload(
     if raw[:4] != magic:
         raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
     dims = struct.unpack_from(header_fmt, raw, 4)
-    count = int(np.prod(dims))
+    if 0 in dims:
+        raise DataError(f"{path}: header sizes {dims} include a zero")
+    count = math.prod(dims)  # Python ints: an int64 product can wrap to 0
     expected = header_len + 4 * count
     if len(raw) != expected:
         raise DataError(

@@ -7,8 +7,9 @@ sums the bands onto a single detector plane of shape
 ``(I + max(offset), J)``. The dual-camera mode adds an uncoded
 panchromatic plane, the per-band weighted sum of the cube.
 
-``adjoint`` is the exact linear adjoint of ``forward``; the pair backs the
-conjugate-gradient image update in :mod:`hsrecon.solver`.
+``adjoint`` is the exact linear adjoint of ``forward``. ``ridge_factor``
+and ``ridge_solve`` solve (Phi^T Phi + rho I) f = b exactly, the image
+update of :mod:`hsrecon.solver`.
 """
 from __future__ import annotations
 
@@ -32,6 +33,9 @@ __all__ = [
     "forward",
     "adjoint",
     "apply_normal_operator",
+    "RidgeFactor",
+    "ridge_factor",
+    "ridge_solve",
 ]
 
 
@@ -160,10 +164,7 @@ def adjoint(y: Measurement, sys: SystemModel) -> np.ndarray:
             f"measurement shape {yc.shape} does not match system "
             f"{(sys.meas_rows, cols)}"
         )
-    f = np.zeros((rows, cols, sys.bands))
-    for lam in range(sys.bands):
-        d = int(sys.dispersion[lam])
-        f[:, :, lam] = sys.response[lam] * sys.mask * yc[d : d + rows, :]
+    f = _cassi_adjoint(yc, sys)
     if sys.mode == DCCHI:
         if y.pan is None:
             raise DimensionError("dual-camera system requires a pan plane")
@@ -174,6 +175,110 @@ def adjoint(y: Measurement, sys: SystemModel) -> np.ndarray:
     return f
 
 
+def _cassi_adjoint(yc: np.ndarray, sys: SystemModel) -> np.ndarray:
+    rows, cols = sys.mask.shape
+    f = np.zeros((rows, cols, sys.bands))
+    for lam in range(sys.bands):
+        d = int(sys.dispersion[lam])
+        f[:, :, lam] = sys.response[lam] * sys.mask * yc[d : d + rows, :]
+    return f
+
+
 def apply_normal_operator(f: np.ndarray, sys: SystemModel) -> np.ndarray:
     """Adjoint composed with forward, fused into one call."""
     return adjoint(forward(f, sys), sys)
+
+
+@dataclass(frozen=True)
+class RidgeFactor:
+    """rho I + Phi Phi^T of one system, factored by :func:`ridge_factor`.
+
+    ``coded``: the diagonal of its coded block, shape ``(meas_rows, cols)``.
+    Dual-camera mode only: ``pan_diag``, the pan block's constant diagonal,
+    and ``chol``, the banded Cholesky factor L of the Schur complement per
+    detector column j: ``chol[c, t, j] = L[c + t, c]`` for
+    ``t = 0..max(dispersion)``, plus ``max(dispersion)`` zero rows so every
+    band slice has full length.
+    """
+
+    sys: SystemModel
+    rho: float
+    coded: np.ndarray
+    chol: np.ndarray | None = None
+    pan_diag: float = 0.0
+
+
+def ridge_factor(sys: SystemModel, rho: float) -> RidgeFactor:
+    """Factor rho I + Phi Phi^T for solving (Phi^T Phi + rho I) f = b.
+
+    By Woodbury, f = (b - Phi^T (rho I + Phi Phi^T)^{-1} Phi b) / rho.
+    Phi Phi^T is diagonal on the coded plane: each detector pixel sums
+    response**2 * mask over the bands that land on it. In dual-camera mode,
+    Phi = [C; P] adds the pan block P P^T = sum(pan**2) I and the cross term
+    B = C P^T, which joins detector row i + d to pan row i of the same
+    column with weight mask[i] * beta[d], beta[d] = sum(response * pan) over
+    the bands dispersed by d. Eliminating the pan block leaves the Schur
+    complement diag(coded) - B B^T / pan_diag, banded with half-bandwidth
+    max(dispersion) in each column, which a right-looking banded Cholesky
+    factors for all columns at once.
+    """
+    rho = float(rho)
+    if not (np.isfinite(rho) and rho > 0.0):
+        raise UsageError(f"rho must be positive and finite, got {rho}")
+    rows, cols = sys.mask.shape
+    coded = rho + cassi_forward(sys.mask[:, :, None] * sys.response, sys)
+    if sys.mode == CASSI:
+        return RidgeFactor(sys=sys, rho=rho, coded=coded)
+    pan = sys._pan_resp()
+    pan_diag = rho + float(pan @ pan)
+    w = int(sys.dispersion.max())
+    r = sys.meas_rows
+    beta = np.bincount(sys.dispersion, weights=sys.response * pan, minlength=w + 1)
+    chol = np.zeros((r + w, w + 1, cols))
+    chol[:r, 0] = coded
+    # (B B^T)[i + d + t, i + d] = mask[i] beta[d] beta[d + t], for d + t <= w
+    for d in range(w + 1):
+        coef = beta[d] * beta[d:] / pan_diag
+        chol[d : d + rows, : w + 1 - d] -= coef[None, :, None] * sys.mask[:, None, :]
+    # Column c of L is column c of the band over its square-rooted diagonal;
+    # then S[c + t2, c + t1] -= L[c + t2, c] L[c + t1, c] for 1 <= t1 <= t2,
+    # kept at chol[c + t1, t2 - t1], flat row c (w + 1) + t1 w + t2.
+    t1, t2 = np.triu_indices(w, 0)
+    t1, t2 = t1 + 1, t2 + 1
+    offsets = t1 * w + t2
+    flat = chol.reshape(-1, cols)
+    for c in range(r):
+        col = chol[c]
+        np.sqrt(col[0], out=col[0])
+        col[1:] /= col[0]
+        flat[c * (w + 1) + offsets] -= col[t1] * col[t2]
+    return RidgeFactor(sys=sys, rho=rho, coded=coded, chol=chol, pan_diag=pan_diag)
+
+
+def ridge_solve(fac: RidgeFactor, b: np.ndarray) -> np.ndarray:
+    """The exact solution of (Phi^T Phi + rho I) f = b for ``fac``'s system and rho."""
+    b = np.asarray(b, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        raise DataError("right-hand side contains non-finite entries")
+    sys = fac.sys
+    if fac.chol is None:
+        u = cassi_forward(b, sys) / fac.coded
+        return (b - _cassi_adjoint(u, sys)) / fac.rho
+    # With Phi b = (a, p), the pan block gives v = (p - B^T u) / pan_diag
+    # and leaves S u = a - B p / pan_diag = C (b - P^T p / pan_diag).
+    pan = sys._pan_resp()
+    p = pan_forward(b, sys)
+    chol = fac.chol
+    r = sys.meas_rows
+    w = chol.shape[1] - 1
+    u = np.zeros((r + w, b.shape[1]))
+    u[:r] = cassi_forward(b - p[:, :, None] * (pan / fac.pan_diag), sys)
+    for c in range(r):  # L z = rhs
+        u[c] /= chol[c, 0]
+        u[c + 1 : c + w + 1] -= chol[c, 1:] * u[c]
+    for c in range(r - 1, -1, -1):  # L^T u = z
+        u[c] -= np.einsum("tj,tj->j", chol[c, 1:], u[c + 1 : c + w + 1])
+        u[c] /= chol[c, 0]
+    ctu = _cassi_adjoint(u[:r], sys)
+    v = (p - ctu @ pan) / fac.pan_diag
+    return (b - ctu - v[:, :, None] * pan) / fac.rho

@@ -3,8 +3,8 @@
 Each outer iteration (a) groups similar patches of the current estimate,
 (b) denoises every group by soft-thresholding its HOSVD core with
 adaptive per-coefficient weights, (c) scatters the denoised groups back,
-and (d) solves the coupled least-squares image update with conjugate
-gradient on the matrix-free normal operator.
+and (d) solves the coupled least-squares image update exactly, with the
+factorization ``imaging.ridge_factor`` builds once per reconstruction.
 
 Step (a) matches every anchor at once with ``patches.match_groups``.
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
@@ -18,7 +18,8 @@ free, and the partial cubes are added in chunk order, each as soon as all
 before it are in, so the output is bitwise the same for any CPU count and
 timing. ``denoise_group`` is the same step for one group on
 ``tensors.hosvd``, kept as the reference the batched step is tested
-against.
+against, and ``cg_solve_image``, which also takes per-voxel prior weights,
+is the reference for the image update.
 """
 from __future__ import annotations
 
@@ -78,31 +79,42 @@ class SolverParams:
     k: int = 45
     window: int = 20
     max_iter: int = 600
-    cg_max_iter: int = 50
-    cg_tol: float = 1e-6
     rematch_every: int = 40
 
     def __post_init__(self):
-        if self.tau <= 0 or self.c <= 0 or self.eps <= 0 or self.cg_tol <= 0:
-            raise UsageError("tau, c, eps and cg_tol must be positive")
-        for name in ("s", "step", "k", "max_iter", "rematch_every", "cg_max_iter"):
+        for name in ("tau", "c", "eps"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise UsageError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("s", "step", "k", "max_iter", "rematch_every"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.window < 0:
             raise UsageError(f"window must be >= 0, got {self.window}")
 
 
-def shrink_core(g_hat: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
-    """Sign-preserving soft threshold: sign(g) * max(|g| - w/(2 tau), 0)."""
+def shrink_core(
+    g_hat: np.ndarray, w: np.ndarray, tau: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Sign-preserving soft threshold: sign(g) * max(|g| - w/(2 tau), 0).
+
+    The result is written to ``out`` if given, which may be ``w`` itself.
+    """
     if tau <= 0:
         raise UsageError(f"tau must be positive, got {tau}")
     g_hat = np.asarray(g_hat, dtype=np.float64)
-    return np.sign(g_hat) * np.maximum(np.abs(g_hat) - w / (2.0 * tau), 0.0)
+    t = np.divide(w, 2.0 * tau, out=out)
+    np.subtract(np.abs(g_hat), t, out=t)
+    np.maximum(t, 0.0, out=t)
+    return np.copysign(t, g_hat, out=t)
 
 
-def update_weights(g: np.ndarray, c: float, eps: float) -> np.ndarray:
-    """Inverse-magnitude weights: w = c / (|g| + eps)."""
-    return c / (np.abs(np.asarray(g, dtype=np.float64)) + eps)
+def update_weights(
+    g: np.ndarray, c: float, eps: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse-magnitude weights: w = c / (|g| + eps), written to ``out`` if given."""
+    w = np.abs(np.asarray(g, dtype=np.float64), out=out)
+    w += eps
+    return np.divide(c, w, out=w)
 
 
 def denoise_group(
@@ -123,10 +135,14 @@ def denoise_group(
 def denoise_groups(
     stacked: np.ndarray, core_mag: np.ndarray | None, p: SolverParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`denoise_group` for every group of a ``(g, s*s, L, k)`` stack."""
+    """:func:`denoise_group` for every group of a ``(g, s*s, L, k)`` stack.
+
+    The weights and the shrunk core share one new buffer; ``core_mag`` is
+    only read.
+    """
     tf = hosvd_batch(stacked)
     w = update_weights(tf.core if core_mag is None else core_mag, p.c, p.eps)
-    g = shrink_core(tf.core, w, p.tau)
+    g = shrink_core(tf.core, w, p.tau, out=w)
     return tucker_reconstruct_batch(TuckerFactors(core=g, factors=tf.factors)), np.abs(g)
 
 
@@ -139,7 +155,12 @@ def cg_solve_image(
     cg_max_iter: int = 50,
     residual_history: list[float] | None = None,
 ) -> np.ndarray:
-    """Solve (Phi^T Phi + 2 tau counts) f = rhs by conjugate gradient."""
+    """Solve (Phi^T Phi + 2 tau counts) f = rhs by conjugate gradient.
+
+    ``reconstruct`` has unit counts and solves exactly with
+    ``imaging.ridge_solve``; this solver takes any positive per-voxel
+    weights and is the reference the exact one is tested against.
+    """
     rhs = np.asarray(rhs, dtype=np.float64)
     if not np.all(np.isfinite(rhs)):
         raise DataError("right-hand side contains non-finite entries")
@@ -191,14 +212,8 @@ def reconstruct(
     rows, cols = sys.mask.shape
     dims = (rows, cols, sys.bands)
     backproj = imaging.adjoint(y, sys)
-    f = cg_solve_image(
-        backproj,
-        counts=np.ones(dims),
-        sys=sys,
-        tau=INIT_RIDGE / 2.0,
-        cg_tol=p.cg_tol,
-        cg_max_iter=p.cg_max_iter,
-    )
+    f = imaging.ridge_solve(imaging.ridge_factor(sys, INIT_RIDGE), backproj)
+    data_step = imaging.ridge_factor(sys, 2.0 * p.tau)
 
     grid = patches.plan_grid(rows, cols, p.s, p.step)
     chunk = max(1, CHUNK_BYTES // (8 * p.s * p.s * sys.bands * p.k))
@@ -224,14 +239,7 @@ def reconstruct(
 
         total = _ordered_sum(len(parts), step, np.zeros(dims))
         rhs = backproj + (2.0 * p.tau) * (total / counts)
-        f = cg_solve_image(
-            rhs,
-            counts=np.ones(dims),
-            sys=sys,
-            tau=p.tau,
-            cg_tol=p.cg_tol,
-            cg_max_iter=p.cg_max_iter,
-        )
+        f = imaging.ridge_solve(data_step, rhs)
         if progress is not None:
             fit = _data_fit(y, f, sys)
             progress(it, fit, time.perf_counter() - t0)

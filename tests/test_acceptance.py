@@ -40,9 +40,7 @@ def _run_cassi(desk_scene):
     sys = SystemModel.default(mask, 8)
     y = imaging.forward(f, sys)
     backproj = imaging.adjoint(y, sys)
-    f0 = solver.cg_solve_image(
-        backproj, np.ones(f.shape), sys, tau=INIT_RIDGE / 2.0
-    )
+    f0 = imaging.ridge_solve(imaging.ridge_factor(sys, INIT_RIDGE), backproj)
     residuals = {}
     rec = solver.reconstruct(
         y,
@@ -121,25 +119,53 @@ def test_criterion_3_shrinkage_oracle(rng):
     _report(3, worst <= 1e-4, f"max |shrink - oracle| {worst:.2e} <= 1e-4")
 
 
-def test_criterion_4_cg_vs_dense_oracle(rng):
-    mask = imaging.generate_mask(6, 6, 0.5, 11)
-    sys = SystemModel.default(mask, 3)
-    counts = np.ones((6, 6, 3))
-    tau = 1.0
-    n = 6 * 6 * 3
+def _dense_system(sys, diag):
+    shape = sys.mask.shape + (sys.bands,)
+    n = int(np.prod(shape))
     dense = np.zeros((n, n))
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        cube = e.reshape(6, 6, 3)
-        dense[:, i] = (
-            imaging.apply_normal_operator(cube, sys) + 2.0 * tau * counts * cube
-        ).ravel()
+        cube = e.reshape(shape)
+        dense[:, i] = (imaging.apply_normal_operator(cube, sys) + diag * cube).ravel()
+    return dense
+
+
+def test_criterion_4_cg_vs_dense_oracle(rng):
+    # CG with per-voxel weights, and the exact solve reconstruct uses, for
+    # both modes with uneven dispersion and responses, at rho = 2 tau and
+    # at the initial ridge
+    mask = imaging.generate_mask(6, 6, 0.5, 11)
+    sys = SystemModel.default(mask, 3)
+    counts = 0.5 + rng.random((6, 6, 3))
+    tau = 1.0
     rhs = rng.random((6, 6, 3))
+    dense = _dense_system(sys, 2.0 * tau * counts)
     expect = np.linalg.solve(dense, rhs.ravel()).reshape(6, 6, 3)
     got = solver.cg_solve_image(rhs, counts, sys, tau, cg_tol=1e-12, cg_max_iter=500)
-    err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
-    _report(4, err <= 1e-6, f"relative error vs dense solve {err:.2e} <= 1e-6")
+    cg_err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
+    exact_err = 0.0
+    for mode in (imaging.CASSI, DCCHI):
+        sys = SystemModel(
+            imaging.generate_mask(7, 5, 0.5, 12),
+            dispersion=np.array([0, 0, 2, 5]),
+            response=np.array([0.6, 1.3, 0.9, 1.7]),
+            mode=mode,
+            pan_response=np.array([0.4, 1.1, 0.8, 0.3]),
+        )
+        rhs = rng.standard_normal((7, 5, 4))
+        for rho in (2.0 * tau, INIT_RIDGE):
+            expect = np.linalg.solve(_dense_system(sys, rho), rhs.ravel()).reshape(7, 5, 4)
+            got = imaging.ridge_solve(imaging.ridge_factor(sys, rho), rhs)
+            err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
+            exact_err = max(exact_err, err)
+    ok = cg_err <= 1e-6 and exact_err <= 1e-10
+    _report(
+        4,
+        ok,
+        f"relative error vs dense solve: CG {cg_err:.2e} <= 1e-6, "
+        f"exact {exact_err:.2e} <= 1e-10",
+    )
 
 
 def test_criterion_5_aggregation_exactness(rng):

@@ -1,4 +1,5 @@
 import errno
+import warnings
 
 import numpy as np
 import pytest
@@ -245,3 +246,45 @@ def test_text_output_failure_keeps_earlier_file(tmp_path, cube_file, monkeypatch
     assert "injected" in capsys.readouterr().err
     assert out.read_text() == "earlier\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "truth.hsc"]
+
+
+@pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--tau", "inf"), ("--c", "nan"),
+                                        ("--c", "inf")])
+def test_reconstruct_non_finite_real_exit_code(tmp_path, capsys, flag, value):
+    # the input files do not exist: exit 2, not 1, shows nothing was read
+    args = [
+        "reconstruct",
+        "--meas", str(tmp_path / "meas.hsp"),
+        "--mask", str(tmp_path / "mask.hsp"),
+        "--dims", "16,16,4",
+        "--out", str(tmp_path / "recon.hsc"),
+        flag, value,
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert flag[2:] in err and "Traceback" not in err
+    assert not (tmp_path / "recon.hsc").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--wl-start", "nan"), ("--wl-start", "inf"),
+                                        ("--wl-step", "nan"), ("--wl-step", "-inf")])
+def test_preview_non_finite_wavelength_exit_code(tmp_path, cube_file, capsys, flag, value):
+    out = tmp_path / "img.ppm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["preview", "--cube", str(cube_file), f"{flag}={value}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "wavelengths" in err and "Traceback" not in err
+    assert list(tmp_path.glob("*.ppm")) == []
+
+
+def test_evaluate_zero_size_cube_exit_code(tmp_path, capsys):
+    empty = tmp_path / "empty.hsc"
+    empty.write_bytes(b"HSC1" + bytes(4) + (4).to_bytes(4, "little") * 2)  # rows = 0
+    code = cli(["evaluate", "--ref", str(empty), "--est", str(empty),
+                "--out", str(tmp_path / "report.csv")])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()

@@ -12,6 +12,11 @@ class TestCmf:
         with pytest.raises(UsageError):
             cmf_at(np.array([800.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(UsageError):
+            cmf_at(np.array([550.0, bad]))
+
     def test_table_sample(self):
         row = cmf_at(np.array([550.0]))[0]
         np.testing.assert_allclose(row, [0.4334, 0.9950, 0.0087])

@@ -1,8 +1,13 @@
 import errno
 import struct
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hsrecon import fileio
 from hsrecon.color import write_ppm
@@ -144,3 +149,88 @@ class TestAtomicWrite:
         WRITERS[writer](path)
         assert not path.read_bytes().startswith(b"earlier")
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+_FINITE32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+# small sizes, and u32 values whose int64 product wraps (2**31 * 2**31 * 4 == 2**64)
+_DIM = st.one_of(st.integers(0, 4), st.sampled_from([2**16, 2**31, 2**32 - 1]),
+                 st.integers(0, 2**32 - 1))
+_FORMATS = {
+    "cube": (b"HSC1", "<III", read_cube),
+    "plane": (b"HSP1", "<II", read_plane),
+}
+_TMP_OK = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFormatProperties:
+    @_TMP_OK
+    @given(cube=arrays(np.float64, st.tuples(*[st.integers(1, 5)] * 3), elements=_FINITE32))
+    def test_cube_round_trip(self, tmp_path, cube):
+        p1, p2 = tmp_path / "a.hsc", tmp_path / "b.hsc"
+        write_cube(cube, p1)
+        back = read_cube(p1)
+        np.testing.assert_array_equal(back, cube)
+        write_cube(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @_TMP_OK
+    @given(plane=arrays(np.float64, st.tuples(*[st.integers(1, 6)] * 2), elements=_FINITE32))
+    def test_plane_round_trip(self, tmp_path, plane):
+        p1, p2 = tmp_path / "a.hsp", tmp_path / "b.hsp"
+        write_plane(plane, p1)
+        back = read_plane(p1)
+        np.testing.assert_array_equal(back, plane)
+        write_plane(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @_TMP_OK
+    @given(
+        fmt=st.sampled_from(sorted(_FORMATS)),
+        magic_ok=st.booleans(),
+        other_magic=st.binary(min_size=4, max_size=4),
+        dims=st.tuples(_DIM, _DIM, _DIM),
+        payload=st.binary(max_size=64),
+    )
+    def test_bad_headers_raise_data_error(self, tmp_path, fmt, magic_ok, other_magic, dims,
+                                          payload):
+        magic, header_fmt, read = _FORMATS[fmt]
+        dims = dims[: len(header_fmt) - 1]
+        if not magic_ok and other_magic == magic:
+            other_magic = b"XXXX"
+        path = tmp_path / "f.bin"
+        path.write_bytes((magic if magic_ok else other_magic)
+                         + struct.pack(header_fmt, *dims) + payload)
+        if magic_ok and 0 not in dims and 4 * math.prod(dims) == len(payload):
+            try:
+                assert read(path).size == math.prod(dims)
+            except DataError as e:  # the payload may hold a NaN or inf
+                assert "non-finite" in str(e)
+        else:
+            with pytest.raises(DataError):
+                read(path)
+
+    @_TMP_OK
+    @given(fmt=st.sampled_from(sorted(_FORMATS)), raw=st.binary(max_size=40))
+    def test_any_bytes_read_or_raise_data_error(self, tmp_path, fmt, raw):
+        magic, _, read = _FORMATS[fmt]
+        path = tmp_path / "f.bin"
+        for data in (raw, magic + raw):
+            path.write_bytes(data)
+            try:
+                read(path)
+            except DataError:
+                pass
+
+    @pytest.mark.parametrize("fmt", sorted(_FORMATS))
+    def test_zero_size_header(self, tmp_path, fmt):
+        magic, header_fmt, read = _FORMATS[fmt]
+        path = tmp_path / "z.bin"
+        path.write_bytes(magic + struct.pack(header_fmt, *([0] + [4] * (len(header_fmt) - 2))))
+        with pytest.raises(DataError, match="zero"):
+            read(path)
+
+    def test_header_whose_int64_size_wraps_to_zero(self, tmp_path):
+        path = tmp_path / "w.hsc"
+        path.write_bytes(b"HSC1" + struct.pack("<III", 2**31, 2**31, 4))
+        with pytest.raises(DataError, match="payload length mismatch"):
+            read_cube(path)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsrecon import imaging
+from hsrecon import imaging, solver
 from hsrecon.errors import DataError, DimensionError, UsageError
 from hsrecon.imaging import (
     CASSI,
@@ -14,6 +16,8 @@ from hsrecon.imaging import (
     forward,
     generate_mask,
     pan_forward,
+    ridge_factor,
+    ridge_solve,
 )
 
 
@@ -179,3 +183,105 @@ class TestSystemModel:
     def test_rejects_decreasing_dispersion(self):
         with pytest.raises(DataError):
             SystemModel(np.ones((2, 2)), np.array([1, 0]), np.ones(2))
+
+
+@st.composite
+def _systems(draw, max_rows=6, max_cols=5, max_bands=4):
+    """Small systems with any nondecreasing dispersion (a nonzero start,
+    repeated offsets, gaps), random responses, a random mask and mode."""
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    bands = draw(st.integers(1, max_bands))
+    start = draw(st.integers(0, 2))
+    steps = draw(st.lists(st.integers(0, 3), min_size=bands - 1, max_size=bands - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    has_pan_response = draw(st.booleans())
+    return SystemModel(
+        mask=(rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.5, 1.0]))).astype(float),
+        dispersion=start + np.cumsum([0] + steps),
+        response=rng.uniform(0.2, 2.0, bands),
+        mode=draw(st.sampled_from([CASSI, DCCHI])),
+        pan_response=rng.uniform(0.2, 2.0, bands) if has_pan_response else None,
+    )
+
+
+def _dense_normal(sys, rho):
+    shape = sys.mask.shape + (sys.bands,)
+    n = int(np.prod(shape))
+    eye = np.eye(n)
+    cols = [apply_normal_operator(eye[i].reshape(shape), sys).ravel() for i in range(n)]
+    return np.stack(cols, axis=1) + rho * eye
+
+
+class TestAdjointProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(sys=_systems(), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_identity_on_random_systems(self, sys, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = sys.mask.shape
+        f = rng.standard_normal((rows, cols, sys.bands))
+        pan = rng.standard_normal((rows, cols)) if sys.mode == DCCHI else None
+        y = Measurement(rng.standard_normal((sys.meas_rows, cols)), pan)
+        yf = forward(f, sys)
+        lhs = np.sum(yf.cassi * y.cassi)
+        ynorm2 = np.sum(y.cassi**2)
+        if pan is not None:
+            lhs += np.sum(yf.pan * pan)
+            ynorm2 += np.sum(pan**2)
+        rhs = np.sum(f * adjoint(y, sys))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(f) * np.sqrt(ynorm2)
+
+
+class TestRidgeSolve:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sys=_systems(),
+        rho=st.sampled_from([2.0, 0.2, solver.INIT_RIDGE]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_solve(self, sys, rho, seed):
+        # rho = 2 tau for tau = 1 (the default) and 0.1, and the initial ridge
+        b = np.random.default_rng(seed).standard_normal(sys.mask.shape + (sys.bands,))
+        expect = np.linalg.solve(_dense_normal(sys, rho), b.ravel()).reshape(b.shape)
+        got = ridge_solve(ridge_factor(sys, rho), b)
+        assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("mode", [CASSI, DCCHI])
+    @pytest.mark.parametrize("rho", [2.0, solver.INIT_RIDGE])
+    def test_matches_tight_cg_at_desk_scale(self, rng, mode, rho):
+        sys = SystemModel.default(generate_mask(64, 64, 0.5, 42), 8, mode=mode)
+        b = adjoint(forward(rng.random((64, 64, 8)), sys), sys)
+        ones = np.ones(b.shape)
+        expect = solver.cg_solve_image(b, ones, sys, rho / 2, cg_tol=1e-14, cg_max_iter=5000)
+        got = ridge_solve(ridge_factor(sys, rho), b)
+        assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+
+    def test_zero_mask_scales_by_rho(self, rng):
+        # Phi^T Phi is the pan term alone; with no pan it is zero
+        sys = SystemModel(np.zeros((4, 3)), np.arange(2), np.ones(2))
+        b = rng.random((4, 3, 2))
+        np.testing.assert_allclose(ridge_solve(ridge_factor(sys, 0.5), b), b / 0.5, rtol=1e-15)
+
+    def test_factor_reused_across_solves(self, rng):
+        sys = _dcchi_system(rng)
+        fac = ridge_factor(sys, 0.2)
+        b1, b2 = rng.random((8, 8, 4)), rng.random((8, 8, 4))
+        first = ridge_solve(fac, b1)
+        ridge_solve(fac, b2)
+        assert ridge_solve(fac, b1).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_rho(self, rng, rho):
+        with pytest.raises(UsageError):
+            ridge_factor(_dcchi_system(rng), rho)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rhs(self, rng, bad):
+        fac = ridge_factor(_dcchi_system(rng), 1.0)
+        b = np.zeros((8, 8, 4))
+        b[3, 2, 1] = bad
+        with pytest.raises(DataError):
+            ridge_solve(fac, b)
+
+    def test_rejects_wrong_shape(self, rng):
+        with pytest.raises(DimensionError):
+            ridge_solve(ridge_factor(_dcchi_system(rng), 1.0), np.zeros((8, 8, 3)))

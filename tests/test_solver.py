@@ -48,6 +48,12 @@ class TestShrinkCore:
         with pytest.raises(UsageError):
             shrink_core(np.zeros((1, 1, 1)), np.ones((1, 1, 1)), 0.0)
 
+    def test_out_may_be_the_weights(self, rng):
+        g, w = rng.standard_normal((3, 4, 5)), rng.random((3, 4, 5))
+        expect = shrink_core(g, w, 0.7)
+        got = shrink_core(g, w, 0.7, out=w)
+        assert got is w and got.tobytes() == expect.tobytes()
+
     def test_prox_oracle_random(self, rng):
         for _ in range(50):
             g_hat = float(rng.uniform(-2, 2))
@@ -68,6 +74,12 @@ class TestUpdateWeights:
         w = update_weights(np.full((1, 1, 1), 0.0055), 0.0055, 1e-6)
         assert w[0, 0, 0] == pytest.approx(0.0055 / 0.005501, rel=1e-12)
 
+    def test_out_buffer(self, rng):
+        g = rng.standard_normal((4, 5, 3))
+        out = np.empty_like(g)
+        got = update_weights(g, 0.0055, 1e-6, out=out)
+        assert got is out and got.tobytes() == update_weights(g, 0.0055, 1e-6).tobytes()
+
     def test_monotone_decreasing_in_magnitude(self, rng):
         g = rng.standard_normal((4, 5, 3))
         w = update_weights(g, 0.0055, 1e-6)
@@ -76,9 +88,7 @@ class TestUpdateWeights:
 
 
 class TestSolverParams:
-    @pytest.mark.parametrize(
-        "field", ["s", "step", "k", "max_iter", "rematch_every", "cg_max_iter"]
-    )
+    @pytest.mark.parametrize("field", ["s", "step", "k", "max_iter", "rematch_every"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_counts_must_be_positive(self, field, value):
         with pytest.raises(UsageError, match=field):
@@ -89,10 +99,10 @@ class TestSolverParams:
         with pytest.raises(UsageError, match="window"):
             SolverParams(window=-1)
 
-    @pytest.mark.parametrize("field", ["tau", "c", "eps", "cg_tol"])
-    @pytest.mark.parametrize("value", [0.0, -1e-3])
+    @pytest.mark.parametrize("field", ["tau", "c", "eps"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan, np.inf, -np.inf])
     def test_reals_must_be_positive(self, field, value):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=field):
             SolverParams(**{field: value})
 
 
@@ -150,6 +160,14 @@ class TestDenoiseGroups:
             assert np.linalg.norm(approx2[i] - ref2) <= 1e-8 * scale
             assert np.linalg.norm(mag[i] - ref_mag) <= 1e-8 * scale
             assert np.linalg.norm(mag2[i] - ref_mag2) <= 1e-8 * scale
+
+    def test_reads_core_mag_without_writing_it(self, rng):
+        stacked = rng.random((3, 9, 4, 5))
+        p = SolverParams()
+        _, mag = denoise_groups(stacked, None, p)
+        before = mag.copy()
+        _, mag2 = denoise_groups(stacked, mag, p)
+        assert mag.tobytes() == before.tobytes() and mag2 is not mag
 
     def test_non_finite_group_raises(self):
         stacked = np.zeros((2, 4, 2, 3))
@@ -264,7 +282,10 @@ class TestBatchedPipeline:
         got = reconstruct(y, sys, p)
 
         backproj = imaging.adjoint(y, sys)
-        f = cg_solve_image(backproj, np.ones(f_true.shape), sys, tau=solver.INIT_RIDGE / 2)
+        ones = np.ones(f_true.shape)
+        f = cg_solve_image(
+            backproj, ones, sys, solver.INIT_RIDGE / 2, cg_tol=1e-14, cg_max_iter=2000
+        )
         grid = patches.plan_grid(20, 20, p.s, p.step)
         for it in range(p.max_iter):
             if it % p.rematch_every == 0:
@@ -277,7 +298,7 @@ class TestBatchedPipeline:
                 approxed.append((group, approx))
             total, counts = patches.aggregate(approxed, f_true.shape)
             rhs = backproj + 2.0 * p.tau * (total / counts)
-            f = cg_solve_image(rhs, np.ones(f_true.shape), sys, p.tau)
+            f = cg_solve_image(rhs, ones, sys, p.tau, cg_tol=1e-14, cg_max_iter=2000)
         np.testing.assert_allclose(got, np.clip(f, 0.0, 1.0), rtol=0, atol=1e-9)
 
 
