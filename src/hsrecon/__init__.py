@@ -2,7 +2,7 @@
 
 Simulates coded-aperture snapshot (and dual-camera) measurements and
 reconstructs the cube by alternating nonlocal low-rank group denoising
-with a conjugate-gradient data-fit update.
+with an exact least-squares data-fit update.
 """
 from . import color, fileio, imaging, metrics, patches, solver, tensors
 from .errors import DataError, DimensionError, HsreconError, UsageError

@@ -6,9 +6,8 @@ import sys
 
 import numpy as np
 
-from . import color, fileio, imaging, metrics, patches, solver
+from . import color, fileio, imaging, metrics, patches, solver, tensors
 from .errors import HsreconError, UsageError
-from .tensors import hosvd
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
@@ -120,11 +119,12 @@ def _cmd_preview(args) -> int:
 
 
 def _cmd_spectrum_diag(args) -> int:
+    row, col = _parse_anchor(args.anchor)
     cube = fileio.read_cube(args.cube)
-    anchor = _parse_anchor(args.anchor)
-    members = patches.match_blocks(cube, anchor, args.s, args.k, args.window)
-    group = patches.build_group(cube, members, args.s)
-    mags = np.sort(np.abs(hosvd(group.stacked).core).ravel())[::-1]
+    grid = patches.PatchGrid(patch_size=args.s, rows=(row,), cols=(col,))
+    members = patches.match_groups(cube, grid, args.k, args.window)
+    stacked, _ = patches.gather_groups(cube, members, args.s)
+    mags = np.sort(np.abs(tensors.hosvd_batch(stacked).core).ravel())[::-1]
     lines = ["rank,magnitude"]
     lines += [f"{i},{m:.10e}" for i, m in enumerate(mags)]
     fileio.write_atomic(args.out, ("\n".join(lines) + "\n").encode())
@@ -137,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Snapshot hyperspectral imaging: simulate, reconstruct, evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = solver.SolverParams()
 
     p = sub.add_parser("simulate", help="simulate a snapshot measurement")
     p.add_argument("--cube", required=True)
@@ -155,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True)
     p.add_argument("--dims", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.0055)
-    p.add_argument("--s", type=int, default=5)
-    p.add_argument("--step", type=int, default=4)
-    p.add_argument("--k", type=int, default=45)
-    p.add_argument("--window", type=int, default=20)
-    p.add_argument("--iters", type=int, default=600)
-    p.add_argument("--rematch-every", type=int, default=40)
+    p.add_argument("--tau", type=float, default=defaults.tau)
+    p.add_argument("--c", type=float, default=defaults.c)
+    p.add_argument("--s", type=int, default=defaults.s)
+    p.add_argument("--step", type=int, default=defaults.step)
+    p.add_argument("--k", type=int, default=defaults.k)
+    p.add_argument("--window", type=int, default=defaults.window)
+    p.add_argument("--iters", type=int, default=defaults.max_iter)
+    p.add_argument("--rematch-every", type=int, default=defaults.rematch_every)
     p.add_argument("--log")
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -184,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cube", required=True)
     p.add_argument("--anchor", required=True)
-    p.add_argument("--s", type=int, default=5)
-    p.add_argument("--k", type=int, default=45)
-    p.add_argument("--window", type=int, default=20)
+    p.add_argument("--s", type=int, default=defaults.s)
+    p.add_argument("--k", type=int, default=defaults.k)
+    p.add_argument("--window", type=int, default=defaults.window)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spectrum_diag)
 

@@ -59,6 +59,21 @@ def _read_payload(
     return dims, data
 
 
+def _write_payload(
+    path: str | Path, magic: bytes, kind: str, array: np.ndarray, order: tuple[int, ...]
+) -> None:
+    # The header holds the sizes in the array's axis order, the payload its
+    # samples with the axes permuted by ``order``.
+    array = np.asarray(array)
+    if array.ndim != len(order):
+        raise DataError(f"{kind} must be {len(order)}D, got ndim={array.ndim}")
+    if not np.all(np.isfinite(array)):
+        raise DataError(f"{kind} contains non-finite values")
+    header = magic + struct.pack(f"<{array.ndim}I", *array.shape)
+    payload = np.ascontiguousarray(array.transpose(order), dtype="<f4").tobytes()
+    write_atomic(path, header + payload)
+
+
 def read_cube(path: str | Path) -> np.ndarray:
     """Load an HSC1 file as a float64 cube of shape (rows, cols, bands)."""
     raw = Path(path).read_bytes()
@@ -69,15 +84,7 @@ def read_cube(path: str | Path) -> np.ndarray:
 
 def write_cube(cube: np.ndarray, path: str | Path) -> None:
     """Write a cube as HSC1 (values stored at float32 precision)."""
-    cube = np.asarray(cube)
-    if cube.ndim != 3:
-        raise DataError(f"cube must be 3D, got ndim={cube.ndim}")
-    if not np.all(np.isfinite(cube)):
-        raise DataError("cube contains non-finite values")
-    rows, cols, bands = cube.shape
-    header = CUBE_MAGIC + struct.pack("<III", rows, cols, bands)
-    payload = np.ascontiguousarray(cube.transpose(2, 0, 1), dtype="<f4").tobytes()
-    write_atomic(path, header + payload)
+    _write_payload(path, CUBE_MAGIC, "cube", cube, (2, 0, 1))
 
 
 def read_plane(path: str | Path) -> np.ndarray:
@@ -89,15 +96,7 @@ def read_plane(path: str | Path) -> np.ndarray:
 
 def write_plane(plane: np.ndarray, path: str | Path) -> None:
     """Write a matrix as HSP1 (float32 precision)."""
-    plane = np.asarray(plane)
-    if plane.ndim != 2:
-        raise DataError(f"plane must be 2D, got ndim={plane.ndim}")
-    if not np.all(np.isfinite(plane)):
-        raise DataError("plane contains non-finite values")
-    rows, cols = plane.shape
-    header = PLANE_MAGIC + struct.pack("<II", rows, cols)
-    payload = np.ascontiguousarray(plane, dtype="<f4").tobytes()
-    write_atomic(path, header + payload)
+    _write_payload(path, PLANE_MAGIC, "plane", plane, (0, 1))
 
 
 def read_mask(path: str | Path) -> np.ndarray:

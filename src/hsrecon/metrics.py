@@ -1,9 +1,8 @@
 """Quality indexes between a reference cube and a reconstruction.
 
-PSNR uses peak 1 over the whole cube by default (band-averaged variant by
-flag) and caps identical inputs at 100 dB. SSIM is the standard
-single-scale index per band (11x11 Gaussian window, sigma 1.5, K1=0.01,
-K2=0.03, dynamic range 1), averaged over bands.
+PSNR uses peak 1 over the whole cube and caps identical inputs at 100 dB.
+SSIM is the standard single-scale index per band (11x11 Gaussian window,
+sigma 1.5, K1=0.01, K2=0.03, dynamic range 1), averaged over bands.
 """
 from __future__ import annotations
 
@@ -48,9 +47,18 @@ class QualityReport:
 def _check_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ref = np.asarray(ref, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
+    if ref.ndim != 3:
+        raise DimensionError(f"expected (rows, cols, bands) cubes, got shape {ref.shape}")
     if ref.shape != est.shape:
         raise DimensionError(f"shape mismatch: {ref.shape} vs {est.shape}")
     return ref, est
+
+
+def _band_sse(ref: np.ndarray, est: np.ndarray) -> list[float]:
+    # Sum of squared errors of each band, which every index below reads.
+    # Whole-cube sums add them exactly (math.fsum), so they do not depend
+    # on the band order.
+    return [float(np.sum((ref[:, :, b] - est[:, :, b]) ** 2)) for b in range(ref.shape[2])]
 
 
 def _mse_to_db(mse: float) -> float:
@@ -59,29 +67,28 @@ def _mse_to_db(mse: float) -> float:
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
 
 
-def _cube_mse(ref: np.ndarray, est: np.ndarray) -> float:
-    # exact summation over per-band sums keeps the value independent of
-    # band ordering
-    sse = math.fsum(
-        float(np.sum((ref[:, :, b] - est[:, :, b]) ** 2)) for b in range(ref.shape[2])
-    )
-    return sse / ref.size
+def _ergas(ref: np.ndarray, sse: list[float]) -> float:
+    plane = ref.shape[0] * ref.shape[1]
+    terms = []
+    for b, e in enumerate(sse):
+        mean_b = float(np.mean(ref[:, :, b]))
+        if mean_b == 0.0:
+            raise DataError(f"band {b} of the reference has zero mean")
+        terms.append((float(np.sqrt(e / plane)) / mean_b) ** 2)
+    return float(100.0 * np.sqrt(np.mean(terms)))
 
 
-def psnr(ref: np.ndarray, est: np.ndarray, band_average: bool = False) -> float:
+def psnr(ref: np.ndarray, est: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB with peak 1."""
     ref, est = _check_pair(ref, est)
-    if band_average:
-        return float(np.mean(band_psnr(ref, est)))
-    return _mse_to_db(_cube_mse(ref, est))
+    return _mse_to_db(math.fsum(_band_sse(ref, est)) / ref.size)
 
 
 def band_psnr(ref: np.ndarray, est: np.ndarray) -> list[float]:
+    """PSNR of each band in dB with peak 1."""
     ref, est = _check_pair(ref, est)
-    return [
-        _mse_to_db(float(np.mean((ref[:, :, b] - est[:, :, b]) ** 2)))
-        for b in range(ref.shape[2])
-    ]
+    plane = ref.shape[0] * ref.shape[1]
+    return [_mse_to_db(e / plane) for e in _band_sse(ref, est)]
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
@@ -125,28 +132,25 @@ def ssim(ref: np.ndarray, est: np.ndarray) -> float:
 def rmse(ref: np.ndarray, est: np.ndarray) -> float:
     """Root mean squared voxel error."""
     ref, est = _check_pair(ref, est)
-    return float(np.sqrt(_cube_mse(ref, est)))
+    return float(np.sqrt(math.fsum(_band_sse(ref, est)) / ref.size))
 
 
-def ergas(ref: np.ndarray, est: np.ndarray, ratio: float = 1.0) -> float:
+def ergas(ref: np.ndarray, est: np.ndarray) -> float:
     """Relative dimensionless global synthesis error over bands."""
     ref, est = _check_pair(ref, est)
-    terms = []
-    for b in range(ref.shape[2]):
-        mean_b = float(np.mean(ref[:, :, b]))
-        if mean_b == 0.0:
-            raise DataError(f"band {b} of the reference has zero mean")
-        rmse_b = float(np.sqrt(np.mean((ref[:, :, b] - est[:, :, b]) ** 2)))
-        terms.append((rmse_b / mean_b) ** 2)
-    return float(100.0 * ratio * np.sqrt(np.mean(terms)))
+    return _ergas(ref, _band_sse(ref, est))
 
 
 def evaluate(ref: np.ndarray, est: np.ndarray) -> QualityReport:
     """All four indexes plus the per-band PSNR list."""
+    ref, est = _check_pair(ref, est)
+    sse = _band_sse(ref, est)
+    mse = math.fsum(sse) / ref.size
+    plane = ref.shape[0] * ref.shape[1]
     return QualityReport(
-        psnr=psnr(ref, est),
+        psnr=_mse_to_db(mse),
         ssim=ssim(ref, est),
-        ergas=ergas(ref, est),
-        rmse=rmse(ref, est),
-        band_psnr=tuple(band_psnr(ref, est)),
+        ergas=_ergas(ref, sse),
+        rmse=float(np.sqrt(mse)),
+        band_psnr=tuple(_mse_to_db(e / plane) for e in sse),
     )

@@ -18,6 +18,7 @@ stay as the reference the batched path is tested against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ MATCH_BLOCK_BYTES = 1 << 18
 
 __all__ = [
     "PatchGrid",
-    "PatchGroup",
     "plan_grid",
     "match_blocks",
     "match_groups",
@@ -48,22 +48,12 @@ class PatchGrid:
     """Reference-anchor lattice covering the image plane."""
 
     patch_size: int
-    step: int
     rows: tuple[int, ...]
     cols: tuple[int, ...]
 
     @property
     def anchors(self) -> list[tuple[int, int]]:
         return [(r, c) for r in self.rows for c in self.cols]
-
-
-@dataclass(frozen=True)
-class PatchGroup:
-    """One nonlocal group: member anchors plus the stacked tensor."""
-
-    anchor: tuple[int, int]
-    members: tuple[tuple[int, int], ...]
-    stacked: np.ndarray
 
 
 def _axis_anchors(extent: int, s: int, step: int) -> tuple[int, ...]:
@@ -80,7 +70,6 @@ def plan_grid(rows: int, cols: int, s: int, step: int) -> PatchGrid:
         raise UsageError(f"step must be >= 1, got {step}")
     return PatchGrid(
         patch_size=s,
-        step=step,
         rows=_axis_anchors(rows, s, step),
         cols=_axis_anchors(cols, s, step),
     )
@@ -143,13 +132,11 @@ def _box_sums(sq: np.ndarray, ys: np.ndarray, s: int) -> np.ndarray:
     return box
 
 
-def match_groups(
-    f: np.ndarray, grid: PatchGrid, s: int, k: int, window: int
-) -> np.ndarray:
+def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndarray:
     """:func:`match_blocks` for every anchor of ``grid`` at once.
 
     Returns a ``(G, k, 2)`` int array whose row ``n`` equals
-    ``match_blocks(f, grid.anchors[n], s, k, window)``. For each row
+    ``match_blocks(f, grid.anchors[n], grid.patch_size, k, window)``. For each row
     offset ``dr >= 0`` of the window, the band-summed squared difference
     between every pixel and the pixels ``dr`` rows below it at every
     column offset is computed in cache-sized blocks of rows. Its s x s box
@@ -164,17 +151,16 @@ def match_groups(
     if f.ndim != 3:
         raise DimensionError(f"cube must be 3-D, got shape {f.shape}")
     rows, cols, bands = f.shape
+    s = grid.patch_size
+    if not 1 <= s <= min(rows, cols):
+        raise UsageError(f"patch size {s} invalid for {rows}x{cols} plane")
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if window < 0:
         raise UsageError(f"window must be >= 0, got {window}")
     ar = np.asarray(grid.rows, dtype=np.intp)
     ac = np.asarray(grid.cols, dtype=np.intp)
-    if not (
-        1 <= s <= min(rows, cols)
-        and np.all((ar >= 0) & (ar <= rows - s))
-        and np.all((ac >= 0) & (ac <= cols - s))
-    ):
+    if not (np.all((ar >= 0) & (ar <= rows - s)) and np.all((ac >= 0) & (ac <= cols - s))):
         raise UsageError(f"grid anchors out of range for patch size {s} in {f.shape}")
     if not np.all(np.isfinite(f)):
         raise DataError("cube contains non-finite values")
@@ -217,36 +203,39 @@ def match_groups(
     return members
 
 
-def build_group(f: np.ndarray, members: list[tuple[int, int]], s: int) -> PatchGroup:
+def build_group(f: np.ndarray, members: list[tuple[int, int]], s: int) -> np.ndarray:
     """Stack the members' full-band blocks into an (s*s, L, k) tensor."""
     f = np.asarray(f, dtype=np.float64)
     bands = f.shape[2]
     stacked = np.empty((s * s, bands, len(members)))
     for m, (r, c) in enumerate(members):
         stacked[:, :, m] = f[r : r + s, c : c + s, :].reshape(s * s, bands, order="F")
-    return PatchGroup(anchor=tuple(members[0]), members=tuple(members), stacked=stacked)
+    return stacked
 
 
 def aggregate(
-    groups: list[tuple[PatchGroup, np.ndarray]],
+    groups: list[tuple[list[tuple[int, int]], np.ndarray]],
     dims: tuple[int, int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scatter-add approximated groups into (sum, counts) cubes.
 
-    ``counts`` is the number of (group, member) patches covering each
-    voxel; members listed multiple times contribute multiply. Groups are
-    accumulated sequentially in list order, so the result is deterministic.
+    Each group is its member anchors and an ``(s*s, L, k)`` approximation
+    in the layout of :func:`build_group`. ``counts`` is the number of
+    (group, member) patches covering each voxel; members listed multiple
+    times contribute multiply. Groups are accumulated sequentially in list
+    order, so the result is deterministic.
     """
     total = np.zeros(dims)
     counts = np.zeros(dims)
-    for group, approx in groups:
-        if approx.shape != group.stacked.shape:
+    bands = dims[2]
+    for members, approx in groups:
+        s = math.isqrt(approx.shape[0]) if approx.ndim == 3 else 0
+        if approx.shape != (s * s, bands, len(members)):
             raise DimensionError(
-                f"approximation shape {approx.shape} != group {group.stacked.shape}"
+                f"approximation shape {approx.shape} does not fit {len(members)} members"
+                f" of {bands} bands"
             )
-        s = int(round(np.sqrt(approx.shape[0])))
-        bands = approx.shape[1]
-        for m, (r, c) in enumerate(group.members):
+        for m, (r, c) in enumerate(members):
             block = approx[:, :, m].reshape(s, s, bands, order="F")
             total[r : r + s, c : c + s, :] += block
             counts[r : r + s, c : c + s, :] += 1.0
@@ -277,7 +266,7 @@ def gather_groups(
     """Stack groups of member anchors into ``(g, s*s, L, k)`` tensors.
 
     ``members`` is a ``(g, k, 2)`` int array; ``stacked[n]`` equals
-    ``build_group(f, members[n], s).stacked``. Also returns the flat voxel
+    ``build_group(f, members[n], s)``. Also returns the flat voxel
     indices of the stack, for :func:`scatter_groups`.
     """
     f = np.asarray(f, dtype=np.float64)

@@ -108,11 +108,9 @@ def shrink_core(
     return np.copysign(t, g_hat, out=t)
 
 
-def update_weights(
-    g: np.ndarray, c: float, eps: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Inverse-magnitude weights: w = c / (|g| + eps), written to ``out`` if given."""
-    w = np.abs(np.asarray(g, dtype=np.float64), out=out)
+def update_weights(g: np.ndarray, c: float, eps: float) -> np.ndarray:
+    """Inverse-magnitude weights: w = c / (|g| + eps)."""
+    w = np.abs(np.asarray(g, dtype=np.float64))
     w += eps
     return np.divide(c, w, out=w)
 
@@ -220,21 +218,18 @@ def reconstruct(
     t0 = time.perf_counter()
     for it in range(1, p.max_iter + 1):
         if (it - 1) % p.rematch_every == 0:
-            members = patches.match_groups(f, grid, p.s, p.k, p.window)
+            members = patches.match_groups(f, grid, p.k, p.window)
             counts = patches.coverage_counts(members, p.s, dims)
             parts = [slice(lo, lo + chunk) for lo in range(0, len(members), chunk)]
             mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
         # Shrunk-core magnitudes per chunk, kept only if the next iteration
         # reads them: it exists and does not rematch.
         keep = it < p.max_iter and it % p.rematch_every != 0
-        last, mags = mags, [None] * len(parts)
 
         def step(i: int) -> np.ndarray:
             stacked, idx = patches.gather_groups(f, members[parts[i]], p.s)
-            approx, mag = denoise_groups(stacked, last[i], p)
-            last[i] = None
-            if keep:
-                mags[i] = mag
+            approx, mag = denoise_groups(stacked, mags[i], p)
+            mags[i] = mag if keep else None
             return patches.scatter_groups(approx, idx, dims)
 
         total = _ordered_sum(len(parts), step, np.zeros(dims))

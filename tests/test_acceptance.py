@@ -176,8 +176,7 @@ def test_criterion_5_aggregation_exactness(rng):
     members = []
     for anchor in grid.anchors:
         members.append(patches.match_blocks(f, anchor, 5, 6, 4))
-        g = patches.build_group(f, members[-1], 5)
-        groups.append((g, g.stacked))
+        groups.append((members[-1], patches.build_group(f, members[-1], 5)))
     total, counts = patches.aggregate(groups, f.shape)
     stacked, idx = patches.gather_groups(f, np.array(members), 5)
     batch_total = patches.scatter_groups(stacked, idx, f.shape)

@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_smooth_cube
+from conftest import make_smooth_cube, make_tucker_scene
 
-from hsrecon import fileio, metrics, solver
-from hsrecon.cli import cli
+from hsrecon import fileio, metrics, patches, solver
+from hsrecon.cli import build_parser, cli
+from hsrecon.tensors import hosvd
 
 
 @pytest.fixture
@@ -120,6 +121,50 @@ def test_spectrum_diag(tmp_path, cube_file):
     assert lines[0] == "rank,magnitude"
     mags = [float(line.split(",")[1]) for line in lines[1:]]
     assert mags == sorted(mags, reverse=True)
+
+
+@pytest.mark.parametrize("scene", ["cube_file", "tucker"])
+def test_spectrum_diag_matches_reference_path(tmp_path, cube_file, scene):
+    # match_blocks + build_group + hosvd against the batched path the command runs
+    if scene == "tucker":
+        cube_file = tmp_path / "tucker.hsc"
+        fileio.write_cube(make_tucker_scene(), cube_file)
+        anchor, s, k, window = (10, 12), 5, 45, 20
+    else:
+        anchor, s, k, window = (4, 4), 4, 6, 4
+    out = tmp_path / "sv.csv"
+    args = ["spectrum-diag", "--cube", str(cube_file), "--anchor", "%d,%d" % anchor,
+            "--s", str(s), "--k", str(k), "--window", str(window), "--out", str(out)]
+    assert cli(args) == 0
+    got = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    cube = fileio.read_cube(cube_file)
+    group = patches.build_group(cube, patches.match_blocks(cube, anchor, s, k, window), s)
+    expect = np.sort(np.abs(hosvd(group).core).ravel())[::-1]
+    assert len(got) == expect.size
+    assert np.max(np.abs(np.array(got) - expect)) <= 1e-9 * expect[0]
+
+
+@pytest.mark.parametrize("s", ["0", "-2"])
+def test_spectrum_diag_bad_patch_size_exit_code(tmp_path, cube_file, capsys, s):
+    out = tmp_path / "sv.csv"
+    args = ["spectrum-diag", "--cube", str(cube_file), "--anchor", "4,4", "--s", s,
+            "--out", str(out)]
+    assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert "patch size" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_parser_defaults_are_solver_params():
+    d = solver.SolverParams()
+    parser = build_parser()
+    rec = parser.parse_args(["reconstruct", "--meas", "m", "--mask", "k", "--dims", "1,1,1",
+                             "--out", "o"])
+    assert (rec.tau, rec.c, rec.s, rec.step, rec.k, rec.window, rec.iters,
+            rec.rematch_every) == (d.tau, d.c, d.s, d.step, d.k, d.window, d.max_iter,
+                                   d.rematch_every)
+    diag = parser.parse_args(["spectrum-diag", "--cube", "c", "--anchor", "0,0", "--out", "o"])
+    assert (diag.s, diag.k, diag.window) == (d.s, d.k, d.window)
 
 
 def test_deterministic_outputs(tmp_path, cube_file):

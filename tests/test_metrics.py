@@ -20,12 +20,6 @@ class TestPsnr:
         ref = rng.random((8, 8, 2)) * 0.5
         assert psnr(ref, ref + 0.1) == pytest.approx(20.0, abs=1e-9)
 
-    def test_band_average_variant(self, rng):
-        ref, est = _pair(rng)
-        assert psnr(ref, est, band_average=True) == pytest.approx(
-            np.mean(band_psnr(ref, est))
-        )
-
     def test_dims_mismatch(self, rng):
         with pytest.raises(DimensionError):
             psnr(rng.random((4, 4, 2)), rng.random((4, 4, 3)))
@@ -137,3 +131,10 @@ class TestEvaluate:
         row = report.csv_row()
         assert len(row.split(",")) == 4
         assert "PSNR" in report.text()
+
+
+@pytest.mark.parametrize("index", [psnr, band_psnr, ssim, rmse, ergas, evaluate])
+def test_rejects_input_that_is_not_a_cube(rng, index):
+    ref = rng.random((12, 12))
+    with pytest.raises(DimensionError):
+        index(ref, ref.copy())

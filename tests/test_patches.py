@@ -124,7 +124,7 @@ class TestMatchGroups:
     def test_equals_match_blocks_on_exact_distances(self, f, s, step, k, window):
         s = min(s, f.shape[0], f.shape[1])
         grid = plan_grid(f.shape[0], f.shape[1], s, step)
-        got = match_groups(f, grid, s, k, window)
+        got = match_groups(f, grid, k, window)
         assert got.dtype == np.intp
         assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
 
@@ -141,74 +141,74 @@ class TestMatchGroups:
     def test_equals_match_blocks_real_valued(self, rng, shape, s, step, k, window):
         f = rng.random(shape)
         grid = plan_grid(shape[0], shape[1], s, step)
-        got = match_groups(f, grid, s, k, window)
+        got = match_groups(f, grid, k, window)
         assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
 
     def test_identical_patches_at_distance_zero(self, rng):
         # real-valued duplicates, as in test_duplicate_patch_found
         f = rng.random((10, 10, 3))
         f[6 : 6 + 3, 1 : 1 + 3, :] = f[1 : 1 + 3, 2 : 2 + 3, :]
-        grid = PatchGrid(patch_size=3, step=1, rows=(1, 6), cols=(1, 2))
-        got = match_groups(f, grid, 3, 2, 7)
+        grid = PatchGrid(patch_size=3, rows=(1, 6), cols=(1, 2))
+        got = match_groups(f, grid, 2, 7)
         assert got[1].tolist() == [[1, 2], [6, 1]]
         assert got[2].tolist() == [[6, 1], [1, 2]]
 
     @pytest.mark.parametrize("k, window", [(0, 2), (-1, 2), (2, -1)])
     def test_rejects_bad_k_and_window(self, k, window):
         with pytest.raises(UsageError):
-            match_groups(np.zeros((8, 8, 2)), plan_grid(8, 8, 3, 2), 3, k, window)
+            match_groups(np.zeros((8, 8, 2)), plan_grid(8, 8, 3, 2), k, window)
 
     def test_rejects_bad_grid_and_cube(self):
         f = np.zeros((8, 8, 2))
         with pytest.raises(UsageError):
-            match_groups(f, PatchGrid(3, 2, rows=(0, 6), cols=(0,)), 3, 2, 2)
-        with pytest.raises(UsageError):
-            match_groups(f, plan_grid(8, 8, 3, 2), 9, 2, 2)
+            match_groups(f, PatchGrid(3, rows=(0, 6), cols=(0,)), 2, 2)
+        for s in (9, 0, -2):
+            with pytest.raises(UsageError, match="patch size"):
+                match_groups(f, PatchGrid(s, rows=(0,), cols=(0,)), 2, 2)
         with pytest.raises(DimensionError):
-            match_groups(np.zeros((8, 8)), plan_grid(8, 8, 3, 2), 3, 2, 2)
+            match_groups(np.zeros((8, 8)), plan_grid(8, 8, 3, 2), 2, 2)
         f[4, 4, 1] = np.nan
         with pytest.raises(DataError):
-            match_groups(f, plan_grid(8, 8, 3, 2), 3, 2, 2)
+            match_groups(f, plan_grid(8, 8, 3, 2), 2, 2)
 
 
 class TestBuildGroup:
     def test_degenerate_patch(self, rng):
         f = rng.random((6, 6, 4))
-        group = build_group(f, [(2, 3), (4, 1)], 1)
-        for m, (r, c) in enumerate(group.members):
-            np.testing.assert_array_equal(group.stacked[0, :, m], f[r, c, :])
+        members = [(2, 3), (4, 1)]
+        stacked = build_group(f, members, 1)
+        for m, (r, c) in enumerate(members):
+            np.testing.assert_array_equal(stacked[0, :, m], f[r, c, :])
 
     def test_constant_cube(self):
         f = np.full((8, 8, 3), 0.7)
-        group = build_group(f, [(0, 0), (2, 2)], 4)
-        assert np.all(group.stacked == 0.7)
+        assert np.all(build_group(f, [(0, 0), (2, 2)], 4) == 0.7)
 
     def test_indexing_oracle(self, rng):
         # column-major vectorization within the spatial block
         f = rng.random((8, 8, 3))
         s = 3
         members = [(1, 2), (4, 4)]
-        group = build_group(f, members, s)
+        stacked = build_group(f, members, s)
         for m, (r, c) in enumerate(members):
             for lam in range(3):
                 for i in range(s):
                     for j in range(s):
-                        assert group.stacked[i + j * s, lam, m] == f[r + i, c + j, lam]
+                        assert stacked[i + j * s, lam, m] == f[r + i, c + j, lam]
 
 
 class TestAggregate:
     def test_single_member(self):
         f = np.arange(2 * 2 * 2, dtype=float).reshape(2, 2, 2) + 1.0
-        group = build_group(f, [(0, 0)], 2)
-        total, counts = aggregate([(group, group.stacked)], (3, 3, 2))
+        total, counts = aggregate([([(0, 0)], build_group(f, [(0, 0)], 2))], (3, 3, 2))
         assert np.all(counts[:2, :2, :] == 1.0)
         assert np.all(counts[2, :, :] == 0.0) and np.all(counts[:, 2, :] == 0.0)
         np.testing.assert_array_equal(total[:2, :2, :], f)
 
     def test_overlap_counts(self, rng):
         f = rng.random((6, 6, 2))
-        group = build_group(f, [(0, 0), (0, 2)], 4)
-        _, counts = aggregate([(group, group.stacked)], (6, 6, 2))
+        members = [(0, 0), (0, 2)]
+        _, counts = aggregate([(members, build_group(f, members, 4))], (6, 6, 2))
         assert np.all(counts[0:4, 2:4, :] == 2.0)
         assert np.all(counts[0:4, 0:2, :] == 1.0)
 
@@ -216,11 +216,10 @@ class TestAggregate:
         total, counts = aggregate([], (4, 4, 2))
         assert not np.any(total) and not np.any(counts)
 
-    def test_dims_mismatch(self, rng):
-        f = rng.random((6, 6, 2))
-        group = build_group(f, [(0, 0)], 3)
-        with pytest.raises(DimensionError):
-            aggregate([(group, np.zeros((9, 2, 2)))], (6, 6, 2))
+    def test_dims_mismatch(self):
+        for shape in [(9, 2, 2), (9, 3, 1), (8, 2, 1), (9, 2)]:
+            with pytest.raises(DimensionError):
+                aggregate([([(0, 0)], np.zeros(shape))], (6, 6, 2))
 
     def test_exactness_invariant(self, rng):
         # aggregating unmodified stacks reproduces counts * f
@@ -231,8 +230,7 @@ class TestAggregate:
         groups = []
         for anchor in grid_anchors:
             members = match_blocks(f, anchor, 5, 6, 4)
-            g = build_group(f, members, 5)
-            groups.append((g, g.stacked))
+            groups.append((members, build_group(f, members, 5)))
         total, counts = aggregate(groups, f.shape)
         assert np.all(counts >= 1.0)
         np.testing.assert_allclose(total, counts * f, rtol=1e-12)
@@ -249,7 +247,7 @@ class TestBatchedGroups:
         stacked, idx = gather_groups(f, members, 4)
         assert stacked.shape == idx.shape == (len(members), 16, 3, 7)
         for n, mem in enumerate(members):
-            expect = build_group(f, [tuple(m) for m in mem], 4).stacked
+            expect = build_group(f, [tuple(m) for m in mem], 4)
             assert stacked[n].tobytes() == expect.tobytes()
 
     def test_scatter_and_counts_match_aggregate(self, rng):
@@ -259,10 +257,7 @@ class TestBatchedGroups:
         members = _matched(f, 5, 6, 4, 4)
         stacked, idx = gather_groups(f, members, 5)
         approx = stacked + rng.standard_normal(stacked.shape)
-        groups = [
-            (build_group(f, [tuple(m) for m in mem], 5), approx[n])
-            for n, mem in enumerate(members)
-        ]
+        groups = [([tuple(m) for m in mem], approx[n]) for n, mem in enumerate(members)]
         total, counts = aggregate(groups, f.shape)
         got = scatter_groups(approx, idx, f.shape)
         assert np.max(np.abs(got - total)) <= 1e-12 * np.max(np.abs(total))

@@ -74,12 +74,6 @@ class TestUpdateWeights:
         w = update_weights(np.full((1, 1, 1), 0.0055), 0.0055, 1e-6)
         assert w[0, 0, 0] == pytest.approx(0.0055 / 0.005501, rel=1e-12)
 
-    def test_out_buffer(self, rng):
-        g = rng.standard_normal((4, 5, 3))
-        out = np.empty_like(g)
-        got = update_weights(g, 0.0055, 1e-6, out=out)
-        assert got is out and got.tobytes() == update_weights(g, 0.0055, 1e-6).tobytes()
-
     def test_monotone_decreasing_in_magnitude(self, rng):
         g = rng.standard_normal((4, 5, 3))
         w = update_weights(g, 0.0055, 1e-6)
@@ -293,9 +287,8 @@ class TestBatchedPipeline:
                 mags = [None] * len(members)
             approxed = []
             for n, mem in enumerate(members):
-                group = patches.build_group(f, mem, p.s)
-                approx, mags[n] = denoise_group(group.stacked, mags[n], p)
-                approxed.append((group, approx))
+                approx, mags[n] = denoise_group(patches.build_group(f, mem, p.s), mags[n], p)
+                approxed.append((mem, approx))
             total, counts = patches.aggregate(approxed, f_true.shape)
             rhs = backproj + 2.0 * p.tau * (total / counts)
             f = cg_solve_image(rhs, ones, sys, p.tau, cg_tol=1e-14, cg_max_iter=2000)
@@ -450,7 +443,7 @@ class TestObjectiveDescent:
             data = 0.5 * np.sum((imaging.forward(fc, sys).cassi - y.cassi) ** 2)
             group_term = 0.0
             for mem, (core, factors) in zip(members, cores_and_factors):
-                stacked = patches.build_group(fc, mem, 5).stacked
+                stacked = patches.build_group(fc, mem, 5)
                 rec = tucker_reconstruct(TuckerFactors(core, factors))
                 group_term += tau * np.sum((stacked - rec) ** 2)
                 group_term += w_fixed * np.sum(np.abs(core))
@@ -460,11 +453,10 @@ class TestObjectiveDescent:
         shrunk = []
         approxed = []
         for mem in members:
-            g = patches.build_group(f, mem, 5)
-            tf = hosvd(g.stacked)
+            tf = hosvd(patches.build_group(f, mem, 5))
             core = shrink_core(tf.core, np.full(tf.core.shape, w_fixed), tau)
             shrunk.append((core, tf.factors))
-            approxed.append((g, tucker_reconstruct(TuckerFactors(core, tf.factors))))
+            approxed.append((mem, tucker_reconstruct(TuckerFactors(core, tf.factors))))
         obj_after_shrink = objective(f, shrunk)
 
         total, counts = patches.aggregate(approxed, f_true.shape)
@@ -479,8 +471,7 @@ class TestCoreSparsityDiagnostic:
     def test_top_coefficients_dominate(self):
         cube = make_smooth_cube(48, 48, 8, seed=5)
         members = patches.match_blocks(cube, (20, 20), 5, 45, 20)
-        group = patches.build_group(cube, members, 5)
-        core = hosvd(group.stacked).core
+        core = hosvd(patches.build_group(cube, members, 5)).core
         mag2 = np.sort((core**2).ravel())[::-1]
         top = int(np.ceil(0.05 * mag2.size))
         assert mag2[:top].sum() / mag2.sum() >= 0.90
