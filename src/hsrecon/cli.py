@@ -7,30 +7,18 @@ import sys
 import numpy as np
 
 from . import color, fileio, imaging, metrics, patches, solver, tensors
-from .errors import HsreconError, UsageError
+from .errors import DimensionError, HsreconError, UsageError
 
 
-def _parse_dims(text: str) -> tuple[int, int, int]:
+def _parse_ints(text: str, name: str, form: str) -> tuple[int, ...]:
+    """The comma-separated ints of option ``name``, as many as ``form`` has."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"dims must be I,J,L, got {text!r}")
+    if len(parts) != form.count(",") + 1:
+        raise UsageError(f"{name} must be {form}, got {text!r}")
     try:
-        i, j, l = (int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError:
-        raise UsageError(f"dims must be integers, got {text!r}") from None
-    if min(i, j, l) < 1:
-        raise UsageError(f"dims must be positive, got {text!r}")
-    return i, j, l
-
-
-def _parse_anchor(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"anchor must be row,col, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"anchor must be integers, got {text!r}") from None
+        raise UsageError(f"{name} must be integers, got {text!r}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -57,7 +45,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    dims = _parse_dims(args.dims)
+    dims = _parse_ints(args.dims, "dims", "I,J,L")
+    if min(dims) < 1:
+        raise UsageError(f"dims must be positive, got {args.dims!r}")
     params = solver.SolverParams(
         tau=args.tau,
         c=args.c,
@@ -74,22 +64,22 @@ def _cmd_reconstruct(args) -> int:
         raise UsageError(f"--dims {dims[0]}x{dims[1]} does not match the {rows}x{cols} mask")
     cassi = fileio.read_plane(args.meas)
     pan = fileio.read_plane(args.pan) if args.pan else None
+    meas_shape = (dims[0] + dims[2] - 1, dims[1])  # one more detector row per band
+    if cassi.shape != meas_shape:  # checked before the system model allocates dims[2] bands
+        raise DimensionError(f"measurement shape {cassi.shape} does not match system {meas_shape}")
     mode = imaging.DCCHI if pan is not None else imaging.CASSI
     sysmod = imaging.SystemModel.default(mask, dims[2], mode=mode)
-    log = open(args.log, "w", buffering=1) if args.log else None  # flushed per row
-    try:
-        if log:
+    y = imaging.Measurement(cassi=cassi, pan=pan)
+    if not args.log:  # no log, no per-iteration residual
+        recon = solver.reconstruct(y, sysmod, params)
+    else:
+        with open(args.log, "w", buffering=1) as log:  # flushed per row
             log.write("iter,residual,seconds\n")
 
-        def progress(it: int, residual: float, seconds: float) -> None:
-            if log:
+            def progress(it: int, residual: float, seconds: float) -> None:
                 log.write(f"{it},{residual:.10e},{seconds:.3f}\n")
 
-        y = imaging.Measurement(cassi=cassi, pan=pan)
-        recon = solver.reconstruct(y, sysmod, params, progress=progress)
-    finally:
-        if log:
-            log.close()
+            recon = solver.reconstruct(y, sysmod, params, progress=progress)
     fileio.write_cube(recon, args.out)
     return 0
 
@@ -119,7 +109,7 @@ def _cmd_preview(args) -> int:
 
 
 def _cmd_spectrum_diag(args) -> int:
-    row, col = _parse_anchor(args.anchor)
+    row, col = _parse_ints(args.anchor, "anchor", "row,col")
     cube = fileio.read_cube(args.cube)
     grid = patches.PatchGrid(patch_size=args.s, rows=(row,), cols=(col,))
     members = patches.match_groups(cube, grid, args.k, args.window)
@@ -199,10 +189,12 @@ def cli(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # from argparse, which has printed usage or help
+        return e.code
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (HsreconError, OSError) as e:
+    except (HsreconError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

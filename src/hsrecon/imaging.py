@@ -45,8 +45,8 @@ class SystemModel:
 
     ``dispersion`` holds one nonnegative integer row offset per band
     (default: one pixel per band). ``response`` weights the coded branch;
-    ``pan_response`` weights the panchromatic branch and defaults to
-    ``response``.
+    ``pan_response`` weights the panchromatic branch, and None (the
+    default) is resolved to ``response``.
     """
 
     mask: np.ndarray
@@ -72,10 +72,9 @@ class SystemModel:
         if self.mode not in (CASSI, DCCHI):
             raise UsageError(f"unknown mode {self.mode!r}")
         pan = self.pan_response
-        if pan is not None:
-            pan = np.asarray(pan, dtype=np.float64)
-            if pan.shape != resp.shape or np.any(pan <= 0):
-                raise DataError("pan_response must be positive with one entry per band")
+        pan = resp if pan is None else np.asarray(pan, dtype=np.float64)
+        if pan.shape != resp.shape or np.any(pan <= 0):
+            raise DataError("pan_response must be positive with one entry per band")
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "dispersion", disp)
         object.__setattr__(self, "response", resp)
@@ -99,9 +98,6 @@ class SystemModel:
     def meas_rows(self) -> int:
         return self.mask.shape[0] + int(self.dispersion.max())
 
-    def _pan_resp(self) -> np.ndarray:
-        return self.response if self.pan_response is None else self.pan_response
-
 
 @dataclass(frozen=True)
 class Measurement:
@@ -115,6 +111,8 @@ def generate_mask(rows: int, cols: int, p: float, seed: int) -> np.ndarray:
     """Seeded i.i.d. Bernoulli(p) binary mask as a 0/1 float matrix."""
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"p must lie in [0, 1], got {p}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return (rng.random((rows, cols)) < p).astype(np.float64)
 
@@ -145,7 +143,7 @@ def pan_forward(f: np.ndarray, sys: SystemModel) -> np.ndarray:
     if sys.mode != DCCHI:
         raise UsageError("pan_forward requires a dual-camera system")
     f = _check_cube(f, sys)
-    return f @ sys._pan_resp()
+    return f @ sys.pan_response
 
 
 def forward(f: np.ndarray, sys: SystemModel) -> Measurement:
@@ -171,7 +169,7 @@ def adjoint(y: Measurement, sys: SystemModel) -> np.ndarray:
         yp = np.asarray(y.pan, dtype=np.float64)
         if yp.shape != (rows, cols):
             raise DimensionError(f"pan plane shape {yp.shape} != {(rows, cols)}")
-        f += yp[:, :, None] * sys._pan_resp()[None, None, :]
+        f += yp[:, :, None] * sys.pan_response[None, None, :]
     return f
 
 
@@ -229,7 +227,7 @@ def ridge_factor(sys: SystemModel, rho: float) -> RidgeFactor:
     coded = rho + cassi_forward(sys.mask[:, :, None] * sys.response, sys)
     if sys.mode == CASSI:
         return RidgeFactor(sys=sys, rho=rho, coded=coded)
-    pan = sys._pan_resp()
+    pan = sys.pan_response
     pan_diag = rho + float(pan @ pan)
     w = int(sys.dispersion.max())
     r = sys.meas_rows
@@ -266,7 +264,7 @@ def ridge_solve(fac: RidgeFactor, b: np.ndarray) -> np.ndarray:
         return (b - _cassi_adjoint(u, sys)) / fac.rho
     # With Phi b = (a, p), the pan block gives v = (p - B^T u) / pan_diag
     # and leaves S u = a - B p / pan_diag = C (b - P^T p / pan_diag).
-    pan = sys._pan_resp()
+    pan = sys.pan_response
     p = pan_forward(b, sys)
     chol = fac.chol
     r = sys.meas_rows

@@ -84,13 +84,6 @@ def psnr(ref: np.ndarray, est: np.ndarray) -> float:
     return _mse_to_db(math.fsum(_band_sse(ref, est)) / ref.size)
 
 
-def band_psnr(ref: np.ndarray, est: np.ndarray) -> list[float]:
-    """PSNR of each band in dB with peak 1."""
-    ref, est = _check_pair(ref, est)
-    plane = ref.shape[0] * ref.shape[1]
-    return [_mse_to_db(e / plane) for e in _band_sse(ref, est)]
-
-
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     ax = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(ax**2) / (2.0 * sigma**2))

@@ -158,10 +158,15 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
         raise UsageError(f"k must be >= 1, got {k}")
     if window < 0:
         raise UsageError(f"window must be >= 0, got {window}")
+    g = len(grid.rows) * len(grid.cols)
+    if g * k * 2 * np.dtype(np.intp).itemsize > np.iinfo(np.intp).max:
+        raise UsageError(f"k={k} is too large: NumPy cannot size a ({g}, k, 2) array")
+    # Checked as Python ints: an anchor far out of range may not fit in intp.
+    limits = ((rows - s, grid.rows), (cols - s, grid.cols))
+    if not all(0 <= a <= hi for hi, axis in limits for a in axis):
+        raise UsageError(f"grid anchors out of range for patch size {s} in {f.shape}")
     ar = np.asarray(grid.rows, dtype=np.intp)
     ac = np.asarray(grid.cols, dtype=np.intp)
-    if not (np.all((ar >= 0) & (ar <= rows - s)) and np.all((ac >= 0) & (ac <= cols - s))):
-        raise UsageError(f"grid anchors out of range for patch size {s} in {f.shape}")
     if not np.all(np.isfinite(f)):
         raise DataError("cube contains non-finite values")
     wr, wc = min(window, rows - s), min(window, cols - s)

@@ -1,10 +1,12 @@
 """Alternating-minimization reconstruction with weighted core shrinkage.
 
 Each outer iteration (a) groups similar patches of the current estimate,
-(b) denoises every group by soft-thresholding its HOSVD core with
-adaptive per-coefficient weights, (c) scatters the denoised groups back,
-and (d) solves the coupled least-squares image update exactly, with the
-factorization ``imaging.ridge_factor`` builds once per reconstruction.
+(b) denoises every group by soft-thresholding its HOSVD core with the
+weights w = c / (|g| + EPS), g the group's shrunk core from the previous
+iteration (its unshrunk core right after a rematch), (c) scatters the
+denoised groups back, and (d) solves the coupled least-squares image
+update exactly, with the factorization ``imaging.ridge_factor`` builds
+once per reconstruction.
 
 Step (a) matches every anchor at once with ``patches.match_groups``.
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
@@ -55,6 +57,9 @@ __all__ = [
 # Tikhonov regularizer for the initial backprojection solve.
 INIT_RIDGE = 1e-3
 
+# Keeps the weights w = c / (|g| + EPS) of zero coefficients finite.
+EPS = 1e-6
+
 # Gathered float64 bytes per chunk of the batched group step. Bigger chunks
 # raise peak memory, most of all with several threads: each thread's
 # allocator keeps its own chunk temporaries.
@@ -73,7 +78,6 @@ class SolverParams:
 
     tau: float = 1.0
     c: float = 0.0055
-    eps: float = 1e-6
     s: int = 5
     step: int = 4
     k: int = 45
@@ -82,7 +86,7 @@ class SolverParams:
     rematch_every: int = 40
 
     def __post_init__(self):
-        for name in ("tau", "c", "eps"):
+        for name in ("tau", "c"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise UsageError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("s", "step", "k", "max_iter", "rematch_every"):
@@ -125,7 +129,7 @@ def denoise_group(
     (``core_mag`` None). Returns the approximation and the new magnitudes.
     """
     tf = hosvd(stacked)
-    w = update_weights(tf.core if core_mag is None else core_mag, p.c, p.eps)
+    w = update_weights(tf.core if core_mag is None else core_mag, p.c, EPS)
     g = shrink_core(tf.core, w, p.tau)
     return tucker_reconstruct(TuckerFactors(core=g, factors=tf.factors)), np.abs(g)
 
@@ -139,7 +143,7 @@ def denoise_groups(
     only read.
     """
     tf = hosvd_batch(stacked)
-    w = update_weights(tf.core if core_mag is None else core_mag, p.c, p.eps)
+    w = update_weights(tf.core if core_mag is None else core_mag, p.c, EPS)
     g = shrink_core(tf.core, w, p.tau, out=w)
     return tucker_reconstruct_batch(TuckerFactors(core=g, factors=tf.factors)), np.abs(g)
 
@@ -303,6 +307,6 @@ def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -
 def _data_fit(y: imaging.Measurement, f: np.ndarray, sys: imaging.SystemModel) -> float:
     sim = imaging.forward(f, sys)
     fit2 = float(np.sum((sim.cassi - y.cassi) ** 2))
-    if sim.pan is not None and y.pan is not None:
+    if sim.pan is not None:
         fit2 += float(np.sum((sim.pan - y.pan) ** 2))
     return float(np.sqrt(fit2))

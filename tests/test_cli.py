@@ -1,4 +1,5 @@
 import errno
+import resource
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ def _simulate(tmp_path, cube_file, mode="cassi", extra=()):
     return cli(args + list(extra))
 
 
-def _reconstruct(tmp_path, pan=False, out="recon.hsc"):
+def _reconstruct(tmp_path, pan=False, out="recon.hsc", log=True):
     args = [
         "reconstruct",
         "--meas", str(tmp_path / "meas.hsp"),
@@ -43,8 +44,9 @@ def _reconstruct(tmp_path, pan=False, out="recon.hsc"):
         "--out", str(tmp_path / out),
         "--s", "4", "--step", "3", "--k", "6", "--window", "4",
         "--iters", "8",
-        "--log", str(tmp_path / "progress.csv"),
     ]
+    if log:
+        args += ["--log", str(tmp_path / "progress.csv")]
     if pan:
         args += ["--pan", str(tmp_path / "pan.hsp")]
     return cli(args)
@@ -200,7 +202,7 @@ def test_rematch_every_zero_exit_code(tmp_path, cube_file, capsys):
     assert not (tmp_path / "recon.hsc").exists()
 
 
-@pytest.mark.parametrize("anchor", ["x,1", "1,y", "1.5,2"])
+@pytest.mark.parametrize("anchor", ["x,1", "1,y", "1.5,2", f"{10**30},0"])
 def test_spectrum_diag_bad_anchor_exit_code(tmp_path, cube_file, capsys, anchor):
     code = cli(
         [
@@ -249,6 +251,49 @@ def test_reconstruct_dims_mismatch_exit_code(tmp_path, cube_file, capsys):
     err = capsys.readouterr().err
     assert "20x20" in err and "16x16" in err and "Traceback" not in err
     assert not (tmp_path / "recon.hsc").exists()
+
+
+@pytest.mark.parametrize("pan", [False, True])
+def test_reconstruct_without_log_computes_no_residual(tmp_path, cube_file, monkeypatch, pan):
+    assert _simulate(tmp_path, cube_file, mode="dcchi" if pan else "cassi") == 0
+    assert _reconstruct(tmp_path, pan=pan, out="logged.hsc") == 0
+
+    def data_fit(*args):
+        raise AssertionError("data-fit residual computed without --log")
+
+    monkeypatch.setattr(solver, "_data_fit", data_fit)
+    assert _reconstruct(tmp_path, pan=pan, out="unlogged.hsc", log=False) == 0
+    assert (tmp_path / "unlogged.hsc").read_bytes() == (tmp_path / "logged.hsc").read_bytes()
+
+
+def test_simulate_negative_seed_exit_code(tmp_path, cube_file, capsys):
+    assert _simulate(tmp_path, cube_file, extra=("--seed", "-1")) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+    assert list(tmp_path.glob("*.hsp")) == []
+
+
+@pytest.mark.parametrize("k, code", [("99999999999999999999", 2), ("1000000000000", 1)])
+@pytest.mark.parametrize("command", ["reconstruct", "spectrum-diag"])
+def test_huge_k_fails_fast_without_allocating(tmp_path, capsys, command, k, code):
+    # 10**20 members cannot be sized (exit 2); 10**12 would take terabytes (exit 1)
+    cube = tmp_path / "cube.hsc"
+    fileio.write_cube(make_smooth_cube(12, 12, 4, seed=2), cube)
+    out = tmp_path / "out.bin"
+    if command == "reconstruct":
+        assert _simulate(tmp_path, cube) == 0
+        args = ["reconstruct", "--meas", str(tmp_path / "meas.hsp"),
+                "--mask", str(tmp_path / "mask.hsp"), "--dims", "12,12,4", "--iters", "1"]
+    else:
+        args = ["spectrum-diag", "--cube", str(cube), "--anchor", "3,3"]
+    capsys.readouterr()
+    # Peak RSS, not tracemalloc: NumPy reports the refused allocation to it.
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert cli(args + ["--k", k, "--out", str(out)]) == code
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 64 << 10  # KiB
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_log_row_on_disk_when_progress_returns(tmp_path, cube_file, monkeypatch):

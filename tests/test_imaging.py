@@ -44,6 +44,10 @@ class TestGenerateMask:
         with pytest.raises(UsageError):
             generate_mask(4, 4, 1.5, 0)
 
+    def test_negative_seed(self):
+        with pytest.raises(UsageError, match="seed"):
+            generate_mask(4, 4, 0.5, -1)
+
 
 class TestForward:
     def test_single_band_identity(self, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hsrecon.errors import DataError, DimensionError, UsageError
-from hsrecon.metrics import band_psnr, ergas, evaluate, psnr, rmse, ssim
+from hsrecon.metrics import ergas, evaluate, psnr, rmse, ssim
 
 
 def _pair(rng, shape=(16, 16, 3)):
@@ -133,7 +133,7 @@ class TestEvaluate:
         assert "PSNR" in report.text()
 
 
-@pytest.mark.parametrize("index", [psnr, band_psnr, ssim, rmse, ergas, evaluate])
+@pytest.mark.parametrize("index", [psnr, ssim, rmse, ergas, evaluate])
 def test_rejects_input_that_is_not_a_cube(rng, index):
     ref = rng.random((12, 12))
     with pytest.raises(DimensionError):

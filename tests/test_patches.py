@@ -153,15 +153,17 @@ class TestMatchGroups:
         assert got[1].tolist() == [[1, 2], [6, 1]]
         assert got[2].tolist() == [[6, 1], [1, 2]]
 
-    @pytest.mark.parametrize("k, window", [(0, 2), (-1, 2), (2, -1)])
+    # the last two: a (16, k, 2) intp array of 2**63 bytes or more, past NumPy's limit
+    @pytest.mark.parametrize("k, window", [(0, 2), (-1, 2), (2, -1), (2**55, 2), (10**20, 2)])
     def test_rejects_bad_k_and_window(self, k, window):
         with pytest.raises(UsageError):
             match_groups(np.zeros((8, 8, 2)), plan_grid(8, 8, 3, 2), k, window)
 
     def test_rejects_bad_grid_and_cube(self):
         f = np.zeros((8, 8, 2))
-        with pytest.raises(UsageError):
-            match_groups(f, PatchGrid(3, rows=(0, 6), cols=(0,)), 2, 2)
+        for rows in ((0, 6), (10**30,), (-(10**30),)):  # the last two do not fit in intp
+            with pytest.raises(UsageError):
+                match_groups(f, PatchGrid(3, rows=rows, cols=(0,)), 2, 2)
         for s in (9, 0, -2):
             with pytest.raises(UsageError, match="patch size"):
                 match_groups(f, PatchGrid(s, rows=(0,), cols=(0,)), 2, 2)
