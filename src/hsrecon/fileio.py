@@ -67,11 +67,12 @@ def _write_payload(
     array = np.asarray(array)
     if array.ndim != len(order):
         raise DataError(f"{kind} must be {len(order)}D, got ndim={array.ndim}")
-    if not np.all(np.isfinite(array)):
-        raise DataError(f"{kind} contains non-finite values")
+    with np.errstate(over="ignore"):  # values past the float32 range become inf
+        payload = np.ascontiguousarray(array.transpose(order), dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        raise DataError(f"{kind} contains non-finite values at float32 precision")
     header = magic + struct.pack(f"<{array.ndim}I", *array.shape)
-    payload = np.ascontiguousarray(array.transpose(order), dtype="<f4").tobytes()
-    write_atomic(path, header + payload)
+    write_atomic(path, header + payload.tobytes())
 
 
 def read_cube(path: str | Path) -> np.ndarray:

@@ -7,14 +7,16 @@ column-major vectorization of member ``m``'s spatial block in band
 ``lam``.
 
 The solver works on groups in batches. ``match_groups`` matches every
-anchor of a grid in one pass over the window's offsets and returns a
-``(g, k, 2)`` array of member anchors; ``gather_groups`` stacks it into
-``(g, s*s, L, k)`` with one fancy index into the flattened cube and
-returns those flat indices; ``scatter_groups`` adds approximated groups
-back along the same indices with ``np.bincount``; ``coverage_counts``
-counts the patches covering each voxel. ``match_blocks``,
-``build_group`` and ``aggregate`` do the same one group at a time and
-stay as the reference the batched path is tested against.
+anchor of a grid in one pass over the window's offsets, each offset one
+shifted difference of the cube's flat band planes, picks the k nearest
+by a partition and returns a ``(g, k, 2)`` array of member anchors;
+``gather_groups`` stacks it into ``(g, s*s, L, k)`` with one fancy index
+into the flattened cube and returns those flat indices;
+``scatter_groups`` adds approximated groups back along the same indices
+with ``np.bincount``; ``coverage_counts`` counts the patches covering
+each voxel. ``match_blocks``, ``build_group`` and ``aggregate`` do the
+same one group at a time and stay as the reference the batched path is
+tested against.
 """
 from __future__ import annotations
 
@@ -25,10 +27,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError, UsageError
-
-# Float64 bytes of squared differences computed per block in match_groups;
-# blocks much past the L2 cache run slower.
-MATCH_BLOCK_BYTES = 1 << 18
 
 __all__ = [
     "PatchGrid",
@@ -120,32 +118,54 @@ def match_blocks(
 
 
 def _box_sums(sq: np.ndarray, ys: np.ndarray, s: int) -> np.ndarray:
-    # Sum of sq[y + i, x + j] over i, j < s for each y in ys and every x,
-    # added term by term (no running sums), so equal inputs give equal sums.
-    rowsum = sq[ys]
+    # box[t, n, x] is the sum of sq[t, ys[n] + i, x + j] over i, j < s, added
+    # term by term (no running sums), so equal inputs give equal sums.
+    rowsum = sq[:, ys]
     for i in range(1, s):
-        rowsum += sq[ys + i]
-    n = rowsum.shape[1] - s + 1
-    box = rowsum[:, :n].copy()
+        rowsum += sq[:, ys + i]
+    n = rowsum.shape[2] - s + 1
+    box = rowsum[..., :n].copy()
     for j in range(1, s):
-        box += rowsum[:, j : j + n]
+        box += rowsum[..., j : j + n]
     return box
+
+
+def _smallest_stable(x: np.ndarray, m: int) -> np.ndarray:
+    # The first m columns of np.argsort(x, axis=1, kind="stable") for a 2-D x
+    # without NaN. The m-th smallest value v of each row comes from a
+    # partition; the row keeps every entry below v and its leftmost entries
+    # equal to v, m in all, and only those m are sorted.
+    v = np.partition(x, m - 1, axis=1)[:, m - 1 : m]
+    keep = x <= v
+    tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > m)
+    if tied.size:  # rows with more entries equal to v than places left
+        xt, vt = x[tied], v[tied]
+        below = xt < vt
+        at_v = xt == vt
+        spare = m - np.count_nonzero(below, axis=1, keepdims=True)
+        keep[tied] = below | (at_v & (np.cumsum(at_v, axis=1) <= spare))
+    cols = np.nonzero(keep)[1].reshape(len(x), m)
+    order = np.argsort(np.take_along_axis(x, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndarray:
     """:func:`match_blocks` for every anchor of ``grid`` at once.
 
     Returns a ``(G, k, 2)`` int array whose row ``n`` equals
-    ``match_blocks(f, grid.anchors[n], grid.patch_size, k, window)``. For each row
-    offset ``dr >= 0`` of the window, the band-summed squared difference
-    between every pixel and the pixels ``dr`` rows below it at every
-    column offset is computed in cache-sized blocks of rows. Its s x s box
-    sum at position ``a`` is the distance from ``a`` to ``a + (dr, dc)``,
-    which gives each anchor its candidate at ``(dr, dc)`` and, read at
-    ``anchor - (dr, dc)``, its candidate at ``(-dr, -dc)``. The
-    distances are sums of squared differences, never
-    ``|a|^2 + |b|^2 - 2ab``, so identical patches are at distance 0 and
-    equal distances stay equal.
+    ``match_blocks(f, grid.anchors[n], grid.patch_size, k, window)``. The
+    cube is held as flat band planes, ``(L, rows*cols)``, so for each row
+    offset ``dr >= 0`` and column offset ``dc`` of the window, the
+    band-summed squared difference between every pixel and the pixel
+    ``(dr, dc)`` away is one pass over two contiguous slices of the planes,
+    shifted by ``dr*cols + dc``. Its s x s box sum at position ``a`` is
+    the distance from ``a`` to ``a + (dr, dc)``, which gives each anchor
+    its candidate at ``(dr, dc)`` and, read at ``anchor - (dr, dc)``, its
+    candidate at ``(-dr, -dc)``; pairs that wrap across a row end only
+    reach candidates outside the plane, which are masked. The distances
+    are sums of squared differences, never ``|a|^2 + |b|^2 - 2ab``, so
+    identical patches are at distance 0 and equal distances stay equal.
+    The k nearest are picked by a partition, and only those are sorted.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 3:
@@ -172,35 +192,34 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     wr, wc = min(window, rows - s), min(window, cols - s)
     tr, tc = 2 * wr + 1, 2 * wc + 1
     t = np.arange(tc)
-    # Channel-first copy with wc zero columns on each side; shifted[l, y, x, t]
-    # is pixel (y, x + t - wc) of band l.
-    padded = np.zeros((bands, rows, cols + 2 * wc))
-    padded[:, :, wc : wc + cols] = f.transpose(2, 0, 1)
-    shifted = sliding_window_view(padded, tc, axis=2)
-    block = max(1, MATCH_BLOCK_BYTES // (8 * bands * cols * tc))
+    planes = np.ascontiguousarray(f.transpose(2, 0, 1)).reshape(bands, rows * cols)
     mirror_cols = np.clip(ac[:, None] - t + wc, 0, cols - s)
     dist = np.full((len(ar), len(ac), tr, tc), np.inf)
     for dr in range(wr + 1):
-        # sq[y, x, t]: squared distance over bands of pixel (y, x) to pixel
-        # (y + dr, x + t - wc)
-        sq = np.empty((rows - dr, cols, tc))
-        for y0 in range(0, rows - dr, block):
-            y1 = min(rows - dr, y0 + block)
-            diff = padded[:, y0:y1, wc : wc + cols, None] - shifted[:, y0 + dr : y1 + dr]
-            diff *= diff
-            np.sum(diff, axis=0, out=sq[y0:y1])
+        # sq[t, y, x]: squared distance over bands of pixel (y, x) to pixel
+        # (y + dr, x + t - wc), or to the pixel that far along the flat plane
+        # where that wraps; 0 where it leaves the plane.
+        sq = np.zeros((tc, rows - dr, cols))
+        flat = sq.reshape(tc, -1)
+        for dc in range(-wc, wc + 1):
+            sh = dr * cols + dc
+            lo, hi = max(0, -sh), min(flat.shape[1], rows * cols - sh)
+            d = planes[:, lo:hi] - planes[:, lo + sh : hi + sh]
+            d *= d
+            np.sum(d, axis=0, out=flat[dc + wc, lo:hi])
         down = ar + dr <= rows - s
-        dist[down, :, wr + dr] = _box_sums(sq, ar[down], s)[:, ac]
+        dist[down, :, wr + dr] = _box_sums(sq, ar[down], s)[:, :, ac].transpose(1, 2, 0)
         if dr:
             up = ar >= dr
-            mirrored = _box_sums(sq, ar[up] - dr, s)[:, mirror_cols, t]
-            dist[up, :, wr - dr] = mirrored[..., ::-1]
+            # mirrored[a, t, n]: box of anchor row n at column mirror_cols[a, t]
+            mirrored = _box_sums(sq, ar[up] - dr, s)[t, :, mirror_cols]
+            dist[up, :, wr - dr] = mirrored.transpose(2, 0, 1)[..., ::-1]
     cand = ac[:, None] + t - wc
     dist.transpose(0, 2, 1, 3)[..., (cand < 0) | (cand > cols - s)] = np.inf
     dist = dist.reshape(len(ar) * len(ac), tr * tc)
     dist[:, wr * tc + wc] = -1.0  # the anchor itself comes first
     n_valid = np.isfinite(dist).sum(axis=1)
-    order = np.argsort(dist, axis=1, kind="stable")
+    order = _smallest_stable(dist, min(k, tr * tc))
     pick = np.take_along_axis(order, np.arange(k) % n_valid[:, None], axis=1)
     members = np.empty(pick.shape + (2,), dtype=np.intp)
     members[..., 0] = np.repeat(ar, len(ac))[:, None] + pick // tc - wr

@@ -94,6 +94,9 @@ class SolverParams:
                 raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.window < 0:
             raise UsageError(f"window must be >= 0, got {self.window}")
+        # With step <= s the anchors alone tile the plane, so every voxel is covered.
+        if self.step > self.s:
+            raise UsageError(f"step must be <= s={self.s}, got {self.step}")
 
 
 def shrink_core(

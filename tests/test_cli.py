@@ -238,6 +238,30 @@ def test_simulate_bad_noise_sigma_exit_code(tmp_path, cube_file, capsys, sigma):
     assert list(tmp_path.glob("*.hsp")) == []
 
 
+def test_simulate_noise_beyond_float32_exit_code(tmp_path, cube_file, capsys):
+    # the noisy measurement is finite in float64 but overflows the file's float32
+    assert _simulate(tmp_path, cube_file, extra=("--noise-sigma", "1e39")) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert list(tmp_path.glob("*.hsp")) == []
+
+
+def test_reconstruct_step_beyond_patch_size_exit_code(tmp_path, capsys):
+    # the input files do not exist: exit 2, not 1, shows nothing was read
+    args = [
+        "reconstruct",
+        "--meas", str(tmp_path / "meas.hsp"),
+        "--mask", str(tmp_path / "mask.hsp"),
+        "--dims", "12,12,4",
+        "--out", str(tmp_path / "recon.hsc"),
+        "--s", "3", "--step", "60",
+    ]
+    assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert "step" in err and "Traceback" not in err
+    assert not (tmp_path / "recon.hsc").exists()
+
+
 def test_reconstruct_dims_mismatch_exit_code(tmp_path, cube_file, capsys):
     assert _simulate(tmp_path, cube_file) == 0
     args = [

@@ -73,6 +73,13 @@ class TestCubeFile:
         with pytest.raises(DataError):
             write_cube(cube, tmp_path / "x.hsc")
 
+    def test_write_rejects_float32_overflow(self, tmp_path):
+        cube = np.zeros((2, 2, 2))
+        cube[1, 0, 1] = -1e39  # finite in float64, -inf in float32
+        with pytest.raises(DataError, match="float32"):
+            write_cube(cube, tmp_path / "x.hsc")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPlaneFile:
     def test_round_trip(self, rng, tmp_path):
@@ -96,6 +103,15 @@ class TestPlaneFile:
         path.write_bytes(b"HSP1\x01")
         with pytest.raises(DataError, match="truncated header"):
             read_plane(path)
+
+    def test_write_rejects_float32_overflow(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "p.hsp"
+        write_plane(np.array([[top, -top]]), path)
+        np.testing.assert_array_equal(read_plane(path), [[top, -top]])
+        with pytest.raises(DataError, match="float32"):
+            write_plane(np.array([[0.0, 1e39]]), tmp_path / "x.hsp")
+        assert [p.name for p in tmp_path.iterdir()] == ["p.hsp"]
 
 
 class _FullDisk:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hsrecon.errors import DataError, DimensionError, UsageError
 from hsrecon.patches import (
     PatchGrid,
+    _smallest_stable,
     aggregate,
     build_group,
     coverage_counts,
@@ -153,6 +155,15 @@ class TestMatchGroups:
         assert got[1].tolist() == [[1, 2], [6, 1]]
         assert got[2].tolist() == [[6, 1], [1, 2]]
 
+    def test_rows_wrap_at_every_column_offset(self, rng):
+        # The window spans the whole 19-column plane, so at every column offset
+        # some pairs of the flat band planes wrap across a row end; k > 108
+        # candidates also repeats the selection cyclically.
+        f = rng.integers(0, 3, (7, 19, 3)) / 4.0
+        grid = plan_grid(7, 19, 2, 1)
+        got = match_groups(f, grid, 120, 30)
+        assert np.array_equal(got, _stacked_match_blocks(f, grid, 2, 120, 30))
+
     # the last two: a (16, k, 2) intp array of 2**63 bytes or more, past NumPy's limit
     @pytest.mark.parametrize("k, window", [(0, 2), (-1, 2), (2, -1), (2**55, 2), (10**20, 2)])
     def test_rejects_bad_k_and_window(self, k, window):
@@ -172,6 +183,27 @@ class TestMatchGroups:
         f[4, 4, 1] = np.nan
         with pytest.raises(DataError):
             match_groups(f, plan_grid(8, 8, 3, 2), 2, 2)
+
+
+@st.composite
+def _tied_rows(draw):
+    # Distance rows as match_groups builds them: few distinct values, +inf
+    # for candidates outside the plane and -1 at the anchor's own slot.
+    n = draw(st.integers(1, 24))
+    values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, np.inf]), st.floats(0.0, 4.0))
+    x = draw(hnp.arrays(np.float64, (draw(st.integers(1, 5)), n), elements=values))
+    anchors = draw(st.lists(st.integers(0, n - 1), min_size=len(x), max_size=len(x)))
+    x[np.arange(len(x)), anchors] = -1.0
+    return x
+
+
+class TestSmallestStable:
+    @settings(max_examples=150, deadline=None)
+    @given(x=_tied_rows())
+    def test_equals_stable_argsort_prefix(self, x):
+        full = np.argsort(x, axis=1, kind="stable")
+        for m in range(1, x.shape[1] + 1):
+            assert np.array_equal(_smallest_stable(x, m), full[:, :m])
 
 
 class TestBuildGroup:

@@ -93,6 +93,12 @@ class TestSolverParams:
         with pytest.raises(UsageError, match="window"):
             SolverParams(window=-1)
 
+    def test_step_must_not_exceed_patch_size(self):
+        # a coarser grid can leave voxels that no patch covers
+        SolverParams(s=3, step=3)
+        with pytest.raises(UsageError, match="step"):
+            SolverParams(s=3, step=4)
+
     @pytest.mark.parametrize("field", ["tau", "c"])
     @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan, np.inf, -np.inf])
     def test_reals_must_be_positive(self, field, value):
