@@ -135,15 +135,23 @@ def ergas(ref: np.ndarray, est: np.ndarray) -> float:
 
 
 def evaluate(ref: np.ndarray, est: np.ndarray) -> QualityReport:
-    """All four indexes plus the per-band PSNR list."""
+    """All four indexes plus the per-band PSNR list.
+
+    ERGAS is ``nan`` when a reference band has zero mean, where it is
+    undefined; the other indexes are still reported.
+    """
     ref, est = _check_pair(ref, est)
     sse = _band_sse(ref, est)
     mse = math.fsum(sse) / ref.size
     plane = ref.shape[0] * ref.shape[1]
+    try:
+        ergas_ = _ergas(ref, sse)
+    except DataError:
+        ergas_ = math.nan
     return QualityReport(
         psnr=_mse_to_db(mse),
         ssim=ssim(ref, est),
-        ergas=_ergas(ref, sse),
+        ergas=ergas_,
         rmse=float(np.sqrt(mse)),
         band_psnr=tuple(_mse_to_db(e / plane) for e in sse),
     )

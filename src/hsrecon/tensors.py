@@ -8,7 +8,14 @@ usual multilinear-algebra convention.
 stack of equally shaped tensors ``(g, d1, d2, d3)`` with batched matrix
 products and one batched symmetric eigensolve per mode; the solver's
 group step runs on them. ``hosvd`` and ``tucker_reconstruct`` stay as the
-per-tensor reference they are tested against.
+per-tensor reference they are tested against. Each factor column of an
+HOSVD is unique only up to sign; ``hosvd`` fixes the sign, while the
+columns of ``hosvd_batch`` keep the signs LAPACK's ``eigh`` gives them.
+Flipping column ``j`` of ``U_n`` negates exactly the core slice ``j``
+along mode ``n`` (IEEE rounding is sign-symmetric). The solver reads only
+core magnitudes, shrinks with an odd soft threshold and rebuilds the group
+from factors and core, where the two negations cancel; ``spectrum-diag``
+prints sorted magnitudes. Both are bitwise the same for any signs.
 
 Unfolding layout contract: for mode ``n`` the columns of the unfolding are
 the mode-``n`` fibers, ordered cyclically over the remaining modes
@@ -93,6 +100,19 @@ def mode_n_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     return fold(a @ unfold(t, mode), mode, tuple(dims))
 
 
+def _checked_tensors(t: np.ndarray, ndim: int, what: str) -> np.ndarray:
+    # HOSVD input: ``ndim`` axes, finite, and no zero-length tensor mode (the
+    # last three axes); an empty stack is fine.
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != ndim:
+        raise DimensionError(f"expected {what}, got ndim={t.ndim}")
+    if 0 in t.shape[-3:]:
+        raise DimensionError(f"tensor modes must be non-empty, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise DataError("tensor contains non-finite entries")
+    return t
+
+
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     # Deterministic convention: each column's first largest-magnitude entry
     # >= 0. Works on one (d, r) factor or a (g, d, r) stack of them.
@@ -108,11 +128,7 @@ def hosvd(t: np.ndarray) -> TuckerFactors:
     Factor ``U_n`` holds the left singular vectors of the mode-``n``
     unfolding; the core is ``t`` contracted with every ``U_n`` transposed.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 3:
-        raise DimensionError(f"expected a 3-order tensor, got ndim={t.ndim}")
-    if not np.all(np.isfinite(t)):
-        raise DataError("tensor contains non-finite entries")
+    t = _checked_tensors(t, 3, "a 3-order tensor")
     factors = []
     for mode in (1, 2, 3):
         u, _, _ = np.linalg.svd(unfold(t, mode), full_matrices=False)
@@ -148,15 +164,12 @@ def hosvd_batch(t: np.ndarray) -> TuckerFactors:
     Factor ``U_n`` of tensor ``i`` is ``factors[n-1][i]``: the leading
     eigenvectors of the mode-``n`` Gram matrix, in descending eigenvalue
     order, truncated to ``min(d_n, d1*d2*d3 / d_n)`` columns (the width of
-    the reduced SVD) and signed as in :func:`hosvd`. The core has shape
-    ``(g, r1, r2, r3)``. Per tensor this equals :func:`hosvd` up to
-    rounding and the choice of basis for repeated singular values.
+    the reduced SVD), with the column signs LAPACK returns. The core has
+    shape ``(g, r1, r2, r3)``. Per tensor this equals :func:`hosvd` up to
+    rounding, the sign of each factor column and its core slice, and the
+    choice of basis for repeated singular values.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 4:
-        raise DimensionError(f"expected a stack of 3-order tensors, got ndim={t.ndim}")
-    if not np.all(np.isfinite(t)):
-        raise DataError("tensor contains non-finite entries")
+    t = _checked_tensors(t, 4, "a stack of 3-order tensors")
     g, d1, d2, d3 = t.shape
     m1 = t.reshape(g, d1, d2 * d3)
     m3 = t.reshape(g, d1 * d2, d3)
@@ -169,7 +182,9 @@ def hosvd_batch(t: np.ndarray) -> TuckerFactors:
     factors = []
     for gram, d in zip(grams, (d1, d2, d3)):
         _, u = np.linalg.eigh(gram)
-        factors.append(_fix_signs(u[..., ::-1][..., : min(d, size // d)]))
+        # Descending order, as a contiguous copy: a reversed view's negative
+        # strides would keep matmul off BLAS.
+        factors.append(np.ascontiguousarray(u[..., ::-1][..., : min(d, size // d)]))
     core = _mode_products_batch(t, [u.transpose(0, 2, 1) for u in factors])
     return TuckerFactors(core=core, factors=(factors[0], factors[1], factors[2]))
 

@@ -394,6 +394,19 @@ def test_preview_non_finite_wavelength_exit_code(tmp_path, cube_file, capsys, fl
     assert list(tmp_path.glob("*.ppm")) == []
 
 
+def test_evaluate_all_zero_reference_reports_nan_ergas(tmp_path, capsys):
+    zero = tmp_path / "zero.hsc"
+    fileio.write_cube(np.zeros((12, 12, 4)), zero)
+    out = tmp_path / "report.csv"
+    assert cli(["evaluate", "--ref", str(zero), "--est", str(zero), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    report = dict(zip(header.split(","), row.split(",")))
+    assert float(report["psnr_db"]) == metrics.PSNR_CAP_DB
+    assert report["ergas"] == "nan"
+    assert float(report["rmse"]) == 0.0
+    assert "ERGAS      nan" in capsys.readouterr().out
+
+
 def test_evaluate_zero_size_cube_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty.hsc"
     empty.write_bytes(b"HSC1" + bytes(4) + (4).to_bytes(4, "little") * 2)  # rows = 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,21 @@ class TestEvaluate:
         row = report.csv_row()
         assert len(row.split(",")) == 4
         assert "PSNR" in report.text()
+
+    def test_zero_mean_reference_band_gives_nan_ergas_only(self, rng):
+        ref = rng.random((12, 12, 3))
+        ref[:, :, 1] = 0.0
+        est = ref + 0.01 * rng.standard_normal(ref.shape)
+        report = evaluate(ref, est)
+        assert math.isnan(report.ergas)
+        assert report.psnr == psnr(ref, est)
+        assert report.ssim == ssim(ref, est)
+        assert report.rmse == rmse(ref, est)
+        zero = np.zeros((12, 12, 4))
+        report = evaluate(zero, zero)
+        assert report.psnr == 100.0 and report.rmse == 0.0 and report.ssim == 1.0
+        assert math.isnan(report.ergas)
+        assert report.csv_row().split(",")[2] == "nan"
 
 
 @pytest.mark.parametrize("index", [psnr, ssim, rmse, ergas, evaluate])

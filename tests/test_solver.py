@@ -1,12 +1,15 @@
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_smooth_cube
 
-from hsrecon import imaging, patches, solver
+from hsrecon import imaging, patches, solver, tensors
 from hsrecon.errors import DataError, UsageError
 from hsrecon.imaging import Measurement, SystemModel
 from hsrecon.solver import (
@@ -174,6 +177,77 @@ class TestDenoiseGroups:
         stacked[1, 0, 0, 0] = np.nan
         with pytest.raises(DataError):
             denoise_groups(stacked, None, SolverParams())
+
+
+def _flip_signs(tf: TuckerFactors, signs) -> TuckerFactors:
+    """``tf`` with factor column j of U_n of group i times ``signs[n][i, j]``.
+
+    The matching core slices get the same sign, so every group's tensor
+    stays the same.
+    """
+    core = tf.core
+    for axis, s in enumerate(signs, start=1):
+        core = core * np.expand_dims(s, tuple(a for a in range(1, 4) if a != axis))
+    factors = tuple(u * s[:, None, :] for u, s in zip(tf.factors, signs))
+    return TuckerFactors(core=core, factors=factors)
+
+
+class TestFactorSigns:
+    """The group step does not depend on the signs of the HOSVD factor columns."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(
+            st.integers(1, 3), st.integers(1, 9), st.integers(1, 4), st.integers(1, 8)
+        ),
+        scale=st.sampled_from([1.0, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_denoise_groups_invariant_to_factor_signs(self, dims, scale, seed):
+        # scale 1e-3 shrinks most or all of each core to zero
+        rng = np.random.default_rng(seed)
+        stacked = scale * rng.standard_normal(dims)
+        p = SolverParams()
+        approx, mag = denoise_groups(stacked, None, p)
+        approx2, mag2 = denoise_groups(stacked, mag, p)
+
+        real = solver.hosvd_batch
+
+        def flipped(t):
+            tf = real(t)
+            signs = [rng.choice([-1.0, 1.0], size=(len(u), u.shape[2])) for u in tf.factors]
+            return _flip_signs(tf, signs)
+
+        with mock.patch.object(solver, "hosvd_batch", flipped):
+            f_approx, f_mag = denoise_groups(stacked, None, p)
+            f_approx2, f_mag2 = denoise_groups(stacked, f_mag, p)
+        assert f_approx.tobytes() == approx.tobytes()
+        assert f_mag.tobytes() == mag.tobytes()
+        assert f_approx2.tobytes() == approx2.tobytes()
+        assert f_mag2.tobytes() == mag2.tobytes()
+
+    @pytest.mark.parametrize("rematch_every", [1, 3])
+    @pytest.mark.parametrize("mode", [imaging.CASSI, imaging.DCCHI])
+    def test_reconstruct_unchanged_by_the_fixed_sign_convention(
+        self, monkeypatch, mode, rematch_every
+    ):
+        # hosvd's convention (each column's largest entry positive) put back
+        # into the batched HOSVD, core slices flipped to match
+        f_true = make_smooth_cube(20, 20, 3, seed=4)
+        sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3, mode=mode)
+        y = imaging.forward(f_true, sys)
+        p = SolverParams(k=6, window=4, max_iter=4, rematch_every=rematch_every)
+        plain = reconstruct(y, sys, p)
+
+        real = solver.hosvd_batch
+
+        def fixed(t):
+            tf = real(t)
+            signs = [np.sign(np.sum(tensors._fix_signs(u) * u, axis=1)) for u in tf.factors]
+            return _flip_signs(tf, signs)
+
+        monkeypatch.setattr(solver, "hosvd_batch", fixed)
+        assert reconstruct(y, sys, p).tobytes() == plain.tobytes()
 
 
 class TestCgSolveImage:
