@@ -51,6 +51,8 @@ def _check_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise DimensionError(f"expected (rows, cols, bands) cubes, got shape {ref.shape}")
     if ref.shape != est.shape:
         raise DimensionError(f"shape mismatch: {ref.shape} vs {est.shape}")
+    if 0 in ref.shape:
+        raise DimensionError(f"cube axes must be non-empty, got shape {ref.shape}")
     return ref, est
 
 

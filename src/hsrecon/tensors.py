@@ -158,7 +158,7 @@ def _mode_products_batch(t: np.ndarray, mats) -> np.ndarray:
     return x.reshape(g, r1, r2, a3.shape[1])
 
 
-def hosvd_batch(t: np.ndarray) -> TuckerFactors:
+def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> TuckerFactors:
     """HOSVD of every tensor in a ``(g, d1, d2, d3)`` stack.
 
     Factor ``U_n`` of tensor ``i`` is ``factors[n-1][i]``: the leading
@@ -168,9 +168,25 @@ def hosvd_batch(t: np.ndarray) -> TuckerFactors:
     shape ``(g, r1, r2, r3)``. Per tensor this equals :func:`hosvd` up to
     rounding, the sign of each factor column and its core slice, and the
     choice of basis for repeated singular values.
+
+    ``ranks`` keeps the leading ``ranks[n-1]`` columns of ``U_n`` (0 up
+    to the full width) and computes only that leading block of the core,
+    for a caller that knows the rest is of no use. The eigensolves are the
+    same: the factors are the full ones' leading columns, bit for bit, and
+    the block is the full core's up to rounding.
     """
     t = _checked_tensors(t, 4, "a stack of 3-order tensors")
     g, d1, d2, d3 = t.shape
+    size = d1 * d2 * d3
+    full = [min(d, size // d) for d in (d1, d2, d3)]
+    if ranks is None:
+        ranks = full
+    elif not (
+        isinstance(ranks, (tuple, list))
+        and len(ranks) == 3
+        and all(isinstance(r, (int, np.integer)) and 0 <= r <= f for r, f in zip(ranks, full))
+    ):
+        raise UsageError(f"ranks must lie between 0 and {tuple(full)}, got {ranks!r}")
     m1 = t.reshape(g, d1, d2 * d3)
     m3 = t.reshape(g, d1 * d2, d3)
     grams = (
@@ -178,13 +194,12 @@ def hosvd_batch(t: np.ndarray) -> TuckerFactors:
         (t @ t.transpose(0, 1, 3, 2)).sum(axis=1),
         m3.transpose(0, 2, 1) @ m3,
     )
-    size = d1 * d2 * d3
     factors = []
-    for gram, d in zip(grams, (d1, d2, d3)):
+    for gram, r in zip(grams, ranks):
         _, u = np.linalg.eigh(gram)
         # Descending order, as a contiguous copy: a reversed view's negative
         # strides would keep matmul off BLAS.
-        factors.append(np.ascontiguousarray(u[..., ::-1][..., : min(d, size // d)]))
+        factors.append(np.ascontiguousarray(u[..., ::-1][..., :r]))
     core = _mode_products_batch(t, [u.transpose(0, 2, 1) for u in factors])
     return TuckerFactors(core=core, factors=(factors[0], factors[1], factors[2]))
 

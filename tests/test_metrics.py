@@ -155,3 +155,10 @@ def test_rejects_input_that_is_not_a_cube(rng, index):
     ref = rng.random((12, 12))
     with pytest.raises(DimensionError):
         index(ref, ref.copy())
+
+
+@pytest.mark.parametrize("shape", [(11, 11, 0), (0, 11, 3), (11, 0, 3)])
+@pytest.mark.parametrize("index", [psnr, ssim, rmse, ergas, evaluate])
+def test_rejects_a_cube_with_an_empty_axis(index, shape):
+    with pytest.raises(DimensionError):
+        index(np.zeros(shape), np.zeros(shape))

@@ -51,6 +51,11 @@ class TestShrinkCore:
         with pytest.raises(UsageError):
             shrink_core(np.zeros((1, 1, 1)), np.ones((1, 1, 1)), 0.0)
 
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf, -np.inf])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        with pytest.raises(UsageError, match="tau"):
+            shrink_core(np.ones((1, 1, 1)), np.ones((1, 1, 1)), tau)
+
     def test_out_may_be_the_weights(self, rng):
         g, w = rng.standard_normal((3, 4, 5)), rng.random((3, 4, 5))
         expect = shrink_core(g, w, 0.7)
@@ -76,6 +81,14 @@ class TestUpdateWeights:
     def test_matching_coefficient(self):
         w = update_weights(np.full((1, 1, 1), 0.0055), 0.0055, 1e-6)
         assert w[0, 0, 0] == pytest.approx(0.0055 / 0.005501, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["c", "eps"])
+    def test_reals_must_be_positive_and_finite(self, field, value):
+        args = dict(c=0.0055, eps=1e-6)
+        args[field] = value
+        with pytest.raises(UsageError, match=field):
+            update_weights(np.zeros((1, 1, 1)), **args)
 
     def test_monotone_decreasing_in_magnitude(self, rng):
         g = rng.standard_normal((4, 5, 3))
@@ -161,8 +174,14 @@ class TestDenoiseGroups:
             scale = np.linalg.norm(stacked[i])
             assert np.linalg.norm(approx[i] - ref) <= 1e-8 * scale
             assert np.linalg.norm(approx2[i] - ref2) <= 1e-8 * scale
-            assert np.linalg.norm(mag[i] - ref_mag) <= 1e-8 * scale
-            assert np.linalg.norm(mag2[i] - ref_mag2) <= 1e-8 * scale
+            # the batched magnitudes are the oracle's leading block, and
+            # the oracle is exactly zero outside it
+            for got, want in ((mag[i], ref_mag), (mag2[i], ref_mag2)):
+                block = tuple(slice(0, n) for n in got.shape)
+                assert np.linalg.norm(got - want[block]) <= 1e-8 * scale
+                outside = want.copy()
+                outside[block] = 0.0
+                assert not np.any(outside)
 
     def test_reads_core_mag_without_writing_it(self, rng):
         stacked = rng.random((3, 9, 4, 5))
@@ -177,6 +196,102 @@ class TestDenoiseGroups:
         stacked[1, 0, 0, 0] = np.nan
         with pytest.raises(DataError):
             denoise_groups(stacked, None, SolverParams())
+
+
+def _smooth_groups(seed: int, noise: float = 0.0) -> np.ndarray:
+    """Four (25, 8, 20) groups of a smooth cube, whose shrunk cores crop."""
+    f = make_smooth_cube(24, 24, 8, seed=5)
+    members = patches.match_groups(f, patches.plan_grid(24, 24, 5, 4), 20, 6)
+    f = f + noise * np.random.default_rng(seed).standard_normal(f.shape)
+    return patches.gather_groups(f, members[4 * seed : 4 * seed + 4], 5)[0]
+
+
+def _padded(mag: np.ndarray, shape) -> np.ndarray:
+    out = np.zeros(shape)
+    out[tuple(slice(0, n) for n in mag.shape)] = mag
+    return out
+
+
+class TestLiveBlock:
+    """Revisits compute, shrink and keep only the live block of each core."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cropped_revisit_equals_zero_padded_full_revisit(self, seed):
+        p = SolverParams(k=20)
+        _, mag = denoise_groups(_smooth_groups(seed), None, p)
+        assert mag[0].size < 25 * 8 * 20  # cropping is active
+        stacked = _smooth_groups(seed, noise=0.01)
+        approx, mag2 = denoise_groups(stacked, mag, p)
+        full, full_mag2 = denoise_groups(stacked, _padded(mag, (4, 25, 8, 20)), p)
+        scale = np.linalg.norm(stacked)
+        assert np.linalg.norm(approx - full) <= 1e-12 * scale
+        assert mag2.shape == full_mag2.shape
+        assert np.linalg.norm(mag2 - full_mag2) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("tau", [1.0, 0.1])
+    def test_guard_restores_a_zeroed_core_that_grows(self, rng, tau):
+        # visit 1 shrinks every coefficient to zero; at the revisit the
+        # group is 1e6 times larger, beyond the zero magnitude's threshold
+        p = SolverParams(tau=tau)
+        small = 1e-3 * rng.random((2, 25, 8, 20))
+        _, mag = denoise_groups(small, None, p)
+        assert mag.shape == (2, 0, 0, 0)
+        big = 1e6 * small
+        approx, mag2 = denoise_groups(big, mag, p)
+        assert np.any(mag2)
+        full, full_mag2 = denoise_groups(big, np.zeros((2, 25, 8, 20)), p)
+        assert approx.tobytes() == full.tobytes()
+        assert mag2.tobytes() == full_mag2.tobytes()
+        for i in range(2):  # the per-group oracle, as in TestDenoiseGroups
+            ref, ref_mag = denoise_group(big[i], np.zeros((25, 8, 20)), p)
+            scale = np.linalg.norm(big[i])
+            assert np.linalg.norm(approx[i] - ref) <= 1e-8 * scale
+            block = tuple(slice(0, n) for n in mag2.shape[1:])
+            assert np.linalg.norm(mag2[i] - ref_mag[block]) <= 1e-8 * scale
+
+    def test_fallback_zero_pads_the_block(self):
+        # groups 1e4 times larger leave no clear margin, so the revisit
+        # shrinks the full cores, weighted by the zero-padded block
+        p = SolverParams(k=20)
+        _, mag = denoise_groups(1e4 * _smooth_groups(0), None, p)
+        assert mag[0].size < 25 * 8 * 20
+        stacked = 1e4 * _smooth_groups(0, noise=0.01)
+        approx, mag2 = denoise_groups(stacked, mag, p)
+        for i in range(len(stacked)):
+            ref, ref_mag = denoise_group(stacked[i], _padded(mag[i], (25, 8, 20)), p)
+            scale = np.linalg.norm(stacked[i])
+            assert np.linalg.norm(approx[i] - ref) <= 1e-8 * scale
+            block = tuple(slice(0, n) for n in mag2.shape[1:])
+            assert np.linalg.norm(mag2[i] - ref_mag[block]) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kept_magnitudes_are_the_nonzero_bounding_box(self, rng, seed, mixed):
+        # mixed: a random group, whose core stays full, among smooth ones
+        p = SolverParams(k=20)
+        stacked = _smooth_groups(seed)
+        if mixed:
+            stacked[1] = rng.random((25, 8, 20))
+        _, mag = denoise_groups(stacked, None, p)
+        _, mag2 = denoise_groups(stacked + 0.01 * rng.standard_normal(stacked.shape), mag, p)
+        for m in (mag, mag2):
+            assert m.base is None  # a copy, not a view of the full core
+            for axis in (1, 2, 3):
+                last = np.take(m, m.shape[axis] - 1, axis=axis)
+                assert np.any(last)
+        block = tuple(slice(0, n) for n in mag.shape[1:])
+        for i in range(len(stacked)):  # the box holds every nonzero entry
+            outside = denoise_group(stacked[i], None, p)[1]
+            outside[block] = 0.0
+            assert not np.any(outside)
+
+    def test_all_zero_chunk_keeps_an_empty_block(self):
+        p = SolverParams()
+        approx, mag = denoise_groups(np.zeros((3, 25, 8, 20)), None, p)
+        assert mag.shape == (3, 0, 0, 0) and not np.any(approx)
+        approx, mag2 = denoise_groups(np.zeros((3, 25, 8, 20)), mag, p)
+        assert mag2.shape == (3, 0, 0, 0)
+        assert approx.shape == (3, 25, 8, 20) and not np.any(approx)
 
 
 def _flip_signs(tf: TuckerFactors, signs) -> TuckerFactors:
@@ -213,8 +328,8 @@ class TestFactorSigns:
 
         real = solver.hosvd_batch
 
-        def flipped(t):
-            tf = real(t)
+        def flipped(t, ranks=None):
+            tf = real(t, ranks)
             signs = [rng.choice([-1.0, 1.0], size=(len(u), u.shape[2])) for u in tf.factors]
             return _flip_signs(tf, signs)
 
@@ -241,8 +356,8 @@ class TestFactorSigns:
 
         real = solver.hosvd_batch
 
-        def fixed(t):
-            tf = real(t)
+        def fixed(t, ranks=None):
+            tf = real(t, ranks)
             signs = [np.sign(np.sum(tensors._fix_signs(u) * u, axis=1)) for u in tf.factors]
             return _flip_signs(tf, signs)
 

@@ -260,3 +260,56 @@ def test_hosvd_batch_round_trip_property(dims, seed):
     d1, d2, d3, g = dims
     stack = np.random.default_rng(seed).standard_normal((g, d1, d2, d3))
     _assert_batch_matches_hosvd(stack)
+
+
+def _full_ranks(shape):
+    size = np.prod(shape)
+    return tuple(min(d, size // d) for d in shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(
+        st.integers(1, 9), st.integers(1, 6), st.integers(1, 12), st.integers(1, 4)
+    ),
+    low_rank=st.booleans(),
+    data=st.data(),
+)
+def test_hosvd_batch_ranks_keep_the_leading_block(dims, low_rank, data):
+    d1, d2, d3, g = dims
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    stack = rng.standard_normal((g, d1, d2, d3))
+    if low_rank:  # repeated zero singular values
+        stack = np.einsum("gi,gj,gk->gijk", *(rng.standard_normal((g, d)) for d in (d1, d2, d3)))
+    ranks = tuple(
+        data.draw(st.integers(0, r), label=f"r{n}")
+        for n, r in enumerate(_full_ranks((d1, d2, d3)), start=1)
+    )
+    full = hosvd_batch(stack)
+    part = hosvd_batch(stack, ranks)
+    for u, v, r in zip(part.factors, full.factors, ranks):
+        assert u.shape == (g, v.shape[1], r)
+        assert u.tobytes() == np.ascontiguousarray(v[:, :, :r]).tobytes()
+    block = full.core[:, : ranks[0], : ranks[1], : ranks[2]]
+    assert part.core.shape == block.shape
+    assert frobenius_norm(part.core - block) <= 1e-12 * frobenius_norm(stack)
+
+
+def test_hosvd_batch_ranks_zero_and_full(rng):
+    stack = rng.standard_normal((3, 25, 8, 20))
+    full = hosvd_batch(stack)
+    same = hosvd_batch(stack, (25, 8, 20))
+    assert same.core.tobytes() == full.core.tobytes()
+    none = hosvd_batch(stack, [0, 0, 0])
+    assert none.core.shape == (3, 0, 0, 0)
+    assert [u.shape for u in none.factors] == [(3, 25, 0), (3, 8, 0), (3, 20, 0)]
+    assert not np.any(tucker_reconstruct_batch(none))
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [(-1, 1, 1), (26, 1, 1), (1, 9, 1), (1, 1, 21), (1, 1), (1, 1, 1, 1), (1.0, 1, 1), 3, "abc"],
+)
+def test_hosvd_batch_rejects_bad_ranks(rng, ranks):
+    with pytest.raises(UsageError):
+        hosvd_batch(rng.standard_normal((2, 25, 8, 20)), ranks)
