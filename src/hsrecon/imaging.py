@@ -13,6 +13,7 @@ update of :mod:`hsrecon.solver`.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,26 +58,28 @@ class SystemModel:
 
     def __post_init__(self):
         mask = np.ascontiguousarray(np.asarray(self.mask, dtype=np.float64))
-        disp = np.asarray(self.dispersion, dtype=np.int64)
+        disp = np.asarray(self.dispersion, dtype=np.float64)
         resp = np.asarray(self.response, dtype=np.float64)
-        if mask.ndim != 2:
-            raise DimensionError("mask must be a 2D matrix")
+        if mask.ndim != 2 or not mask.size:
+            raise DimensionError(f"mask must be a non-empty 2D matrix, got shape {mask.shape}")
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise DataError("mask entries must be 0 or 1")
-        if disp.ndim != 1 or resp.ndim != 1 or disp.shape != resp.shape:
-            raise DimensionError("dispersion and response must be equal-length vectors")
+        if disp.ndim != 1 or not disp.size or disp.shape != resp.shape:
+            raise DimensionError("dispersion and response must be equal-length non-empty vectors")
+        if not np.all(np.isfinite(disp) & (disp == np.floor(disp))):
+            raise DataError("dispersion offsets must be integers")
         if np.any(np.diff(disp) < 0) or disp[0] < 0:
             raise DataError("dispersion offsets must be nonnegative and nondecreasing")
-        if np.any(resp <= 0):
-            raise DataError("response entries must be positive")
+        if not np.all((0 < resp) & (resp < np.inf)):
+            raise DataError("response entries must be positive and finite")
         if self.mode not in (CASSI, DCCHI):
             raise UsageError(f"unknown mode {self.mode!r}")
         pan = self.pan_response
         pan = resp if pan is None else np.asarray(pan, dtype=np.float64)
-        if pan.shape != resp.shape or np.any(pan <= 0):
-            raise DataError("pan_response must be positive with one entry per band")
+        if pan.shape != resp.shape or not np.all((0 < pan) & (pan < np.inf)):
+            raise DataError("pan_response must be positive and finite with one entry per band")
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "dispersion", disp)
+        object.__setattr__(self, "dispersion", disp.astype(np.int64))
         object.__setattr__(self, "response", resp)
         object.__setattr__(self, "pan_response", pan)
 
@@ -111,8 +114,9 @@ def generate_mask(rows: int, cols: int, p: float, seed: int) -> np.ndarray:
     """Seeded i.i.d. Bernoulli(p) binary mask as a 0/1 float matrix."""
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"p must lie in [0, 1], got {p}")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    for name, value, low in (("rows", rows, 1), ("cols", cols, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise UsageError(f"{name} must be an integer >= {low}, got {value!r}")
     rng = np.random.default_rng(seed)
     return (rng.random((rows, cols)) < p).astype(np.float64)
 
@@ -239,17 +243,14 @@ def ridge_factor(sys: SystemModel, rho: float) -> RidgeFactor:
         coef = beta[d] * beta[d:] / pan_diag
         chol[d : d + rows, : w + 1 - d] -= coef[None, :, None] * sys.mask[:, None, :]
     # Column c of L is column c of the band over its square-rooted diagonal;
-    # then S[c + t2, c + t1] -= L[c + t2, c] L[c + t1, c] for 1 <= t1 <= t2,
-    # kept at chol[c + t1, t2 - t1], flat row c (w + 1) + t1 w + t2.
-    t1, t2 = np.triu_indices(w, 0)
-    t1, t2 = t1 + 1, t2 + 1
-    offsets = t1 * w + t2
-    flat = chol.reshape(-1, cols)
+    # then S[c + t + u, c + t] -= L[c + t + u, c] L[c + t, c] for t >= 1,
+    # u >= 0, kept at chol[c + t, u].
     for c in range(r):
         col = chol[c]
         np.sqrt(col[0], out=col[0])
         col[1:] /= col[0]
-        flat[c * (w + 1) + offsets] -= col[t1] * col[t2]
+        for t in range(1, w + 1):
+            chol[c + t, : w + 1 - t] -= col[t] * col[t:]
     return RidgeFactor(sys=sys, rho=rho, coded=coded, chol=chol, pan_diag=pan_diag)
 
 

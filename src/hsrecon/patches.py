@@ -101,20 +101,10 @@ def match_blocks(
     ref = view[ar, ac]
     diff = view[r0 : r1 + 1, c0 : c1 + 1] - ref
     dist = np.einsum("rclij,rclij->rc", diff, diff)
-    coords = [
-        (r, c)
-        for r in range(r0, r1 + 1)
-        for c in range(c0, c1 + 1)
-        if (r, c) != (ar, ac)
-    ]
-    dvals = np.array([dist[r - r0, c - c0] for (r, c) in coords])
-    order = np.argsort(dvals, kind="stable")
-    members = [anchor] + [coords[i] for i in order[: k - 1]]
-    if len(members) < k:
-        base = list(members)
-        while len(members) < k:
-            members.append(base[len(members) % len(base)])
-    return members
+    dist[ar - r0, ac - c0] = -1.0  # the anchor itself comes first
+    order = np.argsort(dist, axis=None, kind="stable")
+    rr, cc = np.divmod(order[np.arange(k) % order.size], dist.shape[1])
+    return list(zip((rr + r0).tolist(), (cc + c0).tolist()))
 
 
 def _box_sums(sq: np.ndarray, ys: np.ndarray, s: int) -> np.ndarray:
@@ -294,6 +284,8 @@ def gather_groups(
     indices of the stack, for :func:`scatter_groups`.
     """
     f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 3:
+        raise DimensionError(f"cube must be 3-D, got shape {f.shape}")
     idx = _flat_indices(members, s, f.shape)
     return f.ravel()[idx], idx
 

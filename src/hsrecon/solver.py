@@ -38,6 +38,7 @@ is the reference for the image update.
 """
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 import time
@@ -47,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import imaging, patches
-from .errors import DataError, UsageError
+from .errors import DataError, DimensionError, UsageError
 from .tensors import (
     TuckerFactors,
     frobenius_norm,
@@ -87,8 +88,8 @@ WORKERS = (
 
 def _check_positive(**reals: float) -> None:
     for name, value in reals.items():
-        if not 0.0 < value < np.inf:
-            raise UsageError(f"{name} must be positive and finite, got {value}")
+        if not isinstance(value, numbers.Real) or not 0.0 < value < np.inf:
+            raise UsageError(f"{name} must be a positive finite real, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,10 @@ class SolverParams:
 
     def __post_init__(self):
         _check_positive(tau=self.tau, c=self.c)
-        for name in ("s", "step", "k", "max_iter", "rematch_every"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.window < 0:
-            raise UsageError(f"window must be >= 0, got {self.window}")
+        for name, low in dict(s=1, step=1, k=1, window=0, max_iter=1, rematch_every=1).items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise UsageError(f"{name} must be an integer >= {low}, got {value!r}")
         # With step <= s the anchors alone tile the plane, so every voxel is covered.
         if self.step > self.s:
             raise UsageError(f"step must be <= s={self.s}, got {self.step}")
@@ -125,17 +125,19 @@ def shrink_core(
     """
     _check_positive(tau=tau)
     g_hat = np.asarray(g_hat, dtype=np.float64)
+    if np.shape(w) != g_hat.shape:
+        raise DimensionError(f"weights shape {np.shape(w)} != core shape {g_hat.shape}")
     t = np.divide(w, 2.0 * tau, out=out)
     np.subtract(np.abs(g_hat), t, out=t)
     np.maximum(t, 0.0, out=t)
     return np.copysign(t, g_hat, out=t)
 
 
-def update_weights(g: np.ndarray, c: float, eps: float) -> np.ndarray:
-    """Inverse-magnitude weights: w = c / (|g| + eps)."""
-    _check_positive(c=c, eps=eps)
+def update_weights(g: np.ndarray, c: float) -> np.ndarray:
+    """Inverse-magnitude weights: w = c / (|g| + EPS)."""
+    _check_positive(c=c)
     w = np.abs(np.asarray(g, dtype=np.float64))
-    w += eps
+    w += EPS
     return np.divide(c, w, out=w)
 
 
@@ -149,7 +151,7 @@ def denoise_group(
     (``core_mag`` None). Returns the approximation and the new magnitudes.
     """
     tf = hosvd(stacked)
-    w = update_weights(tf.core if core_mag is None else core_mag, p.c, EPS)
+    w = update_weights(tf.core if core_mag is None else core_mag, p.c)
     g = shrink_core(tf.core, w, p.tau)
     return tucker_reconstruct(TuckerFactors(core=g, factors=tf.factors)), np.abs(g)
 
@@ -165,6 +167,8 @@ def denoise_groups(
     is all of the new cores a revisit computes, under the guard the module
     docstring states. ``core_mag`` is only read.
     """
+    if core_mag is not None and (core_mag.ndim != 4 or len(core_mag) != len(stacked)):
+        raise DimensionError(f"core_mag shape {core_mag.shape} does not fit {len(stacked)} groups")
     ranks = None
     if core_mag is not None and p.c / (2.0 * p.tau * EPS) > 2.0 * frobenius_norm(stacked):
         ranks = core_mag.shape[1:]
@@ -173,7 +177,7 @@ def denoise_groups(
     if mag.shape != tf.core.shape:  # the guard failed: zero-pad the block
         mag = np.zeros(tf.core.shape)
         mag[tuple(slice(0, n) for n in core_mag.shape)] = core_mag
-    w = update_weights(mag, p.c, EPS)
+    w = update_weights(mag, p.c)
     g = shrink_core(tf.core, w, p.tau, out=w)
     approx = tucker_reconstruct_batch(TuckerFactors(core=g, factors=tf.factors))
     return approx, np.abs(g[_live_box(g)])

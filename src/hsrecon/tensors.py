@@ -9,13 +9,13 @@ stack of equally shaped tensors ``(g, d1, d2, d3)`` with batched matrix
 products and one batched symmetric eigensolve per mode; the solver's
 group step runs on them. ``hosvd`` and ``tucker_reconstruct`` stay as the
 per-tensor reference they are tested against. Each factor column of an
-HOSVD is unique only up to sign; ``hosvd`` fixes the sign, while the
-columns of ``hosvd_batch`` keep the signs LAPACK's ``eigh`` gives them.
-Flipping column ``j`` of ``U_n`` negates exactly the core slice ``j``
-along mode ``n`` (IEEE rounding is sign-symmetric). The solver reads only
-core magnitudes, shrinks with an odd soft threshold and rebuilds the group
-from factors and core, where the two negations cancel; ``spectrum-diag``
-prints sorted magnitudes. Both are bitwise the same for any signs.
+HOSVD is unique only up to sign, and neither fixes it: ``hosvd`` keeps the
+signs of LAPACK's ``svd``, ``hosvd_batch`` those of its ``eigh``. Flipping
+column ``j`` of ``U_n`` negates exactly the core slice ``j`` along mode
+``n`` (IEEE rounding is sign-symmetric). The solver reads only core
+magnitudes, shrinks with an odd soft threshold and rebuilds the group from
+factors and core, where the two negations cancel; ``spectrum-diag`` prints
+sorted magnitudes. Both are bitwise the same for any signs.
 
 Unfolding layout contract: for mode ``n`` the columns of the unfolding are
 the mode-``n`` fibers, ordered cyclically over the remaining modes
@@ -113,15 +113,6 @@ def _checked_tensors(t: np.ndarray, ndim: int, what: str) -> np.ndarray:
     return t
 
 
-def _fix_signs(u: np.ndarray) -> np.ndarray:
-    # Deterministic convention: each column's first largest-magnitude entry
-    # >= 0. Works on one (d, r) factor or a (g, d, r) stack of them.
-    idx = np.argmax(np.abs(u), axis=-2)[..., None, :]
-    signs = np.sign(np.take_along_axis(u, idx, axis=-2))
-    signs[signs == 0] = 1.0
-    return u * signs
-
-
 def hosvd(t: np.ndarray) -> TuckerFactors:
     """Full higher-order SVD of a 3-order tensor.
 
@@ -129,10 +120,7 @@ def hosvd(t: np.ndarray) -> TuckerFactors:
     unfolding; the core is ``t`` contracted with every ``U_n`` transposed.
     """
     t = _checked_tensors(t, 3, "a 3-order tensor")
-    factors = []
-    for mode in (1, 2, 3):
-        u, _, _ = np.linalg.svd(unfold(t, mode), full_matrices=False)
-        factors.append(_fix_signs(u))
+    factors = [np.linalg.svd(unfold(t, m), full_matrices=False)[0] for m in (1, 2, 3)]
     core = t
     for mode, u in zip((1, 2, 3), factors):
         core = mode_n_product(core, u.T, mode)
@@ -207,7 +195,7 @@ def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> Tuc
 def tucker_reconstruct_batch(f: TuckerFactors) -> np.ndarray:
     """:func:`tucker_reconstruct` of every core in a ``(g, r1, r2, r3)`` stack."""
     core = np.asarray(f.core, dtype=np.float64)
-    if core.ndim != 4 or any(
+    if core.ndim != 4 or len(f.factors) != 3 or any(
         u.ndim != 3 or u.shape[0] != core.shape[0] or u.shape[2] != r
         for u, r in zip(f.factors, core.shape[1:])
     ):

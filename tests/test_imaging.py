@@ -48,6 +48,15 @@ class TestGenerateMask:
         with pytest.raises(UsageError, match="seed"):
             generate_mask(4, 4, 0.5, -1)
 
+    @pytest.mark.parametrize(
+        "field, args",
+        [("rows", (-2, 4, 0.5, 0)), ("rows", (4.5, 4, 0.5, 0)), ("cols", (4, 0, 0.5, 0)),
+         ("seed", (4, 4, 0.5, 1.5))],
+    )
+    def test_sizes_and_seed_must_be_integers(self, field, args):
+        with pytest.raises(UsageError, match=field):
+            generate_mask(*args)
+
 
 class TestForward:
     def test_single_band_identity(self, rng):
@@ -187,6 +196,27 @@ class TestSystemModel:
     def test_rejects_decreasing_dispersion(self):
         with pytest.raises(DataError):
             SystemModel(np.ones((2, 2)), np.array([1, 0]), np.ones(2))
+
+    @pytest.mark.parametrize("dispersion", [[0.5, 1.5], [0, np.nan], [0, np.inf]])
+    def test_rejects_non_integral_dispersion(self, dispersion):
+        with pytest.raises(DataError, match="integers"):
+            SystemModel(np.ones((2, 2)), dispersion, np.ones(2))
+
+    def test_rejects_empty_dispersion(self):
+        with pytest.raises(DimensionError):
+            SystemModel(np.ones((2, 2)), [], [])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["response", "pan_response"])
+    def test_rejects_non_finite_responses(self, field, value):
+        weights = dict(response=np.ones(2), pan_response=np.ones(2))
+        weights[field][1] = value
+        with pytest.raises(DataError, match=field):
+            SystemModel(np.ones((2, 2)), np.arange(2), mode=DCCHI, **weights)
+
+    def test_rejects_empty_mask(self):
+        with pytest.raises(DimensionError):
+            SystemModel(np.ones((0, 4)), np.arange(2), np.ones(2))
 
 
 @st.composite

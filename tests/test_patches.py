@@ -306,6 +306,10 @@ class TestBatchedGroups:
         with pytest.raises(DimensionError):
             gather_groups(f, np.array([[0, 0]]), 4)
 
+    def test_gather_rejects_a_plane(self):
+        with pytest.raises(DimensionError, match="3-D"):
+            gather_groups(np.ones((4, 4)), np.zeros((1, 1, 2), int), 2)
+
     def test_scatter_shape_mismatch(self, rng):
         f = rng.random((6, 6, 2))
         stacked, idx = gather_groups(f, np.array([[[0, 0], [1, 1]]]), 3)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import make_smooth_cube
 
-from hsrecon import imaging, patches, solver, tensors
-from hsrecon.errors import DataError, UsageError
+from hsrecon import imaging, patches, solver
+from hsrecon.errors import DataError, DimensionError, UsageError
 from hsrecon.imaging import Measurement, SystemModel
 from hsrecon.solver import (
     SolverParams,
@@ -56,6 +56,10 @@ class TestShrinkCore:
         with pytest.raises(UsageError, match="tau"):
             shrink_core(np.ones((1, 1, 1)), np.ones((1, 1, 1)), tau)
 
+    def test_weights_must_match_the_core(self):
+        with pytest.raises(DimensionError):
+            shrink_core(np.ones((2, 3)), np.ones((3, 2)), 1.0)
+
     def test_out_may_be_the_weights(self, rng):
         g, w = rng.standard_normal((3, 4, 5)), rng.random((3, 4, 5))
         expect = shrink_core(g, w, 0.7)
@@ -75,24 +79,24 @@ class TestShrinkCore:
 
 class TestUpdateWeights:
     def test_zero_coefficient(self):
-        w = update_weights(np.zeros((1, 1, 1)), 0.0055, 1e-6)
+        w = update_weights(np.zeros((1, 1, 1)), 0.0055)
         assert w[0, 0, 0] == pytest.approx(5500.0, rel=1e-12)
 
     def test_matching_coefficient(self):
-        w = update_weights(np.full((1, 1, 1), 0.0055), 0.0055, 1e-6)
+        w = update_weights(np.full((1, 1, 1), 0.0055), 0.0055)
         assert w[0, 0, 0] == pytest.approx(0.0055 / 0.005501, rel=1e-12)
 
     @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["c", "eps"])
+    @pytest.mark.parametrize("field", ["c"])
     def test_reals_must_be_positive_and_finite(self, field, value):
-        args = dict(c=0.0055, eps=1e-6)
+        args = dict(c=0.0055)
         args[field] = value
         with pytest.raises(UsageError, match=field):
             update_weights(np.zeros((1, 1, 1)), **args)
 
     def test_monotone_decreasing_in_magnitude(self, rng):
         g = rng.standard_normal((4, 5, 3))
-        w = update_weights(g, 0.0055, 1e-6)
+        w = update_weights(g, 0.0055)
         order = np.argsort(np.abs(g).ravel())
         assert np.all(np.diff(w.ravel()[order]) <= 0)
 
@@ -120,6 +124,20 @@ class TestSolverParams:
     def test_reals_must_be_positive(self, field, value):
         with pytest.raises(UsageError, match=field):
             SolverParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("s", 5.0), ("step", 4.0), ("k", 4.5), ("k", True), ("max_iter", 2.5),
+         ("window", 2.5), ("window", np.nan), ("rematch_every", 1.5)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(UsageError, match=f"{field} must be an integer"):
+            SolverParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["tau", "c"])
+    def test_reals_must_be_numbers(self, field):
+        with pytest.raises(UsageError, match=field):
+            SolverParams(**{field: "1"})
 
 
 class TestDenoiseGroup:
@@ -190,6 +208,11 @@ class TestDenoiseGroups:
         before = mag.copy()
         _, mag2 = denoise_groups(stacked, mag, p)
         assert mag.tobytes() == before.tobytes() and mag2 is not mag
+
+    @pytest.mark.parametrize("shape", [(3, 1, 1, 1), (2, 1, 1)])
+    def test_core_mag_must_be_a_stack_of_the_same_groups(self, rng, shape):
+        with pytest.raises(DimensionError):
+            denoise_groups(rng.random((2, 9, 4, 5)), np.ones(shape), SolverParams())
 
     def test_non_finite_group_raises(self):
         stacked = np.zeros((2, 4, 2, 3))
@@ -343,11 +366,9 @@ class TestFactorSigns:
 
     @pytest.mark.parametrize("rematch_every", [1, 3])
     @pytest.mark.parametrize("mode", [imaging.CASSI, imaging.DCCHI])
-    def test_reconstruct_unchanged_by_the_fixed_sign_convention(
-        self, monkeypatch, mode, rematch_every
-    ):
-        # hosvd's convention (each column's largest entry positive) put back
-        # into the batched HOSVD, core slices flipped to match
+    def test_reconstruct_unchanged_by_flipping_odd_columns(self, monkeypatch, mode, rematch_every):
+        # every odd factor column of the batched HOSVD negated, core slices
+        # flipped to match
         f_true = make_smooth_cube(20, 20, 3, seed=4)
         sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3, mode=mode)
         y = imaging.forward(f_true, sys)
@@ -356,12 +377,12 @@ class TestFactorSigns:
 
         real = solver.hosvd_batch
 
-        def fixed(t, ranks=None):
+        def flipped(t, ranks=None):
             tf = real(t, ranks)
-            signs = [np.sign(np.sum(tensors._fix_signs(u) * u, axis=1)) for u in tf.factors]
+            signs = [np.tile((-1.0) ** np.arange(u.shape[2]), (len(u), 1)) for u in tf.factors]
             return _flip_signs(tf, signs)
 
-        monkeypatch.setattr(solver, "hosvd_batch", fixed)
+        monkeypatch.setattr(solver, "hosvd_batch", flipped)
         assert reconstruct(y, sys, p).tobytes() == plain.tobytes()
 
 

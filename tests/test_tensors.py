@@ -249,6 +249,12 @@ def test_tucker_reconstruct_batch_rejects_mismatched_factors():
         tucker_reconstruct_batch(TuckerFactors(core, (eye, eye, eye[:, :, :2])))
 
 
+def test_tucker_reconstruct_batch_rejects_two_factors():
+    eye = np.broadcast_to(np.eye(3), (2, 3, 3))
+    with pytest.raises(DimensionError):
+        tucker_reconstruct_batch(TuckerFactors(np.zeros((2, 3, 3, 3)), (eye, eye)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dims=st.tuples(
