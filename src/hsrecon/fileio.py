@@ -67,6 +67,8 @@ def _write_payload(
     array = np.asarray(array)
     if array.ndim != len(order):
         raise DataError(f"{kind} must be {len(order)}D, got ndim={array.ndim}")
+    if 0 in array.shape:  # the readers reject a zero size
+        raise DataError(f"{kind} has a zero-length axis, shape {array.shape}")
     with np.errstate(over="ignore"):  # values past the float32 range become inf
         payload = np.ascontiguousarray(array.transpose(order), dtype="<f4")
     if not np.all(np.isfinite(payload)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, UsageError
+from .errors import DataError, DimensionError, UsageError, check_int, check_positive
 
 CASSI = "cassi"
 DCCHI = "dcchi"
@@ -68,8 +68,8 @@ class SystemModel:
             raise DimensionError("dispersion and response must be equal-length non-empty vectors")
         if not np.all(np.isfinite(disp) & (disp == np.floor(disp))):
             raise DataError("dispersion offsets must be integers")
-        if np.any(np.diff(disp) < 0) or disp[0] < 0:
-            raise DataError("dispersion offsets must be nonnegative and nondecreasing")
+        if np.any(np.diff(disp) < 0) or disp[0] < 0 or disp[-1] >= 2.0**63:
+            raise DataError("dispersion offsets must be nonnegative, nondecreasing and < 2**63")
         if not np.all((0 < resp) & (resp < np.inf)):
             raise DataError("response entries must be positive and finite")
         if self.mode not in (CASSI, DCCHI):
@@ -86,6 +86,7 @@ class SystemModel:
     @classmethod
     def default(cls, mask: np.ndarray, bands: int, mode: str = CASSI) -> "SystemModel":
         """Linear one-pixel-per-band dispersion, flat unit response."""
+        bands = check_int("bands", bands, 1)
         return cls(
             mask=mask,
             dispersion=np.arange(bands),
@@ -112,12 +113,10 @@ class Measurement:
 
 def generate_mask(rows: int, cols: int, p: float, seed: int) -> np.ndarray:
     """Seeded i.i.d. Bernoulli(p) binary mask as a 0/1 float matrix."""
-    if not 0.0 <= p <= 1.0:
-        raise UsageError(f"p must lie in [0, 1], got {p}")
-    for name, value, low in (("rows", rows, 1), ("cols", cols, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise UsageError(f"{name} must be an integer >= {low}, got {value!r}")
-    rng = np.random.default_rng(seed)
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise UsageError(f"p must be a real in [0, 1], got {p!r}")
+    rows, cols = check_int("rows", rows, 1), check_int("cols", cols, 1)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     return (rng.random((rows, cols)) < p).astype(np.float64)
 
 
@@ -224,9 +223,7 @@ def ridge_factor(sys: SystemModel, rho: float) -> RidgeFactor:
     max(dispersion) in each column, which a right-looking banded Cholesky
     factors for all columns at once.
     """
-    rho = float(rho)
-    if not (np.isfinite(rho) and rho > 0.0):
-        raise UsageError(f"rho must be positive and finite, got {rho}")
+    rho = check_positive("rho", rho)
     rows, cols = sys.mask.shape
     coded = rho + cassi_forward(sys.mask[:, :, None] * sys.response, sys)
     if sys.mode == CASSI:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, DimensionError, UsageError
+from .errors import DataError, DimensionError, UsageError, check_int
 
 __all__ = [
     "PatchGrid",
@@ -62,10 +62,8 @@ def _axis_anchors(extent: int, s: int, step: int) -> tuple[int, ...]:
 
 def plan_grid(rows: int, cols: int, s: int, step: int) -> PatchGrid:
     """Stride-``step`` anchors, last valid position always included."""
-    if s < 1 or s > min(rows, cols):
-        raise UsageError(f"patch size {s} invalid for {rows}x{cols} plane")
-    if step < 1:
-        raise UsageError(f"step must be >= 1, got {step}")
+    s = check_int("patch size", s, 1, min(rows, cols))
+    step = check_int("step", step, 1)
     return PatchGrid(
         patch_size=s,
         rows=_axis_anchors(rows, s, step),
@@ -87,14 +85,16 @@ def match_blocks(
     fewer than ``k`` candidates exist, the selection repeats cyclically.
     """
     f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 3:
+        raise DimensionError(f"cube must be 3-D, got shape {f.shape}")
     rows, cols, _ = f.shape
-    ar, ac = anchor
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    if window < 0:
-        raise UsageError(f"window must be >= 0, got {window}")
-    if not (0 <= ar <= rows - s and 0 <= ac <= cols - s):
-        raise UsageError(f"anchor {anchor} out of range for patch size {s}")
+    s = check_int("patch size", s, 1, min(rows, cols))
+    k = check_int("k", k, 1)
+    window = check_int("window", window, 0)
+    ar = check_int("anchor row", anchor[0], 0, rows - s)
+    ac = check_int("anchor column", anchor[1], 0, cols - s)
+    if not np.all(np.isfinite(f)):
+        raise DataError("cube contains non-finite values")
     view = sliding_window_view(f, (s, s), axis=(0, 1))  # (R, C, L, s, s)
     r0, r1 = max(0, ar - window), min(rows - s, ar + window)
     c0, c1 = max(0, ac - window), min(cols - s, ac + window)
@@ -161,13 +161,9 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     if f.ndim != 3:
         raise DimensionError(f"cube must be 3-D, got shape {f.shape}")
     rows, cols, bands = f.shape
-    s = grid.patch_size
-    if not 1 <= s <= min(rows, cols):
-        raise UsageError(f"patch size {s} invalid for {rows}x{cols} plane")
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    if window < 0:
-        raise UsageError(f"window must be >= 0, got {window}")
+    s = check_int("patch size", grid.patch_size, 1, min(rows, cols))
+    k = check_int("k", k, 1)
+    window = check_int("window", window, 0)
     g = len(grid.rows) * len(grid.cols)
     if g * k * 2 * np.dtype(np.intp).itemsize > np.iinfo(np.intp).max:
         raise UsageError(f"k={k} is too large: NumPy cannot size a ({g}, k, 2) array")
@@ -260,6 +256,7 @@ def _flat_indices(members: np.ndarray, s: int, dims: tuple[int, int, int]) -> np
     # Entry [n, i + s*j, lam, m] is the C-order flat index of voxel
     # (r + i, c + j, lam) of a ``dims`` cube, (r, c) = members[n, m].
     rows, cols, bands = dims
+    s = check_int("patch size", s, 1, min(rows, cols))
     members = np.asarray(members, dtype=np.intp)
     if members.ndim != 3 or members.shape[2] != 2:
         raise DimensionError(f"members must have shape (g, k, 2), got {members.shape}")

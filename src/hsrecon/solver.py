@@ -38,7 +38,7 @@ is the reference for the image update.
 """
 from __future__ import annotations
 
-import numbers
+import math
 import os
 import threading
 import time
@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import imaging, patches
-from .errors import DataError, DimensionError, UsageError
+from .errors import DataError, DimensionError, check_int, check_positive
 from .tensors import (
     TuckerFactors,
     frobenius_norm,
@@ -86,12 +86,6 @@ WORKERS = (
 )
 
 
-def _check_positive(**reals: float) -> None:
-    for name, value in reals.items():
-        if not isinstance(value, numbers.Real) or not 0.0 < value < np.inf:
-            raise UsageError(f"{name} must be a positive finite real, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverParams:
     """Tuning knobs; the defaults are the method's reference settings."""
@@ -106,14 +100,12 @@ class SolverParams:
     rematch_every: int = 40
 
     def __post_init__(self):
-        _check_positive(tau=self.tau, c=self.c)
-        for name, low in dict(s=1, step=1, k=1, window=0, max_iter=1, rematch_every=1).items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise UsageError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_positive("tau", self.tau)
+        check_positive("c", self.c)
+        for name, low in dict(s=1, k=1, window=0, max_iter=1, rematch_every=1).items():
+            check_int(name, getattr(self, name), low)
         # With step <= s the anchors alone tile the plane, so every voxel is covered.
-        if self.step > self.s:
-            raise UsageError(f"step must be <= s={self.s}, got {self.step}")
+        check_int("step", self.step, 1, self.s)
 
 
 def shrink_core(
@@ -123,7 +115,7 @@ def shrink_core(
 
     The result is written to ``out`` if given, which may be ``w`` itself.
     """
-    _check_positive(tau=tau)
+    tau = check_positive("tau", tau)
     g_hat = np.asarray(g_hat, dtype=np.float64)
     if np.shape(w) != g_hat.shape:
         raise DimensionError(f"weights shape {np.shape(w)} != core shape {g_hat.shape}")
@@ -135,7 +127,7 @@ def shrink_core(
 
 def update_weights(g: np.ndarray, c: float) -> np.ndarray:
     """Inverse-magnitude weights: w = c / (|g| + EPS)."""
-    _check_positive(c=c)
+    c = check_positive("c", c)
     w = np.abs(np.asarray(g, dtype=np.float64))
     w += EPS
     return np.divide(c, w, out=w)
@@ -167,8 +159,14 @@ def denoise_groups(
     is all of the new cores a revisit computes, under the guard the module
     docstring states. ``core_mag`` is only read.
     """
-    if core_mag is not None and (core_mag.ndim != 4 or len(core_mag) != len(stacked)):
-        raise DimensionError(f"core_mag shape {core_mag.shape} does not fit {len(stacked)} groups")
+    dims = np.shape(stacked)[1:]
+    # A block fits if no mode exceeds the full core's min(d_n, size // d_n).
+    if core_mag is not None and (
+        core_mag.ndim != 4
+        or len(core_mag) != len(stacked)
+        or any(r > d or r * d > math.prod(dims) for r, d in zip(core_mag.shape[1:], dims))
+    ):
+        raise DimensionError(f"core_mag shape {core_mag.shape} does not fit the cores of {dims}")
     ranks = None
     if core_mag is not None and p.c / (2.0 * p.tau * EPS) > 2.0 * frobenius_norm(stacked):
         ranks = core_mag.shape[1:]
@@ -201,7 +199,6 @@ def cg_solve_image(
     tau: float,
     cg_tol: float = 1e-6,
     cg_max_iter: int = 50,
-    residual_history: list[float] | None = None,
 ) -> np.ndarray:
     """Solve (Phi^T Phi + 2 tau counts) f = rhs by conjugate gradient.
 
@@ -209,6 +206,7 @@ def cg_solve_image(
     ``imaging.ridge_solve``; this solver takes any positive per-voxel
     weights and is the reference the exact one is tested against.
     """
+    tau = check_positive("tau", tau)
     rhs = np.asarray(rhs, dtype=np.float64)
     if not np.all(np.isfinite(rhs)):
         raise DataError("right-hand side contains non-finite entries")
@@ -224,8 +222,6 @@ def cg_solve_image(
     d = r.copy()
     rs = float(np.vdot(r, r))
     for _ in range(cg_max_iter):
-        if residual_history is not None:
-            residual_history.append(np.sqrt(rs) / bnorm)
         if np.sqrt(rs) / bnorm <= cg_tol:
             break
         ad = apply(d)
@@ -235,8 +231,6 @@ def cg_solve_image(
         rs_new = float(np.vdot(r, r))
         d = r + (rs_new / rs) * d
         rs = rs_new
-    if residual_history is not None and np.sqrt(rs) / bnorm <= cg_tol:
-        residual_history.append(np.sqrt(rs) / bnorm)
     return x
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, UsageError
+from .errors import DataError, DimensionError, UsageError, check_int
 
 __all__ = [
     "TuckerFactors",
@@ -51,12 +51,6 @@ class TuckerFactors:
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _check_mode(mode: int) -> int:
-    if mode not in (1, 2, 3):
-        raise UsageError(f"mode must be 1, 2 or 3, got {mode!r}")
-    return mode - 1
-
-
 def frobenius_norm(t: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
@@ -64,7 +58,7 @@ def frobenius_norm(t: np.ndarray) -> float:
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Matricize ``t`` along ``mode`` (fibers as columns, cyclic ordering)."""
-    a = _check_mode(mode)
+    a = check_int("mode", mode, 1, 3) - 1
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
         raise DimensionError(f"expected a 3-order tensor, got ndim={t.ndim}")
@@ -74,7 +68,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
 
 def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold` with the same mode and target dims."""
-    a = _check_mode(mode)
+    a = check_int("mode", mode, 1, 3) - 1
     m = np.asarray(m, dtype=np.float64)
     perm = (a, (a + 1) % 3, (a + 2) % 3)
     shape = tuple(dims[p] for p in perm)
@@ -88,7 +82,7 @@ def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
 
 def mode_n_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     """Multiply tensor ``t`` by matrix ``a`` along ``mode``."""
-    axis = _check_mode(mode)
+    axis = check_int("mode", mode, 1, 3) - 1
     t = np.asarray(t, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != t.shape[axis]:
@@ -129,6 +123,8 @@ def hosvd(t: np.ndarray) -> TuckerFactors:
 
 def tucker_reconstruct(f: TuckerFactors) -> np.ndarray:
     """Contract the core with the factors, modes 1 then 2 then 3."""
+    if len(f.factors) != 3:
+        raise DimensionError(f"expected three factors, got {len(f.factors)}")
     t = f.core
     for mode, u in zip((1, 2, 3), f.factors):
         t = mode_n_product(t, u, mode)
@@ -169,12 +165,10 @@ def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> Tuc
     full = [min(d, size // d) for d in (d1, d2, d3)]
     if ranks is None:
         ranks = full
-    elif not (
-        isinstance(ranks, (tuple, list))
-        and len(ranks) == 3
-        and all(isinstance(r, (int, np.integer)) and 0 <= r <= f for r, f in zip(ranks, full))
-    ):
-        raise UsageError(f"ranks must lie between 0 and {tuple(full)}, got {ranks!r}")
+    elif not (isinstance(ranks, (tuple, list)) and len(ranks) == 3):
+        raise UsageError(f"ranks must be three integers, got {ranks!r}")
+    else:
+        ranks = [check_int("rank", r, 0, f) for r, f in zip(ranks, full)]
     m1 = t.reshape(g, d1, d2 * d3)
     m3 = t.reshape(g, d1 * d2, d3)
     grams = (

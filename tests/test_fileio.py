@@ -80,6 +80,13 @@ class TestCubeFile:
             write_cube(cube, tmp_path / "x.hsc")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_write_rejects_zero_length_axis(self, tmp_path, shape):
+        # read_cube rejects a header size of zero, so no such file is written
+        with pytest.raises(DataError, match="zero-length"):
+            write_cube(np.zeros(shape), tmp_path / "x.hsc")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPlaneFile:
     def test_round_trip(self, rng, tmp_path):
@@ -112,6 +119,12 @@ class TestPlaneFile:
         with pytest.raises(DataError, match="float32"):
             write_plane(np.array([[0.0, 1e39]]), tmp_path / "x.hsp")
         assert [p.name for p in tmp_path.iterdir()] == ["p.hsp"]
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_write_rejects_zero_length_axis(self, tmp_path, shape):
+        with pytest.raises(DataError, match="zero-length"):
+            write_plane(np.zeros(shape), tmp_path / "x.hsp")
+        assert list(tmp_path.iterdir()) == []
 
 
 class _FullDisk:

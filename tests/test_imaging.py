@@ -202,6 +202,12 @@ class TestSystemModel:
         with pytest.raises(DataError, match="integers"):
             SystemModel(np.ones((2, 2)), dispersion, np.ones(2))
 
+    @pytest.mark.parametrize("top", [2.0**63, 1e300])
+    def test_rejects_dispersion_beyond_int64(self, top):
+        # the int64 cast would wrap to -2**63, past the nondecreasing check
+        with pytest.raises(DataError, match="dispersion"):
+            SystemModel(np.ones((2, 2)), [0, top], np.ones(2))
+
     def test_rejects_empty_dispersion(self):
         with pytest.raises(DimensionError):
             SystemModel(np.ones((2, 2)), [], [])

@@ -76,6 +76,17 @@ class TestMatchBlocks:
         with pytest.raises(UsageError):
             match_blocks(np.zeros((8, 8, 2)), (7, 0), 3, 2, 2)
 
+    def test_rejects_what_match_groups_rejects(self):
+        with pytest.raises(DimensionError):
+            match_blocks(np.zeros((8, 8)), (0, 0), 3, 2, 2)
+        for anchor in [(1.5, 0), (0, 2.0), (np.nan, 0), (True, 0)]:
+            with pytest.raises(UsageError, match="anchor"):
+                match_blocks(np.zeros((8, 8, 2)), anchor, 3, 2, 2)
+        f = np.zeros((8, 8, 2))
+        f[4, 4, 1] = np.nan
+        with pytest.raises(DataError):
+            match_blocks(f, (0, 0), 3, 2, 2)
+
     def test_deterministic(self, rng):
         f = rng.random((12, 12, 3))
         a = match_blocks(f, (4, 4), 3, 6, 4)

@@ -214,6 +214,16 @@ class TestDenoiseGroups:
         with pytest.raises(DimensionError):
             denoise_groups(rng.random((2, 9, 4, 5)), np.ones(shape), SolverParams())
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6])  # the guard passes, then fails
+    def test_core_mag_must_fit_the_full_core(self, rng, scale):
+        # the full core of a (9, 4, 5) group is (9, 4, 5): min(d_n, 180 // d_n)
+        stacked = scale * rng.random((2, 9, 4, 5))
+        for shape in [(2, 30, 1, 1), (2, 10, 4, 5), (2, 9, 4, 6)]:
+            with pytest.raises(DimensionError, match="core_mag"):
+                denoise_groups(stacked, np.ones(shape), SolverParams())
+        _, mag = denoise_groups(stacked, np.ones((2, 9, 4, 5)), SolverParams())
+        assert mag.ndim == 4
+
     def test_non_finite_group_raises(self):
         stacked = np.zeros((2, 4, 2, 3))
         stacked[1, 0, 0, 0] = np.nan
@@ -427,18 +437,6 @@ class TestCgSolveImage:
     def test_zero_rhs(self):
         sys = SystemModel.default(np.ones((4, 4)), 2)
         assert not np.any(cg_solve_image(np.zeros((4, 4, 2)), np.ones((4, 4, 2)), sys, 1.0))
-
-    def test_residual_monotone(self, rng):
-        mask = imaging.generate_mask(8, 8, 0.5, 2)
-        sys = SystemModel.default(mask, 4)
-        rhs = rng.random((8, 8, 4))
-        hist: list[float] = []
-        cg_solve_image(
-            rhs, np.ones((8, 8, 4)), sys, 1.0, cg_tol=1e-12, cg_max_iter=100,
-            residual_history=hist,
-        )
-        hist_arr = np.array(hist)
-        assert np.all(np.diff(hist_arr) <= 1e-10 * hist_arr[:-1] + 1e-16)
 
 
 class TestReconstruct:

@@ -154,6 +154,15 @@ def test_tucker_reconstruct_identity_factors(rng):
     np.testing.assert_allclose(tucker_reconstruct(tf), t, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 4])
+def test_tucker_reconstruct_needs_three_factors(count):
+    # each factor fits its mode; zip would stop at the shorter of the two
+    factors = tuple(np.eye(d) for d in (3, 2, 2, 2)[:count])
+    tf = TuckerFactors(core=np.ones((3, 2, 2)), factors=factors)
+    with pytest.raises(DimensionError):
+        tucker_reconstruct(tf)
+
+
 def test_tucker_reconstruct_zero_core():
     tf = TuckerFactors(
         core=np.zeros((2, 2, 2)), factors=(np.eye(2), np.eye(2), np.eye(2))
