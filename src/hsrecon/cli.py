@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from . import color, fileio, imaging, metrics, patches, solver, tensors
-from .errors import DimensionError, HsreconError, UsageError
+from .errors import HsreconError, UsageError
 
 
 def _parse_ints(text: str, name: str, form: str) -> tuple[int, ...]:
@@ -64,9 +64,6 @@ def _cmd_reconstruct(args) -> int:
         raise UsageError(f"--dims {dims[0]}x{dims[1]} does not match the {rows}x{cols} mask")
     cassi = fileio.read_plane(args.meas)
     pan = fileio.read_plane(args.pan) if args.pan else None
-    meas_shape = (dims[0] + dims[2] - 1, dims[1])  # one more detector row per band
-    if cassi.shape != meas_shape:  # checked before the system model allocates dims[2] bands
-        raise DimensionError(f"measurement shape {cassi.shape} does not match system {meas_shape}")
     mode = imaging.DCCHI if pan is not None else imaging.CASSI
     sysmod = imaging.SystemModel.default(mask, dims[2], mode=mode)
     y = imaging.Measurement(cassi=cassi, pan=pan)

@@ -168,11 +168,8 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     if g * k * 2 * np.dtype(np.intp).itemsize > np.iinfo(np.intp).max:
         raise UsageError(f"k={k} is too large: NumPy cannot size a ({g}, k, 2) array")
     # Checked as Python ints: an anchor far out of range may not fit in intp.
-    limits = ((rows - s, grid.rows), (cols - s, grid.cols))
-    if not all(0 <= a <= hi for hi, axis in limits for a in axis):
-        raise UsageError(f"grid anchors out of range for patch size {s} in {f.shape}")
-    ar = np.asarray(grid.rows, dtype=np.intp)
-    ac = np.asarray(grid.cols, dtype=np.intp)
+    ar = np.array([check_int("anchor row", a, 0, rows - s) for a in grid.rows], dtype=np.intp)
+    ac = np.array([check_int("anchor column", a, 0, cols - s) for a in grid.cols], dtype=np.intp)
     if not np.all(np.isfinite(f)):
         raise DataError("cube contains non-finite values")
     wr, wc = min(window, rows - s), min(window, cols - s)

@@ -207,6 +207,8 @@ def cg_solve_image(
     weights and is the reference the exact one is tested against.
     """
     tau = check_positive("tau", tau)
+    cg_tol = check_positive("cg_tol", cg_tol)
+    cg_max_iter = check_int("cg_max_iter", cg_max_iter, 1)
     rhs = np.asarray(rhs, dtype=np.float64)
     if not np.all(np.isfinite(rhs)):
         raise DataError("right-hand side contains non-finite entries")

@@ -133,8 +133,7 @@ def _dense_system(sys, diag):
 
 def test_criterion_4_cg_vs_dense_oracle(rng):
     # CG with per-voxel weights, and the exact solve reconstruct uses, for
-    # both modes with uneven dispersion and responses, at rho = 2 tau and
-    # at the initial ridge
+    # both modes, at rho = 2 tau and at the initial ridge
     mask = imaging.generate_mask(6, 6, 0.5, 11)
     sys = SystemModel.default(mask, 3)
     counts = 0.5 + rng.random((6, 6, 3))
@@ -146,13 +145,7 @@ def test_criterion_4_cg_vs_dense_oracle(rng):
     cg_err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
     exact_err = 0.0
     for mode in (imaging.CASSI, DCCHI):
-        sys = SystemModel(
-            imaging.generate_mask(7, 5, 0.5, 12),
-            dispersion=np.array([0, 0, 2, 5]),
-            response=np.array([0.6, 1.3, 0.9, 1.7]),
-            mode=mode,
-            pan_response=np.array([0.4, 1.1, 0.8, 0.3]),
-        )
+        sys = SystemModel(imaging.generate_mask(7, 5, 0.5, 12), 4, mode)
         rhs = rng.standard_normal((7, 5, 4))
         for rho in (2.0 * tau, INIT_RIDGE):
             expect = np.linalg.solve(_dense_system(sys, rho), rhs.ravel()).reshape(7, 5, 4)

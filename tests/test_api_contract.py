@@ -40,6 +40,7 @@ _TABLE = {
     "generate_mask.p": (lambda v: imaging.generate_mask(ROWS, COLS, v, 1), 1),
     "generate_mask.seed": (lambda v: imaging.generate_mask(ROWS, COLS, 0.5, v), None),
     "SystemModel.default.bands": (lambda v: imaging.SystemModel.default(MASK, v), None),
+    "SystemModel.bands": (lambda v: imaging.SystemModel(MASK, v), None),
     "ridge_factor.rho": (lambda v: imaging.ridge_factor(SYS, v), None),
     "plan_grid.s": (lambda v: patches.plan_grid(ROWS, COLS, v, 2), min(ROWS, COLS)),
     "plan_grid.step": (lambda v: patches.plan_grid(ROWS, COLS, 3, v), None),
@@ -70,6 +71,12 @@ _TABLE = {
     "update_weights.c": (lambda v: solver.update_weights(ONE, v), None),
     "cg_solve_image.tau": (
         lambda v: solver.cg_solve_image(CUBE, np.ones_like(CUBE), SYS, v, cg_max_iter=5), None
+    ),
+    "cg_solve_image.cg_tol": (
+        lambda v: solver.cg_solve_image(CUBE, np.ones_like(CUBE), SYS, 1.0, v, 5), None
+    ),
+    "cg_solve_image.cg_max_iter": (
+        lambda v: solver.cg_solve_image(CUBE, np.ones_like(CUBE), SYS, 1.0, 1e-6, v), None
     ),
 }
 

@@ -277,6 +277,22 @@ def test_reconstruct_dims_mismatch_exit_code(tmp_path, cube_file, capsys):
     assert not (tmp_path / "recon.hsc").exists()
 
 
+def test_reconstruct_band_count_mismatch_exit_code(tmp_path, cube_file, capsys):
+    # 4 bands fill 16 + 3 detector rows; --dims asks for 5 bands, 16 + 4 rows
+    assert _simulate(tmp_path, cube_file) == 0
+    args = [
+        "reconstruct",
+        "--meas", str(tmp_path / "meas.hsp"),
+        "--mask", str(tmp_path / "mask.hsp"),
+        "--dims", "16,16,5",
+        "--out", str(tmp_path / "recon.hsc"),
+    ]
+    assert cli(args) == 1
+    err = capsys.readouterr().err
+    assert "(19, 16)" in err and "(20, 16)" in err and "Traceback" not in err
+    assert not (tmp_path / "recon.hsc").exists()
+
+
 @pytest.mark.parametrize("pan", [False, True])
 def test_reconstruct_without_log_computes_no_residual(tmp_path, cube_file, monkeypatch, pan):
     assert _simulate(tmp_path, cube_file, mode="dcchi" if pan else "cassi") == 0

@@ -94,15 +94,8 @@ class TestForward:
 
     def test_pan_weighted_sum_oracle(self, rng):
         f = rng.random((4, 4, 3))
-        resp = np.array([0.2, 0.5, 0.3])
-        sys = SystemModel(
-            mask=np.ones((4, 4)),
-            dispersion=np.arange(3),
-            response=np.ones(3),
-            mode=DCCHI,
-            pan_response=resp,
-        )
-        expect = sum(resp[b] * f[:, :, b] for b in range(3))
+        sys = SystemModel(np.ones((4, 4)), 3, DCCHI)
+        expect = f[:, :, 0] + f[:, :, 1] + f[:, :, 2]
         np.testing.assert_allclose(pan_forward(f, sys), expect, rtol=1e-14)
 
     def test_pan_requires_dcchi(self, rng):
@@ -191,56 +184,31 @@ class TestNormalOperator:
 class TestSystemModel:
     def test_rejects_non_binary_mask(self):
         with pytest.raises(DataError):
-            SystemModel(np.full((2, 2), 0.5), np.arange(2), np.ones(2))
-
-    def test_rejects_decreasing_dispersion(self):
-        with pytest.raises(DataError):
-            SystemModel(np.ones((2, 2)), np.array([1, 0]), np.ones(2))
-
-    @pytest.mark.parametrize("dispersion", [[0.5, 1.5], [0, np.nan], [0, np.inf]])
-    def test_rejects_non_integral_dispersion(self, dispersion):
-        with pytest.raises(DataError, match="integers"):
-            SystemModel(np.ones((2, 2)), dispersion, np.ones(2))
-
-    @pytest.mark.parametrize("top", [2.0**63, 1e300])
-    def test_rejects_dispersion_beyond_int64(self, top):
-        # the int64 cast would wrap to -2**63, past the nondecreasing check
-        with pytest.raises(DataError, match="dispersion"):
-            SystemModel(np.ones((2, 2)), [0, top], np.ones(2))
-
-    def test_rejects_empty_dispersion(self):
-        with pytest.raises(DimensionError):
-            SystemModel(np.ones((2, 2)), [], [])
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["response", "pan_response"])
-    def test_rejects_non_finite_responses(self, field, value):
-        weights = dict(response=np.ones(2), pan_response=np.ones(2))
-        weights[field][1] = value
-        with pytest.raises(DataError, match=field):
-            SystemModel(np.ones((2, 2)), np.arange(2), mode=DCCHI, **weights)
+            SystemModel(np.full((2, 2), 0.5), 2)
 
     def test_rejects_empty_mask(self):
         with pytest.raises(DimensionError):
-            SystemModel(np.ones((0, 4)), np.arange(2), np.ones(2))
+            SystemModel(np.ones((0, 4)), 2)
+
+    @pytest.mark.parametrize("mode", [np.ones(3), None, 1], ids=repr)
+    def test_rejects_unknown_mode(self, mode):
+        with pytest.raises(UsageError, match="mode"):
+            SystemModel.default(np.ones((2, 2)), 3, mode=mode)
+
+    def test_rows_follow_bands(self):
+        sys = SystemModel(np.ones((5, 3)), np.int64(4), DCCHI)
+        assert (sys.bands, type(sys.bands), sys.meas_rows) == (4, int, 8)
 
 
 @st.composite
 def _systems(draw, max_rows=6, max_cols=5, max_bands=4):
-    """Small systems with any nondecreasing dispersion (a nonzero start,
-    repeated offsets, gaps), random responses, a random mask and mode."""
+    """Small systems: a zero, half or full random mask, any band count, either mode."""
     rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
-    bands = draw(st.integers(1, max_bands))
-    start = draw(st.integers(0, 2))
-    steps = draw(st.lists(st.integers(0, 3), min_size=bands - 1, max_size=bands - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    has_pan_response = draw(st.booleans())
     return SystemModel(
         mask=(rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.5, 1.0]))).astype(float),
-        dispersion=start + np.cumsum([0] + steps),
-        response=rng.uniform(0.2, 2.0, bands),
+        bands=draw(st.integers(1, max_bands)),
         mode=draw(st.sampled_from([CASSI, DCCHI])),
-        pan_response=rng.uniform(0.2, 2.0, bands) if has_pan_response else None,
     )
 
 
@@ -297,7 +265,7 @@ class TestRidgeSolve:
 
     def test_zero_mask_scales_by_rho(self, rng):
         # Phi^T Phi is the pan term alone; with no pan it is zero
-        sys = SystemModel(np.zeros((4, 3)), np.arange(2), np.ones(2))
+        sys = SystemModel(np.zeros((4, 3)), 2)
         b = rng.random((4, 3, 2))
         np.testing.assert_allclose(ridge_solve(ridge_factor(sys, 0.5), b), b / 0.5, rtol=1e-15)
 

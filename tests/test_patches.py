@@ -183,7 +183,8 @@ class TestMatchGroups:
 
     def test_rejects_bad_grid_and_cube(self):
         f = np.zeros((8, 8, 2))
-        for rows in ((0, 6), (10**30,), (-(10**30),)):  # the last two do not fit in intp
+        # 10**30 and -10**30 do not fit in intp; a fractional anchor must not truncate
+        for rows in ((0, 6), (10**30,), (-(10**30),), (1.5,), (True,), (np.float64(2.0),)):
             with pytest.raises(UsageError):
                 match_groups(f, PatchGrid(3, rows=rows, cols=(0,)), 2, 2)
         for s in (9, 0, -2):

@@ -399,7 +399,7 @@ class TestFactorSigns:
 class TestCgSolveImage:
     def test_diagonal_system(self, rng):
         # zero mask: Phi^T Phi = 0, solution = rhs / (2 tau)
-        sys = SystemModel(np.zeros((5, 5)), np.arange(3), np.ones(3))
+        sys = SystemModel(np.zeros((5, 5)), 3)
         rhs = rng.random((5, 5, 3))
         x = cg_solve_image(rhs, np.ones((5, 5, 3)), sys, tau=1.0, cg_tol=1e-12)
         np.testing.assert_allclose(x, rhs / 2.0, rtol=1e-10)
