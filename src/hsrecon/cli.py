@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,17 +49,9 @@ def _cmd_reconstruct(args) -> int:
     dims = _parse_ints(args.dims, "dims", "I,J,L")
     if min(dims) < 1:
         raise UsageError(f"dims must be positive, got {args.dims!r}")
-    params = solver.SolverParams(
-        tau=args.tau,
-        c=args.c,
-        s=args.s,
-        step=args.step,
-        k=args.k,
-        window=args.window,
-        max_iter=args.iters,
-        rematch_every=args.rematch_every,
-    )
-    mask = fileio.read_mask(args.mask)
+    names = [f.name for f in fields(solver.SolverParams)]
+    params = solver.SolverParams(**{name: getattr(args, name) for name in names})
+    mask = fileio.read_plane(args.mask)  # SystemModel checks that it is 0/1
     if dims[:2] != mask.shape:
         rows, cols = mask.shape
         raise UsageError(f"--dims {dims[0]}x{dims[1]} does not match the {rows}x{cols} mask")
@@ -67,16 +60,20 @@ def _cmd_reconstruct(args) -> int:
     mode = imaging.DCCHI if pan is not None else imaging.CASSI
     sysmod = imaging.SystemModel.default(mask, dims[2], mode=mode)
     y = imaging.Measurement(cassi=cassi, pan=pan)
-    if not args.log:  # no log, no per-iteration residual
-        recon = solver.reconstruct(y, sysmod, params)
-    else:
-        with open(args.log, "w", buffering=1) as log:  # flushed per row
+    log = None
+
+    def progress(it: int, residual: float, seconds: float) -> None:
+        nonlocal log
+        if log is None:  # created with its first row: a run that fails its checks leaves none
+            log = open(args.log, "w", buffering=1)  # flushed per row
             log.write("iter,residual,seconds\n")
+        log.write(f"{it},{residual:.10e},{seconds:.3f}\n")
 
-            def progress(it: int, residual: float, seconds: float) -> None:
-                log.write(f"{it},{residual:.10e},{seconds:.3f}\n")
-
-            recon = solver.reconstruct(y, sysmod, params, progress=progress)
+    try:  # no log, no progress callback, no per-iteration residual
+        recon = solver.reconstruct(y, sysmod, params, progress=progress if args.log else None)
+    finally:
+        if log is not None:
+            log.close()
     fileio.write_cube(recon, args.out)
     return 0
 
@@ -84,12 +81,18 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_evaluate(args) -> int:
     ref = fileio.read_cube(args.ref)
     est = fileio.read_cube(args.est)
-    report = metrics.evaluate(ref, est)
-    band_cols = ",".join(f"band{i}_psnr_db" for i in range(len(report.band_psnr)))
-    band_vals = ",".join(f"{v:.6f}" for v in report.band_psnr)
-    text = f"psnr_db,ssim,ergas,rmse,{band_cols}\n{report.csv_row()},{band_vals}\n"
+    r = metrics.evaluate(ref, est)
+    band_cols = ",".join(f"band{i}_psnr_db" for i in range(len(r.band_psnr)))
+    band_vals = ",".join(f"{v:.6f}" for v in r.band_psnr)
+    text = (
+        f"psnr_db,ssim,ergas,rmse,{band_cols}\n"
+        f"{r.psnr:.6f},{r.ssim:.6f},{r.ergas:.6f},{r.rmse:.8f},{band_vals}\n"
+    )
     fileio.write_atomic(args.out, text.encode())
-    print(report.text())
+    print(
+        f"PSNR  {r.psnr:8.3f} dB\nSSIM  {r.ssim:8.5f}\n"
+        f"ERGAS {r.ergas:8.4f}\nRMSE  {r.rmse:10.6f}"
+    )
     return 0
 
 
@@ -143,14 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True)
     p.add_argument("--dims", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tau", type=float, default=defaults.tau)
-    p.add_argument("--c", type=float, default=defaults.c)
-    p.add_argument("--s", type=int, default=defaults.s)
-    p.add_argument("--step", type=int, default=defaults.step)
-    p.add_argument("--k", type=int, default=defaults.k)
-    p.add_argument("--window", type=int, default=defaults.window)
-    p.add_argument("--iters", type=int, default=defaults.max_iter)
-    p.add_argument("--rematch-every", type=int, default=defaults.rematch_every)
+    for f in fields(solver.SolverParams):
+        iters = f.name == "max_iter"
+        flag = "--iters" if iters else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default,
+                       metavar="ITERS" if iters else None)
     p.add_argument("--log")
     p.set_defaults(func=_cmd_reconstruct)
 

@@ -3,8 +3,8 @@
 Cube files: magic ``HSC1``, three little-endian u32 (rows, cols, bands),
 then rows*cols*bands little-endian float32 in band-major order (band
 slowest, then rows, then columns). Plane files: magic ``HSP1``, two u32
-(rows, cols), then row-major float32. Masks are stored as planes holding
-only 0.0/1.0.
+(rows, cols), then row-major float32. A mask is stored as a plane;
+:class:`hsrecon.imaging.SystemModel` checks that it holds only 0.0/1.0.
 
 Every writer goes through :func:`write_atomic`, so a reader never sees a
 half-written file and a failed write leaves any earlier file in place.
@@ -25,7 +25,6 @@ __all__ = [
     "write_cube",
     "read_plane",
     "write_plane",
-    "read_mask",
     "write_atomic",
 ]
 
@@ -100,14 +99,6 @@ def read_plane(path: str | Path) -> np.ndarray:
 def write_plane(plane: np.ndarray, path: str | Path) -> None:
     """Write a matrix as HSP1 (float32 precision)."""
     _write_payload(path, PLANE_MAGIC, "plane", plane, (0, 1))
-
-
-def read_mask(path: str | Path) -> np.ndarray:
-    """Load a plane and validate that it only contains 0.0/1.0."""
-    mask = read_plane(path)
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise DataError(f"{path}: mask plane contains values other than 0/1")
-    return mask
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:

@@ -58,6 +58,8 @@ class SystemModel:
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise DataError("mask entries must be 0 or 1")
         bands = check_int("bands", self.bands, 1)
+        if mask.size * bands * 8 > np.iinfo(np.intp).max:
+            raise UsageError(f"bands={bands} is too large: NumPy cannot size the float64 cube")
         if not isinstance(self.mode, str) or self.mode not in (CASSI, DCCHI):
             raise UsageError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "mask", mask)

@@ -32,17 +32,6 @@ class QualityReport:
     rmse: float
     band_psnr: tuple[float, ...]
 
-    def csv_row(self) -> str:
-        return f"{self.psnr:.6f},{self.ssim:.6f},{self.ergas:.6f},{self.rmse:.8f}"
-
-    def text(self) -> str:
-        return (
-            f"PSNR  {self.psnr:8.3f} dB\n"
-            f"SSIM  {self.ssim:8.5f}\n"
-            f"ERGAS {self.ergas:8.4f}\n"
-            f"RMSE  {self.rmse:10.6f}"
-        )
-
 
 def _check_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ref = np.asarray(ref, dtype=np.float64)

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import resource
 import warnings
@@ -162,9 +163,8 @@ def test_parser_defaults_are_solver_params():
     parser = build_parser()
     rec = parser.parse_args(["reconstruct", "--meas", "m", "--mask", "k", "--dims", "1,1,1",
                              "--out", "o"])
-    assert (rec.tau, rec.c, rec.s, rec.step, rec.k, rec.window, rec.iters,
-            rec.rematch_every) == (d.tau, d.c, d.s, d.step, d.k, d.window, d.max_iter,
-                                   d.rematch_every)
+    names = [f.name for f in dataclasses.fields(solver.SolverParams)]
+    assert {name: getattr(rec, name) for name in names} == dataclasses.asdict(d)
     diag = parser.parse_args(["spectrum-diag", "--cube", "c", "--anchor", "0,0", "--out", "o"])
     assert (diag.s, diag.k, diag.window) == (d.s, d.k, d.window)
 
@@ -293,6 +293,73 @@ def test_reconstruct_band_count_mismatch_exit_code(tmp_path, cube_file, capsys):
     assert not (tmp_path / "recon.hsc").exists()
 
 
+def test_reconstruct_band_count_mismatch_leaves_no_log(tmp_path, cube_file, capsys):
+    assert _simulate(tmp_path, cube_file) == 0
+    log = tmp_path / "l.csv"
+    args = [
+        "reconstruct",
+        "--meas", str(tmp_path / "meas.hsp"),
+        "--mask", str(tmp_path / "mask.hsp"),
+        "--dims", "16,16,5",
+        "--out", str(tmp_path / "recon.hsc"),
+        "--log", str(log),
+    ]
+    assert cli(args) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not log.exists()
+    assert not (tmp_path / "recon.hsc").exists()
+
+
+def test_reconstruct_unwritable_log_writes_no_cube(tmp_path, cube_file, capsys):
+    # the log is opened at the first progress row, so this fails after one iteration
+    assert _simulate(tmp_path, cube_file) == 0
+    args = [
+        "reconstruct",
+        "--meas", str(tmp_path / "meas.hsp"),
+        "--mask", str(tmp_path / "mask.hsp"),
+        "--dims", "16,16,4",
+        "--out", str(tmp_path / "recon.hsc"),
+        "--log", str(tmp_path / "missing" / "l.csv"),
+    ]
+    assert cli(args) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "recon.hsc").exists()
+
+
+def test_reconstruct_unsizable_band_count_exit_code(tmp_path, cube_file, capsys):
+    assert _simulate(tmp_path, cube_file) == 0
+    args = [
+        "reconstruct",
+        "--meas", str(tmp_path / "meas.hsp"),
+        "--mask", str(tmp_path / "mask.hsp"),
+        "--dims", f"16,16,{10**20}",
+        "--out", str(tmp_path / "recon.hsc"),
+    ]
+    assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert "bands" in err and "Traceback" not in err
+    assert not (tmp_path / "recon.hsc").exists()
+
+
+def test_reconstruct_non_binary_mask_exit_code(tmp_path, cube_file, capsys):
+    assert _simulate(tmp_path, cube_file) == 0
+    fileio.write_plane(np.full((16, 16), 0.5), tmp_path / "mask.hsp")
+    log = tmp_path / "l.csv"
+    args = [
+        "reconstruct",
+        "--meas", str(tmp_path / "meas.hsp"),
+        "--mask", str(tmp_path / "mask.hsp"),
+        "--dims", "16,16,4",
+        "--out", str(tmp_path / "recon.hsc"),
+        "--log", str(log),
+    ]
+    assert cli(args) == 1
+    err = capsys.readouterr().err
+    assert "mask" in err and "Traceback" not in err
+    assert not log.exists()
+    assert not (tmp_path / "recon.hsc").exists()
+
+
 @pytest.mark.parametrize("pan", [False, True])
 def test_reconstruct_without_log_computes_no_residual(tmp_path, cube_file, monkeypatch, pan):
     assert _simulate(tmp_path, cube_file, mode="dcchi" if pan else "cassi") == 0
@@ -416,6 +483,7 @@ def test_evaluate_all_zero_reference_reports_nan_ergas(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert cli(["evaluate", "--ref", str(zero), "--est", str(zero), "--out", str(out)]) == 0
     header, row = out.read_text().splitlines()
+    assert header == "psnr_db,ssim,ergas,rmse," + ",".join(f"band{i}_psnr_db" for i in range(4))
     report = dict(zip(header.split(","), row.split(",")))
     assert float(report["psnr_db"]) == metrics.PSNR_CAP_DB
     assert report["ergas"] == "nan"

@@ -14,7 +14,6 @@ from hsrecon.color import write_ppm
 from hsrecon.errors import DataError
 from hsrecon.fileio import (
     read_cube,
-    read_mask,
     read_plane,
     write_atomic,
     write_cube,
@@ -96,14 +95,6 @@ class TestPlaneFile:
         np.testing.assert_array_equal(
             read_plane(path), plane.astype(np.float32).astype(np.float64)
         )
-
-    def test_mask_validation(self, tmp_path):
-        path = tmp_path / "k.hsp"
-        write_plane(np.array([[0.0, 1.0], [1.0, 0.0]]), path)
-        np.testing.assert_array_equal(read_mask(path), [[0, 1], [1, 0]])
-        write_plane(np.array([[0.5, 1.0]]), path)
-        with pytest.raises(DataError, match="mask"):
-            read_mask(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "h.hsp"

@@ -195,6 +195,14 @@ class TestSystemModel:
         with pytest.raises(UsageError, match="mode"):
             SystemModel.default(np.ones((2, 2)), 3, mode=mode)
 
+    def test_rejects_band_count_numpy_cannot_size(self):
+        # 4 x 4 x bands float64 samples: the largest count whose bytes fit in intp passes
+        top = np.iinfo(np.intp).max // (16 * 8)
+        assert SystemModel(np.ones((4, 4)), top).bands == top
+        for bands in (top + 1, 10**20):
+            with pytest.raises(UsageError, match="bands"):
+                SystemModel(np.ones((4, 4)), bands)
+
     def test_rows_follow_bands(self):
         sys = SystemModel(np.ones((5, 3)), np.int64(4), DCCHI)
         assert (sys.bands, type(sys.bands), sys.meas_rows) == (4, int, 8)

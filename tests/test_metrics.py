@@ -130,9 +130,6 @@ class TestEvaluate:
         report = evaluate(ref, est)
         assert len(report.band_psnr) == 3
         assert report.rmse > 0
-        row = report.csv_row()
-        assert len(row.split(",")) == 4
-        assert "PSNR" in report.text()
 
     def test_zero_mean_reference_band_gives_nan_ergas_only(self, rng):
         ref = rng.random((12, 12, 3))
@@ -147,7 +144,6 @@ class TestEvaluate:
         report = evaluate(zero, zero)
         assert report.psnr == 100.0 and report.rmse == 0.0 and report.ssim == 1.0
         assert math.isnan(report.ergas)
-        assert report.csv_row().split(",")[2] == "nan"
 
 
 @pytest.mark.parametrize("index", [psnr, ssim, rmse, ergas, evaluate])
