@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, UsageError, check_array
 from .fileio import write_atomic
 
 __all__ = ["cmf_at", "rgb_preview", "write_ppm"]
@@ -60,7 +60,7 @@ _XYZ_TO_SRGB = np.array([
 
 def cmf_at(wavelengths: np.ndarray) -> np.ndarray:
     """Interpolated (xbar, ybar, zbar) rows at the given wavelengths (nm)."""
-    wl = np.asarray(wavelengths, dtype=np.float64)
+    wl = check_array("wavelengths", wavelengths, 1, finite=False)
     if not np.all((wl >= 380.0) & (wl <= 780.0)):  # NaN fails both
         raise UsageError("wavelengths must be finite and within 380-780 nm")
     grid = _CMF_START + _CMF_STEP * np.arange(_CMF.shape[0])
@@ -80,14 +80,10 @@ def _gamma_encode(lin: np.ndarray) -> np.ndarray:
 
 def rgb_preview(f: np.ndarray, wavelengths: np.ndarray) -> np.ndarray:
     """Render a cube to an 8-bit RGB image (shape rows x cols x 3)."""
-    f = np.asarray(f, dtype=np.float64)
-    wl = np.asarray(wavelengths, dtype=np.float64)
-    if f.ndim != 3 or f.shape[2] != wl.shape[0]:
-        raise DimensionError(
-            f"cube with {f.shape[2] if f.ndim == 3 else '?'} bands needs "
-            f"{wl.shape[0]} wavelengths"
-        )
-    cmf = cmf_at(wl)
+    f = check_array("cube", f, 3)
+    cmf = cmf_at(wavelengths)
+    if f.shape[2] != len(cmf):
+        raise DimensionError(f"cube with {f.shape[2]} bands needs {len(cmf)} wavelengths")
     ynorm = cmf[:, 1].sum()
     if ynorm == 0.0:
         raise UsageError("wavelength set has zero total luminance response")

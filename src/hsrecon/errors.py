@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the scalar argument checks.
+"""Exception hierarchy shared across the package, and the argument checks.
 
 Every public function either succeeds or raises an :class:`HsreconError`:
 :class:`UsageError` for an argument that breaks a precondition,
@@ -11,9 +11,17 @@ reals (the weight c, the coupling tau, the ridge rho). :func:`check_int`
 and :func:`check_positive` are the one place that rule is written: a count
 is an integer in range, a real is positive and finite, and a bool, a
 string or None is neither.
+
+Arrays go through :func:`check_array`: bool, integer and real float
+arrays become float64 (a float64 array is not copied); any other dtype,
+numeric strings included, or input that is no array at all raises
+:class:`UsageError`, the wrong number of axes :class:`DimensionError`,
+and a NaN or an infinity, where values must be finite, :class:`DataError`.
 """
 import math
 import numbers
+
+import numpy as np
 
 
 class HsreconError(Exception):
@@ -49,3 +57,19 @@ def check_positive(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
         raise UsageError(f"{name} must be a positive finite real, got {value!r}")
     return float(value)
+
+
+def check_array(name: str, value, ndim: int | None, finite: bool = True) -> np.ndarray:
+    """``value`` as a float64 array of ``ndim`` axes (None: any); ``finite`` scans the values."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as e:  # a ragged list, say
+        raise UsageError(f"{name} must be a real array: {e}") from None
+    if array.dtype.kind not in "biuf":
+        raise UsageError(f"{name} must be a real array, got dtype {array.dtype}")
+    if ndim is not None and array.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {array.shape}")
+    array = array.astype(np.float64, copy=False)
+    if finite and not np.all(np.isfinite(array)):
+        raise DataError(f"{name} contains non-finite values")
+    return array

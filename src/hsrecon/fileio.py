@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_array
 
 __all__ = [
     "read_cube",
@@ -63,9 +63,7 @@ def _write_payload(
 ) -> None:
     # The header holds the sizes in the array's axis order, the payload its
     # samples with the axes permuted by ``order``.
-    array = np.asarray(array)
-    if array.ndim != len(order):
-        raise DataError(f"{kind} must be {len(order)}D, got ndim={array.ndim}")
+    array = check_array(kind, array, len(order), finite=False)  # finite at float32, below
     if 0 in array.shape:  # the readers reject a zero size
         raise DataError(f"{kind} has a zero-length axis, shape {array.shape}")
     with np.errstate(over="ignore"):  # values past the float32 range become inf

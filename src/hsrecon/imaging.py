@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, UsageError, check_int, check_positive
+from .errors import DataError, DimensionError, UsageError, check_array, check_int, check_positive
 
 CASSI = "cassi"
 DCCHI = "dcchi"
@@ -52,8 +52,8 @@ class SystemModel:
     mode: str = CASSI
 
     def __post_init__(self):
-        mask = np.ascontiguousarray(np.asarray(self.mask, dtype=np.float64))
-        if mask.ndim != 2 or not mask.size:
+        mask = np.ascontiguousarray(check_array("mask", self.mask, 2))
+        if not mask.size:
             raise DimensionError(f"mask must be a non-empty 2D matrix, got shape {mask.shape}")
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise DataError("mask entries must be 0 or 1")
@@ -93,12 +93,9 @@ def generate_mask(rows: int, cols: int, p: float, seed: int) -> np.ndarray:
 
 
 def _check_cube(f: np.ndarray, sys: SystemModel) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    rows, cols = sys.mask.shape
-    if f.shape != (rows, cols, sys.bands):
-        raise DimensionError(
-            f"cube shape {f.shape} does not match system {(rows, cols, sys.bands)}"
-        )
+    f = check_array("cube", f, None, finite=False)
+    if f.shape != (*sys.mask.shape, sys.bands):
+        raise DimensionError(f"cube shape {f.shape} != system {(*sys.mask.shape, sys.bands)}")
     return f
 
 
@@ -107,8 +104,9 @@ def cassi_forward(f: np.ndarray, sys: SystemModel) -> np.ndarray:
     f = _check_cube(f, sys)
     rows, cols = sys.mask.shape
     out = np.zeros((sys.meas_rows, cols))
-    for lam in range(sys.bands):
-        out[lam : lam + rows, :] += sys.mask * f[:, :, lam]
+    with np.errstate(invalid="ignore"):  # 0 * inf gives NaN
+        for lam in range(sys.bands):
+            out[lam : lam + rows, :] += sys.mask * f[:, :, lam]
     return out
 
 
@@ -130,20 +128,18 @@ def forward(f: np.ndarray, sys: SystemModel) -> Measurement:
 def adjoint(y: Measurement, sys: SystemModel) -> np.ndarray:
     """Exact adjoint of :func:`forward` applied to a measurement."""
     rows, cols = sys.mask.shape
-    yc = np.asarray(y.cassi, dtype=np.float64)
+    yc = check_array("measurement", y.cassi, None, finite=False)
     if yc.shape != (sys.meas_rows, cols):
-        raise DimensionError(
-            f"measurement shape {yc.shape} does not match system "
-            f"{(sys.meas_rows, cols)}"
-        )
-    f = _cassi_adjoint(yc, sys)
-    if sys.mode == DCCHI:
-        if y.pan is None:
-            raise DimensionError("dual-camera system requires a pan plane")
-        yp = np.asarray(y.pan, dtype=np.float64)
-        if yp.shape != (rows, cols):
-            raise DimensionError(f"pan plane shape {yp.shape} != {(rows, cols)}")
-        f += yp[:, :, None]
+        raise DimensionError(f"measurement shape {yc.shape} != system {(sys.meas_rows, cols)}")
+    with np.errstate(invalid="ignore"):  # 0 * inf gives NaN
+        f = _cassi_adjoint(yc, sys)
+        if sys.mode == DCCHI:
+            if y.pan is None:
+                raise DimensionError("dual-camera system requires a pan plane")
+            yp = check_array("pan plane", y.pan, None, finite=False)
+            if yp.shape != (rows, cols):
+                raise DimensionError(f"pan plane shape {yp.shape} != {(rows, cols)}")
+            f += yp[:, :, None]
     return f
 
 
@@ -220,9 +216,7 @@ def ridge_factor(sys: SystemModel, rho: float) -> RidgeFactor:
 
 def ridge_solve(fac: RidgeFactor, b: np.ndarray) -> np.ndarray:
     """The exact solution of (Phi^T Phi + rho I) f = b for ``fac``'s system and rho."""
-    b = np.asarray(b, dtype=np.float64)
-    if not np.all(np.isfinite(b)):
-        raise DataError("right-hand side contains non-finite entries")
+    b = check_array("right-hand side", b, 3)
     sys = fac.sys
     if fac.chol is None:
         u = cassi_forward(b, sys) / fac.coded

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, DimensionError, UsageError
+from .errors import DataError, DimensionError, UsageError, check_array
 
 __all__ = ["QualityReport", "psnr", "ssim", "rmse", "ergas", "evaluate"]
 
@@ -34,15 +34,10 @@ class QualityReport:
 
 
 def _check_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ref = np.asarray(ref, dtype=np.float64)
-    est = np.asarray(est, dtype=np.float64)
-    if ref.ndim != 3:
-        raise DimensionError(f"expected (rows, cols, bands) cubes, got shape {ref.shape}")
-    if ref.shape != est.shape:
-        raise DimensionError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    if 0 in ref.shape:
-        raise DimensionError(f"cube axes must be non-empty, got shape {ref.shape}")
-    return ref, est
+    ref, est = check_array("reference cube", ref, 3), check_array("estimate", est, 3)
+    if ref.shape != est.shape or 0 in ref.shape:
+        raise DimensionError(f"cubes need equal, non-empty axes, got {ref.shape} and {est.shape}")
+    return np.ascontiguousarray(ref), np.ascontiguousarray(est)  # ssim's sums follow the layout
 
 
 def _band_sse(ref: np.ndarray, est: np.ndarray) -> list[float]:
@@ -105,9 +100,7 @@ def ssim(ref: np.ndarray, est: np.ndarray) -> float:
     """Mean over bands of the single-scale structural similarity index."""
     ref, est = _check_pair(ref, est)
     if min(ref.shape[0], ref.shape[1]) < _SSIM_WIN:
-        raise UsageError(
-            f"bands must be at least {_SSIM_WIN}x{_SSIM_WIN} for SSIM"
-        )
+        raise UsageError(f"bands must be at least {_SSIM_WIN}x{_SSIM_WIN} for SSIM")
     g = _gaussian_window(_SSIM_WIN, _SSIM_SIGMA)
     vals = [_ssim_band(ref[:, :, b], est[:, :, b], g) for b in range(ref.shape[2])]
     return float(np.mean(vals))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, DimensionError, UsageError, check_int
+from .errors import DimensionError, UsageError, check_array, check_int
 
 __all__ = [
     "PatchGrid",
@@ -84,17 +84,13 @@ def match_blocks(
     +-window of ``anchor``; ties break in row-major candidate order. If
     fewer than ``k`` candidates exist, the selection repeats cyclically.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 3:
-        raise DimensionError(f"cube must be 3-D, got shape {f.shape}")
+    f = check_array("cube", f, 3)
     rows, cols, _ = f.shape
     s = check_int("patch size", s, 1, min(rows, cols))
     k = check_int("k", k, 1)
     window = check_int("window", window, 0)
     ar = check_int("anchor row", anchor[0], 0, rows - s)
     ac = check_int("anchor column", anchor[1], 0, cols - s)
-    if not np.all(np.isfinite(f)):
-        raise DataError("cube contains non-finite values")
     view = sliding_window_view(f, (s, s), axis=(0, 1))  # (R, C, L, s, s)
     r0, r1 = max(0, ar - window), min(rows - s, ar + window)
     c0, c1 = max(0, ac - window), min(cols - s, ac + window)
@@ -157,9 +153,7 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     identical patches are at distance 0 and equal distances stay equal.
     The k nearest are picked by a partition, and only those are sorted.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 3:
-        raise DimensionError(f"cube must be 3-D, got shape {f.shape}")
+    f = check_array("cube", f, 3)
     rows, cols, bands = f.shape
     s = check_int("patch size", grid.patch_size, 1, min(rows, cols))
     k = check_int("k", k, 1)
@@ -170,8 +164,6 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     # Checked as Python ints: an anchor far out of range may not fit in intp.
     ar = np.array([check_int("anchor row", a, 0, rows - s) for a in grid.rows], dtype=np.intp)
     ac = np.array([check_int("anchor column", a, 0, cols - s) for a in grid.cols], dtype=np.intp)
-    if not np.all(np.isfinite(f)):
-        raise DataError("cube contains non-finite values")
     wr, wc = min(window, rows - s), min(window, cols - s)
     tr, tc = 2 * wr + 1, 2 * wc + 1
     t = np.arange(tc)
@@ -212,7 +204,8 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
 
 def build_group(f: np.ndarray, members: list[tuple[int, int]], s: int) -> np.ndarray:
     """Stack the members' full-band blocks into an (s*s, L, k) tensor."""
-    f = np.asarray(f, dtype=np.float64)
+    f = check_array("cube", f, 3, finite=False)
+    s = check_int("patch size", s, 1, min(f.shape[:2]))
     bands = f.shape[2]
     stacked = np.empty((s * s, bands, len(members)))
     for m, (r, c) in enumerate(members):
@@ -249,12 +242,20 @@ def aggregate(
     return total, counts
 
 
+def _check_indices(name: str, value) -> np.ndarray:
+    # An integer array as intp: a float would be truncated to some other patch.
+    value = np.asarray(value)
+    if value.dtype.kind not in "iu":
+        raise UsageError(f"{name} must be an integer array, got dtype {value.dtype}")
+    return value.astype(np.intp, copy=False)
+
+
 def _flat_indices(members: np.ndarray, s: int, dims: tuple[int, int, int]) -> np.ndarray:
     # Entry [n, i + s*j, lam, m] is the C-order flat index of voxel
     # (r + i, c + j, lam) of a ``dims`` cube, (r, c) = members[n, m].
     rows, cols, bands = dims
     s = check_int("patch size", s, 1, min(rows, cols))
-    members = np.asarray(members, dtype=np.intp)
+    members = _check_indices("member anchors", members)
     if members.ndim != 3 or members.shape[2] != 2:
         raise DimensionError(f"members must have shape (g, k, 2), got {members.shape}")
     r, c = members[..., 0], members[..., 1]
@@ -277,9 +278,7 @@ def gather_groups(
     ``build_group(f, members[n], s)``. Also returns the flat voxel
     indices of the stack, for :func:`scatter_groups`.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 3:
-        raise DimensionError(f"cube must be 3-D, got shape {f.shape}")
+    f = check_array("cube", f, 3, finite=False)
     idx = _flat_indices(members, s, f.shape)
     return f.ravel()[idx], idx
 
@@ -292,7 +291,8 @@ def scatter_groups(
     ``idx`` comes from :func:`gather_groups`. This is the ``total`` of
     :func:`aggregate`, accumulated in index order by ``np.bincount``.
     """
-    approx = np.asarray(approx, dtype=np.float64)
+    approx = check_array("approximation", approx, None, finite=False)
+    idx = _check_indices("indices", idx)
     if approx.shape != idx.shape:
         raise DimensionError(f"approximation shape {approx.shape} != groups {idx.shape}")
     size = dims[0] * dims[1] * dims[2]

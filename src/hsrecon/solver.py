@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import imaging, patches
-from .errors import DataError, DimensionError, check_int, check_positive
+from .errors import DimensionError, check_array, check_int, check_positive
 from .tensors import (
     TuckerFactors,
     frobenius_norm,
@@ -113,13 +113,15 @@ def shrink_core(
 ) -> np.ndarray:
     """Sign-preserving soft threshold: sign(g) * max(|g| - w/(2 tau), 0).
 
-    The result is written to ``out`` if given, which may be ``w`` itself.
+    The result is written to ``out`` if given, which may be ``w`` itself,
+    else to a new array (a ufunc would return a scalar for 0-d input).
     """
     tau = check_positive("tau", tau)
-    g_hat = np.asarray(g_hat, dtype=np.float64)
-    if np.shape(w) != g_hat.shape:
-        raise DimensionError(f"weights shape {np.shape(w)} != core shape {g_hat.shape}")
-    t = np.divide(w, 2.0 * tau, out=out)
+    g_hat = check_array("core", g_hat, None, finite=False)
+    w = check_array("weights", w, None, finite=False)
+    if w.shape != g_hat.shape:
+        raise DimensionError(f"weights shape {w.shape} != core shape {g_hat.shape}")
+    t = np.divide(w, 2.0 * tau, out=np.empty(w.shape) if out is None else out)
     np.subtract(np.abs(g_hat), t, out=t)
     np.maximum(t, 0.0, out=t)
     return np.copysign(t, g_hat, out=t)
@@ -128,7 +130,8 @@ def shrink_core(
 def update_weights(g: np.ndarray, c: float) -> np.ndarray:
     """Inverse-magnitude weights: w = c / (|g| + EPS)."""
     c = check_positive("c", c)
-    w = np.abs(np.asarray(g, dtype=np.float64))
+    g = check_array("core", g, None, finite=False)
+    w = np.abs(g, out=np.empty(g.shape))  # an array also for 0-d g
     w += EPS
     return np.divide(c, w, out=w)
 
@@ -160,13 +163,13 @@ def denoise_groups(
     docstring states. ``core_mag`` is only read.
     """
     dims = np.shape(stacked)[1:]
-    # A block fits if no mode exceeds the full core's min(d_n, size // d_n).
-    if core_mag is not None and (
-        core_mag.ndim != 4
-        or len(core_mag) != len(stacked)
-        or any(r > d or r * d > math.prod(dims) for r, d in zip(core_mag.shape[1:], dims))
-    ):
-        raise DimensionError(f"core_mag shape {core_mag.shape} does not fit the cores of {dims}")
+    if core_mag is not None:
+        core_mag = check_array("core_mag", core_mag, 4, finite=False)
+        # A block fits if no mode exceeds the full core's min(d_n, size // d_n).
+        if len(core_mag) != len(stacked) or any(
+            r > d or r * d > math.prod(dims) for r, d in zip(core_mag.shape[1:], dims)
+        ):
+            raise DimensionError(f"core_mag shape {core_mag.shape} does not fit cores {dims}")
     ranks = None
     if core_mag is not None and p.c / (2.0 * p.tau * EPS) > 2.0 * frobenius_norm(stacked):
         ranks = core_mag.shape[1:]
@@ -209,9 +212,9 @@ def cg_solve_image(
     tau = check_positive("tau", tau)
     cg_tol = check_positive("cg_tol", cg_tol)
     cg_max_iter = check_int("cg_max_iter", cg_max_iter, 1)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if not np.all(np.isfinite(rhs)):
-        raise DataError("right-hand side contains non-finite entries")
+    rhs, counts = check_array("right-hand side", rhs, 3), check_array("counts", counts, None)
+    if counts.shape != rhs.shape:
+        raise DimensionError(f"counts shape {counts.shape} != right-hand side {rhs.shape}")
     bnorm = frobenius_norm(rhs)
     if bnorm == 0.0:
         return np.zeros_like(rhs)

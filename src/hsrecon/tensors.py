@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, UsageError, check_int
+from .errors import DimensionError, UsageError, check_array, check_int
 
 __all__ = [
     "TuckerFactors",
@@ -53,15 +53,13 @@ class TuckerFactors:
 
 def frobenius_norm(t: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
+    return float(np.linalg.norm(check_array("tensor", t, None, finite=False).ravel()))
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Matricize ``t`` along ``mode`` (fibers as columns, cyclic ordering)."""
     a = check_int("mode", mode, 1, 3) - 1
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 3:
-        raise DimensionError(f"expected a 3-order tensor, got ndim={t.ndim}")
+    t = check_array("tensor", t, 3, finite=False)
     perm = (a, (a + 1) % 3, (a + 2) % 3)
     return t.transpose(perm).reshape(t.shape[a], -1)
 
@@ -69,7 +67,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
 def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold` with the same mode and target dims."""
     a = check_int("mode", mode, 1, 3) - 1
-    m = np.asarray(m, dtype=np.float64)
+    m = check_array("matrix", m, None, finite=False)
     perm = (a, (a + 1) % 3, (a + 2) % 3)
     shape = tuple(dims[p] for p in perm)
     if m.shape != (shape[0], shape[1] * shape[2]):
@@ -83,28 +81,16 @@ def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
 def mode_n_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     """Multiply tensor ``t`` by matrix ``a`` along ``mode``."""
     axis = check_int("mode", mode, 1, 3) - 1
-    t = np.asarray(t, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != t.shape[axis]:
+    t = check_array("tensor", t, 3, finite=False)
+    a = check_array("matrix", a, 2, finite=False)
+    if a.shape[1] != t.shape[axis]:
         raise DimensionError(
             f"matrix shape {a.shape} incompatible with mode-{mode} size {t.shape[axis]}"
         )
     dims = list(t.shape)
     dims[axis] = a.shape[0]
-    return fold(a @ unfold(t, mode), mode, tuple(dims))
-
-
-def _checked_tensors(t: np.ndarray, ndim: int, what: str) -> np.ndarray:
-    # HOSVD input: ``ndim`` axes, finite, and no zero-length tensor mode (the
-    # last three axes); an empty stack is fine.
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != ndim:
-        raise DimensionError(f"expected {what}, got ndim={t.ndim}")
-    if 0 in t.shape[-3:]:
-        raise DimensionError(f"tensor modes must be non-empty, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise DataError("tensor contains non-finite entries")
-    return t
+    with np.errstate(invalid="ignore"):  # 0 * inf gives NaN
+        return fold(a @ unfold(t, mode), mode, tuple(dims))
 
 
 def hosvd(t: np.ndarray) -> TuckerFactors:
@@ -113,7 +99,9 @@ def hosvd(t: np.ndarray) -> TuckerFactors:
     Factor ``U_n`` holds the left singular vectors of the mode-``n``
     unfolding; the core is ``t`` contracted with every ``U_n`` transposed.
     """
-    t = _checked_tensors(t, 3, "a 3-order tensor")
+    t = check_array("tensor", t, 3)
+    if 0 in t.shape:
+        raise DimensionError(f"tensor modes must be non-empty, got shape {t.shape}")
     factors = [np.linalg.svd(unfold(t, m), full_matrices=False)[0] for m in (1, 2, 3)]
     core = t
     for mode, u in zip((1, 2, 3), factors):
@@ -159,7 +147,9 @@ def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> Tuc
     same: the factors are the full ones' leading columns, bit for bit, and
     the block is the full core's up to rounding.
     """
-    t = _checked_tensors(t, 4, "a stack of 3-order tensors")
+    t = check_array("tensor stack", t, 4)
+    if 0 in t.shape[1:]:  # an empty stack is fine
+        raise DimensionError(f"tensor modes must be non-empty, got shape {t.shape}")
     g, d1, d2, d3 = t.shape
     size = d1 * d2 * d3
     full = [min(d, size // d) for d in (d1, d2, d3)]
@@ -188,12 +178,13 @@ def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> Tuc
 
 def tucker_reconstruct_batch(f: TuckerFactors) -> np.ndarray:
     """:func:`tucker_reconstruct` of every core in a ``(g, r1, r2, r3)`` stack."""
-    core = np.asarray(f.core, dtype=np.float64)
-    if core.ndim != 4 or len(f.factors) != 3 or any(
+    core = check_array("core stack", f.core, 4, finite=False)
+    if len(f.factors) != 3 or any(
         u.ndim != 3 or u.shape[0] != core.shape[0] or u.shape[2] != r
         for u, r in zip(f.factors, core.shape[1:])
     ):
         raise DimensionError(
             f"factor shapes {[u.shape for u in f.factors]} do not fit core {core.shape}"
         )
-    return _mode_products_batch(core, f.factors)
+    with np.errstate(invalid="ignore"):  # 0 * inf gives NaN
+        return _mode_products_batch(core, f.factors)

@@ -318,6 +318,20 @@ class TestBatchedGroups:
         with pytest.raises(DimensionError):
             gather_groups(f, np.array([[0, 0]]), 4)
 
+    def test_member_anchors_must_be_integers(self, rng):
+        # a float anchor used to be truncated to another patch's
+        f = rng.random((6, 6, 2))
+        bad = np.full((1, 2, 2), 1.5), np.full((1, 2, 2), np.nan), np.ones((1, 2, 2), bool)
+        for members in bad:
+            with pytest.raises(UsageError, match="integer"):
+                gather_groups(f, members, 3)
+            with pytest.raises(UsageError, match="integer"):
+                coverage_counts(members, 3, f.shape)
+        stacked, idx = gather_groups(f, np.array([[[0, 0], [1, 1]]], np.uint8), 3)
+        assert stacked.tobytes() == gather_groups(f, np.array([[[0, 0], [1, 1]]]), 3)[0].tobytes()
+        with pytest.raises(UsageError, match="integer"):
+            scatter_groups(stacked, idx.astype(float), f.shape)
+
     def test_gather_rejects_a_plane(self):
         with pytest.raises(DimensionError, match="3-D"):
             gather_groups(np.ones((4, 4)), np.zeros((1, 1, 2), int), 2)

@@ -60,6 +60,10 @@ class TestShrinkCore:
         with pytest.raises(DimensionError):
             shrink_core(np.ones((2, 3)), np.ones((3, 2)), 1.0)
 
+    def test_zero_d(self):
+        got = shrink_core(np.array(-1.0), np.array(0.5), 1.0)
+        assert isinstance(got, np.ndarray) and got.shape == () and got == -0.75
+
     def test_out_may_be_the_weights(self, rng):
         g, w = rng.standard_normal((3, 4, 5)), rng.random((3, 4, 5))
         expect = shrink_core(g, w, 0.7)
@@ -81,6 +85,10 @@ class TestUpdateWeights:
     def test_zero_coefficient(self):
         w = update_weights(np.zeros((1, 1, 1)), 0.0055)
         assert w[0, 0, 0] == pytest.approx(5500.0, rel=1e-12)
+
+    def test_zero_d(self):
+        w = update_weights(np.array(0.0), 0.0055)
+        assert isinstance(w, np.ndarray) and w.shape == () and w == pytest.approx(5500.0)
 
     def test_matching_coefficient(self):
         w = update_weights(np.full((1, 1, 1), 0.0055), 0.0055)
