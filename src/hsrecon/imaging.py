@@ -115,7 +115,8 @@ def pan_forward(f: np.ndarray, sys: SystemModel) -> np.ndarray:
     if sys.mode != DCCHI:
         raise UsageError("pan_forward requires a dual-camera system")
     f = _check_cube(f, sys)
-    return f @ np.ones(sys.bands)  # not f.sum(axis=2), which adds in another order
+    with np.errstate(invalid="ignore"):  # inf + -inf gives NaN
+        return f @ np.ones(sys.bands)  # not f.sum(axis=2), which adds in another order
 
 
 def forward(f: np.ndarray, sys: SystemModel) -> Measurement:

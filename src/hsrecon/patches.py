@@ -151,7 +151,9 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     reach candidates outside the plane, which are masked. The distances
     are sums of squared differences, never ``|a|^2 + |b|^2 - 2ab``, so
     identical patches are at distance 0 and equal distances stay equal.
-    The k nearest are picked by a partition, and only those are sorted.
+    The k nearest are picked by a partition, and only those are sorted,
+    one anchor row of the grid at a time, so the selection's temporaries
+    are one row's size; each anchor's pick reads only its own distances.
     """
     f = check_array("cube", f, 3)
     rows, cols, bands = f.shape
@@ -191,11 +193,15 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
             dist[up, :, wr - dr] = mirrored.transpose(2, 0, 1)[..., ::-1]
     cand = ac[:, None] + t - wc
     dist.transpose(0, 2, 1, 3)[..., (cand < 0) | (cand > cols - s)] = np.inf
-    dist = dist.reshape(len(ar) * len(ac), tr * tc)
-    dist[:, wr * tc + wc] = -1.0  # the anchor itself comes first
-    n_valid = np.isfinite(dist).sum(axis=1)
-    order = _smallest_stable(dist, min(k, tr * tc))
-    pick = np.take_along_axis(order, np.arange(k) % n_valid[:, None], axis=1)
+    dist = dist.reshape(len(ar), len(ac), tr * tc)
+    dist[..., wr * tc + wc] = -1.0  # the anchor itself comes first
+    pick = np.empty((len(ar), len(ac), k), dtype=np.intp)
+    cyclic = np.arange(k)
+    for row_dist, row_pick in zip(dist, pick):  # one anchor row of the grid at a time
+        n_valid = np.count_nonzero(np.isfinite(row_dist), axis=1)
+        order = _smallest_stable(row_dist, min(k, tr * tc))
+        row_pick[:] = np.take_along_axis(order, cyclic % n_valid[:, None], axis=1)
+    pick = pick.reshape(len(ar) * len(ac), k)
     members = np.empty(pick.shape + (2,), dtype=np.intp)
     members[..., 0] = np.repeat(ar, len(ac))[:, None] + pick // tc - wr
     members[..., 1] = np.tile(ac, len(ar))[:, None] + pick % tc - wc
@@ -244,7 +250,10 @@ def aggregate(
 
 def _check_indices(name: str, value) -> np.ndarray:
     # An integer array as intp: a float would be truncated to some other patch.
-    value = np.asarray(value)
+    try:
+        value = np.asarray(value)
+    except (TypeError, ValueError) as e:  # a ragged list, say
+        raise UsageError(f"{name} must be an integer array: {e}") from None
     if value.dtype.kind not in "iu":
         raise UsageError(f"{name} must be an integer array, got dtype {value.dtype}")
     return value.astype(np.intp, copy=False)
@@ -296,7 +305,16 @@ def scatter_groups(
     if approx.shape != idx.shape:
         raise DimensionError(f"approximation shape {approx.shape} != groups {idx.shape}")
     size = dims[0] * dims[1] * dims[2]
-    return np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size).reshape(dims)
+    # No scan of its own: bincount refuses a negative index, and its result
+    # runs past the cube for an index too large.
+    message = f"indices out of range for a cube of shape {tuple(dims)}"
+    try:
+        total = np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size)
+    except ValueError:
+        raise UsageError(message) from None
+    if len(total) > size:
+        raise UsageError(message)
+    return total.reshape(dims)
 
 
 def coverage_counts(

@@ -23,13 +23,17 @@ timing.
 As in reweighted l1, a coefficient shrunk to zero weighs c / EPS at the
 next visit, a threshold of c / (2 tau EPS): 2750 at the defaults. No core
 entry exceeds its group's Frobenius norm (about 190 for a 25x31x45 group
-in [0, 1]), so it stays zero until the next rematch. Each chunk keeps
-only the live block of its shrunk cores, and a revisit passes its shape
+in [0, 1]), so it stays zero until the next rematch. A revisit passes
+the shape of the live block of the chunk's shrunk cores (``_live_box``)
 to ``hosvd_batch`` as ``ranks``: the eigensolves are unchanged, while the
 core product, weights, shrink and Tucker reconstruction run on the block
 alone. The guard, c / (2 tau EPS) > 2 * the chunk's norm, leaves a margin
 for rounding; a chunk that fails it zero-pads the block and shrinks the
 full cores. Either way the output is the full step's up to rounding.
+After a visit the block is most of the full cores, but few of its entries
+are nonzero, so between iterations each chunk keeps only the block's
+shape and the flat positions and values of its nonzero entries, and
+rebuilds the dense block just before its next visit: the same bits.
 
 ``denoise_group`` is the same step for one group on
 ``tensors.hosvd``, kept as the reference the batched step is tested
@@ -122,7 +126,8 @@ def shrink_core(
     if w.shape != g_hat.shape:
         raise DimensionError(f"weights shape {w.shape} != core shape {g_hat.shape}")
     t = np.divide(w, 2.0 * tau, out=np.empty(w.shape) if out is None else out)
-    np.subtract(np.abs(g_hat), t, out=t)
+    with np.errstate(invalid="ignore"):  # inf - inf gives NaN
+        np.subtract(np.abs(g_hat), t, out=t)
     np.maximum(t, 0.0, out=t)
     return np.copysign(t, g_hat, out=t)
 
@@ -272,13 +277,22 @@ def reconstruct(
             parts = [slice(lo, lo + chunk) for lo in range(0, len(members), chunk)]
             mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
         # Shrunk-core magnitudes per chunk, kept only if the next iteration
-        # reads them: it exists and does not rematch.
+        # reads them: it exists and does not rematch. Kept as the live
+        # block's shape and its nonzero entries' flat positions and values.
         keep = it < p.max_iter and it % p.rematch_every != 0
 
         def step(i: int) -> np.ndarray:
             stacked, idx = patches.gather_groups(f, members[parts[i]], p.s)
-            approx, mag = denoise_groups(stacked, mags[i], p)
-            mags[i] = mag if keep else None
+            mag = None
+            if mags[i] is not None:
+                shape, pos, vals = mags[i]
+                mag = np.zeros(shape)
+                mag.put(pos, vals)
+            approx, mag = denoise_groups(stacked, mag, p)
+            mags[i] = None
+            if keep:
+                pos = np.flatnonzero(mag != 0)  # several times faster on bools than on floats
+                mags[i] = mag.shape, pos, mag.take(pos)
             return patches.scatter_groups(approx, idx, dims)
 
         total = _ordered_sum(len(parts), step, np.zeros(dims))

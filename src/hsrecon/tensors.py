@@ -179,12 +179,12 @@ def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> Tuc
 def tucker_reconstruct_batch(f: TuckerFactors) -> np.ndarray:
     """:func:`tucker_reconstruct` of every core in a ``(g, r1, r2, r3)`` stack."""
     core = check_array("core stack", f.core, 4, finite=False)
-    if len(f.factors) != 3 or any(
-        u.ndim != 3 or u.shape[0] != core.shape[0] or u.shape[2] != r
-        for u, r in zip(f.factors, core.shape[1:])
+    factors = [check_array("factor stack", u, 3, finite=False) for u in f.factors]
+    if len(factors) != 3 or any(
+        u.shape[0] != core.shape[0] or u.shape[2] != r for u, r in zip(factors, core.shape[1:])
     ):
         raise DimensionError(
-            f"factor shapes {[u.shape for u in f.factors]} do not fit core {core.shape}"
+            f"factor shapes {[u.shape for u in factors]} do not fit core {core.shape}"
         )
     with np.errstate(invalid="ignore"):  # 0 * inf gives NaN
-        return _mode_products_batch(core, f.factors)
+        return _mode_products_batch(core, factors)

@@ -98,6 +98,13 @@ class TestForward:
         expect = f[:, :, 0] + f[:, :, 1] + f[:, :, 2]
         np.testing.assert_allclose(pan_forward(f, sys), expect, rtol=1e-14)
 
+    def test_pan_opposite_infinities(self):
+        # the linear maps skip the finite scan: +inf + -inf is NaN, with no
+        # bare RuntimeWarning
+        sys = SystemModel(np.ones((1, 2)), 2, DCCHI)
+        got = pan_forward(np.array([[[np.inf, -np.inf], [np.inf, 1.0]]]), sys)
+        assert np.isnan(got[0, 0]) and got[0, 1] == np.inf
+
     def test_pan_requires_dcchi(self, rng):
         sys = SystemModel.default(np.ones((4, 4)), 2)
         with pytest.raises(UsageError):

@@ -175,6 +175,35 @@ class TestMatchGroups:
         got = match_groups(f, grid, 120, 30)
         assert np.array_equal(got, _stacked_match_blocks(f, grid, 2, 120, 30))
 
+    @pytest.mark.parametrize("tiled", [False, True], ids=["constant", "tiled"])
+    @pytest.mark.parametrize(
+        "shape, s, step, k, window, grid_shape",
+        [
+            ((5, 17, 2), 5, 2, 9, 6, (1, 7)),
+            ((17, 4, 3), 4, 3, 9, 6, (6, 1)),
+            # wider than the 9x11 plane; k > 63 candidates repeats cyclically
+            ((9, 11, 3), 3, 2, 70, 30, (4, 5)),
+        ],
+        ids=["one-anchor-row", "one-anchor-column", "window-wider-than-image"],
+    )
+    def test_equals_match_blocks_on_tie_heavy_cubes(
+        self, tiled, shape, s, step, k, window, grid_shape
+    ):
+        # match_groups selects one anchor row at a time; ties must still
+        # break as in match_blocks, anchor by anchor
+        rows, cols, bands = shape
+        if tiled:  # one s x s patch repeated over the plane
+            patch = np.random.default_rng(7).integers(0, 4, (s, s, bands)) / 4.0
+            f = np.tile(patch, (-(-rows // s), -(-cols // s), 1))[:rows, :cols]
+        else:
+            f = np.full(shape, 0.5)
+        grid = plan_grid(rows, cols, s, step)
+        assert (len(grid.rows), len(grid.cols)) == grid_shape
+        got = match_groups(f, grid, k, window)
+        expect = _stacked_match_blocks(f, grid, s, k, window)
+        for n, anchor in enumerate(grid.anchors):
+            assert got[n].tolist() == expect[n].tolist(), anchor
+
     # the last two: a (16, k, 2) intp array of 2**63 bytes or more, past NumPy's limit
     @pytest.mark.parametrize("k, window", [(0, 2), (-1, 2), (2, -1), (2**55, 2), (10**20, 2)])
     def test_rejects_bad_k_and_window(self, k, window):
@@ -331,6 +360,23 @@ class TestBatchedGroups:
         assert stacked.tobytes() == gather_groups(f, np.array([[[0, 0], [1, 1]]]), 3)[0].tobytes()
         with pytest.raises(UsageError, match="integer"):
             scatter_groups(stacked, idx.astype(float), f.shape)
+
+    def test_member_lists_must_not_be_ragged(self, rng):
+        f = rng.random((6, 6, 2))
+        ragged = [[[0, 0], [1, 1]], [[0, 0]]]
+        with pytest.raises(UsageError, match="integer array"):
+            gather_groups(f, ragged, 3)
+        with pytest.raises(UsageError, match="integer array"):
+            coverage_counts(ragged, 3, f.shape)
+
+    def test_scatter_index_out_of_range(self, rng):
+        f = rng.random((6, 6, 2))
+        stacked, idx = gather_groups(f, np.array([[[0, 0], [3, 3]]]), 3)
+        last = f.size - 1 - int(idx.max())  # moves the largest index onto the last voxel
+        assert scatter_groups(stacked, idx + last, f.shape).shape == f.shape
+        for bad in (idx + last + 1, idx + 1000, idx - int(idx.min()) - 1, idx - 1000):
+            with pytest.raises(UsageError, match="out of range"):
+                scatter_groups(stacked, bad, f.shape)
 
     def test_gather_rejects_a_plane(self):
         with pytest.raises(DimensionError, match="3-D"):

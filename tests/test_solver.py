@@ -64,6 +64,11 @@ class TestShrinkCore:
         got = shrink_core(np.array(-1.0), np.array(0.5), 1.0)
         assert isinstance(got, np.ndarray) and got.shape == () and got == -0.75
 
+    def test_infinite_core_entry_with_infinite_weight(self):
+        # inf - inf is NaN, returned without a bare RuntimeWarning
+        got = shrink_core(np.array([np.inf, -np.inf, 2.0]), np.array([np.inf, np.inf, 1.0]), 1.0)
+        assert np.isnan(got[0]) and np.isnan(got[1]) and got[2] == 1.5
+
     def test_out_may_be_the_weights(self, rng):
         g, w = rng.standard_normal((3, 4, 5)), rng.random((3, 4, 5))
         expect = shrink_core(g, w, 0.7)
@@ -515,6 +520,55 @@ class TestBatchedPipeline:
             rhs = backproj + 2.0 * p.tau * (total / counts)
             f = cg_solve_image(rhs, ones, sys, p.tau, cg_tol=1e-14, cg_max_iter=2000)
         np.testing.assert_allclose(got, np.clip(f, 0.0, 1.0), rtol=0, atol=1e-9)
+
+
+class TestKeptCoreState:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_revisit_receives_the_previous_block_bitwise(self, monkeypatch, workers):
+        # Between visits reconstruct keeps only the nonzero entries of each
+        # chunk's shrunk-core block; the block a revisit is handed must be
+        # bitwise the one the chunk's previous visit returned.
+        f_true = make_smooth_cube(20, 20, 3, seed=4)
+        sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3)
+        y = imaging.forward(f_true, sys)
+        p = SolverParams(k=6, window=4, max_iter=7, rematch_every=3)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
+        monkeypatch.setattr(solver, "WORKERS", workers)
+        gather, denoise = patches.gather_groups, solver.denoise_groups
+        current = threading.local()
+        lock = threading.Lock()
+        visits = {}  # chunk -> (block received, block returned) per iteration
+
+        def gather_spy(f, members, s):
+            # a group's first member is its anchor, so this names the chunk
+            current.chunk = tuple(members[0, 0].tolist())
+            return gather(f, members, s)
+
+        def denoise_spy(stacked, core_mag, p):
+            received = None if core_mag is None else core_mag.copy()
+            approx, mag = denoise(stacked, core_mag, p)
+            with lock:
+                visits.setdefault(current.chunk, []).append((received, mag.copy()))
+            return approx, mag
+
+        monkeypatch.setattr(patches, "gather_groups", gather_spy)
+        monkeypatch.setattr(solver, "denoise_groups", denoise_spy)
+        reconstruct(y, sys, p)
+
+        assert len(visits) == 9
+        zeros = 0
+        for seq in visits.values():
+            assert len(seq) == p.max_iter
+            for it, (received, _) in enumerate(seq):
+                if it % p.rematch_every == 0:  # first visit after a match
+                    assert received is None
+                    continue
+                returned = seq[it - 1][1]
+                assert received.dtype == returned.dtype == np.float64
+                assert received.shape == returned.shape
+                assert received.tobytes() == returned.tobytes()
+                zeros += received.size - np.count_nonzero(received)
+        assert zeros > 0  # the blocks hold zeros that the kept state leaves out
 
 
 class TestWorkerPool:

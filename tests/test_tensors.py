@@ -264,6 +264,20 @@ def test_tucker_reconstruct_batch_rejects_two_factors():
         tucker_reconstruct_batch(TuckerFactors(np.zeros((2, 3, 3, 3)), (eye, eye)))
 
 
+def test_tucker_reconstruct_batch_factor_arrays(rng):
+    # factors go through the array contract like the core: lists work,
+    # complex factors are refused instead of giving a complex cube
+    core = rng.standard_normal((2, 3, 2, 4))
+    factors = [rng.standard_normal((2, d, r)) for d, r in ((5, 3), (4, 2), (6, 4))]
+    expect = tucker_reconstruct_batch(TuckerFactors(core, tuple(factors)))
+    got = tucker_reconstruct_batch(TuckerFactors(core, tuple(u.tolist() for u in factors)))
+    assert got.tobytes() == expect.tobytes()
+    with pytest.raises(UsageError, match="real array"):
+        tucker_reconstruct_batch(TuckerFactors(core, (factors[0] * 1j, factors[1], factors[2])))
+    with pytest.raises(DimensionError):
+        tucker_reconstruct_batch(TuckerFactors(core, (factors[0][0], factors[1], factors[2])))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dims=st.tuples(
