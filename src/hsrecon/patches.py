@@ -306,12 +306,18 @@ def scatter_groups(
         raise DimensionError(f"approximation shape {approx.shape} != groups {idx.shape}")
     size = dims[0] * dims[1] * dims[2]
     # No scan of its own: bincount refuses a negative index, and its result
-    # runs past the cube for an index too large.
+    # runs past the cube for an index too large, or fails to allocate for
+    # one far too large. Only then are the indices scanned, so that a real
+    # out-of-memory on a valid cube keeps its type.
     message = f"indices out of range for a cube of shape {tuple(dims)}"
     try:
         total = np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size)
     except ValueError:
         raise UsageError(message) from None
+    except MemoryError:
+        if idx.size and idx.max() >= size:
+            raise UsageError(message) from None
+        raise
     if len(total) > size:
         raise UsageError(message)
     return total.reshape(dims)

@@ -8,6 +8,13 @@ denoised groups back, and (d) solves the coupled least-squares image
 update exactly, with the factorization ``imaging.ridge_factor`` builds
 once per reconstruction.
 
+The loop is accelerated with FISTA momentum (Beck and Teboulle, 2009)
+and the gradient restart of O'Donoghue and Candes (2015): steps (a) and
+(b) read an extrapolated point x, not the last solution f of step (d).
+``_momentum`` gives the next x from the new solution, the previous one
+and the momentum scalar t, which starts at 1; x restarts at the new
+solution with t = 1 whenever the last step went against the momentum.
+
 Step (a) matches every anchor at once with ``patches.match_groups``.
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
 groups: ``patches.gather_groups`` stacks a chunk, ``denoise_groups``
@@ -30,10 +37,11 @@ core product, weights, shrink and Tucker reconstruction run on the block
 alone. The guard, c / (2 tau EPS) > 2 * the chunk's norm, leaves a margin
 for rounding; a chunk that fails it zero-pads the block and shrinks the
 full cores. Either way the output is the full step's up to rounding.
-After a visit the block is most of the full cores, but few of its entries
-are nonzero, so between iterations each chunk keeps only the block's
-shape and the flat positions and values of its nonzero entries, and
-rebuilds the dense block just before its next visit: the same bits.
+After a first visit the block can be most of the full cores, after a
+later one much less (README.md gives figures), and few of its entries are
+nonzero, so between iterations each chunk keeps only the block's shape
+and the flat positions and values of its nonzero entries, and rebuilds
+the dense block just before its next visit: the same bits.
 
 ``denoise_group`` is the same step for one group on
 ``tensors.hosvd``, kept as the reference the batched step is tested
@@ -252,8 +260,19 @@ def reconstruct(
 ) -> np.ndarray:
     """Full alternating-minimization reconstruction from a measurement.
 
-    ``progress`` receives (iteration, data-fit residual, elapsed seconds)
-    once per outer iteration. The returned cube is clamped to [0, 1].
+    Matching and the group step read the point x; the data step gives the
+    solution f_new. Then, with f_prev the solution before it and t the
+    momentum scalar (1 at the start, and x = f before the first step):
+    if <x - f_new, f_new - f_prev> > 0 the step went against the momentum,
+    and the loop restarts with x = f_new and t = 1; otherwise
+    t' = (1 + sqrt(1 + 4 t^2)) / 2, x = f_new + ((t - 1) / t') (f_new -
+    f_prev) and t = t'. The rule has no parameter and needs no residual,
+    so the loop has no option: the plain loop it replaced read a lower
+    PSNR at every benchmark workload's iteration count.
+
+    ``progress`` receives (iteration, data-fit residual of f_new, elapsed
+    seconds) once per outer iteration. The returned cube is the last f_new
+    clamped to [0, 1].
 
     The denoised groups enter the image update as their per-voxel average
     (aggregate sum divided by coverage counts) under a unit prior weight.
@@ -269,10 +288,11 @@ def reconstruct(
 
     grid = patches.plan_grid(rows, cols, p.s, p.step)
     chunk = max(1, CHUNK_BYTES // (8 * p.s * p.s * sys.bands * p.k))
+    x, t = f, 1.0  # the point the group step reads, and the momentum scalar
     t0 = time.perf_counter()
     for it in range(1, p.max_iter + 1):
         if (it - 1) % p.rematch_every == 0:
-            members = patches.match_groups(f, grid, p.k, p.window)
+            members = patches.match_groups(x, grid, p.k, p.window)
             counts = patches.coverage_counts(members, p.s, dims)
             parts = [slice(lo, lo + chunk) for lo in range(0, len(members), chunk)]
             mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
@@ -282,7 +302,7 @@ def reconstruct(
         keep = it < p.max_iter and it % p.rematch_every != 0
 
         def step(i: int) -> np.ndarray:
-            stacked, idx = patches.gather_groups(f, members[parts[i]], p.s)
+            stacked, idx = patches.gather_groups(x, members[parts[i]], p.s)
             mag = None
             if mags[i] is not None:
                 shape, pos, vals = mags[i]
@@ -297,11 +317,28 @@ def reconstruct(
 
         total = _ordered_sum(len(parts), step, np.zeros(dims))
         rhs = backproj + (2.0 * p.tau) * (total / counts)
-        f = imaging.ridge_solve(data_step, rhs)
+        f_new = imaging.ridge_solve(data_step, rhs)
+        x, t = _momentum(x, f_new, f, t)
+        f = f_new
         if progress is not None:
             fit = _data_fit(y, f, sys)
             progress(it, fit, time.perf_counter() - t0)
     return np.clip(f, 0.0, 1.0)
+
+
+def _momentum(
+    x: np.ndarray, f_new: np.ndarray, f_prev: np.ndarray, t: float
+) -> tuple[np.ndarray, float]:
+    """The next point x and momentum scalar t, by the rule of :func:`reconstruct`.
+
+    The inner product is NumPy's pairwise sum, not a BLAS dot, so its bits
+    do not depend on a thread count.
+    """
+    step = f_new - f_prev
+    if np.sum((x - f_new) * step) > 0.0:
+        return f_new, 1.0
+    t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+    return f_new + ((t - 1.0) / t_next) * step, t_next
 
 
 def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -> np.ndarray:

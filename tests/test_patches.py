@@ -378,6 +378,24 @@ class TestBatchedGroups:
             with pytest.raises(UsageError, match="out of range"):
                 scatter_groups(stacked, bad, f.shape)
 
+    def test_scatter_index_far_past_the_cube(self, rng):
+        # bincount cannot allocate a result that reaches this index
+        f = rng.random((6, 6, 2))
+        stacked, idx = gather_groups(f, np.array([[[0, 0], [3, 3]]]), 3)
+        with pytest.raises(UsageError, match="out of range"):
+            scatter_groups(stacked, idx + 10**12, f.shape)
+
+    def test_scatter_out_of_memory_on_valid_indices_keeps_its_type(self, rng, monkeypatch):
+        f = rng.random((6, 6, 2))
+        stacked, idx = gather_groups(f, np.array([[[0, 0], [3, 3]]]), 3)
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("no memory")
+
+        monkeypatch.setattr(np, "bincount", no_memory)
+        with pytest.raises(MemoryError, match="no memory"):
+            scatter_groups(stacked, idx, f.shape)
+
     def test_gather_rejects_a_plane(self):
         with pytest.raises(DimensionError, match="3-D"):
             gather_groups(np.ones((4, 4)), np.zeros((1, 1, 2), int), 2)

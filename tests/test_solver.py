@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_smooth_cube
 
@@ -482,6 +483,31 @@ class TestReconstruct:
         assert all(r[1] >= 0 and r[2] >= 0 for r in rows)
 
 
+class TestMomentum:
+    # small integers: every difference, product and sum below is exact, so
+    # the sign of the inner product does not depend on how it is summed
+    _cubes = st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            *[hnp.arrays(np.float64, (n, 2, 2), elements=st.integers(-9, 9).map(float))] * 3
+        )
+    )
+
+    @settings(deadline=None, max_examples=200)
+    @given(cubes=_cubes, t=st.floats(1.0, 100.0))
+    def test_restarts_exactly_when_the_step_opposes_the_momentum(self, cubes, t):
+        x, f_new, f_prev = cubes
+        before = [a.tobytes() for a in cubes]
+        x_next, t_next = solver._momentum(x, f_new, f_prev, t)
+        assert [a.tobytes() for a in cubes] == before  # inputs are only read
+        inner = sum(int(a) * int(b) for a, b in zip((x - f_new).ravel(), (f_new - f_prev).ravel()))
+        if inner > 0:
+            assert t_next == 1.0 and x_next.tobytes() == f_new.tobytes()
+        else:
+            assert t_next == (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            expect = f_new + ((t - 1.0) / t_next) * (f_new - f_prev)
+            assert x_next.tobytes() == expect.tobytes()
+
+
 class TestBatchedPipeline:
     def test_matches_per_group_loop(self, monkeypatch):
         self._check_against_loop(monkeypatch, rematch_every=3)
@@ -508,17 +534,23 @@ class TestBatchedPipeline:
             backproj, ones, sys, solver.INIT_RIDGE / 2, cg_tol=1e-14, cg_max_iter=2000
         )
         grid = patches.plan_grid(20, 20, p.s, p.step)
+        x, t = f, 1.0  # the group step reads x, FISTA's extrapolated point
         for it in range(p.max_iter):
             if it % p.rematch_every == 0:
-                members = [patches.match_blocks(f, a, p.s, p.k, p.window) for a in grid.anchors]
+                members = [patches.match_blocks(x, a, p.s, p.k, p.window) for a in grid.anchors]
                 mags = [None] * len(members)
             approxed = []
             for n, mem in enumerate(members):
-                approx, mags[n] = denoise_group(patches.build_group(f, mem, p.s), mags[n], p)
+                approx, mags[n] = denoise_group(patches.build_group(x, mem, p.s), mags[n], p)
                 approxed.append((mem, approx))
             total, counts = patches.aggregate(approxed, f_true.shape)
             rhs = backproj + 2.0 * p.tau * (total / counts)
-            f = cg_solve_image(rhs, ones, sys, p.tau, cg_tol=1e-14, cg_max_iter=2000)
+            f_prev, f = f, cg_solve_image(rhs, ones, sys, p.tau, cg_tol=1e-14, cg_max_iter=2000)
+            if np.vdot(x - f, f - f_prev) > 0:  # the step went against the momentum
+                x, t = f, 1.0
+            else:
+                t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+                x, t = f + (t - 1.0) / t_next * (f - f_prev), t_next
         np.testing.assert_allclose(got, np.clip(f, 0.0, 1.0), rtol=0, atol=1e-9)
 
 
@@ -587,6 +619,29 @@ class TestWorkerPool:
         for workers in (1, 2, 3):
             monkeypatch.setattr(solver, "WORKERS", workers)
             outputs.append(reconstruct(y, sys, p).tobytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_dcchi_rematching_every_iteration_independent_of_worker_count(self, monkeypatch):
+        # long enough for the momentum to restart, which the spy confirms
+        f_true = make_smooth_cube(20, 20, 3, seed=4)
+        sys = SystemModel(imaging.generate_mask(20, 20, 0.5, 6), 3, imaging.DCCHI)
+        y = imaging.forward(f_true, sys)
+        p = SolverParams(k=6, window=4, max_iter=12, rematch_every=1, tau=0.1)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
+        momentum, restarts = solver._momentum, []
+
+        def spy(x, f_new, f_prev, t):
+            x_next, t_next = momentum(x, f_new, f_prev, t)
+            restarts.append(t_next == 1.0)
+            return x_next, t_next
+
+        monkeypatch.setattr(solver, "_momentum", spy)
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(solver, "WORKERS", workers)
+            restarts.clear()
+            outputs.append(reconstruct(y, sys, p).tobytes())
+            assert len(restarts) == p.max_iter and any(restarts)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_sum_order_fixed_under_any_timing(self, monkeypatch):
