@@ -96,14 +96,19 @@ def _ssim_band(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
     return float(np.mean(num / den))
 
 
+def _ssim(ref: np.ndarray, est: np.ndarray) -> float:
+    # SSIM of a checked pair whose bands fit the window.
+    g = _gaussian_window(_SSIM_WIN, _SSIM_SIGMA)
+    vals = [_ssim_band(ref[:, :, b], est[:, :, b], g) for b in range(ref.shape[2])]
+    return float(np.mean(vals))
+
+
 def ssim(ref: np.ndarray, est: np.ndarray) -> float:
     """Mean over bands of the single-scale structural similarity index."""
     ref, est = _check_pair(ref, est)
     if min(ref.shape[0], ref.shape[1]) < _SSIM_WIN:
         raise UsageError(f"bands must be at least {_SSIM_WIN}x{_SSIM_WIN} for SSIM")
-    g = _gaussian_window(_SSIM_WIN, _SSIM_SIGMA)
-    vals = [_ssim_band(ref[:, :, b], est[:, :, b], g) for b in range(ref.shape[2])]
-    return float(np.mean(vals))
+    return _ssim(ref, est)
 
 
 def rmse(ref: np.ndarray, est: np.ndarray) -> float:
@@ -121,8 +126,9 @@ def ergas(ref: np.ndarray, est: np.ndarray) -> float:
 def evaluate(ref: np.ndarray, est: np.ndarray) -> QualityReport:
     """All four indexes plus the per-band PSNR list.
 
-    ERGAS is ``nan`` when a reference band has zero mean, where it is
-    undefined; the other indexes are still reported.
+    ERGAS is ``nan`` when a reference band has zero mean, and SSIM when
+    the bands are smaller than its 11x11 window, where each is undefined;
+    the other indexes are still reported.
     """
     ref, est = _check_pair(ref, est)
     sse = _band_sse(ref, est)
@@ -134,7 +140,7 @@ def evaluate(ref: np.ndarray, est: np.ndarray) -> QualityReport:
         ergas_ = math.nan
     return QualityReport(
         psnr=_mse_to_db(mse),
-        ssim=ssim(ref, est),
+        ssim=_ssim(ref, est) if min(ref.shape[0], ref.shape[1]) >= _SSIM_WIN else math.nan,
         ergas=ergas_,
         rmse=float(np.sqrt(mse)),
         band_psnr=tuple(_mse_to_db(e / plane) for e in sse),

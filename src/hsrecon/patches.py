@@ -14,9 +14,9 @@ by a partition and returns a ``(g, k, 2)`` array of member anchors;
 into the flattened cube and returns those flat indices;
 ``scatter_groups`` adds approximated groups back along the same indices
 with ``np.bincount``; ``coverage_counts`` counts the patches covering
-each voxel. ``match_blocks``, ``build_group`` and ``aggregate`` do the
-same one group at a time and stay as the reference the batched path is
-tested against.
+each pixel, one plane for all bands. ``match_blocks``, ``build_group``
+and ``aggregate`` do the same one group at a time and stay as the
+reference the batched path is tested against.
 """
 from __future__ import annotations
 
@@ -48,10 +48,6 @@ class PatchGrid:
     patch_size: int
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-
-    @property
-    def anchors(self) -> list[tuple[int, int]]:
-        return [(r, c) for r in self.rows for c in self.cols]
 
 
 def _axis_anchors(extent: int, s: int, step: int) -> tuple[int, ...]:
@@ -138,8 +134,8 @@ def _smallest_stable(x: np.ndarray, m: int) -> np.ndarray:
 def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndarray:
     """:func:`match_blocks` for every anchor of ``grid`` at once.
 
-    Returns a ``(G, k, 2)`` int array whose row ``n`` equals
-    ``match_blocks(f, grid.anchors[n], grid.patch_size, k, window)``. The
+    Returns a ``(G, k, 2)`` int array whose row ``n`` is :func:`match_blocks`
+    of the ``n``-th anchor of ``itertools.product(grid.rows, grid.cols)``. The
     cube is held as flat band planes, ``(L, rows*cols)``, so for each row
     offset ``dr >= 0`` and column offset ``dc`` of the window, the
     band-summed squared difference between every pixel and the pixel
@@ -305,29 +301,13 @@ def scatter_groups(
     if approx.shape != idx.shape:
         raise DimensionError(f"approximation shape {approx.shape} != groups {idx.shape}")
     size = dims[0] * dims[1] * dims[2]
-    # No scan of its own: bincount refuses a negative index, and its result
-    # runs past the cube for an index too large, or fails to allocate for
-    # one far too large. Only then are the indices scanned, so that a real
-    # out-of-memory on a valid cube keeps its type.
-    message = f"indices out of range for a cube of shape {tuple(dims)}"
-    try:
-        total = np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size)
-    except ValueError:
-        raise UsageError(message) from None
-    except MemoryError:
-        if idx.size and idx.max() >= size:
-            raise UsageError(message) from None
-        raise
-    if len(total) > size:
-        raise UsageError(message)
-    return total.reshape(dims)
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise UsageError(f"indices out of range for a cube of shape {tuple(dims)}")
+    return np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size).reshape(dims)
 
 
-def coverage_counts(
-    members: np.ndarray, s: int, dims: tuple[int, int, int]
-) -> np.ndarray:
-    """Patches covering each voxel: the ``counts`` of :func:`aggregate`."""
-    rows, cols, bands = dims
-    plane = _flat_indices(members, s, (rows, cols, 1))
-    counts = np.bincount(plane.ravel(), minlength=rows * cols).astype(np.float64)
-    return np.repeat(counts.reshape(rows, cols, 1), bands, axis=2)
+def coverage_counts(members: np.ndarray, s: int, plane: tuple[int, int]) -> np.ndarray:
+    """The ``counts`` of :func:`aggregate` as one ``(rows, cols, 1)`` plane for all bands."""
+    rows, cols = plane
+    idx = _flat_indices(members, s, (rows, cols, 1)).ravel()
+    return np.bincount(idx, minlength=rows * cols).astype(np.float64).reshape(rows, cols, 1)

@@ -63,7 +63,6 @@ from . import imaging, patches
 from .errors import DimensionError, check_array, check_int, check_positive
 from .tensors import (
     TuckerFactors,
-    frobenius_norm,
     hosvd,
     hosvd_batch,
     tucker_reconstruct,
@@ -175,7 +174,8 @@ def denoise_groups(
     is all of the new cores a revisit computes, under the guard the module
     docstring states. ``core_mag`` is only read.
     """
-    dims = np.shape(stacked)[1:]
+    stacked = check_array("stacked", stacked, 4, finite=False)
+    dims = stacked.shape[1:]
     if core_mag is not None:
         core_mag = check_array("core_mag", core_mag, 4, finite=False)
         # A block fits if no mode exceeds the full core's min(d_n, size // d_n).
@@ -184,7 +184,7 @@ def denoise_groups(
         ):
             raise DimensionError(f"core_mag shape {core_mag.shape} does not fit cores {dims}")
     ranks = None
-    if core_mag is not None and p.c / (2.0 * p.tau * EPS) > 2.0 * frobenius_norm(stacked):
+    if core_mag is not None and p.c / (2.0 * p.tau * EPS) > 2.0 * np.linalg.norm(stacked.ravel()):
         ranks = core_mag.shape[1:]
     tf = hosvd_batch(stacked, ranks)
     mag = tf.core if core_mag is None else core_mag
@@ -228,7 +228,7 @@ def cg_solve_image(
     rhs, counts = check_array("right-hand side", rhs, 3), check_array("counts", counts, None)
     if counts.shape != rhs.shape:
         raise DimensionError(f"counts shape {counts.shape} != right-hand side {rhs.shape}")
-    bnorm = frobenius_norm(rhs)
+    bnorm = np.linalg.norm(rhs.ravel())
     if bnorm == 0.0:
         return np.zeros_like(rhs)
 
@@ -280,6 +280,9 @@ def reconstruct(
     data term negligible per iteration and stalls convergence at desk
     scale, so the averaged form is used.
     """
+    # Checked here, so that a NaN or an infinity is named by its plane.
+    pan = None if y.pan is None else check_array("pan plane", y.pan, None)
+    y = imaging.Measurement(check_array("measurement", y.cassi, None), pan)
     rows, cols = sys.mask.shape
     dims = (rows, cols, sys.bands)
     backproj = imaging.adjoint(y, sys)
@@ -293,7 +296,7 @@ def reconstruct(
     for it in range(1, p.max_iter + 1):
         if (it - 1) % p.rematch_every == 0:
             members = patches.match_groups(x, grid, p.k, p.window)
-            counts = patches.coverage_counts(members, p.s, dims)
+            counts = patches.coverage_counts(members, p.s, (rows, cols))
             parts = [slice(lo, lo + chunk) for lo in range(0, len(members), chunk)]
             mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
         # Shrunk-core magnitudes per chunk, kept only if the next iteration

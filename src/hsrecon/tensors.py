@@ -32,7 +32,6 @@ from .errors import DimensionError, UsageError, check_array, check_int
 
 __all__ = [
     "TuckerFactors",
-    "frobenius_norm",
     "unfold",
     "fold",
     "mode_n_product",
@@ -49,11 +48,6 @@ class TuckerFactors:
 
     core: np.ndarray
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def frobenius_norm(t: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(check_array("tensor", t, None, finite=False).ravel()))
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:

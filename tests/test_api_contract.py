@@ -72,7 +72,7 @@ _TABLE = {
     ),
     "gather_groups.s": (lambda v: patches.gather_groups(CUBE, MEMBERS, v), min(ROWS, COLS)),
     "coverage_counts.s": (
-        lambda v: patches.coverage_counts(MEMBERS, v, CUBE.shape), min(ROWS, COLS)
+        lambda v: patches.coverage_counts(MEMBERS, v, (ROWS, COLS)), min(ROWS, COLS)
     ),
     "hosvd_batch.ranks[0]": (lambda v: tensors.hosvd_batch(STACK, (v, 1, 1)), 9),
     "hosvd_batch.ranks[1]": (lambda v: tensors.hosvd_batch(STACK, (1, v, 1)), 3),
@@ -172,7 +172,6 @@ _ARRAYS = {
     "update_weights.g": (lambda v: solver.update_weights(v, 0.01), A_CORE),
     "denoise_groups.stacked": (lambda v: solver.denoise_groups(v, None, A_PARAMS), A_STACK),
     "denoise_groups.core_mag": (lambda v: solver.denoise_groups(A_STACK, v, A_PARAMS), A_MAG),
-    "frobenius_norm.t": (tensors.frobenius_norm, A_CORE),
     "unfold.t": (lambda v: tensors.unfold(v, 2), A_CORE),
     "fold.m": (lambda v: tensors.fold(v, 2, A_CORE.shape), tensors.unfold(A_CORE, 2)),
     "mode_n_product.t": (lambda v: tensors.mode_n_product(v, np.eye(3), 2), A_CORE),
@@ -193,7 +192,7 @@ _ARRAYS = {
     "scatter_groups.approx": (lambda v: patches.scatter_groups(v, A_IDX, A_CUBE.shape),
                               A_APPROX),
     "scatter_groups.idx": (lambda v: patches.scatter_groups(A_APPROX, v, A_CUBE.shape), A_IDX),
-    "coverage_counts.members": (lambda v: patches.coverage_counts(v, 3, A_CUBE.shape),
+    "coverage_counts.members": (lambda v: patches.coverage_counts(v, 3, A_CUBE.shape[:2]),
                                 A_MEMBERS),
     "rgb_preview.f": (lambda v: color.rgb_preview(v, A_WL), A_CUBE),
     "rgb_preview.wavelengths": (lambda v: color.rgb_preview(A_CUBE, v), A_WL),

@@ -491,6 +491,20 @@ def test_evaluate_all_zero_reference_reports_nan_ergas(tmp_path, capsys):
     assert "ERGAS      nan" in capsys.readouterr().out
 
 
+def test_evaluate_planes_smaller_than_the_ssim_window_report_nan_ssim(tmp_path, capsys):
+    ref, est = tmp_path / "ref.hsc", tmp_path / "est.hsc"
+    cube = make_smooth_cube(10, 10, 4, seed=2)
+    fileio.write_cube(cube, ref)
+    fileio.write_cube(0.9 * cube + 0.05, est)  # PSNR, RMSE and ERGAS are defined here
+    out = tmp_path / "report.csv"
+    assert cli(["evaluate", "--ref", str(ref), "--est", str(est), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    report = dict(zip(header.split(","), row.split(",")))
+    assert report["ssim"] == "nan"
+    assert float(report["psnr_db"]) == pytest.approx(metrics.psnr(cube, 0.9 * cube + 0.05))
+    assert "SSIM       nan" in capsys.readouterr().out
+
+
 def test_evaluate_zero_size_cube_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty.hsc"
     empty.write_bytes(b"HSC1" + bytes(4) + (4).to_bytes(4, "little") * 2)  # rows = 0

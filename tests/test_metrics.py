@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hsrecon import metrics
 from hsrecon.errors import DataError, DimensionError, UsageError
 from hsrecon.metrics import ergas, evaluate, psnr, rmse, ssim
 
@@ -144,6 +145,30 @@ class TestEvaluate:
         report = evaluate(zero, zero)
         assert report.psnr == 100.0 and report.rmse == 0.0 and report.ssim == 1.0
         assert math.isnan(report.ergas)
+
+    @pytest.mark.parametrize("shape", [(10, 10, 4), (10, 16, 2), (16, 10, 2)])
+    def test_plane_smaller_than_the_ssim_window_gives_nan_ssim_only(self, rng, shape):
+        ref = rng.random(shape)
+        est = ref + 0.01 * rng.standard_normal(shape)
+        report = evaluate(ref, est)
+        assert math.isnan(report.ssim)
+        assert report.psnr == psnr(ref, est)
+        assert report.rmse == rmse(ref, est)
+        assert report.ergas == ergas(ref, est)
+        with pytest.raises(UsageError, match="11x11"):
+            ssim(ref, est)
+
+    def test_checks_the_pair_once(self, rng, monkeypatch):
+        calls = []
+        check = metrics._check_pair
+
+        def counted(ref, est):
+            calls.append(ref)
+            return check(ref, est)
+
+        monkeypatch.setattr(metrics, "_check_pair", counted)
+        evaluate(*_pair(rng))
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("index", [psnr, ssim, rmse, ergas, evaluate])

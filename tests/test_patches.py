@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,23 +25,21 @@ class TestPlanGrid:
     def test_small_grid(self):
         grid = plan_grid(9, 9, 5, 4)
         assert grid.rows == (0, 4) and grid.cols == (0, 4)
-        assert len(grid.anchors) == 4
 
     def test_single_anchor(self):
         grid = plan_grid(5, 5, 5, 4)
-        assert grid.anchors == [(0, 0)]
+        assert grid.rows == (0,) and grid.cols == (0,)
 
     def test_full_scale_count(self):
         grid = plan_grid(256, 256, 5, 4)
         expect = sorted(set(range(0, 252, 4)) | {251})
         assert list(grid.rows) == expect
-        assert len(grid.rows) == 64
-        assert len(grid.anchors) == 4096
+        assert len(grid.rows) == 64 and grid.cols == grid.rows
 
     def test_coverage(self):
         grid = plan_grid(13, 11, 5, 4)
         covered = np.zeros((13, 11), dtype=bool)
-        for r, c in grid.anchors:
+        for r, c in itertools.product(grid.rows, grid.cols):
             covered[r : r + 5, c : c + 5] = True
         assert covered.all()
 
@@ -105,7 +105,8 @@ class TestMatchBlocks:
 
 
 def _stacked_match_blocks(f, grid, s, k, window):
-    return np.array([match_blocks(f, a, s, k, window) for a in grid.anchors], dtype=np.intp)
+    anchors = itertools.product(grid.rows, grid.cols)
+    return np.array([match_blocks(f, a, s, k, window) for a in anchors], dtype=np.intp)
 
 
 @st.composite
@@ -201,7 +202,7 @@ class TestMatchGroups:
         assert (len(grid.rows), len(grid.cols)) == grid_shape
         got = match_groups(f, grid, k, window)
         expect = _stacked_match_blocks(f, grid, s, k, window)
-        for n, anchor in enumerate(grid.anchors):
+        for n, anchor in enumerate(itertools.product(grid.rows, grid.cols)):
             assert got[n].tolist() == expect[n].tolist(), anchor
 
     # the last two: a (16, k, 2) intp array of 2**63 bytes or more, past NumPy's limit
@@ -336,7 +337,9 @@ class TestBatchedGroups:
         total, counts = aggregate(groups, f.shape)
         got = scatter_groups(approx, idx, f.shape)
         assert np.max(np.abs(got - total)) <= 1e-12 * np.max(np.abs(total))
-        assert np.array_equal(coverage_counts(members, 5, f.shape), counts)
+        plane = coverage_counts(members, 5, f.shape[:2])
+        assert plane.shape == (20, 20, 1)
+        assert np.array_equal(np.broadcast_to(plane, counts.shape), counts)
         exact = scatter_groups(stacked, idx, f.shape)
         np.testing.assert_allclose(exact, counts * f, rtol=1e-12)
 
@@ -355,7 +358,7 @@ class TestBatchedGroups:
             with pytest.raises(UsageError, match="integer"):
                 gather_groups(f, members, 3)
             with pytest.raises(UsageError, match="integer"):
-                coverage_counts(members, 3, f.shape)
+                coverage_counts(members, 3, f.shape[:2])
         stacked, idx = gather_groups(f, np.array([[[0, 0], [1, 1]]], np.uint8), 3)
         assert stacked.tobytes() == gather_groups(f, np.array([[[0, 0], [1, 1]]]), 3)[0].tobytes()
         with pytest.raises(UsageError, match="integer"):
@@ -367,7 +370,7 @@ class TestBatchedGroups:
         with pytest.raises(UsageError, match="integer array"):
             gather_groups(f, ragged, 3)
         with pytest.raises(UsageError, match="integer array"):
-            coverage_counts(ragged, 3, f.shape)
+            coverage_counts(ragged, 3, f.shape[:2])
 
     def test_scatter_index_out_of_range(self, rng):
         f = rng.random((6, 6, 2))

@@ -1,3 +1,4 @@
+import itertools
 import threading
 import time
 from unittest import mock
@@ -244,6 +245,13 @@ class TestDenoiseGroups:
         with pytest.raises(DataError):
             denoise_groups(stacked, None, SolverParams())
 
+    @pytest.mark.parametrize("revisit", [False, True])
+    def test_ragged_stack_raises(self, revisit):
+        ragged = [np.zeros((4, 2, 3)), np.zeros((4, 2))]
+        core_mag = np.zeros((2, 1, 1, 1)) if revisit else None
+        with pytest.raises(UsageError, match="stacked"):
+            denoise_groups(ragged, core_mag, SolverParams())
+
 
 def _smooth_groups(seed: int, noise: float = 0.0) -> np.ndarray:
     """Four (25, 8, 20) groups of a smooth cube, whose shrunk cores crop."""
@@ -482,6 +490,17 @@ class TestReconstruct:
         assert [r[0] for r in rows] == [1, 2, 3]
         assert all(r[1] >= 0 and r[2] >= 0 for r in rows)
 
+    @pytest.mark.parametrize("plane, value", [("measurement", np.nan), ("measurement", np.inf),
+                                              ("pan plane", np.nan), ("pan plane", -np.inf)])
+    def test_non_finite_measurement_is_named(self, plane, value):
+        sys = SystemModel(imaging.generate_mask(12, 12, 0.5, 0), 4, imaging.DCCHI)
+        y = imaging.forward(make_smooth_cube(12, 12, 4, seed=1), sys)
+        planes = {"measurement": y.cassi.copy(), "pan plane": y.pan.copy()}
+        planes[plane][3, 5] = value
+        y = Measurement(planes["measurement"], planes["pan plane"])
+        with pytest.raises(DataError, match=f"^{plane} contains non-finite values"):
+            reconstruct(y, sys, SolverParams(s=4, step=3, k=4, window=3, max_iter=2))
+
 
 class TestMomentum:
     # small integers: every difference, product and sum below is exact, so
@@ -537,7 +556,8 @@ class TestBatchedPipeline:
         x, t = f, 1.0  # the group step reads x, FISTA's extrapolated point
         for it in range(p.max_iter):
             if it % p.rematch_every == 0:
-                members = [patches.match_blocks(x, a, p.s, p.k, p.window) for a in grid.anchors]
+                anchors = itertools.product(grid.rows, grid.cols)
+                members = [patches.match_blocks(x, a, p.s, p.k, p.window) for a in anchors]
                 mags = [None] * len(members)
             approxed = []
             for n, mem in enumerate(members):
@@ -766,7 +786,7 @@ class TestObjectiveDescent:
         tau = 1.0
         grid = patches.plan_grid(20, 20, 5, 4)
         members = [
-            patches.match_blocks(f, a, 5, 8, 5) for a in grid.anchors
+            patches.match_blocks(f, a, 5, 8, 5) for a in itertools.product(grid.rows, grid.cols)
         ]
         w_fixed = 0.05
 

@@ -7,7 +7,6 @@ from hsrecon.errors import DataError, DimensionError, UsageError
 from hsrecon.tensors import (
     TuckerFactors,
     fold,
-    frobenius_norm,
     hosvd,
     hosvd_batch,
     mode_n_product,
@@ -15,18 +14,6 @@ from hsrecon.tensors import (
     tucker_reconstruct_batch,
     unfold,
 )
-
-
-def test_frobenius_norm_all_ones():
-    assert frobenius_norm(np.ones((2, 2, 2))) == pytest.approx(np.sqrt(8.0))
-
-
-def test_frobenius_norm_zero():
-    assert frobenius_norm(np.zeros((3, 4, 2))) == 0.0
-
-
-def test_frobenius_norm_single_entry():
-    assert frobenius_norm(np.full((1, 1, 1), -3.0)) == 3.0
 
 
 def test_unfold_shapes():
@@ -101,7 +88,7 @@ def test_hosvd_round_trip(rng):
     t = rng.standard_normal((10, 8, 6))
     tf = hosvd(t)
     rec = tucker_reconstruct(tf)
-    assert frobenius_norm(rec - t) / frobenius_norm(t) < 1e-8
+    assert np.linalg.norm(rec - t) / np.linalg.norm(t) < 1e-8
 
 
 def test_hosvd_orthonormal_factors(rng):
@@ -137,7 +124,7 @@ def test_hosvd_rejects_non_finite():
 def test_hosvd_energy_preserved(rng):
     t = rng.standard_normal((6, 7, 5))
     tf = hosvd(t)
-    assert frobenius_norm(tf.core) == pytest.approx(frobenius_norm(t), rel=1e-10)
+    assert np.linalg.norm(tf.core) == pytest.approx(np.linalg.norm(t), rel=1e-10)
 
 
 def test_hosvd_deterministic(rng):
@@ -174,8 +161,8 @@ def test_norm_preserved_under_orthogonal_factor(rng):
     t = rng.standard_normal((5, 6, 4))
     for mode in (1, 2, 3):
         q, _ = np.linalg.qr(rng.standard_normal((t.shape[mode - 1],) * 2))
-        got = frobenius_norm(mode_n_product(t, q, mode))
-        assert got == pytest.approx(frobenius_norm(t), rel=1e-10)
+        got = np.linalg.norm(mode_n_product(t, q, mode))
+        assert got == pytest.approx(np.linalg.norm(t), rel=1e-10)
 
 
 def test_mode_n_product_composition(rng):
@@ -199,15 +186,15 @@ def _assert_batch_matches_hosvd(stack):
     rec = tucker_reconstruct_batch(tf)
     for i, t in enumerate(stack):
         ref = hosvd(t)
-        scale = max(frobenius_norm(t), 1e-300)
+        scale = max(np.linalg.norm(t), 1e-300)
         assert tf.core[i].shape == ref.core.shape
         core = tf.core[i]
         for axis, (u, v) in enumerate(zip(tf.factors, ref.factors)):
             signs = np.sign(np.sum(u[i] * v, axis=0))
             signs[signs == 0] = 1.0
             core = core * np.expand_dims(signs, tuple(a for a in range(3) if a != axis))
-        assert frobenius_norm(core - ref.core) / scale <= 1e-8
-        assert frobenius_norm(rec[i] - t) / scale <= 1e-8
+        assert np.linalg.norm(core - ref.core) / scale <= 1e-8
+        assert np.linalg.norm(rec[i] - t) / scale <= 1e-8
         for u, v in zip(tf.factors, ref.factors):
             assert u[i].shape == v.shape
             gram = u[i].T @ u[i]
@@ -321,7 +308,7 @@ def test_hosvd_batch_ranks_keep_the_leading_block(dims, low_rank, data):
         assert u.tobytes() == np.ascontiguousarray(v[:, :, :r]).tobytes()
     block = full.core[:, : ranks[0], : ranks[1], : ranks[2]]
     assert part.core.shape == block.shape
-    assert frobenius_norm(part.core - block) <= 1e-12 * frobenius_norm(stack)
+    assert np.linalg.norm(part.core - block) <= 1e-12 * np.linalg.norm(stack)
 
 
 def test_hosvd_batch_ranks_zero_and_full(rng):
