@@ -58,6 +58,7 @@ def _axis_anchors(extent: int, s: int, step: int) -> tuple[int, ...]:
 
 def plan_grid(rows: int, cols: int, s: int, step: int) -> PatchGrid:
     """Stride-``step`` anchors, last valid position always included."""
+    rows, cols = check_int("rows", rows, 1), check_int("cols", cols, 1)
     s = check_int("patch size", s, 1, min(rows, cols))
     step = check_int("step", step, 1)
     return PatchGrid(
@@ -255,6 +256,12 @@ def _check_indices(name: str, value) -> np.ndarray:
     return value.astype(np.intp, copy=False)
 
 
+def _sizes(name: str, sizes, n: int) -> tuple[int, ...]:
+    if not isinstance(sizes, (tuple, list)) or len(sizes) != n:
+        raise DimensionError(f"{name} must hold {n} sizes, got {sizes!r}")
+    return tuple(check_int(f"{name} size", v, 1) for v in sizes)
+
+
 def _flat_indices(members: np.ndarray, s: int, dims: tuple[int, int, int]) -> np.ndarray:
     # Entry [n, i + s*j, lam, m] is the C-order flat index of voxel
     # (r + i, c + j, lam) of a ``dims`` cube, (r, c) = members[n, m].
@@ -300,7 +307,7 @@ def scatter_groups(
     idx = _check_indices("indices", idx)
     if approx.shape != idx.shape:
         raise DimensionError(f"approximation shape {approx.shape} != groups {idx.shape}")
-    size = dims[0] * dims[1] * dims[2]
+    size = math.prod(_sizes("dims", dims, 3))
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise UsageError(f"indices out of range for a cube of shape {tuple(dims)}")
     return np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size).reshape(dims)
@@ -308,6 +315,6 @@ def scatter_groups(
 
 def coverage_counts(members: np.ndarray, s: int, plane: tuple[int, int]) -> np.ndarray:
     """The ``counts`` of :func:`aggregate` as one ``(rows, cols, 1)`` plane for all bands."""
-    rows, cols = plane
+    rows, cols = _sizes("plane", plane, 2)
     idx = _flat_indices(members, s, (rows, cols, 1)).ravel()
     return np.bincount(idx, minlength=rows * cols).astype(np.float64).reshape(rows, cols, 1)

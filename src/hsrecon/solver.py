@@ -39,9 +39,10 @@ for rounding; a chunk that fails it zero-pads the block and shrinks the
 full cores. Either way the output is the full step's up to rounding.
 After a first visit the block can be most of the full cores, after a
 later one much less (README.md gives figures), and few of its entries are
-nonzero, so between iterations each chunk keeps only the block's shape
-and the flat positions and values of its nonzero entries, and rebuilds
-the dense block just before its next visit: the same bits.
+nonzero, so every visit stores for its chunk only the block's shape and
+the flat positions and values of its nonzero entries, and the next visit
+rebuilds the dense block from them: the same bits. A rematch resets that
+kept state before it matches, so its next visit is a first visit.
 
 ``denoise_group`` is the same step for one group on
 ``tensors.hosvd``, kept as the reference the batched step is tested
@@ -291,33 +292,28 @@ def reconstruct(
 
     grid = patches.plan_grid(rows, cols, p.s, p.step)
     chunk = max(1, CHUNK_BYTES // (8 * p.s * p.s * sys.bands * p.k))
+    parts = [slice(lo, lo + chunk) for lo in range(0, len(grid.rows) * len(grid.cols), chunk)]
+
+    def step(i: int) -> np.ndarray:
+        # Chunk i of the group step on the current x, members and kept state.
+        stacked, idx = patches.gather_groups(x, members[parts[i]], p.s)
+        mag = None
+        if mags[i] is not None:
+            shape, pos, vals = mags[i]
+            mag = np.zeros(shape)
+            mag.put(pos, vals)
+        approx, mag = denoise_groups(stacked, mag, p)
+        pos = np.flatnonzero(mag != 0)  # several times faster on bools than on floats
+        mags[i] = mag.shape, pos, mag.take(pos)
+        return patches.scatter_groups(approx, idx, dims)
+
     x, t = f, 1.0  # the point the group step reads, and the momentum scalar
     t0 = time.perf_counter()
     for it in range(1, p.max_iter + 1):
         if (it - 1) % p.rematch_every == 0:
+            mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
             members = patches.match_groups(x, grid, p.k, p.window)
             counts = patches.coverage_counts(members, p.s, (rows, cols))
-            parts = [slice(lo, lo + chunk) for lo in range(0, len(members), chunk)]
-            mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
-        # Shrunk-core magnitudes per chunk, kept only if the next iteration
-        # reads them: it exists and does not rematch. Kept as the live
-        # block's shape and its nonzero entries' flat positions and values.
-        keep = it < p.max_iter and it % p.rematch_every != 0
-
-        def step(i: int) -> np.ndarray:
-            stacked, idx = patches.gather_groups(x, members[parts[i]], p.s)
-            mag = None
-            if mags[i] is not None:
-                shape, pos, vals = mags[i]
-                mag = np.zeros(shape)
-                mag.put(pos, vals)
-            approx, mag = denoise_groups(stacked, mag, p)
-            mags[i] = None
-            if keep:
-                pos = np.flatnonzero(mag != 0)  # several times faster on bools than on floats
-                mags[i] = mag.shape, pos, mag.take(pos)
-            return patches.scatter_groups(approx, idx, dims)
-
         total = _ordered_sum(len(parts), step, np.zeros(dims))
         rhs = backproj + (2.0 * p.tau) * (total / counts)
         f_new = imaging.ridge_solve(data_step, rhs)

@@ -147,6 +147,7 @@ def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> Tuc
     g, d1, d2, d3 = t.shape
     size = d1 * d2 * d3
     full = [min(d, size // d) for d in (d1, d2, d3)]
+    ranks = ranks.tolist() if isinstance(ranks, np.ndarray) else ranks  # an int array: its ints
     if ranks is None:
         ranks = full
     elif not (isinstance(ranks, (tuple, list)) and len(ranks) == 3):

@@ -55,6 +55,8 @@ _TABLE = {
     "SystemModel.default.bands": (lambda v: imaging.SystemModel.default(MASK, v), None),
     "SystemModel.bands": (lambda v: imaging.SystemModel(MASK, v), None),
     "ridge_factor.rho": (lambda v: imaging.ridge_factor(SYS, v), None),
+    "plan_grid.rows": (lambda v: patches.plan_grid(v, COLS, 3, 3), None),
+    "plan_grid.cols": (lambda v: patches.plan_grid(ROWS, v, 3, 3), None),
     "plan_grid.s": (lambda v: patches.plan_grid(ROWS, COLS, v, 2), min(ROWS, COLS)),
     "plan_grid.step": (lambda v: patches.plan_grid(ROWS, COLS, 3, v), None),
     "match_blocks.s": (lambda v: patches.match_blocks(CUBE, (0, 0), v, 4, 2), min(ROWS, COLS)),

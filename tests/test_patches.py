@@ -47,6 +47,13 @@ class TestPlanGrid:
         with pytest.raises(UsageError):
             plan_grid(4, 4, 5, 4)
 
+    @pytest.mark.parametrize("bad", [10.5, "10", None, True, 0, -3])
+    def test_rows_and_cols_are_counts(self, bad):
+        with pytest.raises(UsageError, match="rows"):
+            plan_grid(bad, 10, 1, 1)
+        with pytest.raises(UsageError, match="cols"):
+            plan_grid(10, bad, 1, 1)
+
 
 class TestMatchBlocks:
     def test_constant_cube_tie_break(self):
@@ -408,3 +415,20 @@ class TestBatchedGroups:
         stacked, idx = gather_groups(f, np.array([[[0, 0], [1, 1]]]), 3)
         with pytest.raises(DimensionError):
             scatter_groups(stacked[:, :, :, :1], idx, f.shape)
+
+    # An 8x8x3 cube with one group: a size tuple holds two or three counts.
+    @pytest.mark.parametrize("plane, error", [
+        ((8,), DimensionError), (8, DimensionError), ((8, 8.0), UsageError)
+    ])
+    def test_counts_plane_is_two_counts(self, plane, error):
+        with pytest.raises(error, match="plane"):
+            coverage_counts(np.array([[[0, 0], [4, 4]]]), 3, plane)
+
+    @pytest.mark.parametrize("dims, error", [
+        ((192,), DimensionError), ((8, 8, 3.5), UsageError), ((8, 8, 3, 1), DimensionError)
+    ])
+    def test_scatter_dims_is_three_counts(self, dims, error):
+        f = np.arange(192.0).reshape(8, 8, 3)
+        stacked, idx = gather_groups(f, np.array([[[0, 0], [4, 4]]]), 3)
+        with pytest.raises(error, match="dims"):
+            scatter_groups(stacked, idx, dims)

@@ -575,15 +575,19 @@ class TestBatchedPipeline:
 
 
 class TestKeptCoreState:
+    @pytest.mark.parametrize("rematch_every", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_revisit_receives_the_previous_block_bitwise(self, monkeypatch, workers):
+    def test_revisit_receives_the_previous_block_bitwise(
+        self, monkeypatch, workers, rematch_every
+    ):
         # Between visits reconstruct keeps only the nonzero entries of each
         # chunk's shrunk-core block; the block a revisit is handed must be
-        # bitwise the one the chunk's previous visit returned.
+        # bitwise the one the chunk's previous visit returned. A rematch
+        # resets the kept state: with rematch_every 1 every visit is a first.
         f_true = make_smooth_cube(20, 20, 3, seed=4)
         sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3)
         y = imaging.forward(f_true, sys)
-        p = SolverParams(k=6, window=4, max_iter=7, rematch_every=3)
+        p = SolverParams(k=6, window=4, max_iter=7, rematch_every=rematch_every)
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
         monkeypatch.setattr(solver, "WORKERS", workers)
         gather, denoise = patches.gather_groups, solver.denoise_groups
@@ -620,7 +624,8 @@ class TestKeptCoreState:
                 assert received.shape == returned.shape
                 assert received.tobytes() == returned.tobytes()
                 zeros += received.size - np.count_nonzero(received)
-        assert zeros > 0  # the blocks hold zeros that the kept state leaves out
+        # the blocks hold zeros that the kept state leaves out, if any is revisited
+        assert (zeros > 0) == (p.rematch_every > 1)
 
 
 class TestWorkerPool:

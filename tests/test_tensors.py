@@ -324,8 +324,20 @@ def test_hosvd_batch_ranks_zero_and_full(rng):
 
 @pytest.mark.parametrize(
     "ranks",
-    [(-1, 1, 1), (26, 1, 1), (1, 9, 1), (1, 1, 21), (1, 1), (1, 1, 1, 1), (1.0, 1, 1), 3, "abc"],
+    [(-1, 1, 1), (26, 1, 1), (1, 9, 1), (1, 1, 21), (1, 1), (1, 1, 1, 1), (1.0, 1, 1), 3, "abc",
+     np.array(3), np.array([1, 1]), np.array([1.0, 1, 1]), np.array([[1, 1, 1]]),
+     np.array([True, True, True])],
 )
 def test_hosvd_batch_rejects_bad_ranks(rng, ranks):
     with pytest.raises(UsageError):
         hosvd_batch(rng.standard_normal((2, 25, 8, 20)), ranks)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_hosvd_batch_ranks_as_an_integer_array(rng, dtype):
+    stack = rng.standard_normal((3, 25, 8, 20))
+    want = hosvd_batch(stack, (4, 2, 5))
+    got = hosvd_batch(stack, np.array([4, 2, 5], dtype=dtype))
+    assert got.core.tobytes() == want.core.tobytes()
+    for u, v in zip(got.factors, want.factors):
+        assert u.tobytes() == v.tobytes()
