@@ -88,6 +88,8 @@ def generate_mask(rows: int, cols: int, p: float, seed: int) -> np.ndarray:
     if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
         raise UsageError(f"p must be a real in [0, 1], got {p!r}")
     rows, cols = check_int("rows", rows, 1), check_int("cols", cols, 1)
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise UsageError(f"rows={rows}, cols={cols}: NumPy cannot size the float64 mask")
     rng = np.random.default_rng(check_int("seed", seed, 0))
     return (rng.random((rows, cols)) < p).astype(np.float64)
 

@@ -51,14 +51,14 @@ class PatchGrid:
 
 
 def _axis_anchors(extent: int, s: int, step: int) -> tuple[int, ...]:
-    anchors = set(range(0, extent - s + 1, step))
-    anchors.add(extent - s)
-    return tuple(sorted(anchors))
+    return tuple(range(0, extent - s, step)) + (extent - s,)
 
 
 def plan_grid(rows: int, cols: int, s: int, step: int) -> PatchGrid:
     """Stride-``step`` anchors, last valid position always included."""
     rows, cols = check_int("rows", rows, 1), check_int("cols", cols, 1)
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise UsageError(f"rows={rows}, cols={cols}: NumPy cannot size the float64 plane")
     s = check_int("patch size", s, 1, min(rows, cols))
     step = check_int("step", step, 1)
     return PatchGrid(
@@ -263,8 +263,7 @@ def _sizes(name: str, sizes, n: int) -> tuple[int, ...]:
 
 
 def _flat_indices(members: np.ndarray, s: int, dims: tuple[int, int, int]) -> np.ndarray:
-    # Entry [n, i + s*j, lam, m] is the C-order flat index of voxel
-    # (r + i, c + j, lam) of a ``dims`` cube, (r, c) = members[n, m].
+    # _voxel_indices of checked members.
     rows, cols, bands = dims
     s = check_int("patch size", s, 1, min(rows, cols))
     members = _check_indices("member anchors", members)
@@ -275,10 +274,32 @@ def _flat_indices(members: np.ndarray, s: int, dims: tuple[int, int, int]) -> np
         r.min() < 0 or r.max() > rows - s or c.min() < 0 or c.max() > cols - s
     ):
         raise UsageError(f"member anchors out of range for patch size {s} in {dims}")
+    return _voxel_indices(members, _block_offsets(s, dims), dims)
+
+
+def _block_offsets(s: int, dims: tuple[int, int, int]) -> np.ndarray:
+    # Entry [i + s*j, lam] is the flat offset of voxel (i, j, lam) of an
+    # s x s patch from the patch's origin in a C-order ``dims`` cube.
+    _, cols, bands = dims
     j, i = np.divmod(np.arange(s * s), s)
-    block = ((i * cols + j) * bands)[:, None] + np.arange(bands)
-    origin = (r * cols + c) * bands
+    return ((i * cols + j) * bands)[:, None] + np.arange(bands)
+
+
+def _voxel_indices(
+    members: np.ndarray, block: np.ndarray, dims: tuple[int, int, int]
+) -> np.ndarray:
+    # Entry [n, i + s*j, lam, m] is the C-order flat index of voxel
+    # (r + i, c + j, lam) of a ``dims`` cube, (r, c) = members[n, m], for
+    # block = _block_offsets(s, dims). Nothing is checked.
+    _, cols, bands = dims
+    origin = (members[..., 0] * cols + members[..., 1]) * bands
     return origin[:, None, None, :] + block[None, :, :, None]
+
+
+def _scatter(approx: np.ndarray, idx: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    # scatter_groups of checked arguments.
+    size = math.prod(dims)
+    return np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size).reshape(dims)
 
 
 def gather_groups(
@@ -307,10 +328,10 @@ def scatter_groups(
     idx = _check_indices("indices", idx)
     if approx.shape != idx.shape:
         raise DimensionError(f"approximation shape {approx.shape} != groups {idx.shape}")
-    size = math.prod(_sizes("dims", dims, 3))
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise UsageError(f"indices out of range for a cube of shape {tuple(dims)}")
-    return np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size).reshape(dims)
+    dims = _sizes("dims", dims, 3)
+    if idx.size and (idx.min() < 0 or idx.max() >= math.prod(dims)):
+        raise UsageError(f"indices out of range for a cube of shape {dims}")
+    return _scatter(approx, idx, dims)
 
 
 def coverage_counts(members: np.ndarray, s: int, plane: tuple[int, int]) -> np.ndarray:

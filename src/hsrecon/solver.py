@@ -17,10 +17,14 @@ solution with t = 1 whenever the last step went against the momentum.
 
 Step (a) matches every anchor at once with ``patches.match_groups``.
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
-groups: ``patches.gather_groups`` stacks a chunk, ``denoise_groups``
-shrinks it through ``tensors.hosvd_batch`` and
-``tensors.tucker_reconstruct_batch``, and ``patches.scatter_groups`` turns
-it into a partial cube. The chunks of an iteration run on ``WORKERS``
+groups: the work of ``patches.gather_groups``, ``denoise_groups`` and
+``patches.scatter_groups``. Its arguments are checked once per call (the
+members once per rematch, by ``patches.coverage_counts``), so each chunk
+runs the private kernels those functions call once their checks pass,
+with the gather offsets built once per call. The one check left per chunk
+is ``_denoise``'s finite scan of the stack. ``_denoise`` drops each
+temporary as soon as it is dead: the stack once the core is in, the
+unshrunk core once it is shrunk. The chunks of an iteration run on ``WORKERS``
 threads, the calling thread among them (NumPy's ``eigh`` and ``matmul``
 release the GIL). Each thread takes the next chunk in order as it comes
 free, and the partial cubes are added in chunk order, each as soon as all
@@ -60,15 +64,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import imaging, patches
-from .errors import DimensionError, check_array, check_int, check_positive
-from .tensors import (
-    TuckerFactors,
-    hosvd,
-    hosvd_batch,
-    tucker_reconstruct,
-    tucker_reconstruct_batch,
-)
+from . import imaging, patches, tensors
+from .errors import DataError, DimensionError, check_array, check_int, check_positive
+from .tensors import TuckerFactors, hosvd, tucker_reconstruct
 
 __all__ = [
     "SolverParams",
@@ -86,9 +84,14 @@ INIT_RIDGE = 1e-3
 # Keeps the weights w = c / (|g| + EPS) of zero coefficients finite.
 EPS = 1e-6
 
-# Gathered float64 bytes per chunk of the batched group step. Bigger chunks
-# raise peak memory, most of all with several threads: each thread's
-# allocator keeps its own chunk temporaries.
+# Gathered float64 bytes per chunk of the batched group step, but never
+# fewer than two groups: where one group is over half of it, as at 31 bands
+# and k = 45 (25 x 31 x 45, 272 KiB), a chunk's fixed cost (Python calls,
+# the GIL handed between the pool's threads) then serves twice the
+# arithmetic. Bigger chunks raise peak memory, most of all with several
+# threads: each thread's allocator keeps its own chunk temporaries. At 31
+# bands three and four groups ran no faster than two and took 2 and 4 MiB
+# more peak memory.
 CHUNK_BYTES = 384 << 10
 
 # Threads of the group step, the calling thread included: the CPUs this
@@ -133,9 +136,14 @@ def shrink_core(
     w = check_array("weights", w, None, finite=False)
     if w.shape != g_hat.shape:
         raise DimensionError(f"weights shape {w.shape} != core shape {g_hat.shape}")
-    t = np.divide(w, 2.0 * tau, out=np.empty(w.shape) if out is None else out)
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN
-        np.subtract(np.abs(g_hat), t, out=t)
+        return _shrink(g_hat, w, tau, np.empty(w.shape) if out is None else out)
+
+
+def _shrink(g_hat: np.ndarray, w: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    # shrink_core of checked arguments, into ``out``.
+    t = np.divide(w, 2.0 * tau, out=out)
+    np.subtract(np.abs(g_hat), t, out=t)
     np.maximum(t, 0.0, out=t)
     return np.copysign(t, g_hat, out=t)
 
@@ -143,7 +151,11 @@ def shrink_core(
 def update_weights(g: np.ndarray, c: float) -> np.ndarray:
     """Inverse-magnitude weights: w = c / (|g| + EPS)."""
     c = check_positive("c", c)
-    g = check_array("core", g, None, finite=False)
+    return _weights(check_array("core", g, None, finite=False), c)
+
+
+def _weights(g: np.ndarray, c: float) -> np.ndarray:
+    # update_weights of checked arguments.
     w = np.abs(g, out=np.empty(g.shape))  # an array also for 0-d g
     w += EPS
     return np.divide(c, w, out=w)
@@ -177,24 +189,41 @@ def denoise_groups(
     """
     stacked = check_array("stacked", stacked, 4, finite=False)
     dims = stacked.shape[1:]
+    if 0 in dims:  # an empty stack is fine
+        raise DimensionError(f"tensor modes must be non-empty, got shape {stacked.shape}")
     if core_mag is not None:
         core_mag = check_array("core_mag", core_mag, 4, finite=False)
-        # A block fits if no mode exceeds the full core's min(d_n, size // d_n).
+        # A block fits if no mode exceeds the full core's.
         if len(core_mag) != len(stacked) or any(
-            r > d or r * d > math.prod(dims) for r, d in zip(core_mag.shape[1:], dims)
+            r > f for r, f in zip(core_mag.shape[1:], tensors._full_ranks(dims))
         ):
             raise DimensionError(f"core_mag shape {core_mag.shape} does not fit cores {dims}")
+    return _denoise(stacked, core_mag, p)
+
+
+def _denoise(
+    stacked: np.ndarray, core_mag: np.ndarray | None, p: SolverParams
+) -> tuple[np.ndarray, np.ndarray]:
+    # denoise_groups of checked arguments: the chunk step of reconstruct.
+    # The stack's one check is a finite scan. Each temporary is dropped as
+    # soon as it is dead, so a caller that hands over its only reference to
+    # the stack has it freed once the core is in.
+    norm = np.linalg.norm(stacked.ravel())  # not finite if an entry is not, or on overflow
+    if not math.isfinite(norm) and not np.isfinite(stacked).all():
+        raise DataError("tensor stack contains non-finite values")
     ranks = None
-    if core_mag is not None and p.c / (2.0 * p.tau * EPS) > 2.0 * np.linalg.norm(stacked.ravel()):
+    if core_mag is not None and p.c / (2.0 * p.tau * EPS) > 2.0 * norm:
         ranks = core_mag.shape[1:]
-    tf = hosvd_batch(stacked, ranks)
-    mag = tf.core if core_mag is None else core_mag
-    if mag.shape != tf.core.shape:  # the guard failed: zero-pad the block
-        mag = np.zeros(tf.core.shape)
+    core, factors = tensors._hosvd(stacked, ranks)
+    del stacked
+    mag = core if core_mag is None else core_mag
+    if mag.shape != core.shape:  # the guard failed: zero-pad the block
+        mag = np.zeros(core.shape)
         mag[tuple(slice(0, n) for n in core_mag.shape)] = core_mag
-    w = update_weights(mag, p.c)
-    g = shrink_core(tf.core, w, p.tau, out=w)
-    approx = tucker_reconstruct_batch(TuckerFactors(core=g, factors=tf.factors))
+    w = _weights(mag, p.c)
+    g = _shrink(core, w, p.tau, out=w)
+    del core, mag
+    approx = tensors._mode_products_batch(g, factors)
     return approx, np.abs(g[_live_box(g)])
 
 
@@ -291,21 +320,24 @@ def reconstruct(
     data_step = imaging.ridge_factor(sys, 2.0 * p.tau)
 
     grid = patches.plan_grid(rows, cols, p.s, p.step)
-    chunk = max(1, CHUNK_BYTES // (8 * p.s * p.s * sys.bands * p.k))
+    chunk = max(2, CHUNK_BYTES // (8 * p.s * p.s * sys.bands * p.k))
     parts = [slice(lo, lo + chunk) for lo in range(0, len(grid.rows) * len(grid.cols), chunk)]
+    block = patches._block_offsets(p.s, dims)
 
     def step(i: int) -> np.ndarray:
-        # Chunk i of the group step on the current x, members and kept state.
-        stacked, idx = patches.gather_groups(x, members[parts[i]], p.s)
+        # Chunk i of the group step on the current x, members and kept state,
+        # through the unchecked kernels: the members were checked by
+        # coverage_counts, and _denoise scans the stack.
+        idx = patches._voxel_indices(members[parts[i]], block, dims)
         mag = None
         if mags[i] is not None:
             shape, pos, vals = mags[i]
             mag = np.zeros(shape)
             mag.put(pos, vals)
-        approx, mag = denoise_groups(stacked, mag, p)
+        approx, mag = _denoise(x.ravel()[idx], mag, p)  # the stack's only reference
         pos = np.flatnonzero(mag != 0)  # several times faster on bools than on floats
         mags[i] = mag.shape, pos, mag.take(pos)
-        return patches.scatter_groups(approx, idx, dims)
+        return patches._scatter(approx, idx, dims)
 
     x, t = f, 1.0  # the point the group step reads, and the momentum scalar
     t0 = time.perf_counter()

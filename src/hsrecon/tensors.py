@@ -8,9 +8,19 @@ usual multilinear-algebra convention.
 stack of equally shaped tensors ``(g, d1, d2, d3)`` with batched matrix
 products and one batched symmetric eigensolve per mode; the solver's
 group step runs on them. ``hosvd`` and ``tucker_reconstruct`` stay as the
-per-tensor reference they are tested against. Each factor column of an
-HOSVD is unique only up to sign, and neither fixes it: ``hosvd`` keeps the
-signs of LAPACK's ``svd``, ``hosvd_batch`` those of its ``eigh``. Flipping
+per-tensor reference they are tested against.
+
+Both batched functions apply the three mode products in the order with
+the fewest multiplies, worked out from the shapes alone (Kolda and Bader,
+SIAM Review 2009): for a thin core block such as (25, 1, 25) of a
+(25, 31, 45) group, mode 2 goes first when the core is computed and last
+when the group is rebuilt. A tie keeps the order 1, 2, 3, so square
+factors (every full-rank HOSVD of a group whose modes each fit in the
+product of the other two) give that order's bits.
+
+Each factor column of an HOSVD is unique only up to sign, and neither
+fixes it: ``hosvd`` keeps the signs of LAPACK's ``svd``, ``hosvd_batch``
+those of its ``eigh``. Flipping
 column ``j`` of ``U_n`` negates exactly the core slice ``j`` along mode
 ``n`` (IEEE rounding is sign-symmetric). The solver reads only core
 magnitudes, shrinks with an odd soft threshold and rebuilds the group from
@@ -24,6 +34,8 @@ the mode-``n`` fibers, ordered cyclically over the remaining modes
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,14 +126,55 @@ def tucker_reconstruct(f: TuckerFactors) -> np.ndarray:
 
 
 def _mode_products_batch(t: np.ndarray, mats) -> np.ndarray:
-    # t: (g, d1, d2, d3); mats[n]: (g, r_n, d_n). Modes 1, 2, 3 in turn.
-    a1, a2, a3 = mats
+    # t: (g, d1, d2, d3); mats[n]: (g, r_n, d_n). The three mode products in
+    # the order with the fewest multiplies, 1-2-3 on a tie.
+    dims, ranks = t.shape[1:], [a.shape[1] for a in mats]
+
+    def multiplies(order):
+        shape, total = list(dims), 0
+        for n in order:
+            shape[n] = ranks[n]
+            total += dims[n] * math.prod(shape)
+        return total
+
+    x = t
+    for n in min(itertools.permutations(range(3)), key=multiplies):
+        a = mats[n]
+        g, e1, e2, e3 = x.shape
+        if n == 0:
+            x = (a @ x.reshape(g, e1, e2 * e3)).reshape(g, a.shape[1], e2, e3)
+        elif n == 1:
+            x = a[:, None] @ x
+        else:
+            x = (x.reshape(g, e1 * e2, e3) @ a.transpose(0, 2, 1)).reshape(g, e1, e2, a.shape[1])
+    return x
+
+
+def _full_ranks(dims) -> list[int]:
+    # The width of each mode's reduced SVD: min(d_n, d1*d2*d3 / d_n).
+    size = math.prod(dims)
+    return [min(d, size // d) for d in dims]
+
+
+def _hosvd(t: np.ndarray, ranks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    # hosvd_batch's core and factors, for a checked stack and checked ranks
+    # (None: the full widths).
     g, d1, d2, d3 = t.shape
-    x = (a1 @ t.reshape(g, d1, d2 * d3)).reshape(g, a1.shape[1], d2, d3)
-    x = a2[:, None] @ x
-    r1, r2 = x.shape[1], x.shape[2]
-    x = x.reshape(g, r1 * r2, d3) @ a3.transpose(0, 2, 1)
-    return x.reshape(g, r1, r2, a3.shape[1])
+    m1 = t.reshape(g, d1, d2 * d3)
+    m3 = t.reshape(g, d1 * d2, d3)
+    grams = (
+        m1 @ m1.transpose(0, 2, 1),
+        (t @ t.transpose(0, 1, 3, 2)).sum(axis=1),
+        m3.transpose(0, 2, 1) @ m3,
+    )
+    factors = []
+    for gram, r in zip(grams, _full_ranks(t.shape[1:]) if ranks is None else ranks):
+        _, u = np.linalg.eigh(gram)
+        # Descending order, as a contiguous copy: a reversed view's negative
+        # strides would keep matmul off BLAS.
+        factors.append(np.ascontiguousarray(u[..., ::-1][..., :r]))
+    core = _mode_products_batch(t, [u.transpose(0, 2, 1) for u in factors])
+    return core, (factors[0], factors[1], factors[2])
 
 
 def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> TuckerFactors:
@@ -144,9 +197,7 @@ def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> Tuc
     t = check_array("tensor stack", t, 4)
     if 0 in t.shape[1:]:  # an empty stack is fine
         raise DimensionError(f"tensor modes must be non-empty, got shape {t.shape}")
-    g, d1, d2, d3 = t.shape
-    size = d1 * d2 * d3
-    full = [min(d, size // d) for d in (d1, d2, d3)]
+    full = _full_ranks(t.shape[1:])
     ranks = ranks.tolist() if isinstance(ranks, np.ndarray) else ranks  # an int array: its ints
     if ranks is None:
         ranks = full
@@ -154,21 +205,7 @@ def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> Tuc
         raise UsageError(f"ranks must be three integers, got {ranks!r}")
     else:
         ranks = [check_int("rank", r, 0, f) for r, f in zip(ranks, full)]
-    m1 = t.reshape(g, d1, d2 * d3)
-    m3 = t.reshape(g, d1 * d2, d3)
-    grams = (
-        m1 @ m1.transpose(0, 2, 1),
-        (t @ t.transpose(0, 1, 3, 2)).sum(axis=1),
-        m3.transpose(0, 2, 1) @ m3,
-    )
-    factors = []
-    for gram, r in zip(grams, ranks):
-        _, u = np.linalg.eigh(gram)
-        # Descending order, as a contiguous copy: a reversed view's negative
-        # strides would keep matmul off BLAS.
-        factors.append(np.ascontiguousarray(u[..., ::-1][..., :r]))
-    core = _mode_products_batch(t, [u.transpose(0, 2, 1) for u in factors])
-    return TuckerFactors(core=core, factors=(factors[0], factors[1], factors[2]))
+    return TuckerFactors(*_hosvd(t, ranks))
 
 
 def tucker_reconstruct_batch(f: TuckerFactors) -> np.ndarray:

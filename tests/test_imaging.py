@@ -48,6 +48,11 @@ class TestGenerateMask:
         with pytest.raises(UsageError, match="seed"):
             generate_mask(4, 4, 0.5, -1)
 
+    @pytest.mark.parametrize("rows, cols", [(10**30, 10), (10, 10**30)])
+    def test_mask_numpy_cannot_size(self, rows, cols):
+        with pytest.raises(UsageError, match="cannot size"):
+            generate_mask(rows, cols, 0.5, 1)
+
     @pytest.mark.parametrize(
         "field, args",
         [("rows", (-2, 4, 0.5, 0)), ("rows", (4.5, 4, 0.5, 0)), ("cols", (4, 0, 0.5, 0)),

@@ -47,6 +47,13 @@ class TestPlanGrid:
         with pytest.raises(UsageError):
             plan_grid(4, 4, 5, 4)
 
+    def test_plane_numpy_cannot_size(self):
+        # rejected before any anchor is built
+        with pytest.raises(UsageError, match=f"rows={10**30}, cols=10:"):
+            plan_grid(10**30, 10, 3, 3)
+        with pytest.raises(UsageError, match=f"rows=10, cols={10**30}:"):
+            plan_grid(10, 10**30, 3, 3)
+
     @pytest.mark.parametrize("bad", [10.5, "10", None, True, 0, -3])
     def test_rows_and_cols_are_counts(self, bad):
         with pytest.raises(UsageError, match="rows"):

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import make_smooth_cube
 
-from hsrecon import imaging, patches, solver
+from hsrecon import imaging, patches, solver, tensors
 from hsrecon.errors import DataError, DimensionError, UsageError
 from hsrecon.imaging import Measurement, SystemModel
 from hsrecon.solver import (
@@ -239,11 +239,41 @@ class TestDenoiseGroups:
         _, mag = denoise_groups(stacked, np.ones((2, 9, 4, 5)), SolverParams())
         assert mag.ndim == 4
 
+    @pytest.mark.parametrize("shape", [(2, 0, 3, 4), (2, 4, 0, 3), (2, 4, 3, 0)])
+    def test_zero_length_mode_raises(self, shape):
+        with pytest.raises(DimensionError, match="non-empty"):
+            denoise_groups(np.zeros(shape), None, SolverParams())
+
+    def test_empty_stack(self):
+        approx, mag = denoise_groups(np.zeros((0, 4, 2, 3)), None, SolverParams())
+        assert approx.shape == (0, 4, 2, 3) and mag.shape[0] == 0
+
     def test_non_finite_group_raises(self):
         stacked = np.zeros((2, 4, 2, 3))
         stacked[1, 0, 0, 0] = np.nan
         with pytest.raises(DataError):
             denoise_groups(stacked, None, SolverParams())
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("revisit", [False, True])
+    def test_infinite_group_raises(self, value, revisit):
+        stacked = np.zeros((2, 4, 2, 3))
+        stacked[1, 0, 0, 0] = value
+        core_mag = np.ones((2, 1, 1, 1)) if revisit else None
+        with pytest.raises(DataError):
+            denoise_groups(stacked, core_mag, SolverParams())
+
+    @pytest.mark.parametrize("revisit", [False, True])
+    def test_equals_the_kernel_of_the_chunk_step(self, revisit):
+        # reconstruct calls solver._denoise unchecked; denoise_groups is the
+        # same step behind its checks
+        p = SolverParams(k=20)
+        stacked = _smooth_groups(1, noise=0.01)
+        mag = denoise_groups(_smooth_groups(1), None, p)[1] if revisit else None
+        approx, out = denoise_groups(stacked, mag, p)
+        k_approx, k_out = solver._denoise(stacked.copy(), mag, p)
+        assert k_approx.tobytes() == approx.tobytes()
+        assert k_out.shape == out.shape and k_out.tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("revisit", [False, True])
     def test_ragged_stack_raises(self, revisit):
@@ -381,14 +411,15 @@ class TestFactorSigns:
         approx, mag = denoise_groups(stacked, None, p)
         approx2, mag2 = denoise_groups(stacked, mag, p)
 
-        real = solver.hosvd_batch
+        real = tensors._hosvd  # the HOSVD kernel denoise_groups runs on
 
-        def flipped(t, ranks=None):
-            tf = real(t, ranks)
+        def flipped(t, ranks):
+            tf = TuckerFactors(*real(t, ranks))
             signs = [rng.choice([-1.0, 1.0], size=(len(u), u.shape[2])) for u in tf.factors]
-            return _flip_signs(tf, signs)
+            tf = _flip_signs(tf, signs)
+            return tf.core, tf.factors
 
-        with mock.patch.object(solver, "hosvd_batch", flipped):
+        with mock.patch.object(tensors, "_hosvd", flipped):
             f_approx, f_mag = denoise_groups(stacked, None, p)
             f_approx2, f_mag2 = denoise_groups(stacked, f_mag, p)
         assert f_approx.tobytes() == approx.tobytes()
@@ -407,14 +438,15 @@ class TestFactorSigns:
         p = SolverParams(k=6, window=4, max_iter=4, rematch_every=rematch_every)
         plain = reconstruct(y, sys, p)
 
-        real = solver.hosvd_batch
+        real = tensors._hosvd  # the HOSVD kernel of the chunk step
 
-        def flipped(t, ranks=None):
-            tf = real(t, ranks)
+        def flipped(t, ranks):
+            tf = TuckerFactors(*real(t, ranks))
             signs = [np.tile((-1.0) ** np.arange(u.shape[2]), (len(u), 1)) for u in tf.factors]
-            return _flip_signs(tf, signs)
+            tf = _flip_signs(tf, signs)
+            return tf.core, tf.factors
 
-        monkeypatch.setattr(solver, "hosvd_batch", flipped)
+        monkeypatch.setattr(tensors, "_hosvd", flipped)
         assert reconstruct(y, sys, p).tobytes() == plain.tobytes()
 
 
@@ -590,15 +622,15 @@ class TestKeptCoreState:
         p = SolverParams(k=6, window=4, max_iter=7, rematch_every=rematch_every)
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
         monkeypatch.setattr(solver, "WORKERS", workers)
-        gather, denoise = patches.gather_groups, solver.denoise_groups
+        indices, denoise = patches._voxel_indices, solver._denoise  # the chunk step's kernels
         current = threading.local()
         lock = threading.Lock()
         visits = {}  # chunk -> (block received, block returned) per iteration
 
-        def gather_spy(f, members, s):
+        def indices_spy(members, block, dims):
             # a group's first member is its anchor, so this names the chunk
             current.chunk = tuple(members[0, 0].tolist())
-            return gather(f, members, s)
+            return indices(members, block, dims)
 
         def denoise_spy(stacked, core_mag, p):
             received = None if core_mag is None else core_mag.copy()
@@ -607,8 +639,8 @@ class TestKeptCoreState:
                 visits.setdefault(current.chunk, []).append((received, mag.copy()))
             return approx, mag
 
-        monkeypatch.setattr(patches, "gather_groups", gather_spy)
-        monkeypatch.setattr(solver, "denoise_groups", denoise_spy)
+        monkeypatch.setattr(patches, "_voxel_indices", indices_spy)
+        monkeypatch.setattr(solver, "_denoise", denoise_spy)
         reconstruct(y, sys, p)
 
         assert len(visits) == 9
@@ -644,6 +676,29 @@ class TestWorkerPool:
         for workers in (1, 2, 3):
             monkeypatch.setattr(solver, "WORKERS", workers)
             outputs.append(reconstruct(y, sys, p).tobytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_two_group_chunks_at_31_bands_independent_of_worker_count(self, monkeypatch):
+        # one 25 x 31 x 6 group fills CHUNK_BYTES, so every chunk holds the
+        # floor of two groups: 16 groups in 8 chunks
+        f_true = make_smooth_cube(16, 16, 31, seed=4)
+        sys = SystemModel.default(imaging.generate_mask(16, 16, 0.5, 6), 31)
+        y = imaging.forward(f_true, sys)
+        p = SolverParams(k=6, window=4, max_iter=4, rematch_every=3)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 8 * 25 * 31 * 6)
+        denoise, sizes = solver._denoise, []
+
+        def spy(stacked, core_mag, params):
+            sizes.append(len(stacked))
+            return denoise(stacked, core_mag, params)
+
+        monkeypatch.setattr(solver, "_denoise", spy)
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(solver, "WORKERS", workers)
+            sizes.clear()
+            outputs.append(reconstruct(y, sys, p).tobytes())
+            assert sizes == [2] * 8 * p.max_iter
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_dcchi_rematching_every_iteration_independent_of_worker_count(self, monkeypatch):
@@ -762,7 +817,7 @@ class TestWorkerPool:
         reconstruct(y, sys, p)
         assert threading.active_count() == start
 
-        real = solver.denoise_groups
+        real = solver._denoise  # the chunk step's kernel
         calls = []
 
         def poisoned(stacked, core_mag, params):
@@ -772,7 +827,7 @@ class TestWorkerPool:
                 stacked[0, 0, 0, 0] = np.nan
             return real(stacked, core_mag, params)
 
-        monkeypatch.setattr(solver, "denoise_groups", poisoned)
+        monkeypatch.setattr(solver, "_denoise", poisoned)
         with pytest.raises(DataError):
             reconstruct(y, sys, p)
         assert threading.active_count() == start

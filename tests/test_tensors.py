@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsrecon import tensors
 from hsrecon.errors import DataError, DimensionError, UsageError
 from hsrecon.tensors import (
     TuckerFactors,
@@ -341,3 +342,41 @@ def test_hosvd_batch_ranks_as_an_integer_array(rng, dtype):
     assert got.core.tobytes() == want.core.tobytes()
     for u, v in zip(got.factors, want.factors):
         assert u.tobytes() == v.tobytes()
+
+
+def _products_in_order_123(t, mats):
+    """The three batched mode products in the fixed order 1, 2, 3."""
+    a1, a2, a3 = mats
+    g, d1, d2, d3 = t.shape
+    x = (a1 @ t.reshape(g, d1, d2 * d3)).reshape(g, a1.shape[1], d2, d3)
+    x = a2[:, None] @ x
+    r1, r2 = x.shape[1], x.shape[2]
+    x = x.reshape(g, r1 * r2, d3) @ a3.transpose(0, 2, 1)
+    return x.reshape(g, r1, r2, a3.shape[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.integers(1, 3),
+    dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+    square=st.booleans(),
+    data=st.data(),
+)
+def test_mode_products_in_rank_order_equal_the_fixed_order(g, dims, square, data):
+    # Output sizes 0 up to past the input's: a core (rank below the mode
+    # size) or a Tucker rebuild (above it). All square is a tie, which keeps
+    # the order 1, 2, 3 and so its bits.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    outs = dims if square else tuple(
+        data.draw(st.sampled_from([0, d, *range(1, 10)]), label=f"r{n}")
+        for n, d in enumerate(dims, start=1)
+    )
+    t = rng.standard_normal((g, *dims))
+    mats = [rng.standard_normal((g, r, d)) for r, d in zip(outs, dims)]
+    got = tensors._mode_products_batch(t, mats)
+    want = _products_in_order_123(t, mats)
+    assert got.shape == want.shape == (g, *outs)
+    if outs == dims:
+        assert got.tobytes() == want.tobytes()
+    scale = np.linalg.norm(t) * np.prod([np.linalg.norm(a) for a in mats])
+    assert np.linalg.norm(got - want) <= 1e-12 * scale
