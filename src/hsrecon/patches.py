@@ -7,14 +7,15 @@ column-major vectorization of member ``m``'s spatial block in band
 ``lam``.
 
 The solver works on groups in batches. ``match_groups`` matches every
-anchor of a grid in one pass over the window's offsets, each offset one
-shifted difference of the cube's flat band planes, picks the k nearest
-by a partition and returns a ``(g, k, 2)`` array of member anchors;
-``gather_groups`` stacks it into ``(g, s*s, L, k)`` with one fancy index
-into the flattened cube and returns those flat indices;
-``scatter_groups`` adds approximated groups back along the same indices
-with ``np.bincount``; ``coverage_counts`` counts the patches covering
-each pixel, one plane for all bands. ``match_blocks``, ``build_group``
+anchor of a grid in one pass over the window's row offsets, each offset
+shifted differences of the cube's flat band planes, keeps each anchor's
+k nearest so far as the offsets arrive and returns a ``(g, k, 2)`` array
+of member anchors; ``gather_groups`` stacks it into ``(g, s*s, L, k)``
+with one fancy index into the flattened cube and returns those flat
+indices; ``scatter_groups`` adds approximated groups back along the same
+indices with ``np.bincount``; ``coverage_counts`` counts the patches
+covering each pixel, one plane for all bands, from a count of the member
+anchors. ``match_blocks``, ``build_group``
 and ``aggregate`` do the same one group at a time and stay as the
 reference the batched path is tested against.
 """
@@ -114,22 +115,34 @@ def _box_sums(sq: np.ndarray, ys: np.ndarray, s: int) -> np.ndarray:
 
 
 def _smallest_stable(x: np.ndarray, m: int) -> np.ndarray:
-    # The first m columns of np.argsort(x, axis=1, kind="stable") for a 2-D x
-    # without NaN. The m-th smallest value v of each row comes from a
-    # partition; the row keeps every entry below v and its leftmost entries
-    # equal to v, m in all, and only those m are sorted.
+    # The mask of the first m entries of np.argsort(x, axis=1, kind="stable")
+    # in each row of a 2-D x without NaN. The m-th smallest value v of each
+    # row comes from a partition; the row keeps every entry below v and its
+    # leftmost entries equal to v, m in all.
     v = np.partition(x, m - 1, axis=1)[:, m - 1 : m]
     keep = x <= v
-    tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > m)
-    if tied.size:  # rows with more entries equal to v than places left
+    if np.count_nonzero(keep) > len(x) * m:  # rows with more entries equal to v than places left
+        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > m)
         xt, vt = x[tied], v[tied]
         below = xt < vt
         at_v = xt == vt
         spare = m - np.count_nonzero(below, axis=1, keepdims=True)
         keep[tied] = below | (at_v & (np.cumsum(at_v, axis=1) <= spare))
-    cols = np.nonzero(keep)[1].reshape(len(x), m)
-    order = np.argsort(np.take_along_axis(x, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
+    return keep
+
+
+def _merge_smallest(best, at, enter, above, below, above_ids, below_ids) -> None:
+    # For the anchors enter, keep in best and at the m smallest distances of
+    # above, best and below, leftmost among equals, in that order, and their
+    # candidate indices: above_ids, at and below_ids.
+    n, m = len(enter), best.shape[1]
+    x = np.concatenate([above[enter], best[enter], below[enter]], axis=1)
+    ids = np.concatenate(
+        [np.tile(above_ids, (n, 1)), at[enter], np.tile(below_ids, (n, 1))], axis=1
+    )
+    keep = np.flatnonzero(_smallest_stable(x, m))
+    best[enter] = x.ravel()[keep].reshape(n, m)
+    at[enter] = ids.ravel()[keep].reshape(n, m)
 
 
 def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndarray:
@@ -148,9 +161,17 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     reach candidates outside the plane, which are masked. The distances
     are sums of squared differences, never ``|a|^2 + |b|^2 - 2ab``, so
     identical patches are at distance 0 and equal distances stay equal.
-    The k nearest are picked by a partition, and only those are sorted,
-    one anchor row of the grid at a time, so the selection's temporaries
-    are one row's size; each anchor's pick reads only its own distances.
+
+    No table of every anchor's window is built. Each anchor keeps its
+    ``m = min(k, window candidates)`` smallest distances so far, leftmost
+    among equals, in candidate order: the candidates seen after row
+    offset ``dr`` are window rows ``-dr`` to ``dr``, so the mirrored row
+    of the next offset goes before them and the direct row after, and
+    the m smallest of the three, leftmost among equals, are the m first
+    of a stable sort of all the anchor's candidates. Only anchors where a
+    new candidate can enter are merged. One stable sort of the m kept
+    ones ends the call, so the selection holds two rows per anchor and
+    the m kept, whatever the window.
     """
     f = check_array("cube", f, 3)
     rows, cols, bands = f.shape
@@ -165,10 +186,19 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     ac = np.array([check_int("anchor column", a, 0, cols - s) for a in grid.cols], dtype=np.intp)
     wr, wc = min(window, rows - s), min(window, cols - s)
     tr, tc = 2 * wr + 1, 2 * wc + 1
+    m = min(k, tr * tc)
     t = np.arange(tc)
     planes = np.ascontiguousarray(f.transpose(2, 0, 1)).reshape(bands, rows * cols)
     mirror_cols = np.clip(ac[:, None] - t + wc, 0, cols - s)
-    dist = np.full((len(ar), len(ac), tr, tc), np.inf)
+    cand = ac[:, None] + t - wc
+    off_plane = (cand < 0) | (cand > cols - s)
+    # best[n]: anchor n's m smallest distances so far, leftmost among equals,
+    # in candidate order, at candidate indices at[n]; +inf holds a place no
+    # candidate has taken.
+    best = np.full((g, m), np.inf)
+    at = np.zeros((g, m), dtype=np.intp)
+    n_valid = np.zeros(g, dtype=np.intp)
+    two_rows = np.empty((2, len(ar), len(ac), tc))
     for dr in range(wr + 1):
         # sq[t, y, x]: squared distance over bands of pixel (y, x) to pixel
         # (y + dr, x + t - wc), or to the pixel that far along the flat plane
@@ -181,25 +211,32 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
             d = planes[:, lo:hi] - planes[:, lo + sh : hi + sh]
             d *= d
             np.sum(d, axis=0, out=flat[dc + wc, lo:hi])
+            del d  # one temporary the size of the planes at a time
+        # two_rows[0]: window row wr - dr of each anchor, two_rows[1]: row wr + dr
+        two_rows.fill(np.inf)
         down = ar + dr <= rows - s
-        dist[down, :, wr + dr] = _box_sums(sq, ar[down], s)[:, :, ac].transpose(1, 2, 0)
+        two_rows[1, down] = _box_sums(sq, ar[down], s)[:, :, ac].transpose(1, 2, 0)
         if dr:
             up = ar >= dr
             # mirrored[a, t, n]: box of anchor row n at column mirror_cols[a, t]
             mirrored = _box_sums(sq, ar[up] - dr, s)[t, :, mirror_cols]
-            dist[up, :, wr - dr] = mirrored.transpose(2, 0, 1)[..., ::-1]
-    cand = ac[:, None] + t - wc
-    dist.transpose(0, 2, 1, 3)[..., (cand < 0) | (cand > cols - s)] = np.inf
-    dist = dist.reshape(len(ar), len(ac), tr * tc)
-    dist[..., wr * tc + wc] = -1.0  # the anchor itself comes first
-    pick = np.empty((len(ar), len(ac), k), dtype=np.intp)
-    cyclic = np.arange(k)
-    for row_dist, row_pick in zip(dist, pick):  # one anchor row of the grid at a time
-        n_valid = np.count_nonzero(np.isfinite(row_dist), axis=1)
-        order = _smallest_stable(row_dist, min(k, tr * tc))
-        row_pick[:] = np.take_along_axis(order, cyclic % n_valid[:, None], axis=1)
-    pick = pick.reshape(len(ar) * len(ac), k)
-    members = np.empty(pick.shape + (2,), dtype=np.intp)
+            two_rows[0, up] = mirrored.transpose(2, 0, 1)[..., ::-1]
+        else:
+            two_rows[1, :, :, wc] = -1.0  # the anchor itself comes first
+        two_rows[:, :, off_plane] = np.inf
+        n_valid += np.count_nonzero(np.isfinite(two_rows), axis=(0, 3)).ravel()
+        # A candidate enters if it is below the m-th kept distance, or equal to
+        # it and ahead of it in candidate order.
+        above, below = two_rows.reshape(2, g, tc)
+        worst = best.max(axis=1, keepdims=True)
+        enter = np.flatnonzero((above <= worst).any(axis=1) | (below < worst).any(axis=1))
+        if enter.size:
+            _merge_smallest(best, at, enter, above, below, (wr - dr) * tc + t, (wr + dr) * tc + t)
+        del sq, flat  # freed before the next offset's are allocated
+    order = np.argsort(best, axis=1, kind="stable")
+    order = np.take_along_axis(order, np.arange(k) % n_valid[:, None], axis=1)
+    pick = np.take_along_axis(at, order, axis=1)
+    members = np.empty((g, k, 2), dtype=np.intp)
     members[..., 0] = np.repeat(ar, len(ac))[:, None] + pick // tc - wr
     members[..., 1] = np.tile(ac, len(ar))[:, None] + pick % tc - wc
     return members
@@ -262,9 +299,10 @@ def _sizes(name: str, sizes, n: int) -> tuple[int, ...]:
     return tuple(check_int(f"{name} size", v, 1) for v in sizes)
 
 
-def _flat_indices(members: np.ndarray, s: int, dims: tuple[int, int, int]) -> np.ndarray:
-    # _voxel_indices of checked members.
-    rows, cols, bands = dims
+def _check_members(members, s: int, plane: tuple[int, int]) -> tuple[np.ndarray, int]:
+    # (g, k, 2) member anchors as intp, each with its s x s patch in the
+    # plane, and the patch size.
+    rows, cols = plane
     s = check_int("patch size", s, 1, min(rows, cols))
     members = _check_indices("member anchors", members)
     if members.ndim != 3 or members.shape[2] != 2:
@@ -273,8 +311,8 @@ def _flat_indices(members: np.ndarray, s: int, dims: tuple[int, int, int]) -> np
     if members.size and (
         r.min() < 0 or r.max() > rows - s or c.min() < 0 or c.max() > cols - s
     ):
-        raise UsageError(f"member anchors out of range for patch size {s} in {dims}")
-    return _voxel_indices(members, _block_offsets(s, dims), dims)
+        raise UsageError(f"member anchors out of range for patch size {s} in {plane}")
+    return members, s
 
 
 def _block_offsets(s: int, dims: tuple[int, int, int]) -> np.ndarray:
@@ -286,14 +324,18 @@ def _block_offsets(s: int, dims: tuple[int, int, int]) -> np.ndarray:
 
 
 def _voxel_indices(
-    members: np.ndarray, block: np.ndarray, dims: tuple[int, int, int]
+    members: np.ndarray,
+    block: np.ndarray,
+    dims: tuple[int, int, int],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     # Entry [n, i + s*j, lam, m] is the C-order flat index of voxel
     # (r + i, c + j, lam) of a ``dims`` cube, (r, c) = members[n, m], for
-    # block = _block_offsets(s, dims). Nothing is checked.
+    # block = _block_offsets(s, dims), written into out if given. Nothing is
+    # checked.
     _, cols, bands = dims
     origin = (members[..., 0] * cols + members[..., 1]) * bands
-    return origin[:, None, None, :] + block[None, :, :, None]
+    return np.add(origin[:, None, None, :], block[None, :, :, None], out=out)
 
 
 def _scatter(approx: np.ndarray, idx: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
@@ -312,7 +354,8 @@ def gather_groups(
     indices of the stack, for :func:`scatter_groups`.
     """
     f = check_array("cube", f, 3, finite=False)
-    idx = _flat_indices(members, s, f.shape)
+    members, s = _check_members(members, s, f.shape[:2])
+    idx = _voxel_indices(members, _block_offsets(s, f.shape), f.shape)
     return f.ravel()[idx], idx
 
 
@@ -335,7 +378,17 @@ def scatter_groups(
 
 
 def coverage_counts(members: np.ndarray, s: int, plane: tuple[int, int]) -> np.ndarray:
-    """The ``counts`` of :func:`aggregate` as one ``(rows, cols, 1)`` plane for all bands."""
+    """The ``counts`` of :func:`aggregate` as one ``(rows, cols, 1)`` plane for all bands.
+
+    The member anchors are counted per pixel by one ``np.bincount``, and
+    each pixel's count is the sum of the anchor counts in the s x s box
+    that ends at it, in integers, so the counts are exact.
+    """
     rows, cols = _sizes("plane", plane, 2)
-    idx = _flat_indices(members, s, (rows, cols, 1)).ravel()
-    return np.bincount(idx, minlength=rows * cols).astype(np.float64).reshape(rows, cols, 1)
+    members, s = _check_members(members, s, (rows, cols))
+    flat = (members[..., 0] * cols + members[..., 1]).ravel()
+    # anchors[0, s - 1 + r, s - 1 + c]: the members anchored at (r, c)
+    anchors = np.zeros((1, rows + s - 1, cols + s - 1), dtype=np.intp)
+    anchors[0, s - 1 :, s - 1 :] = np.bincount(flat, minlength=rows * cols).reshape(rows, cols)
+    counts = _box_sums(anchors, np.arange(rows), s)
+    return counts.astype(np.float64).reshape(rows, cols, 1)

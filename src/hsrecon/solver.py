@@ -22,10 +22,16 @@ groups: the work of ``patches.gather_groups``, ``denoise_groups`` and
 members once per rematch, by ``patches.coverage_counts``), so each chunk
 runs the private kernels those functions call once their checks pass,
 with the gather offsets built once per call. The one check left per chunk
-is ``_denoise``'s finite scan of the stack. ``_denoise`` drops each
-temporary as soon as it is dead: the stack once the core is in, the
-unshrunk core once it is shrunk. The chunks of an iteration run on ``WORKERS``
-threads, the calling thread among them (NumPy's ``eigh`` and ``matmul``
+is ``_denoise``'s finite scan of the stack. A chunk gathers its indices
+and stack into a pair of buffers that no running chunk holds, one chunk
+in size, made at most once per thread and kept until the next rematch,
+and once the core is in, the stack's memory takes the weights, the
+shrunk core and then the rebuilt groups. So the arrays of a chunk's size
+are not allocated and freed once per chunk, and the allocator has no heap
+top to trim and fault back in at the next chunk. ``_denoise`` drops each
+other temporary as soon as it is dead: the unshrunk core once it is
+shrunk. The chunks of an iteration run on ``WORKERS`` threads, the
+calling thread among them (NumPy's ``eigh`` and ``matmul``
 release the GIL). Each thread takes the next chunk in order as it comes
 free, and the partial cubes are added in chunk order, each as soon as all
 before it are in, so the output is bitwise the same for any CPU count and
@@ -154,9 +160,9 @@ def update_weights(g: np.ndarray, c: float) -> np.ndarray:
     return _weights(check_array("core", g, None, finite=False), c)
 
 
-def _weights(g: np.ndarray, c: float) -> np.ndarray:
-    # update_weights of checked arguments.
-    w = np.abs(g, out=np.empty(g.shape))  # an array also for 0-d g
+def _weights(g: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarray:
+    # update_weights of checked arguments, into out if given.
+    w = np.abs(g, out=np.empty(g.shape) if out is None else out)  # an array also for 0-d g
     w += EPS
     return np.divide(c, w, out=w)
 
@@ -202,12 +208,17 @@ def denoise_groups(
 
 
 def _denoise(
-    stacked: np.ndarray, core_mag: np.ndarray | None, p: SolverParams
+    stacked: np.ndarray,
+    core_mag: np.ndarray | None,
+    p: SolverParams,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     # denoise_groups of checked arguments: the chunk step of reconstruct.
     # The stack's one check is a finite scan. Each temporary is dropped as
-    # soon as it is dead, so a caller that hands over its only reference to
-    # the stack has it freed once the core is in.
+    # soon as it is dead. out, if given, is a C-contiguous array of the
+    # stack's shape that may be overwritten, the stack itself among them,
+    # as it is dead once the core is in: the weights and so the shrunk core
+    # go into its leading entries, and then the approximation into all of it.
     norm = np.linalg.norm(stacked.ravel())  # not finite if an entry is not, or on overflow
     if not math.isfinite(norm) and not np.isfinite(stacked).all():
         raise DataError("tensor stack contains non-finite values")
@@ -220,11 +231,12 @@ def _denoise(
     if mag.shape != core.shape:  # the guard failed: zero-pad the block
         mag = np.zeros(core.shape)
         mag[tuple(slice(0, n) for n in core_mag.shape)] = core_mag
-    w = _weights(mag, p.c)
+    w = _weights(mag, p.c, None if out is None else out.ravel()[: core.size].reshape(core.shape))
     g = _shrink(core, w, p.tau, out=w)
     del core, mag
-    approx = tensors._mode_products_batch(g, factors)
-    return approx, np.abs(g[_live_box(g)])
+    live = np.abs(g[_live_box(g)])
+    # The rebuild's first product is the last read of g, so out can take it.
+    return tensors._mode_products_batch(g, factors, out), live
 
 
 def _live_box(g: np.ndarray) -> tuple[slice, ...]:
@@ -323,27 +335,41 @@ def reconstruct(
     chunk = max(2, CHUNK_BYTES // (8 * p.s * p.s * sys.bands * p.k))
     parts = [slice(lo, lo + chunk) for lo in range(0, len(grid.rows) * len(grid.cols), chunk)]
     block = patches._block_offsets(p.s, dims)
+    buffer_shape = (min(chunk, len(grid.rows) * len(grid.cols)), *block.shape, p.k)
+    spare: list[tuple[np.ndarray, np.ndarray]] = []  # index and stack buffers of no running chunk
 
     def step(i: int) -> np.ndarray:
         # Chunk i of the group step on the current x, members and kept state,
         # through the unchecked kernels: the members were checked by
         # coverage_counts, and _denoise scans the stack.
-        idx = patches._voxel_indices(members[parts[i]], block, dims)
+        chunk_members = members[parts[i]]
+        n = len(chunk_members)
+        try:
+            idx_buf, stack_buf = spare.pop()
+        except IndexError:  # all in use: at most one pair per thread is made
+            idx_buf, stack_buf = np.empty(buffer_shape, dtype=np.intp), np.empty(buffer_shape)
+        idx = patches._voxel_indices(chunk_members, block, dims, out=idx_buf[:n])
+        # The indices are in range, so "clip" clips nothing; it takes out
+        # as it is, where the default mode would fill a buffered copy.
+        stack = np.take(x.ravel(), idx, out=stack_buf[:n], mode="clip")
         mag = None
         if mags[i] is not None:
             shape, pos, vals = mags[i]
             mag = np.zeros(shape)
             mag.put(pos, vals)
-        approx, mag = _denoise(x.ravel()[idx], mag, p)  # the stack's only reference
+        approx, mag = _denoise(stack, mag, p, out=stack)
         pos = np.flatnonzero(mag != 0)  # several times faster on bools than on floats
         mags[i] = mag.shape, pos, mag.take(pos)
-        return patches._scatter(approx, idx, dims)
+        part = patches._scatter(approx, idx, dims)
+        spare.append((idx_buf, stack_buf))
+        return part
 
     x, t = f, 1.0  # the point the group step reads, and the momentum scalar
     t0 = time.perf_counter()
     for it in range(1, p.max_iter + 1):
         if (it - 1) % p.rematch_every == 0:
             mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
+            spare.clear()  # no chunk buffers held while matching
             members = patches.match_groups(x, grid, p.k, p.window)
             counts = patches.coverage_counts(members, p.s, (rows, cols))
         total = _ordered_sum(len(parts), step, np.zeros(dims))
@@ -380,8 +406,9 @@ def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -
     it are, so ``total`` is bitwise the same for any worker count and
     timing. No thread runs more than two indexes per thread ahead of the
     last one added, which bounds the results held while one is late. If
-    ``work`` raises, no further index is handed out, every thread ends,
-    and the error of the lowest failing index is raised.
+    ``work`` raises, or its result cannot be added to ``total``, no further
+    index is handed out, every thread ends, and the error of the lowest
+    failing index is raised.
     """
     workers = min(WORKERS, n)
     window = 2 * workers
@@ -410,10 +437,15 @@ def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -
                 return
             with cond:
                 done[i] = part
-                while added in done:
-                    total += done.pop(added)
-                    added += 1
-                cond.notify_all()
+                try:
+                    while added in done:
+                        total += done.pop(added)
+                        added += 1
+                except BaseException as e:  # a result that does not fit total
+                    errors[added] = e
+                    return
+                finally:
+                    cond.notify_all()
 
     try:
         for _ in range(workers - 1):

@@ -125,9 +125,11 @@ def tucker_reconstruct(f: TuckerFactors) -> np.ndarray:
     return t
 
 
-def _mode_products_batch(t: np.ndarray, mats) -> np.ndarray:
+def _mode_products_batch(t: np.ndarray, mats, out: np.ndarray | None = None) -> np.ndarray:
     # t: (g, d1, d2, d3); mats[n]: (g, r_n, d_n). The three mode products in
-    # the order with the fewest multiplies, 1-2-3 on a tie.
+    # the order with the fewest multiplies, 1-2-3 on a tie; the last one is
+    # written into out, a C-contiguous (g, r1, r2, r3) array, if given. Only
+    # the first product reads t, so out may share t's memory.
     dims, ranks = t.shape[1:], [a.shape[1] for a in mats]
 
     def multiplies(order):
@@ -137,16 +139,24 @@ def _mode_products_batch(t: np.ndarray, mats) -> np.ndarray:
             total += dims[n] * math.prod(shape)
         return total
 
+    def into(y, *shape):
+        return None if y is None else y.reshape(shape)
+
     x = t
-    for n in min(itertools.permutations(range(3)), key=multiplies):
-        a = mats[n]
+    order = min(itertools.permutations(range(3)), key=multiplies)
+    for n in order:
+        a, y = mats[n], out if n == order[-1] else None
         g, e1, e2, e3 = x.shape
+        r = a.shape[1]
         if n == 0:
-            x = (a @ x.reshape(g, e1, e2 * e3)).reshape(g, a.shape[1], e2, e3)
+            x = np.matmul(a, x.reshape(g, e1, e2 * e3), out=into(y, g, r, e2 * e3))
+            x = x.reshape(g, r, e2, e3)
         elif n == 1:
-            x = a[:, None] @ x
+            x = np.matmul(a[:, None], x, out=y)
         else:
-            x = (x.reshape(g, e1 * e2, e3) @ a.transpose(0, 2, 1)).reshape(g, e1, e2, a.shape[1])
+            y = into(y, g, e1 * e2, r)
+            x = np.matmul(x.reshape(g, e1 * e2, e3), a.transpose(0, 2, 1), out=y)
+            x = x.reshape(g, e1, e2, r)
     return x
 
 

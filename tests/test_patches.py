@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def _stacked_match_blocks(f, grid, s, k, window):
 
 
 @st.composite
-def _quarter_cubes(draw):
+def _quarter_cubes(draw, max_row_period=None):
     # Values are multiples of 1/4, so every distance is exact in any
     # summation order: ties are real and member lists must agree bitwise.
     # A period smaller than the plane repeats identical patches.
@@ -132,7 +133,7 @@ def _quarter_cubes(draw):
     cols = draw(st.integers(1, 14))
     bands = draw(st.integers(1, 3))
     levels = draw(st.integers(1, 4))
-    period_r = draw(st.integers(1, rows))
+    period_r = draw(st.integers(1, min(rows, max_row_period or rows)))
     period_c = draw(st.integers(1, cols))
     seed = draw(st.integers(0, 2**32 - 1))
     base = np.random.default_rng(seed).integers(0, levels, (period_r, period_c, bands))
@@ -155,6 +156,41 @@ class TestMatchGroups:
         got = match_groups(f, grid, k, window)
         assert got.dtype == np.intp
         assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=_quarter_cubes(max_row_period=2),
+        s=st.integers(1, 3),
+        step=st.integers(1, 3),
+        window=st.integers(0, 4),
+        extra=st.integers(-3, 12),
+    )
+    def test_equals_match_blocks_with_row_ties_and_k_past_the_window(
+        self, f, s, step, window, extra
+    ):
+        # Rows repeat with period 1 or 2, so candidates at row offsets -dr and
+        # +dr, and on rows met at different offsets, tie exactly; k reaches
+        # past the (2w + 1)^2 window, where the selection repeats cyclically.
+        s = min(s, f.shape[0], f.shape[1])
+        k = max(1, (2 * window + 1) ** 2 + extra)
+        grid = plan_grid(f.shape[0], f.shape[1], s, step)
+        got = match_groups(f, grid, k, window)
+        assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
+
+    def test_peak_memory_below_the_window_table(self, rng):
+        # 1521 anchors with a 25 x 25 window: a float64 distance for every
+        # anchor and window candidate would take 7.6 MB, about twice what
+        # the selection holds at once
+        f = rng.random((40, 40, 1))
+        grid = plan_grid(40, 40, 2, 1)
+        g, window = len(grid.rows) * len(grid.cols), 12
+        tracemalloc.start()
+        try:
+            match_groups(f, grid, 8, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g * (2 * window + 1) ** 2 * 8
 
     @pytest.mark.parametrize(
         "shape, s, step, k, window",
@@ -259,7 +295,8 @@ class TestSmallestStable:
     def test_equals_stable_argsort_prefix(self, x):
         full = np.argsort(x, axis=1, kind="stable")
         for m in range(1, x.shape[1] + 1):
-            assert np.array_equal(_smallest_stable(x, m), full[:, :m])
+            kept = np.nonzero(_smallest_stable(x, m))[1].reshape(len(x), m)
+            assert np.array_equal(kept, np.sort(full[:, :m], axis=1))
 
 
 class TestBuildGroup:
@@ -324,6 +361,51 @@ class TestAggregate:
         total, counts = aggregate(groups, f.shape)
         assert np.all(counts >= 1.0)
         np.testing.assert_allclose(total, counts * f, rtol=1e-12)
+
+
+def _coverage_by_voxel_index(members, s, rows, cols):
+    # One flat index per member and voxel of its patch, counted by bincount.
+    i, j = np.divmod(np.arange(s * s), s)
+    idx = (members[..., 0] * cols + members[..., 1])[..., None] + i * cols + j
+    return np.bincount(idx.ravel(), minlength=rows * cols).astype(float).reshape(rows, cols, 1)
+
+
+class TestCoverageCounts:
+    @pytest.mark.parametrize(
+        "rows, cols, s",
+        [(9, 13, 1), (9, 13, 9), (13, 9, 9), (10, 7, 3), (1, 6, 1), (6, 6, 6), (12, 12, 5)],
+    )
+    def test_equals_voxel_index_oracle(self, rng, rows, cols, s):
+        # random anchors, repeated within and across groups, plus anchors on
+        # each of the four edges and in each corner, and a group of one anchor
+        hi_r, hi_c = rows - s, cols - s
+        members = np.stack(
+            [rng.integers(0, hi_r + 1, (7, 9)), rng.integers(0, hi_c + 1, (7, 9))], axis=-1
+        )
+        members[0, :8] = [
+            [0, hi_c // 2], [hi_r, hi_c // 3], [hi_r // 2, 0], [hi_r // 3, hi_c],
+            [0, 0], [0, hi_c], [hi_r, 0], [hi_r, hi_c],
+        ]
+        members[1] = members[1, 0]
+        got = coverage_counts(members, s, (rows, cols))
+        assert got.dtype == np.float64
+        assert got.tobytes() == _coverage_by_voxel_index(members, s, rows, cols).tobytes()
+
+    def test_empty_members(self):
+        got = coverage_counts(np.zeros((0, 3, 2), dtype=int), 2, (4, 5))
+        assert got.shape == (4, 5, 1) and not got.any()
+
+    def test_peak_memory_below_the_voxel_index(self, rng):
+        # an int64 index of every member voxel would take 8.2 MB
+        g, k, s = 400, 40, 8
+        members = rng.integers(0, 64 - s + 1, (g, k, 2))
+        tracemalloc.start()
+        try:
+            coverage_counts(members, s, (64, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g * s * s * k * 8
 
 
 def _matched(f, s, k, window, step):

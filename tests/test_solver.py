@@ -275,6 +275,22 @@ class TestDenoiseGroups:
         assert k_approx.tobytes() == approx.tobytes()
         assert k_out.shape == out.shape and k_out.tobytes() == out.tobytes()
 
+    @pytest.mark.parametrize("visit", ["first", "revisit", "guard fails"])
+    def test_kernel_into_the_stack_equals_a_fresh_output(self, visit):
+        # the chunk step hands _denoise its stack as out: the weights, the
+        # shrunk core (a revisit's block in the leading entries) and then the
+        # approximation overwrite it, with the bits of fresh arrays
+        p = SolverParams(k=20)
+        stacked = _smooth_groups(1, noise=0.01) * (1e4 if visit == "guard fails" else 1.0)
+        mag = None if visit == "first" else denoise_groups(_smooth_groups(1), None, p)[1]
+        assert mag is None or mag.shape[1:] != stacked.shape[1:]  # a cropped block
+        want_approx, want_mag = solver._denoise(stacked.copy(), mag, p)
+        buf = stacked.copy()
+        approx, got_mag = solver._denoise(buf, mag, p, out=buf)
+        assert np.shares_memory(approx, buf)
+        assert approx.tobytes() == want_approx.tobytes() == buf.tobytes()
+        assert got_mag.shape == want_mag.shape and got_mag.tobytes() == want_mag.tobytes()
+
     @pytest.mark.parametrize("revisit", [False, True])
     def test_ragged_stack_raises(self, revisit):
         ragged = [np.zeros((4, 2, 3)), np.zeros((4, 2))]
@@ -627,14 +643,14 @@ class TestKeptCoreState:
         lock = threading.Lock()
         visits = {}  # chunk -> (block received, block returned) per iteration
 
-        def indices_spy(members, block, dims):
+        def indices_spy(members, block, dims, out):
             # a group's first member is its anchor, so this names the chunk
             current.chunk = tuple(members[0, 0].tolist())
-            return indices(members, block, dims)
+            return indices(members, block, dims, out)
 
-        def denoise_spy(stacked, core_mag, p):
+        def denoise_spy(stacked, core_mag, p, out):
             received = None if core_mag is None else core_mag.copy()
-            approx, mag = denoise(stacked, core_mag, p)
+            approx, mag = denoise(stacked, core_mag, p, out)
             with lock:
                 visits.setdefault(current.chunk, []).append((received, mag.copy()))
             return approx, mag
@@ -688,9 +704,9 @@ class TestWorkerPool:
         monkeypatch.setattr(solver, "CHUNK_BYTES", 8 * 25 * 31 * 6)
         denoise, sizes = solver._denoise, []
 
-        def spy(stacked, core_mag, params):
+        def spy(stacked, core_mag, params, out):
             sizes.append(len(stacked))
-            return denoise(stacked, core_mag, params)
+            return denoise(stacked, core_mag, params, out)
 
         monkeypatch.setattr(solver, "_denoise", spy)
         outputs = []
@@ -786,6 +802,30 @@ class TestWorkerPool:
         t.join(timeout=10)
         assert not t.is_alive() and len(errors) == 1
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_result_that_does_not_fit_raises_and_threads_end(self, monkeypatch, workers):
+        # the add of result 5 fails in whichever thread makes it: the error
+        # is raised and no thread is left waiting
+        monkeypatch.setattr(solver, "WORKERS", workers)
+        start = threading.active_count()
+        errors = []
+
+        def work(i):
+            time.sleep(0.002 * (i % 3))
+            return np.ones(3 if i == 5 else 2)
+
+        def call():
+            try:
+                solver._ordered_sum(30, work, np.zeros(2))
+            except ValueError as e:
+                errors.append(e)
+
+        t = threading.Thread(target=call, daemon=True)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive() and len(errors) == 1
+        assert threading.active_count() == start
+
     def test_lowest_failing_chunk_raised_and_threads_joined(self, monkeypatch):
         # chunk 5 fails first in time, chunk 4 later: the error raised is
         # chunk 4's, as in a serial run. The calling thread's chunks are
@@ -820,12 +860,12 @@ class TestWorkerPool:
         real = solver._denoise  # the chunk step's kernel
         calls = []
 
-        def poisoned(stacked, core_mag, params):
+        def poisoned(stacked, core_mag, params, out):
             calls.append(None)
             if len(calls) == 5:
                 stacked = stacked.copy()
                 stacked[0, 0, 0, 0] = np.nan
-            return real(stacked, core_mag, params)
+            return real(stacked, core_mag, params, out)
 
         monkeypatch.setattr(solver, "_denoise", poisoned)
         with pytest.raises(DataError):

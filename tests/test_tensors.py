@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,3 +382,31 @@ def test_mode_products_in_rank_order_equal_the_fixed_order(g, dims, square, data
         assert got.tobytes() == want.tobytes()
     scale = np.linalg.norm(t) * np.prod([np.linalg.norm(a) for a in mats])
     assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "dims, outs",
+    [
+        ((25, 31, 45), (25, 1, 25)),  # a revisit's core block
+        ((25, 1, 25), (25, 31, 45)),  # its rebuild
+        ((9, 4, 5), (9, 4, 5)),  # full rank: a tie, order 1-2-3
+        ((3, 2, 4), (0, 2, 4)),
+    ],
+)
+@pytest.mark.parametrize("shared", [False, True])
+def test_mode_products_into_out_equal_a_fresh_output(dims, outs, shared):
+    # out takes the last product with the same bits; it may share t's memory,
+    # which only the first product reads
+    rng = np.random.default_rng(8)
+    t = rng.standard_normal((2, *dims))
+    mats = [rng.standard_normal((2, r, d)) for r, d in zip(outs, dims)]
+    want = tensors._mode_products_batch(t, mats)
+    size = 2 * math.prod(outs)
+    buf = np.empty(max(t.size, size) + 3)
+    if shared:
+        buf[: t.size] = t.ravel()
+        t = buf[: t.size].reshape(t.shape)
+    out = buf[:size].reshape(2, *outs)
+    got = tensors._mode_products_batch(t, mats, out)
+    assert got.shape == want.shape and (got.size == 0 or np.shares_memory(got, buf))
+    assert got.tobytes() == want.tobytes() and out.tobytes() == want.tobytes()
