@@ -30,7 +30,7 @@ def _cmd_simulate(args) -> int:
     cube = fileio.read_cube(args.cube)
     rows, cols, bands = cube.shape
     mask = imaging.generate_mask(rows, cols, args.p, args.seed)
-    sysmod = imaging.SystemModel.default(mask, bands, mode=args.mode)
+    sysmod = imaging.SystemModel(mask, bands, args.mode)
     meas = imaging.forward(cube, sysmod)
     cassi, pan = meas.cassi, meas.pan
     if args.noise_sigma > 0.0:
@@ -58,7 +58,7 @@ def _cmd_reconstruct(args) -> int:
     cassi = fileio.read_plane(args.meas)
     pan = fileio.read_plane(args.pan) if args.pan else None
     mode = imaging.DCCHI if pan is not None else imaging.CASSI
-    sysmod = imaging.SystemModel.default(mask, dims[2], mode=mode)
+    sysmod = imaging.SystemModel(mask, dims[2], mode)
     y = imaging.Measurement(cassi=cassi, pan=pan)
     log = None
 
@@ -113,7 +113,7 @@ def _cmd_spectrum_diag(args) -> int:
     cube = fileio.read_cube(args.cube)
     grid = patches.PatchGrid(patch_size=args.s, rows=(row,), cols=(col,))
     members = patches.match_groups(cube, grid, args.k, args.window)
-    stacked, _ = patches.gather_groups(cube, members, args.s)
+    stacked = patches.gather_groups(cube, members, args.s)
     mags = np.sort(np.abs(tensors.hosvd_batch(stacked).core).ravel())[::-1]
     lines = ["rank,magnitude"]
     lines += [f"{i},{m:.10e}" for i, m in enumerate(mags)]

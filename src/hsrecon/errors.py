@@ -10,7 +10,10 @@ search window, iteration counts, tensor modes and ranks) and positive
 reals (the weight c, the coupling tau, the ridge rho). :func:`check_int`
 and :func:`check_positive` are the one place that rule is written: a count
 is an integer in range, a real is positive and finite, and a bool, a
-string or None is neither.
+string or None is neither. A tuple of sizes (a cube's dims, a plane, an
+anchor) goes through :func:`check_sizes`: the wrong number of entries, or
+no tuple or list at all, raises :class:`DimensionError`, and an entry that
+is no count :class:`UsageError`.
 
 Arrays go through :func:`check_array`: bool, integer and real float
 arrays become float64 (a float64 array is not copied); any other dtype,
@@ -50,6 +53,13 @@ def check_int(name: str, value, low: int, high: int | None = None) -> int:
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise UsageError(f"{name} must be an integer {bounds}, got {value!r}")
     return int(value)
+
+
+def check_sizes(name: str, sizes, n: int, low: int = 1) -> tuple[int, ...]:
+    """``sizes`` as ``n`` ints if it is a tuple or list of ``n`` integers >= ``low``."""
+    if not isinstance(sizes, (tuple, list)) or len(sizes) != n:
+        raise DimensionError(f"{name} must hold {n} sizes, got {sizes!r}")
+    return tuple(check_int(f"{name} size", v, low) for v in sizes)
 
 
 def check_positive(name: str, value) -> float:

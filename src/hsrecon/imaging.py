@@ -67,7 +67,11 @@ class SystemModel:
 
     @classmethod
     def default(cls, mask: np.ndarray, bands: int, mode: str = CASSI) -> "SystemModel":
-        """The system of ``mask``, ``bands`` and ``mode``."""
+        """The system of ``mask``, ``bands`` and ``mode``: ``cls(mask, bands, mode)``.
+
+        Its one remaining caller is ``perfbench/job.py``; it goes when the
+        benchmark builds its systems directly (ROADMAP item 2).
+        """
         return cls(mask, bands, mode)
 
     @property

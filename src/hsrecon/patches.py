@@ -11,13 +11,17 @@ anchor of a grid in one pass over the window's row offsets, each offset
 shifted differences of the cube's flat band planes, keeps each anchor's
 k nearest so far as the offsets arrive and returns a ``(g, k, 2)`` array
 of member anchors; ``gather_groups`` stacks it into ``(g, s*s, L, k)``
-with one fancy index into the flattened cube and returns those flat
-indices; ``scatter_groups`` adds approximated groups back along the same
-indices with ``np.bincount``; ``coverage_counts`` counts the patches
-covering each pixel, one plane for all bands, from a count of the member
-anchors. ``match_blocks``, ``build_group``
-and ``aggregate`` do the same one group at a time and stay as the
-reference the batched path is tested against.
+with one fancy index into the flattened cube; ``coverage_counts`` counts
+the patches covering each pixel, one plane for all bands, from a count
+of the member anchors. With ``tensors.hosvd_batch`` these are the public
+batched API. The group step of ``solver.reconstruct`` checks the members
+once per rematch and then runs private kernels per chunk:
+``_voxel_indices``, the flat indices of a chunk's voxels, and
+``_scatter``, which adds approximated groups back along them with
+``np.bincount``; the tests hold both against ``build_group`` and
+``aggregate``. ``match_blocks``, ``build_group`` and ``aggregate`` do
+the work one group at a time. They are the reference path, public
+because the benchmark traces them by name.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, UsageError, check_array, check_int
+from .errors import DimensionError, UsageError, check_array, check_int, check_sizes
 
 __all__ = [
     "PatchGrid",
@@ -37,7 +41,6 @@ __all__ = [
     "build_group",
     "aggregate",
     "gather_groups",
-    "scatter_groups",
     "coverage_counts",
 ]
 
@@ -87,8 +90,9 @@ def match_blocks(
     s = check_int("patch size", s, 1, min(rows, cols))
     k = check_int("k", k, 1)
     window = check_int("window", window, 0)
-    ar = check_int("anchor row", anchor[0], 0, rows - s)
-    ac = check_int("anchor column", anchor[1], 0, cols - s)
+    ar, ac = check_sizes("anchor", anchor, 2, 0)
+    ar = check_int("anchor row", ar, 0, rows - s)
+    ac = check_int("anchor column", ac, 0, cols - s)
     view = sliding_window_view(f, (s, s), axis=(0, 1))  # (R, C, L, s, s)
     r0, r1 = max(0, ar - window), min(rows - s, ar + window)
     c0, c1 = max(0, ac - window), min(cols - s, ac + window)
@@ -265,16 +269,20 @@ def aggregate(
     times contribute multiply. Groups are accumulated sequentially in list
     order, so the result is deterministic.
     """
+    dims = check_sizes("dims", dims, 3, 0)
     total = np.zeros(dims)
     counts = np.zeros(dims)
     bands = dims[2]
     for members, approx in groups:
-        s = math.isqrt(approx.shape[0]) if approx.ndim == 3 else 0
+        approx = check_array("approximation", approx, 3, finite=False)
+        s = math.isqrt(approx.shape[0])
         if approx.shape != (s * s, bands, len(members)):
             raise DimensionError(
                 f"approximation shape {approx.shape} does not fit {len(members)} members"
                 f" of {bands} bands"
             )
+        if len(members):
+            _check_members([members], s, dims[:2])
         for m, (r, c) in enumerate(members):
             block = approx[:, :, m].reshape(s, s, bands, order="F")
             total[r : r + s, c : c + s, :] += block
@@ -291,12 +299,6 @@ def _check_indices(name: str, value) -> np.ndarray:
     if value.dtype.kind not in "iu":
         raise UsageError(f"{name} must be an integer array, got dtype {value.dtype}")
     return value.astype(np.intp, copy=False)
-
-
-def _sizes(name: str, sizes, n: int) -> tuple[int, ...]:
-    if not isinstance(sizes, (tuple, list)) or len(sizes) != n:
-        raise DimensionError(f"{name} must hold {n} sizes, got {sizes!r}")
-    return tuple(check_int(f"{name} size", v, 1) for v in sizes)
 
 
 def _check_members(members, s: int, plane: tuple[int, int]) -> tuple[np.ndarray, int]:
@@ -339,42 +341,21 @@ def _voxel_indices(
 
 
 def _scatter(approx: np.ndarray, idx: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    # scatter_groups of checked arguments.
+    # The total of aggregate for approximated groups and their voxel
+    # indices, accumulated in index order by np.bincount. Nothing is checked.
     size = math.prod(dims)
     return np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size).reshape(dims)
 
 
-def gather_groups(
-    f: np.ndarray, members: np.ndarray, s: int
-) -> tuple[np.ndarray, np.ndarray]:
+def gather_groups(f: np.ndarray, members: np.ndarray, s: int) -> np.ndarray:
     """Stack groups of member anchors into ``(g, s*s, L, k)`` tensors.
 
     ``members`` is a ``(g, k, 2)`` int array; ``stacked[n]`` equals
-    ``build_group(f, members[n], s)``. Also returns the flat voxel
-    indices of the stack, for :func:`scatter_groups`.
+    ``build_group(f, members[n], s)``.
     """
     f = check_array("cube", f, 3, finite=False)
     members, s = _check_members(members, s, f.shape[:2])
-    idx = _voxel_indices(members, _block_offsets(s, f.shape), f.shape)
-    return f.ravel()[idx], idx
-
-
-def scatter_groups(
-    approx: np.ndarray, idx: np.ndarray, dims: tuple[int, int, int]
-) -> np.ndarray:
-    """Sum a stack of approximated groups back into a ``dims`` cube.
-
-    ``idx`` comes from :func:`gather_groups`. This is the ``total`` of
-    :func:`aggregate`, accumulated in index order by ``np.bincount``.
-    """
-    approx = check_array("approximation", approx, None, finite=False)
-    idx = _check_indices("indices", idx)
-    if approx.shape != idx.shape:
-        raise DimensionError(f"approximation shape {approx.shape} != groups {idx.shape}")
-    dims = _sizes("dims", dims, 3)
-    if idx.size and (idx.min() < 0 or idx.max() >= math.prod(dims)):
-        raise UsageError(f"indices out of range for a cube of shape {dims}")
-    return _scatter(approx, idx, dims)
+    return f.ravel()[_voxel_indices(members, _block_offsets(s, f.shape), f.shape)]
 
 
 def coverage_counts(members: np.ndarray, s: int, plane: tuple[int, int]) -> np.ndarray:
@@ -384,7 +365,7 @@ def coverage_counts(members: np.ndarray, s: int, plane: tuple[int, int]) -> np.n
     each pixel's count is the sum of the anchor counts in the s x s box
     that ends at it, in integers, so the counts are exact.
     """
-    rows, cols = _sizes("plane", plane, 2)
+    rows, cols = check_sizes("plane", plane, 2)
     members, s = _check_members(members, s, (rows, cols))
     flat = (members[..., 0] * cols + members[..., 1]).ravel()
     # anchors[0, s - 1 + r, s - 1 + c]: the members anchored at (r, c)

@@ -17,12 +17,13 @@ solution with t = 1 whenever the last step went against the momentum.
 
 Step (a) matches every anchor at once with ``patches.match_groups``.
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
-groups: the work of ``patches.gather_groups``, ``denoise_groups`` and
-``patches.scatter_groups``. Its arguments are checked once per call (the
-members once per rematch, by ``patches.coverage_counts``), so each chunk
-runs the private kernels those functions call once their checks pass,
-with the gather offsets built once per call. The one check left per chunk
-is ``_denoise``'s finite scan of the stack. A chunk gathers its indices
+groups, on private kernels that the tests hold against the per-group
+reference path below. The members are checked once per rematch, by
+``patches.coverage_counts``, and the gather offsets are built once per
+call; each chunk then runs ``patches._voxel_indices``, ``_denoise`` (on
+``tensors._hosvd``, ``_weights``, ``_shrink`` and
+``tensors._mode_products_batch``) and ``patches._scatter``, and its one
+check is ``_denoise``'s finite scan of the stack. A chunk gathers its indices
 and stack into a pair of buffers that no running chunk holds, one chunk
 in size, made at most once per thread and kept until the next rematch,
 and once the core is in, the stack's memory takes the weights, the
@@ -42,7 +43,7 @@ next visit, a threshold of c / (2 tau EPS): 2750 at the defaults. No core
 entry exceeds its group's Frobenius norm (about 190 for a 25x31x45 group
 in [0, 1]), so it stays zero until the next rematch. A revisit passes
 the shape of the live block of the chunk's shrunk cores (``_live_box``)
-to ``hosvd_batch`` as ``ranks``: the eigensolves are unchanged, while the
+to ``tensors._hosvd`` as ``ranks``: the eigensolves are unchanged, while the
 core product, weights, shrink and Tucker reconstruction run on the block
 alone. The guard, c / (2 tau EPS) > 2 * the chunk's norm, leaves a margin
 for rounding; a chunk that fails it zero-pads the block and shrinks the
@@ -54,10 +55,11 @@ the flat positions and values of its nonzero entries, and the next visit
 rebuilds the dense block from them: the same bits. A rematch resets that
 kept state before it matches, so its next visit is a first visit.
 
-``denoise_group`` is the same step for one group on
-``tensors.hosvd``, kept as the reference the batched step is tested
-against, and ``cg_solve_image``, which also takes per-voxel prior weights,
-is the reference for the image update.
+The reference path does the same work one group at a time:
+``denoise_group`` on ``tensors.hosvd``, ``shrink_core`` and
+``update_weights``, and ``cg_solve_image``, which also takes per-voxel
+prior weights, for the image update. It stays public because the
+benchmark traces it by name; the tests hold the chunk kernels against it.
 """
 from __future__ import annotations
 
@@ -79,7 +81,6 @@ __all__ = [
     "shrink_core",
     "update_weights",
     "denoise_group",
-    "denoise_groups",
     "cg_solve_image",
     "reconstruct",
 ]
@@ -129,25 +130,20 @@ class SolverParams:
         check_int("step", self.step, 1, self.s)
 
 
-def shrink_core(
-    g_hat: np.ndarray, w: np.ndarray, tau: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Sign-preserving soft threshold: sign(g) * max(|g| - w/(2 tau), 0).
-
-    The result is written to ``out`` if given, which may be ``w`` itself,
-    else to a new array (a ufunc would return a scalar for 0-d input).
-    """
+def shrink_core(g_hat: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
+    """Sign-preserving soft threshold: sign(g) * max(|g| - w/(2 tau), 0)."""
     tau = check_positive("tau", tau)
     g_hat = check_array("core", g_hat, None, finite=False)
     w = check_array("weights", w, None, finite=False)
     if w.shape != g_hat.shape:
         raise DimensionError(f"weights shape {w.shape} != core shape {g_hat.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN
-        return _shrink(g_hat, w, tau, np.empty(w.shape) if out is None else out)
+        # A new array, not a ufunc's own output: that is a scalar for 0-d input.
+        return _shrink(g_hat, w, tau, np.empty(w.shape))
 
 
 def _shrink(g_hat: np.ndarray, w: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
-    # shrink_core of checked arguments, into ``out``.
+    # shrink_core of checked arguments, into ``out``, which may be ``w``.
     t = np.divide(w, 2.0 * tau, out=out)
     np.subtract(np.abs(g_hat), t, out=t)
     np.maximum(t, 0.0, out=t)
@@ -182,43 +178,19 @@ def denoise_group(
     return tucker_reconstruct(TuckerFactors(core=g, factors=tf.factors)), np.abs(g)
 
 
-def denoise_groups(
-    stacked: np.ndarray, core_mag: np.ndarray | None, p: SolverParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`denoise_group` for every group of a ``(g, s*s, L, k)`` stack.
-
-    The magnitudes returned are the live block of the shrunk cores: along
-    each mode, up to the last index that is nonzero in some group (shape
-    ``(g, 0, 0, 0)`` if none is). Passed back as ``core_mag``, that block
-    is all of the new cores a revisit computes, under the guard the module
-    docstring states. ``core_mag`` is only read.
-    """
-    stacked = check_array("stacked", stacked, 4, finite=False)
-    dims = stacked.shape[1:]
-    if 0 in dims:  # an empty stack is fine
-        raise DimensionError(f"tensor modes must be non-empty, got shape {stacked.shape}")
-    if core_mag is not None:
-        core_mag = check_array("core_mag", core_mag, 4, finite=False)
-        # A block fits if no mode exceeds the full core's.
-        if len(core_mag) != len(stacked) or any(
-            r > f for r, f in zip(core_mag.shape[1:], tensors._full_ranks(dims))
-        ):
-            raise DimensionError(f"core_mag shape {core_mag.shape} does not fit cores {dims}")
-    return _denoise(stacked, core_mag, p)
-
-
 def _denoise(
-    stacked: np.ndarray,
-    core_mag: np.ndarray | None,
-    p: SolverParams,
-    out: np.ndarray | None = None,
+    stacked: np.ndarray, core_mag: np.ndarray | None, p: SolverParams, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # denoise_groups of checked arguments: the chunk step of reconstruct.
-    # The stack's one check is a finite scan. Each temporary is dropped as
-    # soon as it is dead. out, if given, is a C-contiguous array of the
-    # stack's shape that may be overwritten, the stack itself among them,
-    # as it is dead once the core is in: the weights and so the shrunk core
-    # go into its leading entries, and then the approximation into all of it.
+    # The chunk step of reconstruct: denoise_group of every group of a
+    # C-contiguous (g, s*s, L, k) stack. core_mag is the live block of the
+    # chunk's last shrunk cores (None on a first visit) and is only read; the
+    # magnitudes returned are the new live block: along each mode, up to the
+    # last index that is nonzero in some group, (g, 0, 0, 0) if none is. The
+    # stack's one check is a finite scan. out is a C-contiguous array of the
+    # stack's shape that may be overwritten, the stack itself among them, as
+    # it is dead once the core is in: the weights and so the shrunk core go
+    # into its leading entries, and then the approximation into all of it.
+    # Each other temporary is dropped as soon as it is dead.
     norm = np.linalg.norm(stacked.ravel())  # not finite if an entry is not, or on overflow
     if not math.isfinite(norm) and not np.isfinite(stacked).all():
         raise DataError("tensor stack contains non-finite values")
@@ -231,7 +203,7 @@ def _denoise(
     if mag.shape != core.shape:  # the guard failed: zero-pad the block
         mag = np.zeros(core.shape)
         mag[tuple(slice(0, n) for n in core_mag.shape)] = core_mag
-    w = _weights(mag, p.c, None if out is None else out.ravel()[: core.size].reshape(core.shape))
+    w = _weights(mag, p.c, out.ravel()[: core.size].reshape(core.shape))
     g = _shrink(core, w, p.tau, out=w)
     del core, mag
     live = np.abs(g[_live_box(g)])

@@ -4,13 +4,16 @@ A tensor is a C-contiguous ``float64`` ndarray of shape ``(d1, d2, d3)``
 (mode-1 index slowest). Modes are numbered 1..3 throughout, matching the
 usual multilinear-algebra convention.
 
-``hosvd_batch`` and ``tucker_reconstruct_batch`` do the same work for a
-stack of equally shaped tensors ``(g, d1, d2, d3)`` with batched matrix
-products and one batched symmetric eigensolve per mode; the solver's
-group step runs on them. ``hosvd`` and ``tucker_reconstruct`` stay as the
-per-tensor reference they are tested against.
+``hosvd_batch`` is the HOSVD of a stack of equally shaped tensors
+``(g, d1, d2, d3)``, with batched matrix products and one batched
+symmetric eigensolve per mode. The solver's group step runs its private
+kernels: ``_hosvd``, which also computes only a leading block of the core,
+and ``_mode_products_batch``, which rebuilds the groups; the tests hold
+each against the per-tensor ``hosvd`` and ``tucker_reconstruct``. Those
+two, with ``unfold``, ``fold`` and ``mode_n_product``, are the reference
+path, public because the benchmark traces them by name.
 
-Both batched functions apply the three mode products in the order with
+``_mode_products_batch`` applies the three mode products in the order with
 the fewest multiplies, worked out from the shapes alone (Kolda and Bader,
 SIAM Review 2009): for a thin core block such as (25, 1, 25) of a
 (25, 31, 45) group, mode 2 goes first when the core is computed and last
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, UsageError, check_array, check_int
+from .errors import DimensionError, check_array, check_int, check_sizes
 
 __all__ = [
     "TuckerFactors",
@@ -50,7 +53,6 @@ __all__ = [
     "hosvd",
     "tucker_reconstruct",
     "hosvd_batch",
-    "tucker_reconstruct_batch",
 ]
 
 
@@ -67,13 +69,15 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     a = check_int("mode", mode, 1, 3) - 1
     t = check_array("tensor", t, 3, finite=False)
     perm = (a, (a + 1) % 3, (a + 2) % 3)
-    return t.transpose(perm).reshape(t.shape[a], -1)
+    # Sizes, not -1: a zero-length mode n leaves -1 undefined.
+    return t.transpose(perm).reshape(t.shape[a], t.shape[perm[1]] * t.shape[perm[2]])
 
 
 def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold` with the same mode and target dims."""
     a = check_int("mode", mode, 1, 3) - 1
     m = check_array("matrix", m, None, finite=False)
+    dims = check_sizes("dims", dims, 3, 0)
     perm = (a, (a + 1) % 3, (a + 2) % 3)
     shape = tuple(dims[p] for p in perm)
     if m.shape != (shape[0], shape[1] * shape[2]):
@@ -167,8 +171,12 @@ def _full_ranks(dims) -> list[int]:
 
 
 def _hosvd(t: np.ndarray, ranks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    # hosvd_batch's core and factors, for a checked stack and checked ranks
-    # (None: the full widths).
+    # hosvd_batch's core and factors for a checked stack, factor U_n cut to
+    # its leading ranks[n-1] columns (0 up to the full width; None: the full
+    # widths) and the core to that leading block, for a caller that knows
+    # the rest is of no use. The eigensolves are the same: the factors are
+    # the full ones' leading columns, bit for bit, and the block is the full
+    # core's up to rounding.
     g, d1, d2, d3 = t.shape
     m1 = t.reshape(g, d1, d2 * d3)
     m3 = t.reshape(g, d1 * d2, d3)
@@ -187,7 +195,7 @@ def _hosvd(t: np.ndarray, ranks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return core, (factors[0], factors[1], factors[2])
 
 
-def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> TuckerFactors:
+def hosvd_batch(t: np.ndarray) -> TuckerFactors:
     """HOSVD of every tensor in a ``(g, d1, d2, d3)`` stack.
 
     Factor ``U_n`` of tensor ``i`` is ``factors[n-1][i]``: the leading
@@ -197,36 +205,8 @@ def hosvd_batch(t: np.ndarray, ranks: tuple[int, int, int] | None = None) -> Tuc
     shape ``(g, r1, r2, r3)``. Per tensor this equals :func:`hosvd` up to
     rounding, the sign of each factor column and its core slice, and the
     choice of basis for repeated singular values.
-
-    ``ranks`` keeps the leading ``ranks[n-1]`` columns of ``U_n`` (0 up
-    to the full width) and computes only that leading block of the core,
-    for a caller that knows the rest is of no use. The eigensolves are the
-    same: the factors are the full ones' leading columns, bit for bit, and
-    the block is the full core's up to rounding.
     """
     t = check_array("tensor stack", t, 4)
     if 0 in t.shape[1:]:  # an empty stack is fine
         raise DimensionError(f"tensor modes must be non-empty, got shape {t.shape}")
-    full = _full_ranks(t.shape[1:])
-    ranks = ranks.tolist() if isinstance(ranks, np.ndarray) else ranks  # an int array: its ints
-    if ranks is None:
-        ranks = full
-    elif not (isinstance(ranks, (tuple, list)) and len(ranks) == 3):
-        raise UsageError(f"ranks must be three integers, got {ranks!r}")
-    else:
-        ranks = [check_int("rank", r, 0, f) for r, f in zip(ranks, full)]
-    return TuckerFactors(*_hosvd(t, ranks))
-
-
-def tucker_reconstruct_batch(f: TuckerFactors) -> np.ndarray:
-    """:func:`tucker_reconstruct` of every core in a ``(g, r1, r2, r3)`` stack."""
-    core = check_array("core stack", f.core, 4, finite=False)
-    factors = [check_array("factor stack", u, 3, finite=False) for u in f.factors]
-    if len(factors) != 3 or any(
-        u.shape[0] != core.shape[0] or u.shape[2] != r for u, r in zip(factors, core.shape[1:])
-    ):
-        raise DimensionError(
-            f"factor shapes {[u.shape for u in factors]} do not fit core {core.shape}"
-        )
-    with np.errstate(invalid="ignore"):  # 0 * inf gives NaN
-        return _mode_products_batch(core, factors)
+    return TuckerFactors(*_hosvd(t, None))

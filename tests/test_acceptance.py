@@ -11,15 +11,10 @@ import pytest
 
 from conftest import make_smooth_cube, make_tucker_scene
 
-from hsrecon import fileio, imaging, metrics, patches, solver
+from hsrecon import fileio, imaging, metrics, patches, solver, tensors
 from hsrecon.imaging import DCCHI, Measurement, SystemModel
 from hsrecon.solver import INIT_RIDGE, SolverParams
-from hsrecon.tensors import (
-    hosvd,
-    hosvd_batch,
-    tucker_reconstruct,
-    tucker_reconstruct_batch,
-)
+from hsrecon.tensors import hosvd, hosvd_batch, tucker_reconstruct
 
 SCENE_SEED = 42
 DESK_PARAMS = dict(s=5, step=4, k=20, window=10, max_iter=60)
@@ -39,7 +34,7 @@ def desk_scene():
 
 def _run_cassi(desk_scene):
     f, mask = desk_scene
-    sys = SystemModel.default(mask, 8)
+    sys = SystemModel(mask, 8)
     y = imaging.forward(f, sys)
     backproj = imaging.adjoint(y, sys)
     f0 = imaging.ridge_solve(imaging.ridge_factor(sys, INIT_RIDGE), backproj)
@@ -60,7 +55,7 @@ def cassi_run(desk_scene):
 
 def test_criterion_1_adjoint_identity(rng):
     mask = imaging.generate_mask(8, 8, 0.5, 5)
-    sys = SystemModel.default(mask, 4, mode=DCCHI)
+    sys = SystemModel(mask, 4, mode=DCCHI)
     worst = 0.0
     for _ in range(20):
         f = rng.standard_normal((8, 8, 4))
@@ -77,7 +72,7 @@ def test_criterion_1_adjoint_identity(rng):
 
 def test_criterion_2_hosvd_round_trip(rng):
     # each random shape runs through hosvd and, as a stack of three, through
-    # the batched kernel the solver uses
+    # the batched HOSVD and the rebuild kernel the solver uses
     worst_rec, worst_orth = 0.0, 0.0
     for _ in range(50):
         dims = tuple(int(rng.integers(1, hi + 1)) for hi in (25, 8, 45))
@@ -85,7 +80,7 @@ def test_criterion_2_hosvd_round_trip(rng):
         tf = hosvd(stack[0])
         tfb = hosvd_batch(stack)
         pairs = [(stack[0], tucker_reconstruct(tf))]
-        pairs += zip(stack, tucker_reconstruct_batch(tfb))
+        pairs += zip(stack, tensors._mode_products_batch(tfb.core, tfb.factors))
         for t, rec in pairs:
             denom = max(np.linalg.norm(t.ravel()), 1e-300)
             worst_rec = max(worst_rec, np.linalg.norm((rec - t).ravel()) / denom)
@@ -137,7 +132,7 @@ def test_criterion_4_cg_vs_dense_oracle(rng):
     # CG with per-voxel weights, and the exact solve reconstruct uses, for
     # both modes, at rho = 2 tau and at the initial ridge
     mask = imaging.generate_mask(6, 6, 0.5, 11)
-    sys = SystemModel.default(mask, 3)
+    sys = SystemModel(mask, 3)
     counts = 0.5 + rng.random((6, 6, 3))
     tau = 1.0
     rhs = rng.random((6, 6, 3))
@@ -164,7 +159,7 @@ def test_criterion_4_cg_vs_dense_oracle(rng):
 
 
 def test_criterion_5_aggregation_exactness(rng):
-    # the per-group aggregate and the batched scatter the solver uses
+    # the per-group aggregate and the scatter kernel the solver uses
     f = rng.random((20, 20, 4))
     grid = patches.plan_grid(20, 20, 5, 4)
     groups = []
@@ -173,8 +168,8 @@ def test_criterion_5_aggregation_exactness(rng):
         members.append(patches.match_blocks(f, anchor, 5, 6, 4))
         groups.append((members[-1], patches.build_group(f, members[-1], 5)))
     total, counts = patches.aggregate(groups, f.shape)
-    stacked, idx = patches.gather_groups(f, np.array(members), 5)
-    batch_total = patches.scatter_groups(stacked, idx, f.shape)
+    idx = patches._voxel_indices(np.array(members), patches._block_offsets(5, f.shape), f.shape)
+    batch_total = patches._scatter(patches.gather_groups(f, np.array(members), 5), idx, f.shape)
     plane = patches.coverage_counts(np.array(members), 5, (20, 20))
     batch_counts = np.broadcast_to(plane, f.shape)
     cov_ok = bool(np.all(counts >= 1.0)) and np.array_equal(batch_counts, counts)
@@ -205,7 +200,7 @@ def test_criterion_6_end_to_end(desk_scene, cassi_run):
 def test_criterion_7_dcchi_dominance(desk_scene, cassi_run):
     f, mask = desk_scene
     _, rec_cassi, _ = cassi_run
-    sys = SystemModel.default(mask, 8, mode=DCCHI)
+    sys = SystemModel(mask, 8, mode=DCCHI)
     y = imaging.forward(f, sys)
     rec_dcchi = solver.reconstruct(y, sys, SolverParams(**DESK_PARAMS))
     psnr_c = metrics.psnr(f, rec_cassi)
@@ -250,7 +245,7 @@ def test_accelerated_loop_gain(desk_scene, cassi_run):
     # (DCCHI, 20 iterations); the accelerated one 28.11 and 44.72 dB.
     f, mask = desk_scene
     _, rec_cassi, _ = cassi_run
-    sys = SystemModel.default(mask, 8, mode=DCCHI)
+    sys = SystemModel(mask, 8, mode=DCCHI)
     y = imaging.forward(f, sys)
     rec_dcchi = solver.reconstruct(y, sys, SolverParams(**{**DESK_PARAMS, "max_iter": 20}))
     psnr_c, psnr_d = metrics.psnr(f, rec_cassi), metrics.psnr(f, rec_dcchi)
@@ -271,7 +266,7 @@ def test_noisy_measurement_quality(desk_scene, scene, mode, floor):
     f, mask = desk_scene
     if scene == "smooth":
         f = make_smooth_cube(64, 64, 8, seed=5)
-    sys = SystemModel.default(mask, 8, mode=mode)
+    sys = SystemModel(mask, 8, mode=mode)
     y = imaging.forward(f, sys)
     rng = np.random.default_rng(7)
     cassi = y.cassi + 0.05 * rng.standard_normal(y.cassi.shape)

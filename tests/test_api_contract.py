@@ -18,6 +18,13 @@ axis, a NaN, an infinity, a Fortran-order copy and a view with negative
 strides. Every call must return or raise an ``HsreconError``, under the
 same warning filter, and the last two must give bitwise the output of a
 C-contiguous copy.
+
+Size tuples, a table, ``_SIZES``: each row is a small legal call on the
+10x10x3 cube with one tuple of sizes (or an anchor) left open, and a
+valid tuple for it. Each row is called with a tuple one entry short, one
+entry long, None and a scalar, which must raise ``DimensionError``, and
+with a negative, a float and a bool first entry, which must raise
+``UsageError``.
 """
 import dataclasses
 import tempfile
@@ -31,14 +38,20 @@ from hypothesis import strategies as st
 from conftest import make_smooth_cube
 
 from hsrecon import color, fileio, imaging, metrics, patches, solver, tensors
-from hsrecon.errors import DataError, DimensionError, HsreconError, UsageError, check_array
+from hsrecon.errors import (
+    DataError,
+    DimensionError,
+    HsreconError,
+    UsageError,
+    check_array,
+    check_sizes,
+)
 
 ROWS, COLS, BANDS = 10, 10, 3
 CUBE = make_smooth_cube(ROWS, COLS, BANDS, seed=3)
 MASK = imaging.generate_mask(ROWS, COLS, 0.5, 1)
-SYS = imaging.SystemModel.default(MASK, BANDS)
+SYS = imaging.SystemModel(MASK, BANDS)
 MEMBERS = patches.match_groups(CUBE, patches.plan_grid(ROWS, COLS, 3, 3), 4, 2)
-STACK = patches.gather_groups(CUBE, MEMBERS[:2], 3)[0]  # (2, 9, 3, 4): full core (9, 3, 4)
 TENSOR = CUBE[:3, :4, :]
 ONE = np.ones((2, 2, 2))
 
@@ -76,9 +89,6 @@ _TABLE = {
     "coverage_counts.s": (
         lambda v: patches.coverage_counts(MEMBERS, v, (ROWS, COLS)), min(ROWS, COLS)
     ),
-    "hosvd_batch.ranks[0]": (lambda v: tensors.hosvd_batch(STACK, (v, 1, 1)), 9),
-    "hosvd_batch.ranks[1]": (lambda v: tensors.hosvd_batch(STACK, (1, v, 1)), 3),
-    "hosvd_batch.ranks[2]": (lambda v: tensors.hosvd_batch(STACK, (1, 1, v)), 4),
     "unfold.mode": (lambda v: tensors.unfold(TENSOR, v), 3),
     "fold.mode": (lambda v: tensors.fold(tensors.unfold(TENSOR, 1), v, TENSOR.shape), 3),
     "mode_n_product.mode": (lambda v: tensors.mode_n_product(TENSOR, np.eye(3), v), 3),
@@ -118,12 +128,12 @@ A_SYS = imaging.SystemModel(A_MASK, 3, imaging.DCCHI)
 A_MEAS = imaging.forward(A_CUBE, A_SYS)
 A_FAC = imaging.ridge_factor(A_SYS, 1.0)
 A_MEMBERS = patches.match_groups(A_CUBE, patches.plan_grid(12, 12, 3, 3), 4, 2)
-A_STACK, A_IDX = patches.gather_groups(A_CUBE, A_MEMBERS[:2], 3)
-A_TF = tensors.hosvd_batch(A_STACK)
-A_APPROX = tensors.tucker_reconstruct_batch(A_TF)
+A_STACK = patches.gather_groups(A_CUBE, A_MEMBERS[:2], 3)
 A_PARAMS = solver.SolverParams(s=3, step=3, k=4, window=2, max_iter=2, rematch_every=1)
-A_MAG = solver.denoise_groups(A_STACK, None, A_PARAMS)[1]
-A_CORE = A_TF.core[0]
+A_CORE = tensors.hosvd_batch(A_STACK).core[0]
+A_GROUP = A_STACK[0]
+A_TF = tensors.hosvd(A_GROUP)
+A_GROUP_MAG = solver.denoise_group(A_GROUP, None, A_PARAMS)[1]
 A_WL = np.array([450.0, 550.0, 650.0])
 
 
@@ -172,28 +182,28 @@ _ARRAYS = {
     "shrink_core.w": (lambda v: solver.shrink_core(np.full(np.shape(v), 0.3), v, 1.0),
                       np.abs(A_CORE)),
     "update_weights.g": (lambda v: solver.update_weights(v, 0.01), A_CORE),
-    "denoise_groups.stacked": (lambda v: solver.denoise_groups(v, None, A_PARAMS), A_STACK),
-    "denoise_groups.core_mag": (lambda v: solver.denoise_groups(A_STACK, v, A_PARAMS), A_MAG),
+    "denoise_group.stacked": (lambda v: solver.denoise_group(v, None, A_PARAMS), A_GROUP),
+    "denoise_group.core_mag": (lambda v: solver.denoise_group(A_GROUP, v, A_PARAMS),
+                               A_GROUP_MAG),
     "unfold.t": (lambda v: tensors.unfold(v, 2), A_CORE),
     "fold.m": (lambda v: tensors.fold(v, 2, A_CORE.shape), tensors.unfold(A_CORE, 2)),
     "mode_n_product.t": (lambda v: tensors.mode_n_product(v, np.eye(3), 2), A_CORE),
     "mode_n_product.a": (lambda v: tensors.mode_n_product(A_CORE, v, 2), np.eye(3)),
     "hosvd.t": (tensors.hosvd, A_STACK[0]),
     "hosvd_batch.t": (tensors.hosvd_batch, A_STACK),
-    "tucker_reconstruct_batch.core": (
-        lambda v: tensors.tucker_reconstruct_batch(tensors.TuckerFactors(v, A_TF.factors)),
-        A_TF.core,
+    "tucker_reconstruct.core": (
+        lambda v: tensors.tucker_reconstruct(tensors.TuckerFactors(v, A_TF.factors)), A_TF.core
     ),
     "match_blocks.f": (lambda v: patches.match_blocks(v, (0, 0), 3, 4, 2), A_CUBE),
     "match_groups.f": (
         lambda v: patches.match_groups(v, patches.plan_grid(12, 12, 3, 3), 4, 2), A_CUBE
     ),
     "build_group.f": (lambda v: patches.build_group(v, [(0, 0), (3, 6)], 3), A_CUBE),
+    "aggregate.approx": (
+        lambda v: patches.aggregate([(A_MEMBERS[0].tolist(), v)], A_CUBE.shape), A_GROUP
+    ),
     "gather_groups.f": (lambda v: patches.gather_groups(v, A_MEMBERS, 3), A_CUBE),
     "gather_groups.members": (lambda v: patches.gather_groups(A_CUBE, v, 3), A_MEMBERS),
-    "scatter_groups.approx": (lambda v: patches.scatter_groups(v, A_IDX, A_CUBE.shape),
-                              A_APPROX),
-    "scatter_groups.idx": (lambda v: patches.scatter_groups(A_APPROX, v, A_CUBE.shape), A_IDX),
     "coverage_counts.members": (lambda v: patches.coverage_counts(v, 3, A_CUBE.shape[:2]),
                                 A_MEMBERS),
     "rgb_preview.f": (lambda v: color.rgb_preview(v, A_WL), A_CUBE),
@@ -252,6 +262,51 @@ def test_array_layout_does_not_change_the_output(name, variant):
     call, valid = _ARRAYS[name]
     expect = _bits(call(np.ascontiguousarray(valid)))
     assert _bits(call(_VARIANTS[variant](valid))) == expect
+
+
+GROUP = [(0, 0), (3, 6)]
+
+# Name -> (call with the open tuple, a valid tuple for it).
+_SIZES = {
+    "fold.dims": (lambda v: tensors.fold(tensors.unfold(TENSOR, 1), 1, v), TENSOR.shape),
+    "aggregate.dims": (
+        lambda v: patches.aggregate([(GROUP, patches.build_group(CUBE, GROUP, 3))], v), CUBE.shape
+    ),
+    "coverage_counts.plane": (lambda v: patches.coverage_counts(MEMBERS, 3, v), (ROWS, COLS)),
+    "match_blocks.anchor": (lambda v: patches.match_blocks(CUBE, v, 3, 4, 2), (2, 3)),
+}
+
+# Variant -> (the open tuple from the valid one, the error it must raise).
+_SIZE_VARIANTS = {
+    "too short": (lambda v: v[:-1], DimensionError),
+    "too long": (lambda v: (*v, v[-1]), DimensionError),
+    "None": (lambda v: None, DimensionError),
+    "scalar": (lambda v: v[0], DimensionError),
+    "negative": (lambda v: (-1, *v[1:]), UsageError),
+    "float": (lambda v: (float(v[0]), *v[1:]), UsageError),
+    "bool": (lambda v: (True, *v[1:]), UsageError),
+}
+
+
+@pytest.mark.parametrize("variant", list(_SIZE_VARIANTS))
+@pytest.mark.parametrize("name", sorted(_SIZES))
+def test_bad_size_tuple_raises_a_package_error(name, variant):
+    call, valid = _SIZES[name]
+    call(valid)
+    make, error = _SIZE_VARIANTS[variant]
+    with pytest.raises(error):
+        call(make(valid))
+
+
+def test_check_sizes_rule():
+    assert check_sizes("dims", [8, np.int64(8), 3], 3) == (8, 8, 3)
+    assert check_sizes("dims", (0, 2), 2, 0) == (0, 2)
+    for value in ((192,), (8, 8, 3, 1), 8, None, np.array([8, 8, 3])):
+        with pytest.raises(DimensionError, match="dims must hold 3 sizes"):
+            check_sizes("dims", value, 3)
+    for value in ((8, 8, 3.5), (8, 0, 3), (8, True, 3), (8, "8", 3)):
+        with pytest.raises(UsageError, match="dims size"):
+            check_sizes("dims", value, 3)
 
 
 def test_check_array_rule():

@@ -23,7 +23,7 @@ from hsrecon.imaging import (
 
 def _dcchi_system(rng, rows=8, cols=8, bands=4):
     mask = generate_mask(rows, cols, 0.5, 3)
-    return SystemModel.default(mask, bands, mode=DCCHI)
+    return SystemModel(mask, bands, mode=DCCHI)
 
 
 class TestGenerateMask:
@@ -66,35 +66,35 @@ class TestGenerateMask:
 class TestForward:
     def test_single_band_identity(self, rng):
         f = rng.random((6, 6, 1))
-        sys = SystemModel.default(np.ones((6, 6)), 1)
+        sys = SystemModel(np.ones((6, 6)), 1)
         np.testing.assert_array_equal(cassi_forward(f, sys), f[:, :, 0])
 
     def test_single_voxel_dispersed(self):
         f = np.zeros((6, 5, 3))
         f[2, 1, 2] = 1.0
-        sys = SystemModel.default(np.ones((6, 5)), 3)
+        sys = SystemModel(np.ones((6, 5)), 3)
         y = cassi_forward(f, sys)
         expect = np.zeros((8, 5))
         expect[2 + 2, 1] = 1.0
         np.testing.assert_array_equal(y, expect)
 
     def test_output_shape_256(self):
-        sys = SystemModel.default(np.ones((256, 256)), 31)
+        sys = SystemModel(np.ones((256, 256)), 31)
         f = np.zeros((256, 256, 31))
         assert cassi_forward(f, sys).shape == (286, 256)
 
     def test_dim_mismatch(self, rng):
-        sys = SystemModel.default(np.ones((6, 6)), 3)
+        sys = SystemModel(np.ones((6, 6)), 3)
         with pytest.raises(DimensionError):
             cassi_forward(rng.random((5, 6, 3)), sys)
 
     def test_pan_constant(self):
-        sys = SystemModel.default(np.ones((4, 4)), 2, mode=DCCHI)
+        sys = SystemModel(np.ones((4, 4)), 2, mode=DCCHI)
         f = np.full((4, 4, 2), 0.5)
         np.testing.assert_allclose(pan_forward(f, sys), 1.0)
 
     def test_pan_zero_cube(self):
-        sys = SystemModel.default(np.ones((4, 4)), 2, mode=DCCHI)
+        sys = SystemModel(np.ones((4, 4)), 2, mode=DCCHI)
         assert not np.any(pan_forward(np.zeros((4, 4, 2)), sys))
 
     def test_pan_weighted_sum_oracle(self, rng):
@@ -111,14 +111,14 @@ class TestForward:
         assert np.isnan(got[0, 0]) and got[0, 1] == np.inf
 
     def test_pan_requires_dcchi(self, rng):
-        sys = SystemModel.default(np.ones((4, 4)), 2)
+        sys = SystemModel(np.ones((4, 4)), 2)
         with pytest.raises(UsageError):
             pan_forward(rng.random((4, 4, 2)), sys)
 
     def test_mode_contract(self, rng):
         f = rng.random((4, 4, 2))
-        assert forward(f, SystemModel.default(np.ones((4, 4)), 2)).pan is None
-        assert forward(f, SystemModel.default(np.ones((4, 4)), 2, mode=DCCHI)).pan is not None
+        assert forward(f, SystemModel(np.ones((4, 4)), 2)).pan is None
+        assert forward(f, SystemModel(np.ones((4, 4)), 2, mode=DCCHI)).pan is not None
 
     def test_linearity(self, rng):
         sys = _dcchi_system(rng)
@@ -132,14 +132,14 @@ class TestForward:
     def test_dcchi_cassi_plane_matches_cassi_mode(self, rng):
         mask = generate_mask(8, 8, 0.5, 1)
         f = rng.random((8, 8, 4))
-        yd = forward(f, SystemModel.default(mask, 4, mode=DCCHI))
-        yc = forward(f, SystemModel.default(mask, 4))
+        yd = forward(f, SystemModel(mask, 4, mode=DCCHI))
+        yc = forward(f, SystemModel(mask, 4))
         np.testing.assert_array_equal(yd.cassi, yc.cassi)
 
 
 class TestAdjoint:
     def test_zero_measurement(self):
-        sys = SystemModel.default(np.ones((5, 5)), 3)
+        sys = SystemModel(np.ones((5, 5)), 3)
         y = Measurement(np.zeros((7, 5)))
         assert not np.any(adjoint(y, sys))
 
@@ -157,12 +157,12 @@ class TestAdjoint:
             assert abs(lhs - rhs) / (np.linalg.norm(f.ravel()) * ynorm) <= 1e-12
 
     def test_single_band_identity(self, rng):
-        sys = SystemModel.default(np.ones((5, 5)), 1)
+        sys = SystemModel(np.ones((5, 5)), 1)
         y = Measurement(rng.random((5, 5)))
         np.testing.assert_array_equal(adjoint(y, sys)[:, :, 0], y.cassi)
 
     def test_dim_mismatch(self):
-        sys = SystemModel.default(np.ones((5, 5)), 3)
+        sys = SystemModel(np.ones((5, 5)), 3)
         with pytest.raises(DimensionError):
             adjoint(Measurement(np.zeros((5, 5))), sys)
 
@@ -194,6 +194,13 @@ class TestNormalOperator:
 
 
 class TestSystemModel:
+    @pytest.mark.parametrize("mode", [None, CASSI, DCCHI])
+    def test_default_is_the_constructor(self, mode):
+        mask = generate_mask(5, 4, 0.5, 2)
+        sys = SystemModel.default(mask, 3) if mode is None else SystemModel.default(mask, 3, mode)
+        assert (sys.bands, sys.mode) == (3, mode or CASSI)
+        assert sys.mask.tobytes() == mask.tobytes()
+
     def test_rejects_non_binary_mask(self):
         with pytest.raises(DataError):
             SystemModel(np.full((2, 2), 0.5), 2)
@@ -205,7 +212,7 @@ class TestSystemModel:
     @pytest.mark.parametrize("mode", [np.ones(3), None, 1], ids=repr)
     def test_rejects_unknown_mode(self, mode):
         with pytest.raises(UsageError, match="mode"):
-            SystemModel.default(np.ones((2, 2)), 3, mode=mode)
+            SystemModel(np.ones((2, 2)), 3, mode=mode)
 
     def test_rejects_band_count_numpy_cannot_size(self):
         # 4 x 4 x bands float64 samples: the largest count whose bytes fit in intp passes
@@ -276,7 +283,7 @@ class TestRidgeSolve:
     @pytest.mark.parametrize("mode", [CASSI, DCCHI])
     @pytest.mark.parametrize("rho", [2.0, solver.INIT_RIDGE])
     def test_matches_tight_cg_at_desk_scale(self, rng, mode, rho):
-        sys = SystemModel.default(generate_mask(64, 64, 0.5, 42), 8, mode=mode)
+        sys = SystemModel(generate_mask(64, 64, 0.5, 42), 8, mode=mode)
         b = adjoint(forward(rng.random((64, 64, 8)), sys), sys)
         ones = np.ones(b.shape)
         expect = solver.cg_solve_image(b, ones, sys, rho / 2, cg_tol=1e-14, cg_max_iter=5000)

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hsrecon.errors import DataError, DimensionError, UsageError
+from hsrecon.errors import DataError, DimensionError, HsreconError, UsageError
 from hsrecon.patches import (
     PatchGrid,
+    _block_offsets,
+    _scatter,
     _smallest_stable,
+    _voxel_indices,
     aggregate,
     build_group,
     coverage_counts,
@@ -18,7 +21,6 @@ from hsrecon.patches import (
     match_blocks,
     match_groups,
     plan_grid,
-    scatter_groups,
 )
 
 
@@ -96,6 +98,9 @@ class TestMatchBlocks:
             match_blocks(np.zeros((8, 8)), (0, 0), 3, 2, 2)
         for anchor in [(1.5, 0), (0, 2.0), (np.nan, 0), (True, 0)]:
             with pytest.raises(UsageError, match="anchor"):
+                match_blocks(np.zeros((8, 8, 2)), anchor, 3, 2, 2)
+        for anchor in [(1,), (0, 0, 0), None, 1]:  # the third entry was ignored
+            with pytest.raises(DimensionError, match="anchor"):
                 match_blocks(np.zeros((8, 8, 2)), anchor, 3, 2, 2)
         f = np.zeros((8, 8, 2))
         f[4, 4, 1] = np.nan
@@ -348,6 +353,33 @@ class TestAggregate:
             with pytest.raises(DimensionError):
                 aggregate([([(0, 0)], np.zeros(shape))], (6, 6, 2))
 
+    @pytest.mark.parametrize("members", [[(5, 5)], [(-1, 0)], [(0.5, 0)], [(0, 0, 0)]])
+    def test_members_are_anchors_in_the_plane(self, members):
+        # each used to raise a bare ValueError or TypeError in the scatter
+        approx = np.ones((9, 2, 1))
+        with pytest.raises(HsreconError, match="member"):
+            aggregate([(members, approx)], (6, 6, 2))
+
+    def test_approximation_is_a_real_array(self):
+        approx = np.ones((9, 2, 1))
+        with pytest.raises(UsageError, match="approximation"):
+            aggregate([([(0, 0)], approx + 1j)], (6, 6, 2))
+        with pytest.raises(DimensionError, match="approximation"):
+            aggregate([([(0, 0)], approx[0])], (6, 6, 2))
+        total, _ = aggregate([([(0, 0)], approx.astype(np.float32))], (6, 6, 2))
+        assert total.dtype == np.float64 and total[:3, :3].sum() == 18.0
+
+    @pytest.mark.parametrize("dims, error", [
+        ((4, 4), DimensionError), ((4, -4, 2), UsageError), ((4, 4, 2.0), UsageError)
+    ])
+    def test_dims_are_three_counts(self, dims, error):
+        f = np.ones((4, 4, 2))
+        groups = [([(0, 0)], build_group(f, [(0, 0)], 2))]
+        with pytest.raises(error, match="dims"):
+            aggregate(groups, dims)
+        with pytest.raises(error, match="dims"):
+            aggregate([], dims)
+
     def test_exactness_invariant(self, rng):
         # aggregating unmodified stacks reproduces counts * f
         f = rng.random((20, 20, 4))
@@ -416,27 +448,29 @@ class TestBatchedGroups:
     def test_gather_is_build_group_bitwise(self, rng):
         f = rng.random((13, 11, 3))
         members = _matched(f, 4, 7, 3, 3)
-        stacked, idx = gather_groups(f, members, 4)
-        assert stacked.shape == idx.shape == (len(members), 16, 3, 7)
+        stacked = gather_groups(f, members, 4)
+        assert stacked.shape == (len(members), 16, 3, 7)
         for n, mem in enumerate(members):
             expect = build_group(f, [tuple(m) for m in mem], 4)
             assert stacked[n].tobytes() == expect.tobytes()
 
     def test_scatter_and_counts_match_aggregate(self, rng):
         # criterion 5's setup (20x20x4, s=5, step=4, k=6, window=4) on the
-        # batched path, with perturbed approximations
+        # group step's kernels, with perturbed approximations
         f = rng.random((20, 20, 4))
         members = _matched(f, 5, 6, 4, 4)
-        stacked, idx = gather_groups(f, members, 5)
+        stacked = gather_groups(f, members, 5)
+        idx = _voxel_indices(members, _block_offsets(5, f.shape), f.shape)
+        assert f.ravel()[idx].tobytes() == stacked.tobytes()
         approx = stacked + rng.standard_normal(stacked.shape)
         groups = [([tuple(m) for m in mem], approx[n]) for n, mem in enumerate(members)]
         total, counts = aggregate(groups, f.shape)
-        got = scatter_groups(approx, idx, f.shape)
+        got = _scatter(approx, idx, f.shape)
         assert np.max(np.abs(got - total)) <= 1e-12 * np.max(np.abs(total))
         plane = coverage_counts(members, 5, f.shape[:2])
         assert plane.shape == (20, 20, 1)
         assert np.array_equal(np.broadcast_to(plane, counts.shape), counts)
-        exact = scatter_groups(stacked, idx, f.shape)
+        exact = _scatter(stacked, idx, f.shape)
         np.testing.assert_allclose(exact, counts * f, rtol=1e-12)
 
     def test_member_out_of_range(self, rng):
@@ -455,10 +489,8 @@ class TestBatchedGroups:
                 gather_groups(f, members, 3)
             with pytest.raises(UsageError, match="integer"):
                 coverage_counts(members, 3, f.shape[:2])
-        stacked, idx = gather_groups(f, np.array([[[0, 0], [1, 1]]], np.uint8), 3)
-        assert stacked.tobytes() == gather_groups(f, np.array([[[0, 0], [1, 1]]]), 3)[0].tobytes()
-        with pytest.raises(UsageError, match="integer"):
-            scatter_groups(stacked, idx.astype(float), f.shape)
+        stacked = gather_groups(f, np.array([[[0, 0], [1, 1]]], np.uint8), 3)
+        assert stacked.tobytes() == gather_groups(f, np.array([[[0, 0], [1, 1]]]), 3).tobytes()
 
     def test_member_lists_must_not_be_ragged(self, rng):
         f = rng.random((6, 6, 2))
@@ -468,56 +500,14 @@ class TestBatchedGroups:
         with pytest.raises(UsageError, match="integer array"):
             coverage_counts(ragged, 3, f.shape[:2])
 
-    def test_scatter_index_out_of_range(self, rng):
-        f = rng.random((6, 6, 2))
-        stacked, idx = gather_groups(f, np.array([[[0, 0], [3, 3]]]), 3)
-        last = f.size - 1 - int(idx.max())  # moves the largest index onto the last voxel
-        assert scatter_groups(stacked, idx + last, f.shape).shape == f.shape
-        for bad in (idx + last + 1, idx + 1000, idx - int(idx.min()) - 1, idx - 1000):
-            with pytest.raises(UsageError, match="out of range"):
-                scatter_groups(stacked, bad, f.shape)
-
-    def test_scatter_index_far_past_the_cube(self, rng):
-        # bincount cannot allocate a result that reaches this index
-        f = rng.random((6, 6, 2))
-        stacked, idx = gather_groups(f, np.array([[[0, 0], [3, 3]]]), 3)
-        with pytest.raises(UsageError, match="out of range"):
-            scatter_groups(stacked, idx + 10**12, f.shape)
-
-    def test_scatter_out_of_memory_on_valid_indices_keeps_its_type(self, rng, monkeypatch):
-        f = rng.random((6, 6, 2))
-        stacked, idx = gather_groups(f, np.array([[[0, 0], [3, 3]]]), 3)
-
-        def no_memory(*args, **kwargs):
-            raise MemoryError("no memory")
-
-        monkeypatch.setattr(np, "bincount", no_memory)
-        with pytest.raises(MemoryError, match="no memory"):
-            scatter_groups(stacked, idx, f.shape)
-
     def test_gather_rejects_a_plane(self):
         with pytest.raises(DimensionError, match="3-D"):
             gather_groups(np.ones((4, 4)), np.zeros((1, 1, 2), int), 2)
 
-    def test_scatter_shape_mismatch(self, rng):
-        f = rng.random((6, 6, 2))
-        stacked, idx = gather_groups(f, np.array([[[0, 0], [1, 1]]]), 3)
-        with pytest.raises(DimensionError):
-            scatter_groups(stacked[:, :, :, :1], idx, f.shape)
-
-    # An 8x8x3 cube with one group: a size tuple holds two or three counts.
+    # An 8x8 plane with one group: a plane is two counts.
     @pytest.mark.parametrize("plane, error", [
         ((8,), DimensionError), (8, DimensionError), ((8, 8.0), UsageError)
     ])
     def test_counts_plane_is_two_counts(self, plane, error):
         with pytest.raises(error, match="plane"):
             coverage_counts(np.array([[[0, 0], [4, 4]]]), 3, plane)
-
-    @pytest.mark.parametrize("dims, error", [
-        ((192,), DimensionError), ((8, 8, 3.5), UsageError), ((8, 8, 3, 1), DimensionError)
-    ])
-    def test_scatter_dims_is_three_counts(self, dims, error):
-        f = np.arange(192.0).reshape(8, 8, 3)
-        stacked, idx = gather_groups(f, np.array([[[0, 0], [4, 4]]]), 3)
-        with pytest.raises(error, match="dims"):
-            scatter_groups(stacked, idx, dims)

@@ -18,7 +18,6 @@ from hsrecon.solver import (
     SolverParams,
     cg_solve_image,
     denoise_group,
-    denoise_groups,
     reconstruct,
     shrink_core,
     update_weights,
@@ -71,10 +70,11 @@ class TestShrinkCore:
         got = shrink_core(np.array([np.inf, -np.inf, 2.0]), np.array([np.inf, np.inf, 1.0]), 1.0)
         assert np.isnan(got[0]) and np.isnan(got[1]) and got[2] == 1.5
 
-    def test_out_may_be_the_weights(self, rng):
+    def test_kernel_into_the_weights_equals_shrink_core(self, rng):
+        # the chunk step shrinks into the weights' memory with _shrink
         g, w = rng.standard_normal((3, 4, 5)), rng.random((3, 4, 5))
         expect = shrink_core(g, w, 0.7)
-        got = shrink_core(g, w, 0.7, out=w)
+        got = solver._shrink(g, w, 0.7, out=w)
         assert got is w and got.tobytes() == expect.tobytes()
 
     def test_prox_oracle_random(self, rng):
@@ -192,15 +192,27 @@ class TestDenoiseGroup:
         _, huge = denoise_group(stacked, np.full(core_mag.shape, 1e9), p)
         np.testing.assert_allclose(huge, np.abs(hosvd(stacked).core), atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(30, 1, 1), (10, 4, 5), (9, 4, 6), (9, 4), (2, 9, 4, 5)])
+    def test_core_mag_must_fit_the_core(self, rng, shape):
+        # the full core of a (9, 4, 5) group is (9, 4, 5): min(d_n, 180 // d_n)
+        with pytest.raises(DimensionError):
+            denoise_group(rng.random((9, 4, 5)), np.ones(shape), SolverParams())
+
+    def test_ragged_group_raises(self):
+        with pytest.raises(UsageError, match="tensor"):
+            denoise_group([np.zeros((4, 2, 3)), np.zeros((4, 2))], None, SolverParams())
+
 
 class TestDenoiseGroups:
+    """solver._denoise, the chunk step's kernel, against the per-group oracle."""
+
     @pytest.mark.parametrize("shape", [(25, 8, 20), (9, 2, 30), (25, 1, 6)])
     def test_matches_single_group_oracle(self, rng, shape):
         # one batched step, first visit and revisit, against denoise_group
         stacked = rng.random((4,) + shape) + 0.1 * rng.standard_normal((4,) + shape)
         p = SolverParams()
-        approx, mag = denoise_groups(stacked, None, p)
-        approx2, mag2 = denoise_groups(stacked, mag, p)
+        approx, mag = _kernel(stacked, None, p)
+        approx2, mag2 = _kernel(stacked, mag, p)
         for i in range(len(stacked)):
             ref, ref_mag = denoise_group(stacked[i], None, p)
             ref2, ref_mag2 = denoise_group(stacked[i], ref_mag, p)
@@ -219,40 +231,20 @@ class TestDenoiseGroups:
     def test_reads_core_mag_without_writing_it(self, rng):
         stacked = rng.random((3, 9, 4, 5))
         p = SolverParams()
-        _, mag = denoise_groups(stacked, None, p)
+        _, mag = _kernel(stacked, None, p)
         before = mag.copy()
-        _, mag2 = denoise_groups(stacked, mag, p)
+        _, mag2 = _kernel(stacked, mag, p)
         assert mag.tobytes() == before.tobytes() and mag2 is not mag
 
-    @pytest.mark.parametrize("shape", [(3, 1, 1, 1), (2, 1, 1)])
-    def test_core_mag_must_be_a_stack_of_the_same_groups(self, rng, shape):
-        with pytest.raises(DimensionError):
-            denoise_groups(rng.random((2, 9, 4, 5)), np.ones(shape), SolverParams())
-
-    @pytest.mark.parametrize("scale", [1.0, 1e6])  # the guard passes, then fails
-    def test_core_mag_must_fit_the_full_core(self, rng, scale):
-        # the full core of a (9, 4, 5) group is (9, 4, 5): min(d_n, 180 // d_n)
-        stacked = scale * rng.random((2, 9, 4, 5))
-        for shape in [(2, 30, 1, 1), (2, 10, 4, 5), (2, 9, 4, 6)]:
-            with pytest.raises(DimensionError, match="core_mag"):
-                denoise_groups(stacked, np.ones(shape), SolverParams())
-        _, mag = denoise_groups(stacked, np.ones((2, 9, 4, 5)), SolverParams())
-        assert mag.ndim == 4
-
-    @pytest.mark.parametrize("shape", [(2, 0, 3, 4), (2, 4, 0, 3), (2, 4, 3, 0)])
-    def test_zero_length_mode_raises(self, shape):
-        with pytest.raises(DimensionError, match="non-empty"):
-            denoise_groups(np.zeros(shape), None, SolverParams())
-
     def test_empty_stack(self):
-        approx, mag = denoise_groups(np.zeros((0, 4, 2, 3)), None, SolverParams())
+        approx, mag = _kernel(np.zeros((0, 4, 2, 3)), None, SolverParams())
         assert approx.shape == (0, 4, 2, 3) and mag.shape[0] == 0
 
     def test_non_finite_group_raises(self):
         stacked = np.zeros((2, 4, 2, 3))
         stacked[1, 0, 0, 0] = np.nan
         with pytest.raises(DataError):
-            denoise_groups(stacked, None, SolverParams())
+            _kernel(stacked, None, SolverParams())
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     @pytest.mark.parametrize("revisit", [False, True])
@@ -261,42 +253,29 @@ class TestDenoiseGroups:
         stacked[1, 0, 0, 0] = value
         core_mag = np.ones((2, 1, 1, 1)) if revisit else None
         with pytest.raises(DataError):
-            denoise_groups(stacked, core_mag, SolverParams())
-
-    @pytest.mark.parametrize("revisit", [False, True])
-    def test_equals_the_kernel_of_the_chunk_step(self, revisit):
-        # reconstruct calls solver._denoise unchecked; denoise_groups is the
-        # same step behind its checks
-        p = SolverParams(k=20)
-        stacked = _smooth_groups(1, noise=0.01)
-        mag = denoise_groups(_smooth_groups(1), None, p)[1] if revisit else None
-        approx, out = denoise_groups(stacked, mag, p)
-        k_approx, k_out = solver._denoise(stacked.copy(), mag, p)
-        assert k_approx.tobytes() == approx.tobytes()
-        assert k_out.shape == out.shape and k_out.tobytes() == out.tobytes()
+            _kernel(stacked, core_mag, SolverParams())
 
     @pytest.mark.parametrize("visit", ["first", "revisit", "guard fails"])
     def test_kernel_into_the_stack_equals_a_fresh_output(self, visit):
         # the chunk step hands _denoise its stack as out: the weights, the
         # shrunk core (a revisit's block in the leading entries) and then the
-        # approximation overwrite it, with the bits of fresh arrays
+        # approximation overwrite it, with the bits of a separate output
         p = SolverParams(k=20)
         stacked = _smooth_groups(1, noise=0.01) * (1e4 if visit == "guard fails" else 1.0)
-        mag = None if visit == "first" else denoise_groups(_smooth_groups(1), None, p)[1]
+        mag = None if visit == "first" else _kernel(_smooth_groups(1), None, p)[1]
         assert mag is None or mag.shape[1:] != stacked.shape[1:]  # a cropped block
-        want_approx, want_mag = solver._denoise(stacked.copy(), mag, p)
+        want_approx, want_mag = solver._denoise(stacked.copy(), mag, p, np.empty(stacked.shape))
         buf = stacked.copy()
         approx, got_mag = solver._denoise(buf, mag, p, out=buf)
         assert np.shares_memory(approx, buf)
         assert approx.tobytes() == want_approx.tobytes() == buf.tobytes()
         assert got_mag.shape == want_mag.shape and got_mag.tobytes() == want_mag.tobytes()
 
-    @pytest.mark.parametrize("revisit", [False, True])
-    def test_ragged_stack_raises(self, revisit):
-        ragged = [np.zeros((4, 2, 3)), np.zeros((4, 2))]
-        core_mag = np.zeros((2, 1, 1, 1)) if revisit else None
-        with pytest.raises(UsageError, match="stacked"):
-            denoise_groups(ragged, core_mag, SolverParams())
+
+def _kernel(stacked, core_mag, p: SolverParams) -> tuple[np.ndarray, np.ndarray]:
+    """solver._denoise as the chunk step calls it: into its own stack, here a copy."""
+    buf = np.array(stacked, dtype=np.float64, order="C")
+    return solver._denoise(buf, core_mag, p, out=buf)
 
 
 def _smooth_groups(seed: int, noise: float = 0.0) -> np.ndarray:
@@ -304,7 +283,7 @@ def _smooth_groups(seed: int, noise: float = 0.0) -> np.ndarray:
     f = make_smooth_cube(24, 24, 8, seed=5)
     members = patches.match_groups(f, patches.plan_grid(24, 24, 5, 4), 20, 6)
     f = f + noise * np.random.default_rng(seed).standard_normal(f.shape)
-    return patches.gather_groups(f, members[4 * seed : 4 * seed + 4], 5)[0]
+    return patches.gather_groups(f, members[4 * seed : 4 * seed + 4], 5)
 
 
 def _padded(mag: np.ndarray, shape) -> np.ndarray:
@@ -319,11 +298,11 @@ class TestLiveBlock:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cropped_revisit_equals_zero_padded_full_revisit(self, seed):
         p = SolverParams(k=20)
-        _, mag = denoise_groups(_smooth_groups(seed), None, p)
+        _, mag = _kernel(_smooth_groups(seed), None, p)
         assert mag[0].size < 25 * 8 * 20  # cropping is active
         stacked = _smooth_groups(seed, noise=0.01)
-        approx, mag2 = denoise_groups(stacked, mag, p)
-        full, full_mag2 = denoise_groups(stacked, _padded(mag, (4, 25, 8, 20)), p)
+        approx, mag2 = _kernel(stacked, mag, p)
+        full, full_mag2 = _kernel(stacked, _padded(mag, (4, 25, 8, 20)), p)
         scale = np.linalg.norm(stacked)
         assert np.linalg.norm(approx - full) <= 1e-12 * scale
         assert mag2.shape == full_mag2.shape
@@ -335,12 +314,12 @@ class TestLiveBlock:
         # group is 1e6 times larger, beyond the zero magnitude's threshold
         p = SolverParams(tau=tau)
         small = 1e-3 * rng.random((2, 25, 8, 20))
-        _, mag = denoise_groups(small, None, p)
+        _, mag = _kernel(small, None, p)
         assert mag.shape == (2, 0, 0, 0)
         big = 1e6 * small
-        approx, mag2 = denoise_groups(big, mag, p)
+        approx, mag2 = _kernel(big, mag, p)
         assert np.any(mag2)
-        full, full_mag2 = denoise_groups(big, np.zeros((2, 25, 8, 20)), p)
+        full, full_mag2 = _kernel(big, np.zeros((2, 25, 8, 20)), p)
         assert approx.tobytes() == full.tobytes()
         assert mag2.tobytes() == full_mag2.tobytes()
         for i in range(2):  # the per-group oracle, as in TestDenoiseGroups
@@ -354,10 +333,10 @@ class TestLiveBlock:
         # groups 1e4 times larger leave no clear margin, so the revisit
         # shrinks the full cores, weighted by the zero-padded block
         p = SolverParams(k=20)
-        _, mag = denoise_groups(1e4 * _smooth_groups(0), None, p)
+        _, mag = _kernel(1e4 * _smooth_groups(0), None, p)
         assert mag[0].size < 25 * 8 * 20
         stacked = 1e4 * _smooth_groups(0, noise=0.01)
-        approx, mag2 = denoise_groups(stacked, mag, p)
+        approx, mag2 = _kernel(stacked, mag, p)
         for i in range(len(stacked)):
             ref, ref_mag = denoise_group(stacked[i], _padded(mag[i], (25, 8, 20)), p)
             scale = np.linalg.norm(stacked[i])
@@ -373,8 +352,8 @@ class TestLiveBlock:
         stacked = _smooth_groups(seed)
         if mixed:
             stacked[1] = rng.random((25, 8, 20))
-        _, mag = denoise_groups(stacked, None, p)
-        _, mag2 = denoise_groups(stacked + 0.01 * rng.standard_normal(stacked.shape), mag, p)
+        _, mag = _kernel(stacked, None, p)
+        _, mag2 = _kernel(stacked + 0.01 * rng.standard_normal(stacked.shape), mag, p)
         for m in (mag, mag2):
             assert m.base is None  # a copy, not a view of the full core
             for axis in (1, 2, 3):
@@ -388,9 +367,9 @@ class TestLiveBlock:
 
     def test_all_zero_chunk_keeps_an_empty_block(self):
         p = SolverParams()
-        approx, mag = denoise_groups(np.zeros((3, 25, 8, 20)), None, p)
+        approx, mag = _kernel(np.zeros((3, 25, 8, 20)), None, p)
         assert mag.shape == (3, 0, 0, 0) and not np.any(approx)
-        approx, mag2 = denoise_groups(np.zeros((3, 25, 8, 20)), mag, p)
+        approx, mag2 = _kernel(np.zeros((3, 25, 8, 20)), mag, p)
         assert mag2.shape == (3, 0, 0, 0)
         assert approx.shape == (3, 25, 8, 20) and not np.any(approx)
 
@@ -424,10 +403,10 @@ class TestFactorSigns:
         rng = np.random.default_rng(seed)
         stacked = scale * rng.standard_normal(dims)
         p = SolverParams()
-        approx, mag = denoise_groups(stacked, None, p)
-        approx2, mag2 = denoise_groups(stacked, mag, p)
+        approx, mag = _kernel(stacked, None, p)
+        approx2, mag2 = _kernel(stacked, mag, p)
 
-        real = tensors._hosvd  # the HOSVD kernel denoise_groups runs on
+        real = tensors._hosvd  # the HOSVD kernel _denoise runs on
 
         def flipped(t, ranks):
             tf = TuckerFactors(*real(t, ranks))
@@ -436,8 +415,8 @@ class TestFactorSigns:
             return tf.core, tf.factors
 
         with mock.patch.object(tensors, "_hosvd", flipped):
-            f_approx, f_mag = denoise_groups(stacked, None, p)
-            f_approx2, f_mag2 = denoise_groups(stacked, f_mag, p)
+            f_approx, f_mag = _kernel(stacked, None, p)
+            f_approx2, f_mag2 = _kernel(stacked, f_mag, p)
         assert f_approx.tobytes() == approx.tobytes()
         assert f_mag.tobytes() == mag.tobytes()
         assert f_approx2.tobytes() == approx2.tobytes()
@@ -449,7 +428,7 @@ class TestFactorSigns:
         # every odd factor column of the batched HOSVD negated, core slices
         # flipped to match
         f_true = make_smooth_cube(20, 20, 3, seed=4)
-        sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3, mode=mode)
+        sys = SystemModel(imaging.generate_mask(20, 20, 0.5, 6), 3, mode=mode)
         y = imaging.forward(f_true, sys)
         p = SolverParams(k=6, window=4, max_iter=4, rematch_every=rematch_every)
         plain = reconstruct(y, sys, p)
@@ -476,7 +455,7 @@ class TestCgSolveImage:
 
     def test_matches_dense_oracle(self, rng):
         mask = imaging.generate_mask(6, 6, 0.5, 11)
-        sys = SystemModel.default(mask, 3)
+        sys = SystemModel(mask, 3)
         counts = np.ones((6, 6, 3))
         tau = 1.0
         n = 6 * 6 * 3
@@ -496,7 +475,7 @@ class TestCgSolveImage:
 
     def test_huge_tau_limit(self, rng):
         mask = imaging.generate_mask(6, 6, 0.5, 1)
-        sys = SystemModel.default(mask, 3)
+        sys = SystemModel(mask, 3)
         target = rng.random((6, 6, 3))
         tau = 1e9
         rhs = 2.0 * tau * target
@@ -505,7 +484,7 @@ class TestCgSolveImage:
         assert err <= 1e-6
 
     def test_zero_rhs(self):
-        sys = SystemModel.default(np.ones((4, 4)), 2)
+        sys = SystemModel(np.ones((4, 4)), 2)
         assert not np.any(cg_solve_image(np.zeros((4, 4, 2)), np.ones((4, 4, 2)), sys, 1.0))
 
 
@@ -514,21 +493,21 @@ class TestReconstruct:
         x = np.linspace(0, 1, 64)
         base = np.outer(np.sin(2 * np.pi * x) * 0.5 + 0.5, np.cos(2 * np.pi * x) * 0.5 + 0.5)
         f = (0.5 + 0.1 * (base - 0.5))[:, :, None]
-        sys = SystemModel.default(np.ones((64, 64)), 1)
+        sys = SystemModel(np.ones((64, 64)), 1)
         y = imaging.forward(f, sys)
         rec = reconstruct(y, sys, SolverParams(k=20, window=10, max_iter=10))
         mse = np.mean((rec - f) ** 2)
         assert 10.0 * np.log10(1.0 / mse) >= 60.0
 
     def test_zero_measurement(self):
-        sys = SystemModel.default(np.ones((16, 16)), 2)
+        sys = SystemModel(np.ones((16, 16)), 2)
         y = Measurement(np.zeros((17, 16)))
         rec = reconstruct(y, sys, SolverParams(s=4, step=3, k=4, window=3, max_iter=3))
         assert not np.any(rec)
 
     def test_progress_emitted(self, rng):
         f = rng.random((16, 16, 2))
-        sys = SystemModel.default(imaging.generate_mask(16, 16, 0.5, 0), 2)
+        sys = SystemModel(imaging.generate_mask(16, 16, 0.5, 0), 2)
         y = imaging.forward(f, sys)
         rows = []
         reconstruct(
@@ -589,7 +568,7 @@ class TestBatchedPipeline:
         # replaced, built from the reference functions; small chunks force
         # several chunks per iteration
         f_true = make_smooth_cube(20, 20, 3, seed=4)
-        sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3)
+        sys = SystemModel(imaging.generate_mask(20, 20, 0.5, 6), 3)
         y = imaging.forward(f_true, sys)
         p = SolverParams(k=6, window=4, max_iter=4, rematch_every=rematch_every)
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)
@@ -633,7 +612,7 @@ class TestKeptCoreState:
         # bitwise the one the chunk's previous visit returned. A rematch
         # resets the kept state: with rematch_every 1 every visit is a first.
         f_true = make_smooth_cube(20, 20, 3, seed=4)
-        sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3)
+        sys = SystemModel(imaging.generate_mask(20, 20, 0.5, 6), 3)
         y = imaging.forward(f_true, sys)
         p = SolverParams(k=6, window=4, max_iter=7, rematch_every=rematch_every)
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
@@ -680,7 +659,7 @@ class TestWorkerPool:
     @staticmethod
     def _problem():
         f_true = make_smooth_cube(20, 20, 3, seed=4)
-        sys = SystemModel.default(imaging.generate_mask(20, 20, 0.5, 6), 3)
+        sys = SystemModel(imaging.generate_mask(20, 20, 0.5, 6), 3)
         return imaging.forward(f_true, sys), sys, SolverParams(
             k=6, window=4, max_iter=4, rematch_every=3
         )
@@ -698,7 +677,7 @@ class TestWorkerPool:
         # one 25 x 31 x 6 group fills CHUNK_BYTES, so every chunk holds the
         # floor of two groups: 16 groups in 8 chunks
         f_true = make_smooth_cube(16, 16, 31, seed=4)
-        sys = SystemModel.default(imaging.generate_mask(16, 16, 0.5, 6), 31)
+        sys = SystemModel(imaging.generate_mask(16, 16, 0.5, 6), 31)
         y = imaging.forward(f_true, sys)
         p = SolverParams(k=6, window=4, max_iter=4, rematch_every=3)
         monkeypatch.setattr(solver, "CHUNK_BYTES", 8 * 25 * 31 * 6)
@@ -879,7 +858,7 @@ class TestObjectiveDescent:
         # fixed weights cannot increase the joint objective.
         f_true = make_smooth_cube(20, 20, 3, seed=2)
         mask = imaging.generate_mask(20, 20, 0.5, 3)
-        sys = SystemModel.default(mask, 3)
+        sys = SystemModel(mask, 3)
         y = imaging.forward(f_true, sys)
         bp = imaging.adjoint(y, sys)
         f = cg_solve_image(bp, np.ones(f_true.shape), sys, tau=5e-4)
@@ -931,7 +910,7 @@ class TestCoreSparsityDiagnostic:
 class TestDeterminism:
     def test_repeat_run_bit_identical(self, rng):
         f = make_smooth_cube(24, 24, 3, seed=9)
-        sys = SystemModel.default(imaging.generate_mask(24, 24, 0.5, 4), 3)
+        sys = SystemModel(imaging.generate_mask(24, 24, 0.5, 4), 3)
         y = imaging.forward(f, sys)
         p = SolverParams(k=8, window=5, max_iter=5)
         a = reconstruct(y, sys, p)

@@ -14,7 +14,6 @@ from hsrecon.tensors import (
     hosvd_batch,
     mode_n_product,
     tucker_reconstruct,
-    tucker_reconstruct_batch,
     unfold,
 )
 
@@ -35,6 +34,18 @@ def test_fold_unfold_round_trip(rng):
     t = rng.standard_normal((3, 5, 4))
     for mode in (1, 2, 3):
         assert np.array_equal(fold(unfold(t, mode), mode, t.shape), t)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_unfold_zero_length_mode(mode):
+    # a mode product by a zero-row matrix folds into a zero-length mode, and
+    # unfold passes that tensor's sizes, where a reshape to (0, -1) fails
+    t = np.ones((2, 3, 4))
+    z = mode_n_product(t, np.zeros((0, t.shape[mode - 1])), mode)
+    assert z.shape == tuple(0 if n == mode else d for n, d in enumerate(t.shape, 1))
+    m = unfold(z, mode)
+    assert m.shape == (0, t.size // t.shape[mode - 1])
+    assert fold(m, mode, z.shape).shape == z.shape
 
 
 def test_unfold_mode2_fiber_enumeration():
@@ -61,6 +72,18 @@ def test_fold_zero_matrix():
 def test_fold_shape_mismatch():
     with pytest.raises(DimensionError):
         fold(np.zeros((3, 7)), 1, (3, 2, 4))
+
+
+@pytest.mark.parametrize("m, dims, error", [
+    (np.zeros((2, 6)), (2, 3), DimensionError),
+    (np.zeros((2, 6)), None, DimensionError),
+    (np.zeros((2, 12)), (2, 3, 4, 5), DimensionError),  # the 4th size was ignored
+    (np.zeros((2, 0)), (2, -3, 0), UsageError),
+    (np.zeros((2, 6)), (2, 3.0, 2), UsageError),
+])
+def test_fold_dims_are_three_counts(m, dims, error):
+    with pytest.raises(error, match="dims"):
+        fold(m, 1, dims)
 
 
 def test_mode_n_product_identity(rng):
@@ -153,6 +176,26 @@ def test_tucker_reconstruct_needs_three_factors(count):
         tucker_reconstruct(tf)
 
 
+def test_tucker_reconstruct_rejects_mismatched_factors():
+    eye = np.eye(3)
+    with pytest.raises(DimensionError):
+        tucker_reconstruct(TuckerFactors(np.zeros((3, 3, 3)), (eye, eye, eye[:, :2])))
+
+
+def test_tucker_reconstruct_factor_arrays(rng):
+    # factors go through the array contract like the core: lists work,
+    # complex factors are refused instead of giving a complex cube
+    core = rng.standard_normal((3, 2, 4))
+    factors = [rng.standard_normal((d, r)) for d, r in ((5, 3), (4, 2), (6, 4))]
+    expect = tucker_reconstruct(TuckerFactors(core, tuple(factors)))
+    got = tucker_reconstruct(TuckerFactors(core, tuple(u.tolist() for u in factors)))
+    assert got.tobytes() == expect.tobytes()
+    with pytest.raises(UsageError, match="real array"):
+        tucker_reconstruct(TuckerFactors(core, (factors[0] * 1j, factors[1], factors[2])))
+    with pytest.raises(DimensionError):
+        tucker_reconstruct(TuckerFactors(core, (factors[0][0], factors[1], factors[2])))
+
+
 def test_tucker_reconstruct_zero_core():
     tf = TuckerFactors(
         core=np.zeros((2, 2, 2)), factors=(np.eye(2), np.eye(2), np.eye(2))
@@ -182,11 +225,13 @@ def test_mode_n_product_composition(rng):
 def _assert_batch_matches_hosvd(stack):
     """hosvd_batch against per-tensor hosvd: core, reconstruction, factors.
 
-    hosvd_batch keeps LAPACK's column signs, so each core slice is first
-    given the sign that aligns its factor column with hosvd's.
+    The reconstruction is the group step's rebuild kernel,
+    ``_mode_products_batch``. hosvd_batch keeps LAPACK's column signs, so
+    each core slice is first given the sign that aligns its factor column
+    with hosvd's.
     """
     tf = hosvd_batch(stack)
-    rec = tucker_reconstruct_batch(tf)
+    rec = tensors._mode_products_batch(tf.core, tf.factors)
     for i, t in enumerate(stack):
         ref = hosvd(t)
         scale = max(np.linalg.norm(t), 1e-300)
@@ -241,33 +286,6 @@ def test_hosvd_batch_rejects_non_finite_and_bad_ndim():
         hosvd_batch(np.zeros((2, 2, 2)))
 
 
-def test_tucker_reconstruct_batch_rejects_mismatched_factors():
-    core = np.zeros((2, 3, 3, 3))
-    eye = np.broadcast_to(np.eye(3), (2, 3, 3))
-    with pytest.raises(DimensionError):
-        tucker_reconstruct_batch(TuckerFactors(core, (eye, eye, eye[:, :, :2])))
-
-
-def test_tucker_reconstruct_batch_rejects_two_factors():
-    eye = np.broadcast_to(np.eye(3), (2, 3, 3))
-    with pytest.raises(DimensionError):
-        tucker_reconstruct_batch(TuckerFactors(np.zeros((2, 3, 3, 3)), (eye, eye)))
-
-
-def test_tucker_reconstruct_batch_factor_arrays(rng):
-    # factors go through the array contract like the core: lists work,
-    # complex factors are refused instead of giving a complex cube
-    core = rng.standard_normal((2, 3, 2, 4))
-    factors = [rng.standard_normal((2, d, r)) for d, r in ((5, 3), (4, 2), (6, 4))]
-    expect = tucker_reconstruct_batch(TuckerFactors(core, tuple(factors)))
-    got = tucker_reconstruct_batch(TuckerFactors(core, tuple(u.tolist() for u in factors)))
-    assert got.tobytes() == expect.tobytes()
-    with pytest.raises(UsageError, match="real array"):
-        tucker_reconstruct_batch(TuckerFactors(core, (factors[0] * 1j, factors[1], factors[2])))
-    with pytest.raises(DimensionError):
-        tucker_reconstruct_batch(TuckerFactors(core, (factors[0][0], factors[1], factors[2])))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     dims=st.tuples(
@@ -294,7 +312,8 @@ def _full_ranks(shape):
     low_rank=st.booleans(),
     data=st.data(),
 )
-def test_hosvd_batch_ranks_keep_the_leading_block(dims, low_rank, data):
+def test_hosvd_kernel_ranks_keep_the_leading_block(dims, low_rank, data):
+    # _hosvd, the group step's HOSVD kernel, with ranks against its full run
     d1, d2, d3, g = dims
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     stack = rng.standard_normal((g, d1, d2, d3))
@@ -304,8 +323,8 @@ def test_hosvd_batch_ranks_keep_the_leading_block(dims, low_rank, data):
         data.draw(st.integers(0, r), label=f"r{n}")
         for n, r in enumerate(_full_ranks((d1, d2, d3)), start=1)
     )
-    full = hosvd_batch(stack)
-    part = hosvd_batch(stack, ranks)
+    full = TuckerFactors(*tensors._hosvd(stack, None))
+    part = TuckerFactors(*tensors._hosvd(stack, ranks))
     for u, v, r in zip(part.factors, full.factors, ranks):
         assert u.shape == (g, v.shape[1], r)
         assert u.tobytes() == np.ascontiguousarray(v[:, :, :r]).tobytes()
@@ -314,36 +333,32 @@ def test_hosvd_batch_ranks_keep_the_leading_block(dims, low_rank, data):
     assert np.linalg.norm(part.core - block) <= 1e-12 * np.linalg.norm(stack)
 
 
-def test_hosvd_batch_ranks_zero_and_full(rng):
+def test_hosvd_kernel_ranks_zero_and_full(rng):
     stack = rng.standard_normal((3, 25, 8, 20))
     full = hosvd_batch(stack)
-    same = hosvd_batch(stack, (25, 8, 20))
+    same = TuckerFactors(*tensors._hosvd(stack, (25, 8, 20)))
     assert same.core.tobytes() == full.core.tobytes()
-    none = hosvd_batch(stack, [0, 0, 0])
+    none = TuckerFactors(*tensors._hosvd(stack, [0, 0, 0]))
     assert none.core.shape == (3, 0, 0, 0)
     assert [u.shape for u in none.factors] == [(3, 25, 0), (3, 8, 0), (3, 20, 0)]
-    assert not np.any(tucker_reconstruct_batch(none))
+    rebuilt = tensors._mode_products_batch(none.core, none.factors)
+    assert rebuilt.shape == stack.shape and not np.any(rebuilt)
 
 
-@pytest.mark.parametrize(
-    "ranks",
-    [(-1, 1, 1), (26, 1, 1), (1, 9, 1), (1, 1, 21), (1, 1), (1, 1, 1, 1), (1.0, 1, 1), 3, "abc",
-     np.array(3), np.array([1, 1]), np.array([1.0, 1, 1]), np.array([[1, 1, 1]]),
-     np.array([True, True, True])],
-)
-def test_hosvd_batch_rejects_bad_ranks(rng, ranks):
-    with pytest.raises(UsageError):
-        hosvd_batch(rng.standard_normal((2, 25, 8, 20)), ranks)
-
-
-@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
-def test_hosvd_batch_ranks_as_an_integer_array(rng, dtype):
-    stack = rng.standard_normal((3, 25, 8, 20))
-    want = hosvd_batch(stack, (4, 2, 5))
-    got = hosvd_batch(stack, np.array([4, 2, 5], dtype=dtype))
-    assert got.core.tobytes() == want.core.tobytes()
-    for u, v in zip(got.factors, want.factors):
-        assert u.tobytes() == v.tobytes()
+@pytest.mark.parametrize("dims, ranks", [
+    ((25, 8, 20), (25, 8, 20)), ((25, 31, 45), (25, 1, 25)), ((9, 4, 5), (0, 2, 3))
+])
+def test_mode_products_batch_rebuild_equals_tucker_reconstruct(rng, dims, ranks):
+    # the group step's rebuild of each core, a block of it included, against
+    # the per-tensor oracle
+    core = rng.standard_normal((3, *ranks))
+    factors = [rng.standard_normal((3, d, r)) for d, r in zip(dims, ranks)]
+    got = tensors._mode_products_batch(core, factors)
+    assert got.shape == (3, *dims)
+    for i in range(3):
+        want = tucker_reconstruct(TuckerFactors(core[i], tuple(u[i] for u in factors)))
+        scale = np.linalg.norm(core[i]) * np.prod([np.linalg.norm(u[i]) for u in factors])
+        assert np.linalg.norm(got[i] - want) <= 1e-12 * max(scale, 1e-300)
 
 
 def _products_in_order_123(t, mats):
