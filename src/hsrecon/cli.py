@@ -23,8 +23,8 @@ def _parse_ints(text: str, name: str, form: str) -> tuple[int, ...]:
 
 
 def _cmd_simulate(args) -> int:
-    if args.mode == imaging.DCCHI and args.out_pan is None:
-        raise UsageError("dcchi mode requires --out-pan")
+    if (args.mode == imaging.DCCHI) != (args.out_pan is not None):
+        raise UsageError("--out-pan is required in dcchi mode and not allowed in cassi mode")
     if not 0.0 <= args.noise_sigma < np.inf:
         raise UsageError(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma}")
     cube = fileio.read_cube(args.cube)

@@ -138,6 +138,8 @@ def adjoint(y: Measurement, sys: SystemModel) -> np.ndarray:
     yc = check_array("measurement", y.cassi, None, finite=False)
     if yc.shape != (sys.meas_rows, cols):
         raise DimensionError(f"measurement shape {yc.shape} != system {(sys.meas_rows, cols)}")
+    if sys.mode == CASSI and y.pan is not None:
+        raise DimensionError("a CASSI system takes no pan plane")
     with np.errstate(invalid="ignore"):  # 0 * inf gives NaN
         f = _cassi_adjoint(yc, sys)
         if sys.mode == DCCHI:

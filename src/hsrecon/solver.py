@@ -73,7 +73,7 @@ from typing import Callable
 import numpy as np
 
 from . import imaging, patches, tensors
-from .errors import DataError, DimensionError, check_array, check_int, check_positive
+from .errors import DataError, DimensionError, UsageError, check_array, check_int, check_positive
 from .tensors import TuckerFactors, hosvd, tucker_reconstruct
 
 __all__ = [
@@ -122,7 +122,8 @@ class SolverParams:
     rematch_every: int = 40
 
     def __post_init__(self):
-        check_positive("tau", self.tau)
+        if not math.isfinite(2.0 * check_positive("tau", self.tau)):  # the data step's rho
+            raise UsageError(f"tau must be at most half the largest float, got {self.tau!r}")
         check_positive("c", self.c)
         for name, low in dict(s=1, k=1, window=0, max_iter=1, rematch_every=1).items():
             check_int(name, getattr(self, name), low)
@@ -190,7 +191,8 @@ def _denoise(
     # stack's shape that may be overwritten, the stack itself among them, as
     # it is dead once the core is in: the weights and so the shrunk core go
     # into its leading entries, and then the approximation into all of it.
-    # Each other temporary is dropped as soon as it is dead.
+    # The stack is the caller's buffer, so nothing here frees it; the
+    # unshrunk core is dropped once it is shrunk.
     norm = np.linalg.norm(stacked.ravel())  # not finite if an entry is not, or on overflow
     if not math.isfinite(norm) and not np.isfinite(stacked).all():
         raise DataError("tensor stack contains non-finite values")
@@ -198,7 +200,6 @@ def _denoise(
     if core_mag is not None and p.c / (2.0 * p.tau * EPS) > 2.0 * norm:
         ranks = core_mag.shape[1:]
     core, factors = tensors._hosvd(stacked, ranks)
-    del stacked
     mag = core if core_mag is None else core_mag
     if mag.shape != core.shape:  # the guard failed: zero-pad the block
         mag = np.zeros(core.shape)
@@ -223,28 +224,20 @@ def _live_box(g: np.ndarray) -> tuple[slice, ...]:
 
 
 def cg_solve_image(
-    rhs: np.ndarray,
-    counts: np.ndarray,
-    sys: imaging.SystemModel,
-    tau: float,
-    cg_tol: float = 1e-6,
-    cg_max_iter: int = 50,
+    rhs: np.ndarray, counts: np.ndarray, sys: imaging.SystemModel, tau: float
 ) -> np.ndarray:
     """Solve (Phi^T Phi + 2 tau counts) f = rhs by conjugate gradient.
 
     ``reconstruct`` has unit counts and solves exactly with
     ``imaging.ridge_solve``; this solver takes any positive per-voxel
-    weights and is the reference the exact one is tested against.
+    weights and is the reference the exact one is tested against. It stops
+    once the residual norm is at most 1e-14 times that of ``rhs``, or after
+    ``rhs.size`` steps, where CG ends in exact arithmetic.
     """
     tau = check_positive("tau", tau)
-    cg_tol = check_positive("cg_tol", cg_tol)
-    cg_max_iter = check_int("cg_max_iter", cg_max_iter, 1)
     rhs, counts = check_array("right-hand side", rhs, 3), check_array("counts", counts, None)
     if counts.shape != rhs.shape:
         raise DimensionError(f"counts shape {counts.shape} != right-hand side {rhs.shape}")
-    bnorm = np.linalg.norm(rhs.ravel())
-    if bnorm == 0.0:
-        return np.zeros_like(rhs)
 
     def apply(x: np.ndarray) -> np.ndarray:
         return imaging.apply_normal_operator(x, sys) + (2.0 * tau) * counts * x
@@ -253,8 +246,9 @@ def cg_solve_image(
     r = rhs.copy()
     d = r.copy()
     rs = float(np.vdot(r, r))
-    for _ in range(cg_max_iter):
-        if np.sqrt(rs) / bnorm <= cg_tol:
+    stop = 1e-14 * np.linalg.norm(rhs.ravel())
+    for _ in range(rhs.size):
+        if math.sqrt(rs) <= stop:  # at once for a zero rhs
             break
         ad = apply(d)
         alpha = rs / float(np.vdot(d, ad))
@@ -294,12 +288,12 @@ def reconstruct(
     data term negligible per iteration and stalls convergence at desk
     scale, so the averaged form is used.
     """
-    # Checked here, so that a NaN or an infinity is named by its plane.
+    backproj = imaging.adjoint(y, sys)  # checks the planes' shapes, and the pan against the mode
+    # The values are checked here, so that a NaN or an infinity is named by its plane.
     pan = None if y.pan is None else check_array("pan plane", y.pan, None)
     y = imaging.Measurement(check_array("measurement", y.cassi, None), pan)
     rows, cols = sys.mask.shape
     dims = (rows, cols, sys.bands)
-    backproj = imaging.adjoint(y, sys)
     f = imaging.ridge_solve(imaging.ridge_factor(sys, INIT_RIDGE), backproj)
     data_step = imaging.ridge_factor(sys, 2.0 * p.tau)
 

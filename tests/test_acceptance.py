@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_smooth_cube, make_tucker_scene
+from oracles import dense_solve
 
 from hsrecon import fileio, imaging, metrics, patches, solver, tensors
 from hsrecon.imaging import DCCHI, Measurement, SystemModel
@@ -116,18 +117,6 @@ def test_criterion_3_shrinkage_oracle(rng):
     _report(3, worst <= 1e-4, f"max |shrink - oracle| {worst:.2e} <= 1e-4")
 
 
-def _dense_system(sys, diag):
-    shape = sys.mask.shape + (sys.bands,)
-    n = int(np.prod(shape))
-    dense = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        cube = e.reshape(shape)
-        dense[:, i] = (imaging.apply_normal_operator(cube, sys) + diag * cube).ravel()
-    return dense
-
-
 def test_criterion_4_cg_vs_dense_oracle(rng):
     # CG with per-voxel weights, and the exact solve reconstruct uses, for
     # both modes, at rho = 2 tau and at the initial ridge
@@ -136,16 +125,15 @@ def test_criterion_4_cg_vs_dense_oracle(rng):
     counts = 0.5 + rng.random((6, 6, 3))
     tau = 1.0
     rhs = rng.random((6, 6, 3))
-    dense = _dense_system(sys, 2.0 * tau * counts)
-    expect = np.linalg.solve(dense, rhs.ravel()).reshape(6, 6, 3)
-    got = solver.cg_solve_image(rhs, counts, sys, tau, cg_tol=1e-12, cg_max_iter=500)
+    expect = dense_solve(sys, 2.0 * tau * counts, rhs)
+    got = solver.cg_solve_image(rhs, counts, sys, tau)
     cg_err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
     exact_err = 0.0
     for mode in (imaging.CASSI, DCCHI):
         sys = SystemModel(imaging.generate_mask(7, 5, 0.5, 12), 4, mode)
         rhs = rng.standard_normal((7, 5, 4))
         for rho in (2.0 * tau, INIT_RIDGE):
-            expect = np.linalg.solve(_dense_system(sys, rho), rhs.ravel()).reshape(7, 5, 4)
+            expect = dense_solve(sys, rho, rhs)
             got = imaging.ridge_solve(imaging.ridge_factor(sys, rho), rhs)
             err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
             exact_err = max(exact_err, err)

@@ -94,15 +94,7 @@ _TABLE = {
     "mode_n_product.mode": (lambda v: tensors.mode_n_product(TENSOR, np.eye(3), v), 3),
     "shrink_core.tau": (lambda v: solver.shrink_core(ONE, ONE, v), None),
     "update_weights.c": (lambda v: solver.update_weights(ONE, v), None),
-    "cg_solve_image.tau": (
-        lambda v: solver.cg_solve_image(CUBE, np.ones_like(CUBE), SYS, v, cg_max_iter=5), None
-    ),
-    "cg_solve_image.cg_tol": (
-        lambda v: solver.cg_solve_image(CUBE, np.ones_like(CUBE), SYS, 1.0, v, 5), None
-    ),
-    "cg_solve_image.cg_max_iter": (
-        lambda v: solver.cg_solve_image(CUBE, np.ones_like(CUBE), SYS, 1.0, 1e-6, v), None
-    ),
+    "cg_solve_image.tau": (lambda v: solver.cg_solve_image(CUBE, np.ones_like(CUBE), SYS, v), None),
 }
 
 _BAD = [2.5, float("nan"), float("inf"), float("-inf"), -1, 0, True, False, "1", None]
@@ -169,11 +161,11 @@ _ARRAYS = {
         A_MEAS.pan,
     ),
     "cg_solve_image.rhs": (
-        lambda v: solver.cg_solve_image(v, np.ones_like(A_CUBE), A_SYS, 1.0, cg_max_iter=5),
+        lambda v: solver.cg_solve_image(v, np.ones_like(A_CUBE), A_SYS, 1.0),
         A_CUBE,
     ),
     "cg_solve_image.counts": (
-        lambda v: solver.cg_solve_image(A_CUBE, v, A_SYS, 1.0, cg_max_iter=5),
+        lambda v: solver.cg_solve_image(A_CUBE, v, A_SYS, 1.0),
         np.ones_like(A_CUBE),
     ),
     # The partner array takes the open one's shape, so a 0-d pair reaches the arithmetic.

@@ -230,6 +230,13 @@ def test_simulate_dcchi_without_pan_writes_nothing(tmp_path, cube_file, capsys):
     assert list(tmp_path.glob("*.hsp")) == []
 
 
+def test_simulate_cassi_with_pan_writes_nothing(tmp_path, cube_file, capsys):
+    assert _simulate(tmp_path, cube_file, extra=("--out-pan", str(tmp_path / "pan.hsp"))) == 2
+    err = capsys.readouterr().err
+    assert "--out-pan" in err and "Traceback" not in err
+    assert list(tmp_path.glob("*.hsp")) == []
+
+
 @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
 def test_simulate_bad_noise_sigma_exit_code(tmp_path, cube_file, capsys, sigma):
     assert _simulate(tmp_path, cube_file, extra=("--noise-sigma", sigma)) == 2
@@ -445,8 +452,8 @@ def test_text_output_failure_keeps_earlier_file(tmp_path, cube_file, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "truth.hsc"]
 
 
-@pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--tau", "inf"), ("--c", "nan"),
-                                        ("--c", "inf")])
+@pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--tau", "inf"), ("--tau", "1e308"),
+                                        ("--c", "nan"), ("--c", "inf")])
 def test_reconstruct_non_finite_real_exit_code(tmp_path, capsys, flag, value):
     # the input files do not exist: exit 2, not 1, shows nothing was read
     args = [

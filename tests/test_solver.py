@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_smooth_cube
+from oracles import dense_solve
 
 from hsrecon import imaging, patches, solver, tensors
 from hsrecon.errors import DataError, DimensionError, UsageError
@@ -148,6 +149,13 @@ class TestSolverParams:
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(UsageError, match=f"{field} must be an integer"):
             SolverParams(**{field: value})
+
+    @pytest.mark.parametrize("tau", [1e308, np.finfo(float).max])
+    def test_tau_whose_double_overflows_is_rejected(self, tau):
+        # the data step solves with rho = 2 tau, which must be finite
+        SolverParams(tau=np.finfo(float).max / 2)
+        with pytest.raises(UsageError, match="tau"):
+            SolverParams(tau=tau)
 
     @pytest.mark.parametrize("field", ["tau", "c"])
     def test_reals_must_be_numbers(self, field):
@@ -450,26 +458,15 @@ class TestCgSolveImage:
         # zero mask: Phi^T Phi = 0, solution = rhs / (2 tau)
         sys = SystemModel(np.zeros((5, 5)), 3)
         rhs = rng.random((5, 5, 3))
-        x = cg_solve_image(rhs, np.ones((5, 5, 3)), sys, tau=1.0, cg_tol=1e-12)
+        x = cg_solve_image(rhs, np.ones((5, 5, 3)), sys, tau=1.0)
         np.testing.assert_allclose(x, rhs / 2.0, rtol=1e-10)
 
     def test_matches_dense_oracle(self, rng):
-        mask = imaging.generate_mask(6, 6, 0.5, 11)
-        sys = SystemModel(mask, 3)
-        counts = np.ones((6, 6, 3))
+        sys = SystemModel(imaging.generate_mask(6, 6, 0.5, 11), 3)
         tau = 1.0
-        n = 6 * 6 * 3
-        dense = np.zeros((n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            cube = e.reshape(6, 6, 3)
-            dense[:, i] = (
-                imaging.apply_normal_operator(cube, sys) + 2.0 * tau * counts * cube
-            ).ravel()
         rhs = rng.random((6, 6, 3))
-        expect = np.linalg.solve(dense, rhs.ravel()).reshape(6, 6, 3)
-        got = cg_solve_image(rhs, counts, sys, tau, cg_tol=1e-12, cg_max_iter=500)
+        expect = dense_solve(sys, 2.0 * tau, rhs)
+        got = cg_solve_image(rhs, np.ones((6, 6, 3)), sys, tau)
         err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
         assert err <= 1e-6
 
@@ -479,7 +476,7 @@ class TestCgSolveImage:
         target = rng.random((6, 6, 3))
         tau = 1e9
         rhs = 2.0 * tau * target
-        got = cg_solve_image(rhs, np.ones((6, 6, 3)), sys, tau, cg_tol=1e-12)
+        got = cg_solve_image(rhs, np.ones((6, 6, 3)), sys, tau)
         err = np.linalg.norm(got - target) / np.linalg.norm(target)
         assert err <= 1e-6
 
@@ -516,6 +513,14 @@ class TestReconstruct:
         )
         assert [r[0] for r in rows] == [1, 2, 3]
         assert all(r[1] >= 0 and r[2] >= 0 for r in rows)
+
+    @pytest.mark.parametrize("pan", [np.ones((8, 8)), np.ones((3, 3)), np.full((8, 8), np.nan)])
+    def test_cassi_system_rejects_a_pan_plane(self, pan):
+        # rejected before the pan's values are scanned
+        sys = SystemModel(imaging.generate_mask(8, 8, 0.5, 0), 4)
+        y = Measurement(imaging.forward(make_smooth_cube(8, 8, 4, seed=1), sys).cassi, pan)
+        with pytest.raises(DimensionError, match="pan plane"):
+            reconstruct(y, sys, SolverParams(s=4, step=3, k=4, window=3, max_iter=2))
 
     @pytest.mark.parametrize("plane, value", [("measurement", np.nan), ("measurement", np.inf),
                                               ("pan plane", np.nan), ("pan plane", -np.inf)])
@@ -576,9 +581,7 @@ class TestBatchedPipeline:
 
         backproj = imaging.adjoint(y, sys)
         ones = np.ones(f_true.shape)
-        f = cg_solve_image(
-            backproj, ones, sys, solver.INIT_RIDGE / 2, cg_tol=1e-14, cg_max_iter=2000
-        )
+        f = cg_solve_image(backproj, ones, sys, solver.INIT_RIDGE / 2)
         grid = patches.plan_grid(20, 20, p.s, p.step)
         x, t = f, 1.0  # the group step reads x, FISTA's extrapolated point
         for it in range(p.max_iter):
@@ -592,7 +595,7 @@ class TestBatchedPipeline:
                 approxed.append((mem, approx))
             total, counts = patches.aggregate(approxed, f_true.shape)
             rhs = backproj + 2.0 * p.tau * (total / counts)
-            f_prev, f = f, cg_solve_image(rhs, ones, sys, p.tau, cg_tol=1e-14, cg_max_iter=2000)
+            f_prev, f = f, cg_solve_image(rhs, ones, sys, p.tau)
             if np.vdot(x - f, f - f_prev) > 0:  # the step went against the momentum
                 x, t = f, 1.0
             else:
@@ -890,9 +893,7 @@ class TestObjectiveDescent:
         obj_after_shrink = objective(f, shrunk)
 
         total, counts = patches.aggregate(approxed, f_true.shape)
-        f_new = cg_solve_image(
-            bp + 2.0 * tau * total, counts, sys, tau, cg_tol=1e-12, cg_max_iter=2000
-        )
+        f_new = cg_solve_image(bp + 2.0 * tau * total, counts, sys, tau)
         obj_after_cg = objective(f_new, shrunk)
         assert obj_after_cg <= obj_after_shrink * (1.0 + 1e-8)
 
