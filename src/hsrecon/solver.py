@@ -23,7 +23,7 @@ reference path below. The members are checked once per rematch, by
 call; each chunk then runs ``patches._voxel_indices``, ``_denoise`` (on
 ``tensors._hosvd``, ``_weights``, ``_shrink`` and
 ``tensors._mode_products_batch``) and ``patches._scatter``, and its one
-check is ``_denoise``'s finite scan of the stack. A chunk gathers its indices
+check is ``_denoise``'s, on the stack's norm. A chunk gathers its indices
 and stack into a pair of buffers that no running chunk holds, one chunk
 in size, made at most once per thread and kept until the next rematch,
 and once the core is in, the stack's memory takes the weights, the
@@ -38,22 +38,23 @@ free, and the partial cubes are added in chunk order, each as soon as all
 before it are in, so the output is bitwise the same for any CPU count and
 timing.
 
-As in reweighted l1, a coefficient shrunk to zero weighs c / EPS at the
-next visit, a threshold of c / (2 tau EPS): 2750 at the defaults. No core
-entry exceeds its group's Frobenius norm (about 190 for a 25x31x45 group
-in [0, 1]), so it stays zero until the next rematch. A revisit passes
-the shape of the live block of the chunk's shrunk cores (``_live_box``)
-to ``tensors._hosvd`` as ``ranks``: the eigensolves are unchanged, while the
-core product, weights, shrink and Tucker reconstruction run on the block
-alone. The guard, c / (2 tau EPS) > 2 * the chunk's norm, leaves a margin
-for rounding; a chunk that fails it zero-pads the block and shrinks the
-full cores. Either way the output is the full step's up to rounding.
-After a first visit the block can be most of the full cores, after a
-later one much less (README.md gives figures), and few of its entries are
-nonzero, so every visit stores for its chunk only the block's shape and
-the flat positions and values of its nonzero entries, and the next visit
-rebuilds the dense block from them: the same bits. A rematch resets that
-kept state before it matches, so its next visit is a first visit.
+As in reweighted l1, a coefficient g of kept magnitude m survives the
+shrink only if |g| (m + EPS) > c / (2 tau), m being |g| on a first visit
+and 0 once g was shrunk to zero: |g| > 2750 at the defaults, beyond a
+group's norm (about 190 for 25x31x45 in [0, 1]). No entry of core slice j
+along a mode exceeds sigma_j, the mode's j-th singular value, which
+``tensors._hosvd``'s eigensolve gives. So along each mode a visit computes
+the core up to the last slice, over the chunk, where 2 (sigma + sqrt(n
+eps) norm) could survive (n and norm the stack's size and norm: a factor
+2 over the eigenvalues' error, and no division), and at least the kept
+block (empty on a first visit), to which it zero-pads the kept magnitudes.
+A cut core's slice is the full one's, and each slice left out is zero
+after the full step's shrink: the output is the full step's up to
+rounding. Blocks are often much smaller than the full cores (README.md
+gives figures) and few of their entries are nonzero, so a visit keeps
+only the block's shape and the flat positions and values of its nonzero
+entries, from which the next visit rebuilds it bit for bit; a rematch
+resets them, so its next visit is a first visit.
 
 The reference path does the same work one group at a time:
 ``denoise_group`` on ``tensors.hosvd``, ``shrink_core`` and
@@ -63,6 +64,8 @@ benchmark traces it by name; the tests hold the chunk kernels against it.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
 import threading
@@ -186,22 +189,26 @@ def _denoise(
     # C-contiguous (g, s*s, L, k) stack. core_mag is the live block of the
     # chunk's last shrunk cores (None on a first visit) and is only read; the
     # magnitudes returned are the new live block: along each mode, up to the
-    # last index that is nonzero in some group, (g, 0, 0, 0) if none is. The
-    # stack's one check is a finite scan. out is a C-contiguous array of the
-    # stack's shape that may be overwritten, the stack itself among them, as
-    # it is dead once the core is in: the weights and so the shrunk core go
-    # into its leading entries, and then the approximation into all of it.
-    # The stack is the caller's buffer, so nothing here frees it; the
-    # unshrunk core is dropped once it is shrunk.
-    norm = np.linalg.norm(stacked.ravel())  # not finite if an entry is not, or on overflow
-    if not math.isfinite(norm) and not np.isfinite(stacked).all():
-        raise DataError("tensor stack contains non-finite values")
-    ranks = None
-    if core_mag is not None and p.c / (2.0 * p.tau * EPS) > 2.0 * norm:
-        ranks = core_mag.shape[1:]
-    core, factors = tensors._hosvd(stacked, ranks)
+    # last index that is nonzero in some group, (g, 0, 0, 0) if none is. out,
+    # a C-contiguous array of the stack's shape, may be overwritten, the
+    # stack itself among them, as it is dead once the core is in: the weights
+    # and so the shrunk core go into its leading entries, and then the
+    # approximation into all of it. The stack is the caller's buffer, so
+    # nothing here frees it; the unshrunk core is dropped once it is shrunk.
+    norm = np.linalg.norm(stacked.ravel())
+    if not math.isfinite(norm * norm):  # the stack's one check; else eigh reads inf
+        raise DataError("tensor stack contains non-finite values or overflows its Gram matrices")
+    kept = (0, 0, 0) if core_mag is None else core_mag.shape[1:]
+    err, t = math.sqrt(stacked.size * np.finfo(float).eps) * norm, p.c / (2.0 * p.tau)
+
+    def block(lams):  # the module docstring's rule: s >= 2 sigma, m the kept magnitude
+        s = [2.0 * (np.sqrt(lam.max(axis=0, initial=0.0)) + err) for lam in lams]
+        m = s if core_mag is None else (0.0, 0.0, 0.0)
+        return [max(r, np.count_nonzero(a * (b + EPS) > t)) for a, b, r in zip(s, m, kept)]
+
+    core, factors = tensors._hosvd(stacked, block)
     mag = core if core_mag is None else core_mag
-    if mag.shape != core.shape:  # the guard failed: zero-pad the block
+    if mag.shape != core.shape:  # zero-pad the kept block
         mag = np.zeros(core.shape)
         mag[tuple(slice(0, n) for n in core_mag.shape)] = core_mag
     w = _weights(mag, p.c, out.ravel()[: core.size].reshape(core.shape))
@@ -338,7 +345,8 @@ def reconstruct(
             spare.clear()  # no chunk buffers held while matching
             members = patches.match_groups(x, grid, p.k, p.window)
             counts = patches.coverage_counts(members, p.s, (rows, cols))
-        total = _ordered_sum(len(parts), step, np.zeros(dims))
+        with _one_blas_thread():
+            total = _ordered_sum(len(parts), step, np.zeros(dims))
         rhs = backproj + (2.0 * p.tau) * (total / counts)
         f_new = imaging.ridge_solve(data_step, rhs)
         x, t = _momentum(x, f_new, f, t)
@@ -427,6 +435,59 @@ def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -
     if errors:
         raise errors[min(errors)]
     return total
+
+
+@functools.cache
+def _openblas():
+    # The (get, set) thread-count functions of the loaded OpenBLAS, found in
+    # the process's mapped files as perfbench/job.py finds it; None without
+    # one, or without the symbols (another BLAS).
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(handle, name.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                return get, put
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_users, _blas_saved = 0, 1  # pools running, and the count the first one found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    # Hold the loaded OpenBLAS at one thread while the group step's pool
+    # runs: its threads already share the CPUs, and BLAS threads of their
+    # own on small products only contend with them. The setter is
+    # process-wide, so the first pool to start reads the caller's count and
+    # the last one to end restores it, also when a pool raises.
+    global _blas_users, _blas_saved
+    blas = _openblas()
+    with _blas_lock:
+        if blas and not _blas_users:
+            _blas_saved = blas[0]()
+            blas[1](1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if blas and not _blas_users:
+                blas[1](_blas_saved)
 
 
 def _data_fit(y: imaging.Measurement, f: np.ndarray, sys: imaging.SystemModel) -> float:

@@ -7,11 +7,12 @@ usual multilinear-algebra convention.
 ``hosvd_batch`` is the HOSVD of a stack of equally shaped tensors
 ``(g, d1, d2, d3)``, with batched matrix products and one batched
 symmetric eigensolve per mode. The solver's group step runs its private
-kernels: ``_hosvd``, which also computes only a leading block of the core,
-and ``_mode_products_batch``, which rebuilds the groups; the tests hold
-each against the per-tensor ``hosvd`` and ``tucker_reconstruct``. Those
-two, with ``unfold``, ``fold`` and ``mode_n_product``, are the reference
-path, public because the benchmark traces them by name.
+kernels: ``_hosvd``, which computes the leading core block that a rule on
+the eigenvalues picks, and ``_mode_products_batch``, which rebuilds the
+groups; the tests hold each against the per-tensor ``hosvd`` and
+``tucker_reconstruct``. Those two, with ``unfold``, ``fold`` and
+``mode_n_product``, are the reference path, public because the benchmark
+traces them by name.
 
 ``_mode_products_batch`` applies the three mode products in the order with
 the fewest multiplies, worked out from the shapes alone (Kolda and Bader,
@@ -164,19 +165,14 @@ def _mode_products_batch(t: np.ndarray, mats, out: np.ndarray | None = None) -> 
     return x
 
 
-def _full_ranks(dims) -> list[int]:
-    # The width of each mode's reduced SVD: min(d_n, d1*d2*d3 / d_n).
-    size = math.prod(dims)
-    return [min(d, size // d) for d in dims]
-
-
-def _hosvd(t: np.ndarray, ranks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _hosvd(t: np.ndarray, widths) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     # hosvd_batch's core and factors for a checked stack, factor U_n cut to
-    # its leading ranks[n-1] columns (0 up to the full width; None: the full
-    # widths) and the core to that leading block, for a caller that knows
-    # the rest is of no use. The eigensolves are the same: the factors are
-    # the full ones' leading columns, bit for bit, and the block is the full
-    # core's up to rounding.
+    # its leading r_n columns and the core to that block, (r1, r2, r3) =
+    # widths(lams): lams[n-1] holds the (g, f_n) eigenvalues of the mode-n
+    # Gram matrices, sigma_j^2 in descending order, f_n = min(d_n, d1*d2*d3
+    # / d_n) the reduced SVD's width, and r_n is 0 up to f_n. The factors
+    # are the full ones' leading columns, bit for bit, and the block is the
+    # full core's up to rounding.
     g, d1, d2, d3 = t.shape
     m1 = t.reshape(g, d1, d2 * d3)
     m3 = t.reshape(g, d1 * d2, d3)
@@ -185,12 +181,11 @@ def _hosvd(t: np.ndarray, ranks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         (t @ t.transpose(0, 1, 3, 2)).sum(axis=1),
         m3.transpose(0, 2, 1) @ m3,
     )
-    factors = []
-    for gram, r in zip(grams, _full_ranks(t.shape[1:]) if ranks is None else ranks):
-        _, u = np.linalg.eigh(gram)
-        # Descending order, as a contiguous copy: a reversed view's negative
-        # strides would keep matmul off BLAS.
-        factors.append(np.ascontiguousarray(u[..., ::-1][..., :r]))
+    lams, us = zip(*map(np.linalg.eigh, grams))  # ascending
+    full = [min(d, d1 * d2 * d3 // d) for d in (d1, d2, d3)]
+    ranks = widths([lam[:, ::-1][:, :f] for lam, f in zip(lams, full)])
+    # Descending, as copies: a reversed view's strides would keep matmul off BLAS.
+    factors = [np.ascontiguousarray(u[..., ::-1][..., :r]) for u, r in zip(us, ranks)]
     core = _mode_products_batch(t, [u.transpose(0, 2, 1) for u in factors])
     return core, (factors[0], factors[1], factors[2])
 
@@ -209,4 +204,4 @@ def hosvd_batch(t: np.ndarray) -> TuckerFactors:
     t = check_array("tensor stack", t, 4)
     if 0 in t.shape[1:]:  # an empty stack is fine
         raise DimensionError(f"tensor modes must be non-empty, got shape {t.shape}")
-    return TuckerFactors(*_hosvd(t, None))
+    return TuckerFactors(*_hosvd(t, lambda lams: [lam.shape[1] for lam in lams]))

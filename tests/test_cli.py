@@ -452,6 +452,29 @@ def test_text_output_failure_keeps_earlier_file(tmp_path, cube_file, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "truth.hsc"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reconstruct_tiny_tau_exits_without_traceback(tmp_path, cube_file, capsys):
+    # 2 tau EPS is 0.0 at tau = 1e-318: the run ends in a cube or an error
+    # message, and NumPy's overflow warnings may come on the way
+    assert _simulate(tmp_path, cube_file) == 0
+    code = cli([
+        "reconstruct",
+        "--meas", str(tmp_path / "meas.hsp"),
+        "--mask", str(tmp_path / "mask.hsp"),
+        "--dims", "16,16,4",
+        "--out", str(tmp_path / "recon.hsc"),
+        "--s", "4", "--step", "3", "--k", "6", "--window", "4",
+        "--iters", "4", "--tau", "1e-318",
+    ])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 0:
+        rec = fileio.read_cube(tmp_path / "recon.hsc")
+        assert np.all(np.isfinite(rec)) and rec.min() >= 0.0 and rec.max() <= 1.0
+    else:
+        assert not (tmp_path / "recon.hsc").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--tau", "inf"), ("--tau", "1e308"),
                                         ("--c", "nan"), ("--c", "inf")])
 def test_reconstruct_non_finite_real_exit_code(tmp_path, capsys, flag, value):

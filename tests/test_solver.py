@@ -13,7 +13,7 @@ from conftest import make_smooth_cube
 from oracles import dense_solve
 
 from hsrecon import imaging, patches, solver, tensors
-from hsrecon.errors import DataError, DimensionError, UsageError
+from hsrecon.errors import DataError, DimensionError, HsreconError, UsageError
 from hsrecon.imaging import Measurement, SystemModel
 from hsrecon.solver import (
     SolverParams,
@@ -267,7 +267,8 @@ class TestDenoiseGroups:
     def test_kernel_into_the_stack_equals_a_fresh_output(self, visit):
         # the chunk step hands _denoise its stack as out: the weights, the
         # shrunk core (a revisit's block in the leading entries) and then the
-        # approximation overwrite it, with the bits of a separate output
+        # approximation overwrite it, with the bits of a separate output;
+        # "guard fails" is a revisit whose block outgrows the kept one
         p = SolverParams(k=20)
         stacked = _smooth_groups(1, noise=0.01) * (1e4 if visit == "guard fails" else 1.0)
         mag = None if visit == "first" else _kernel(_smooth_groups(1), None, p)[1]
@@ -328,8 +329,15 @@ class TestLiveBlock:
         approx, mag2 = _kernel(big, mag, p)
         assert np.any(mag2)
         full, full_mag2 = _kernel(big, np.zeros((2, 25, 8, 20)), p)
-        assert approx.tobytes() == full.tobytes()
-        assert mag2.tobytes() == full_mag2.tobytes()
+        # the bound's block, grown from the empty kept one, against the full
+        # block: equal up to rounding, and it holds every nonzero entry
+        scale = np.linalg.norm(big)
+        assert np.linalg.norm(approx - full) <= 1e-12 * scale
+        box = tuple(slice(0, n) for n in mag2.shape)
+        assert np.linalg.norm(mag2 - full_mag2[box]) <= 1e-12 * scale
+        outside = full_mag2.copy()
+        outside[box] = 0.0
+        assert not np.any(outside)
         for i in range(2):  # the per-group oracle, as in TestDenoiseGroups
             ref, ref_mag = denoise_group(big[i], np.zeros((25, 8, 20)), p)
             scale = np.linalg.norm(big[i])
@@ -338,8 +346,9 @@ class TestLiveBlock:
             assert np.linalg.norm(mag2[i] - ref_mag[block]) <= 1e-8 * scale
 
     def test_fallback_zero_pads_the_block(self):
-        # groups 1e4 times larger leave no clear margin, so the revisit
-        # shrinks the full cores, weighted by the zero-padded block
+        # in groups 1e4 times larger, slices outside the kept block could
+        # pass a zero's threshold: the revisit's block, (11, 8, 11) here,
+        # outgrows the kept (11, 2, 11), weighted by the zero-padded magnitudes
         p = SolverParams(k=20)
         _, mag = _kernel(1e4 * _smooth_groups(0), None, p)
         assert mag[0].size < 25 * 8 * 20
@@ -382,6 +391,58 @@ class TestLiveBlock:
         assert approx.shape == (3, 25, 8, 20) and not np.any(approx)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        smooth=st.booleans(),
+        shape=st.sampled_from([(9, 2, 30), (25, 8, 20), (4, 3, 5), (25, 1, 6), (1, 7, 3)]),
+        scale=st.sampled_from([1e-3, 1e-1, 1.0, 1e2, 1e4]),
+        tau=st.sampled_from([1e-3, 0.1, 1.0, 1e3]),
+        growth=st.sampled_from([1.0, 1e4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_block_holds_every_entry_the_oracle_keeps(
+        self, smooth, shape, scale, tau, growth, seed
+    ):
+        # the block _denoise computes, a first visit's and a revisit's, holds
+        # every nonzero entry of denoise_group's full shrunk core; growth
+        # scales the revisit's groups, so that its block can outgrow the kept one
+        rng = np.random.default_rng(seed)
+        p = SolverParams(tau=tau)
+        if smooth:  # three smooth rank-one terms and a little noise: the blocks cut
+            axes = [np.linspace(0.0, 1.0, d) for d in shape]
+            stacked = 1e-3 * rng.standard_normal((3, *shape))
+            for j in range(3):
+                waves = (np.cos(np.pi * (j + 1) * rng.random((3, 1)) * a) for a in axes)
+                stacked += 0.3**j * np.einsum("gi,gj,gk->gijk", *waves)
+        else:
+            stacked = rng.random((3, *shape))
+        stacked = scale * stacked
+        later = growth * stacked * (1.0 + 0.1 * rng.standard_normal(stacked.shape))
+        real, blocks = tensors._hosvd, []
+
+        def spy(t, widths):
+            core, factors = real(t, widths)
+            blocks.append(core.shape[1:])
+            return core, factors
+
+        with mock.patch.object(tensors, "_hosvd", spy):
+            approx, mag = _kernel(stacked, None, p)
+            approx2, _ = _kernel(later, mag, p)
+        for i in range(len(stacked)):
+            # the revisit's oracle reads the kernel's kept magnitudes, as the
+            # weights c / (m + EPS) magnify a rounding difference in small m
+            ref, ref_mag = denoise_group(stacked[i], None, p)
+            ref2, ref_mag2 = denoise_group(later[i], _padded(mag[i], ref_mag.shape), p)
+            for got, want, group, want_mag, block in (
+                (approx, ref, stacked[i], ref_mag, blocks[0]),
+                (approx2, ref2, later[i], ref_mag2, blocks[1]),
+            ):
+                assert np.linalg.norm(got[i] - want) <= 1e-8 * np.linalg.norm(group)
+                outside = want_mag.copy()
+                outside[tuple(slice(0, n) for n in block)] = 0.0
+                assert not np.any(outside)
+
+
 def _flip_signs(tf: TuckerFactors, signs) -> TuckerFactors:
     """``tf`` with factor column j of U_n of group i times ``signs[n][i, j]``.
 
@@ -416,8 +477,8 @@ class TestFactorSigns:
 
         real = tensors._hosvd  # the HOSVD kernel _denoise runs on
 
-        def flipped(t, ranks):
-            tf = TuckerFactors(*real(t, ranks))
+        def flipped(t, widths):
+            tf = TuckerFactors(*real(t, widths))
             signs = [rng.choice([-1.0, 1.0], size=(len(u), u.shape[2])) for u in tf.factors]
             tf = _flip_signs(tf, signs)
             return tf.core, tf.factors
@@ -443,8 +504,8 @@ class TestFactorSigns:
 
         real = tensors._hosvd  # the HOSVD kernel of the chunk step
 
-        def flipped(t, ranks):
-            tf = TuckerFactors(*real(t, ranks))
+        def flipped(t, widths):
+            tf = TuckerFactors(*real(t, widths))
             signs = [np.tile((-1.0) ** np.arange(u.shape[2]), (len(u), 1)) for u in tf.factors]
             tf = _flip_signs(tf, signs)
             return tf.core, tf.factors
@@ -532,6 +593,22 @@ class TestReconstruct:
         y = Measurement(planes["measurement"], planes["pan plane"])
         with pytest.raises(DataError, match=f"^{plane} contains non-finite values"):
             reconstruct(y, sys, SolverParams(s=4, step=3, k=4, window=3, max_iter=2))
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", [imaging.CASSI, imaging.DCCHI])
+    @pytest.mark.parametrize("tau", [1e-318, 5e-324])
+    def test_tiny_tau_returns_a_cube_or_raises_a_library_error(self, mode, tau):
+        # 2 tau EPS is 0.0. The data step's rho = 2 tau is far below the
+        # rounding of Phi^T Phi, so the iterates may leave the float range,
+        # with NumPy's overflow warnings on the way.
+        sys = SystemModel(imaging.generate_mask(20, 20, 0.5, 6), 3, mode=mode)
+        y = imaging.forward(make_smooth_cube(20, 20, 3, seed=4), sys)
+        try:
+            rec = reconstruct(y, sys, SolverParams(tau=tau, k=6, window=4, max_iter=4))
+        except HsreconError:
+            return
+        assert np.all(np.isfinite(rec)) and rec.min() >= 0.0 and rec.max() <= 1.0
 
 
 class TestMomentum:
@@ -698,6 +775,40 @@ class TestWorkerPool:
             outputs.append(reconstruct(y, sys, p).tobytes())
             assert sizes == [2] * 8 * p.max_iter
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_pool_holds_blas_at_one_thread_and_restores_the_count(self, monkeypatch):
+        blas = solver._openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS with thread-count symbols is loaded")
+        get, put = blas
+        before = get()
+        put(2)
+        try:
+            if get() != 2:
+                pytest.skip("OpenBLAS does not take two threads here")
+            y, sys, p = self._problem()
+            denoise, seen = solver._denoise, []
+
+            def spy(*args, **kwargs):
+                seen.append(get())
+                return denoise(*args, **kwargs)
+
+            def fail(*args, **kwargs):
+                seen.append(get())
+                raise DataError("chunk failed")
+
+            monkeypatch.setattr(solver, "_denoise", spy)
+            reconstruct(y, sys, p)
+            assert seen and set(seen) == {1}
+            assert get() == 2
+            seen.clear()
+            monkeypatch.setattr(solver, "_denoise", fail)
+            with pytest.raises(DataError, match="chunk failed"):
+                reconstruct(y, sys, p)
+            assert seen and set(seen) == {1}
+            assert get() == 2
+        finally:
+            put(before)
 
     def test_dcchi_rematching_every_iteration_independent_of_worker_count(self, monkeypatch):
         # long enough for the momentum to restart, which the spy confirms

@@ -313,7 +313,7 @@ def _full_ranks(shape):
     data=st.data(),
 )
 def test_hosvd_kernel_ranks_keep_the_leading_block(dims, low_rank, data):
-    # _hosvd, the group step's HOSVD kernel, with ranks against its full run
+    # _hosvd, the group step's HOSVD kernel, with given widths against its full run
     d1, d2, d3, g = dims
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     stack = rng.standard_normal((g, d1, d2, d3))
@@ -323,8 +323,8 @@ def test_hosvd_kernel_ranks_keep_the_leading_block(dims, low_rank, data):
         data.draw(st.integers(0, r), label=f"r{n}")
         for n, r in enumerate(_full_ranks((d1, d2, d3)), start=1)
     )
-    full = TuckerFactors(*tensors._hosvd(stack, None))
-    part = TuckerFactors(*tensors._hosvd(stack, ranks))
+    full = TuckerFactors(*tensors._hosvd(stack, lambda lams: [lam.shape[1] for lam in lams]))
+    part = TuckerFactors(*tensors._hosvd(stack, lambda lams: ranks))
     for u, v, r in zip(part.factors, full.factors, ranks):
         assert u.shape == (g, v.shape[1], r)
         assert u.tobytes() == np.ascontiguousarray(v[:, :, :r]).tobytes()
@@ -336,9 +336,9 @@ def test_hosvd_kernel_ranks_keep_the_leading_block(dims, low_rank, data):
 def test_hosvd_kernel_ranks_zero_and_full(rng):
     stack = rng.standard_normal((3, 25, 8, 20))
     full = hosvd_batch(stack)
-    same = TuckerFactors(*tensors._hosvd(stack, (25, 8, 20)))
+    same = TuckerFactors(*tensors._hosvd(stack, lambda lams: (25, 8, 20)))
     assert same.core.tobytes() == full.core.tobytes()
-    none = TuckerFactors(*tensors._hosvd(stack, [0, 0, 0]))
+    none = TuckerFactors(*tensors._hosvd(stack, lambda lams: [0, 0, 0]))
     assert none.core.shape == (3, 0, 0, 0)
     assert [u.shape for u in none.factors] == [(3, 25, 0), (3, 8, 0), (3, 20, 0)]
     rebuilt = tensors._mode_products_batch(none.core, none.factors)
