@@ -7,8 +7,8 @@ detector plane of shape ``(I + L - 1, J)``. The dual-camera mode adds an
 uncoded panchromatic plane, the band sum of the cube.
 
 ``adjoint`` is the exact linear adjoint of ``forward``. ``ridge_factor``
-and ``ridge_solve`` solve (Phi^T Phi + rho I) f = b exactly, the image
-update of :mod:`hsrecon.solver`.
+and ``ridge_project`` give the image update of :mod:`hsrecon.solver`
+exactly, in projection form, dividing by the factor, never by rho.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ __all__ = [
     "apply_normal_operator",
     "RidgeFactor",
     "ridge_factor",
-    "ridge_solve",
+    "ridge_project",
 ]
 
 
@@ -67,11 +67,7 @@ class SystemModel:
 
     @classmethod
     def default(cls, mask: np.ndarray, bands: int, mode: str = CASSI) -> "SystemModel":
-        """The system of ``mask``, ``bands`` and ``mode``: ``cls(mask, bands, mode)``.
-
-        Its one remaining caller is ``perfbench/job.py``; it goes when the
-        benchmark builds its systems directly (ROADMAP item 2).
-        """
+        """``cls(mask, bands, mode)``, kept for ``perfbench/job.py`` until ROADMAP item 2."""
         return cls(mask, bands, mode)
 
     @property
@@ -98,16 +94,16 @@ def generate_mask(rows: int, cols: int, p: float, seed: int) -> np.ndarray:
     return (rng.random((rows, cols)) < p).astype(np.float64)
 
 
-def _check_cube(f: np.ndarray, sys: SystemModel) -> np.ndarray:
-    f = check_array("cube", f, None, finite=False)
-    if f.shape != (*sys.mask.shape, sys.bands):
-        raise DimensionError(f"cube shape {f.shape} != system {(*sys.mask.shape, sys.bands)}")
-    return f
+def _checked(name: str, value, shape: tuple[int, ...], finite: bool = False) -> np.ndarray:
+    a = check_array(name, value, None, finite=finite)
+    if a.shape != shape:
+        raise DimensionError(f"{name} shape {a.shape} != system {shape}")
+    return a
 
 
 def cassi_forward(f: np.ndarray, sys: SystemModel) -> np.ndarray:
     """Coded, dispersed and band-integrated snapshot of the cube."""
-    f = _check_cube(f, sys)
+    f = _checked("cube", f, (*sys.mask.shape, sys.bands))
     rows, cols = sys.mask.shape
     out = np.zeros((sys.meas_rows, cols))
     with np.errstate(invalid="ignore"):  # 0 * inf gives NaN
@@ -120,35 +116,38 @@ def pan_forward(f: np.ndarray, sys: SystemModel) -> np.ndarray:
     """Uncoded band sum onto the panchromatic detector."""
     if sys.mode != DCCHI:
         raise UsageError("pan_forward requires a dual-camera system")
-    f = _check_cube(f, sys)
+    f = _checked("cube", f, (*sys.mask.shape, sys.bands))
     with np.errstate(invalid="ignore"):  # inf + -inf gives NaN
         return f @ np.ones(sys.bands)  # not f.sum(axis=2), which adds in another order
 
 
 def forward(f: np.ndarray, sys: SystemModel) -> Measurement:
     """Full observation: coded plane, plus the pan plane in dual mode."""
-    cassi = cassi_forward(f, sys)
-    pan = pan_forward(f, sys) if sys.mode == DCCHI else None
-    return Measurement(cassi=cassi, pan=pan)
+    return Measurement(cassi_forward(f, sys), pan_forward(f, sys) if sys.mode == DCCHI else None)
+
+
+def _planes(y: Measurement, sys: SystemModel, finite: bool = True) -> Measurement:
+    # y's planes as float64 arrays, checked against sys: the shapes and the pan
+    # against the mode, then, if finite, the values, each named by its plane.
+    yc = _checked("measurement", y.cassi, (sys.meas_rows, sys.mask.shape[1]))
+    if sys.mode == CASSI and y.pan is not None:
+        raise DimensionError("a CASSI system takes no pan plane")
+    if sys.mode == DCCHI and y.pan is None:
+        raise DimensionError("dual-camera system requires a pan plane")
+    yp = None if y.pan is None else _checked("pan plane", y.pan, sys.mask.shape)
+    if finite:
+        yp = None if yp is None else check_array("pan plane", yp, None)
+        yc = check_array("measurement", yc, None)
+    return Measurement(yc, yp)
 
 
 def adjoint(y: Measurement, sys: SystemModel) -> np.ndarray:
     """Exact adjoint of :func:`forward` applied to a measurement."""
-    rows, cols = sys.mask.shape
-    yc = check_array("measurement", y.cassi, None, finite=False)
-    if yc.shape != (sys.meas_rows, cols):
-        raise DimensionError(f"measurement shape {yc.shape} != system {(sys.meas_rows, cols)}")
-    if sys.mode == CASSI and y.pan is not None:
-        raise DimensionError("a CASSI system takes no pan plane")
+    y = _planes(y, sys, finite=False)
     with np.errstate(invalid="ignore"):  # 0 * inf gives NaN
-        f = _cassi_adjoint(yc, sys)
-        if sys.mode == DCCHI:
-            if y.pan is None:
-                raise DimensionError("dual-camera system requires a pan plane")
-            yp = check_array("pan plane", y.pan, None, finite=False)
-            if yp.shape != (rows, cols):
-                raise DimensionError(f"pan plane shape {yp.shape} != {(rows, cols)}")
-            f += yp[:, :, None]
+        f = _cassi_adjoint(y.cassi, sys)
+        if y.pan is not None:
+            f += y.pan[:, :, None]
     return f
 
 
@@ -169,39 +168,40 @@ def apply_normal_operator(f: np.ndarray, sys: SystemModel) -> np.ndarray:
 class RidgeFactor:
     """rho I + Phi Phi^T of one system, factored by :func:`ridge_factor`.
 
-    ``coded``: the diagonal of its coded block, shape ``(meas_rows, cols)``.
-    Dual-camera mode only: ``pan_diag``, the pan block's constant diagonal,
-    and ``chol``, the banded Cholesky factor L of the Schur complement per
-    detector column j: ``chol[c, t, j] = L[c + t, c]`` for ``t < bands``,
-    plus ``bands - 1`` zero rows so every band slice has full length.
+    ``coded``: its coded block's diagonal, ``(meas_rows, cols)``, inf where no
+    band lands. Dual-camera mode only: ``pan_diag``, the pan block's constant
+    diagonal, and ``chol``, the banded Cholesky factor L of the Schur
+    complement per detector column j: ``chol[c, t, j] = L[c + t, c]`` for
+    ``t < bands``, plus ``bands - 1`` zero rows so every slice is full length.
     """
 
     sys: SystemModel
-    rho: float
     coded: np.ndarray
     chol: np.ndarray | None = None
     pan_diag: float = 0.0
 
 
 def ridge_factor(sys: SystemModel, rho: float) -> RidgeFactor:
-    """Factor rho I + Phi Phi^T for solving (Phi^T Phi + rho I) f = b.
+    """Factor rho I + Phi Phi^T for :func:`ridge_project`.
 
-    By Woodbury, f = (b - Phi^T (rho I + Phi Phi^T)^{-1} Phi b) / rho.
     Phi Phi^T is diagonal on the coded plane: each detector pixel counts
-    the mask over the bands that land on it. In dual-camera mode, Phi =
-    [C; P] adds the pan block P P^T = bands I and the cross term B = C P^T,
-    which joins detector row i + d to pan row i of the same column with
-    weight mask[i], d < bands. Eliminating the pan block leaves the Schur
-    complement diag(coded) - B B^T / pan_diag, banded with half-bandwidth
-    bands - 1 in each column, which a right-looking banded Cholesky factors
-    for all columns at once.
+    the mask over the bands that land on it. A pixel no band reaches holds
+    no information (Phi^T maps it to zero), so its entry is inf and its
+    residual is ignored: divided by a tiny rho it would overflow. In
+    dual-camera mode, Phi = [C; P] adds the pan block P P^T = bands I and
+    the cross term B = C P^T, which joins detector row i + d to pan row i
+    of the same column with weight mask[i], d < bands. Eliminating the pan
+    block leaves the Schur complement diag(coded) - B B^T / pan_diag,
+    banded with half-bandwidth bands - 1 in each column, which a
+    right-looking banded Cholesky factors for all columns at once.
     """
     rho = check_positive("rho", rho)
     rows, cols = sys.mask.shape
     cube = np.broadcast_to(sys.mask[:, :, None], (rows, cols, sys.bands))  # a view
-    coded = rho + cassi_forward(cube, sys)
+    hits = cassi_forward(cube, sys)
+    coded = np.where(hits > 0.0, rho + hits, np.inf)
     if sys.mode == CASSI:
-        return RidgeFactor(sys=sys, rho=rho, coded=coded)
+        return RidgeFactor(sys=sys, coded=coded)
     pan_diag = rho + sys.bands
     w = sys.bands - 1
     r = sys.meas_rows
@@ -213,37 +213,40 @@ def ridge_factor(sys: SystemModel, rho: float) -> RidgeFactor:
         chol[d : d + rows, : w + 1 - d] -= cross
     # Column c of L is column c of the band over its square-rooted diagonal;
     # then S[c + t + u, c + t] -= L[c + t + u, c] L[c + t, c] for t >= 1,
-    # u >= 0, kept at chol[c + t, u].
+    # u >= 0, kept at chol[c + t, u]. An inf pivot has only zeros beside it.
     for c in range(r):
         col = chol[c]
         np.sqrt(col[0], out=col[0])
         col[1:] /= col[0]
         for t in range(1, w + 1):
             chol[c + t, : w + 1 - t] -= col[t] * col[t:]
-    return RidgeFactor(sys=sys, rho=rho, coded=coded, chol=chol, pan_diag=pan_diag)
+    return RidgeFactor(sys=sys, coded=coded, chol=chol, pan_diag=pan_diag)
 
 
-def ridge_solve(fac: RidgeFactor, b: np.ndarray) -> np.ndarray:
-    """The exact solution of (Phi^T Phi + rho I) f = b for ``fac``'s system and rho."""
-    b = check_array("right-hand side", b, 3)
+def ridge_project(fac: RidgeFactor, y: Measurement, z: np.ndarray) -> np.ndarray:
+    """z + Phi^T (rho I + Phi Phi^T)^{-1} (y - Phi z) for ``fac``'s system and rho.
+
+    The step of generalized alternating projection (GAP): the exact f of
+    (Phi^T Phi + rho I) f = Phi^T y + rho z.
+    """
     sys = fac.sys
+    y = _planes(y, sys)
+    z = _checked("cube", z, (*sys.mask.shape, sys.bands), finite=True)
     if fac.chol is None:
-        u = cassi_forward(b, sys) / fac.coded
-        return (b - _cassi_adjoint(u, sys)) / fac.rho
-    # With Phi b = (a, p), the pan block gives v = (p - B^T u) / pan_diag
-    # and leaves S u = a - B p / pan_diag = C (b - P^T p / pan_diag).
-    p = pan_forward(b, sys)
-    chol = fac.chol
-    r = sys.meas_rows
-    w = chol.shape[1] - 1
-    u = np.zeros((r + w, b.shape[1]))
-    u[:r] = cassi_forward(b - p[:, :, None] * (1.0 / fac.pan_diag), sys)
-    for c in range(r):  # L z = rhs
+        return z + _cassi_adjoint((y.cassi - cassi_forward(z, sys)) / fac.coded, sys)
+    # With the residual (a, p) = y - Phi z, the pan block gives
+    # v = (p - B^T u) / pan_diag and leaves S u = a - B p / pan_diag
+    # = y.cassi - C (z + P^T p / pan_diag).
+    p = y.pan - pan_forward(z, sys)
+    chol, r, w = fac.chol, sys.meas_rows, sys.bands - 1
+    u = np.zeros((r + w, z.shape[1]))
+    u[:r] = y.cassi - cassi_forward(z + p[:, :, None] * (1.0 / fac.pan_diag), sys)
+    for c in range(r):  # L x = rhs
         u[c] /= chol[c, 0]
         u[c + 1 : c + w + 1] -= chol[c, 1:] * u[c]
-    for c in range(r - 1, -1, -1):  # L^T u = z
+    for c in range(r - 1, -1, -1):  # L^T u = x
         u[c] -= np.einsum("tj,tj->j", chol[c, 1:], u[c + 1 : c + w + 1])
         u[c] /= chol[c, 0]
     ctu = _cassi_adjoint(u[:r], sys)
     v = (p - pan_forward(ctu, sys)) / fac.pan_diag
-    return (b - ctu - v[:, :, None]) / fac.rho
+    return z + ctu + v[:, :, None]

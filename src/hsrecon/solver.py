@@ -4,9 +4,10 @@ Each outer iteration (a) groups similar patches of the current estimate,
 (b) denoises every group by soft-thresholding its HOSVD core with the
 weights w = c / (|g| + EPS), g the group's shrunk core from the previous
 iteration (its unshrunk core right after a rematch), (c) scatters the
-denoised groups back, and (d) solves the coupled least-squares image
-update exactly, with the factorization ``imaging.ridge_factor`` builds
-once per reconstruction.
+denoised groups back, and (d) takes the exact image update in projection
+form, f = z + Phi^T (2 tau I + Phi Phi^T)^{-1} (y - Phi z), z the groups'
+average, with ``imaging.ridge_project``: detector pixels that no band
+reaches carry no information and are ignored.
 
 The loop is accelerated with FISTA momentum (Beck and Teboulle, 2009)
 and the gradient restart of O'Donoghue and Candes (2015): steps (a) and
@@ -88,7 +89,7 @@ __all__ = [
     "reconstruct",
 ]
 
-# Tikhonov regularizer for the initial backprojection solve.
+# Tikhonov ridge of the first data step, taken from z = 0.
 INIT_RIDGE = 1e-3
 
 # Keeps the weights w = c / (|g| + EPS) of zero coefficients finite.
@@ -236,7 +237,7 @@ def cg_solve_image(
     """Solve (Phi^T Phi + 2 tau counts) f = rhs by conjugate gradient.
 
     ``reconstruct`` has unit counts and solves exactly with
-    ``imaging.ridge_solve``; this solver takes any positive per-voxel
+    ``imaging.ridge_project``; this solver takes any positive per-voxel
     weights and is the reference the exact one is tested against. It stops
     once the residual norm is at most 1e-14 times that of ``rhs``, or after
     ``rhs.size`` steps, where CG ends in exact arithmetic.
@@ -295,13 +296,10 @@ def reconstruct(
     data term negligible per iteration and stalls convergence at desk
     scale, so the averaged form is used.
     """
-    backproj = imaging.adjoint(y, sys)  # checks the planes' shapes, and the pan against the mode
-    # The values are checked here, so that a NaN or an infinity is named by its plane.
-    pan = None if y.pan is None else check_array("pan plane", y.pan, None)
-    y = imaging.Measurement(check_array("measurement", y.cassi, None), pan)
+    y = imaging._planes(y, sys)  # shapes, the pan against the mode, then values
     rows, cols = sys.mask.shape
     dims = (rows, cols, sys.bands)
-    f = imaging.ridge_solve(imaging.ridge_factor(sys, INIT_RIDGE), backproj)
+    f = imaging.ridge_project(imaging.ridge_factor(sys, INIT_RIDGE), y, np.zeros(dims))
     data_step = imaging.ridge_factor(sys, 2.0 * p.tau)
 
     grid = patches.plan_grid(rows, cols, p.s, p.step)
@@ -347,8 +345,7 @@ def reconstruct(
             counts = patches.coverage_counts(members, p.s, (rows, cols))
         with _one_blas_thread():
             total = _ordered_sum(len(parts), step, np.zeros(dims))
-        rhs = backproj + (2.0 * p.tau) * (total / counts)
-        f_new = imaging.ridge_solve(data_step, rhs)
+        f_new = imaging.ridge_project(data_step, y, total / counts)
         x, t = _momentum(x, f_new, f, t)
         f = f_new
         if progress is not None:

@@ -37,8 +37,7 @@ def _run_cassi(desk_scene):
     f, mask = desk_scene
     sys = SystemModel(mask, 8)
     y = imaging.forward(f, sys)
-    backproj = imaging.adjoint(y, sys)
-    f0 = imaging.ridge_solve(imaging.ridge_factor(sys, INIT_RIDGE), backproj)
+    f0 = imaging.ridge_project(imaging.ridge_factor(sys, INIT_RIDGE), y, np.zeros(f.shape))
     residuals = {}
     rec = solver.reconstruct(
         y,
@@ -118,8 +117,9 @@ def test_criterion_3_shrinkage_oracle(rng):
 
 
 def test_criterion_4_cg_vs_dense_oracle(rng):
-    # CG with per-voxel weights, and the exact solve reconstruct uses, for
-    # both modes, at rho = 2 tau and at the initial ridge
+    # CG with per-voxel weights, and the exact step reconstruct uses, for
+    # both modes, at rho = 2 tau and at the initial ridge, on the right-hand
+    # side Phi^T y + rho z of random planes y and a random cube z
     mask = imaging.generate_mask(6, 6, 0.5, 11)
     sys = SystemModel(mask, 3)
     counts = 0.5 + rng.random((6, 6, 3))
@@ -131,10 +131,12 @@ def test_criterion_4_cg_vs_dense_oracle(rng):
     exact_err = 0.0
     for mode in (imaging.CASSI, DCCHI):
         sys = SystemModel(imaging.generate_mask(7, 5, 0.5, 12), 4, mode)
-        rhs = rng.standard_normal((7, 5, 4))
+        pan = rng.standard_normal((7, 5)) if mode == DCCHI else None
+        y = Measurement(rng.standard_normal((sys.meas_rows, 5)), pan)
+        z = rng.standard_normal((7, 5, 4))
         for rho in (2.0 * tau, INIT_RIDGE):
-            expect = dense_solve(sys, rho, rhs)
-            got = imaging.ridge_solve(imaging.ridge_factor(sys, rho), rhs)
+            expect = dense_solve(sys, rho, imaging.adjoint(y, sys) + rho * z)
+            got = imaging.ridge_project(imaging.ridge_factor(sys, rho), y, z)
             err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
             exact_err = max(exact_err, err)
     ok = cg_err <= 1e-6 and exact_err <= 1e-10

@@ -151,7 +151,15 @@ _ARRAYS = {
     "adjoint.pan": (lambda v: imaging.adjoint(imaging.Measurement(A_MEAS.cassi, v), A_SYS),
                     A_MEAS.pan),
     "apply_normal_operator.f": (lambda v: imaging.apply_normal_operator(v, A_SYS), A_CUBE),
-    "ridge_solve.b": (lambda v: imaging.ridge_solve(A_FAC, v), A_CUBE),
+    "ridge_project.cassi": (
+        lambda v: imaging.ridge_project(A_FAC, imaging.Measurement(v, A_MEAS.pan), A_EST),
+        A_MEAS.cassi,
+    ),
+    "ridge_project.pan": (
+        lambda v: imaging.ridge_project(A_FAC, imaging.Measurement(A_MEAS.cassi, v), A_EST),
+        A_MEAS.pan,
+    ),
+    "ridge_project.z": (lambda v: imaging.ridge_project(A_FAC, A_MEAS, v), A_EST),
     "reconstruct.cassi": (
         lambda v: solver.reconstruct(imaging.Measurement(v, A_MEAS.pan), A_SYS, A_PARAMS),
         A_MEAS.cassi,

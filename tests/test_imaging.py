@@ -19,7 +19,7 @@ from hsrecon.imaging import (
     generate_mask,
     pan_forward,
     ridge_factor,
-    ridge_solve,
+    ridge_project,
 )
 
 
@@ -266,7 +266,15 @@ class TestAdjointProperty:
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(f) * np.sqrt(ynorm2)
 
 
-class TestRidgeSolve:
+def _planes_and_cube(sys, rng):
+    # random detector planes y and a random cube z for sys
+    rows, cols = sys.mask.shape
+    pan = rng.standard_normal((rows, cols)) if sys.mode == DCCHI else None
+    y = Measurement(rng.standard_normal((sys.meas_rows, cols)), pan)
+    return y, rng.standard_normal((rows, cols, sys.bands))
+
+
+class TestRidgeProject:
     @settings(max_examples=80, deadline=None)
     @given(
         sys=_systems(),
@@ -275,33 +283,48 @@ class TestRidgeSolve:
     )
     def test_matches_dense_solve(self, sys, rho, seed):
         # rho = 2 tau for tau = 1 (the default) and 0.1, and the initial ridge
-        b = np.random.default_rng(seed).standard_normal(sys.mask.shape + (sys.bands,))
-        expect = dense_solve(sys, rho, b)
-        got = ridge_solve(ridge_factor(sys, rho), b)
+        y, z = _planes_and_cube(sys, np.random.default_rng(seed))
+        expect = dense_solve(sys, rho, adjoint(y, sys) + rho * z)
+        got = ridge_project(ridge_factor(sys, rho), y, z)
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
     @pytest.mark.parametrize("mode", [CASSI, DCCHI])
     @pytest.mark.parametrize("rho", [2.0, solver.INIT_RIDGE])
     def test_matches_tight_cg_at_desk_scale(self, rng, mode, rho):
         sys = SystemModel(generate_mask(64, 64, 0.5, 42), 8, mode=mode)
-        b = adjoint(forward(rng.random((64, 64, 8)), sys), sys)
+        y, z = forward(rng.random((64, 64, 8)), sys), rng.random((64, 64, 8))
+        b = adjoint(y, sys) + rho * z
         expect = solver.cg_solve_image(b, np.ones(b.shape), sys, rho / 2)
-        got = ridge_solve(ridge_factor(sys, rho), b)
+        got = ridge_project(ridge_factor(sys, rho), y, z)
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
-    def test_zero_mask_scales_by_rho(self, rng):
-        # Phi^T Phi is the pan term alone; with no pan it is zero
+    def test_zero_mask_returns_z(self, rng):
+        # Phi is zero: no detector pixel is reached, so y carries nothing
         sys = SystemModel(np.zeros((4, 3)), 2)
-        b = rng.random((4, 3, 2))
-        np.testing.assert_allclose(ridge_solve(ridge_factor(sys, 0.5), b), b / 0.5, rtol=1e-15)
+        y, z = _planes_and_cube(sys, rng)
+        assert ridge_project(ridge_factor(sys, 0.5), y, z).tobytes() == z.tobytes()
+
+    def test_unreached_pixels_are_ignored_at_any_rho(self, rng):
+        # the residual of a detector pixel no band reaches would overflow
+        # once divided by this rho; Phi^T maps it to zero, so it is dropped.
+        # CASSI only: in dual-camera mode the pan-eliminated system is
+        # singular up to rounding at this rho.
+        mask = generate_mask(8, 8, 0.5, 3)
+        mask[:, 2] = 0.0
+        sys = SystemModel(mask, 4)
+        y, z = _planes_and_cube(sys, rng)
+        got = ridge_project(ridge_factor(sys, 2e-318), y, z)
+        assert np.all(np.isfinite(got))
+        again = ridge_project(ridge_factor(sys, 1e-300), y, z)
+        assert got.tobytes() == again.tobytes()
 
     def test_factor_reused_across_solves(self, rng):
         sys = _dcchi_system(rng)
         fac = ridge_factor(sys, 0.2)
-        b1, b2 = rng.random((8, 8, 4)), rng.random((8, 8, 4))
-        first = ridge_solve(fac, b1)
-        ridge_solve(fac, b2)
-        assert ridge_solve(fac, b1).tobytes() == first.tobytes()
+        (y1, z1), (y2, z2) = _planes_and_cube(sys, rng), _planes_and_cube(sys, rng)
+        first = ridge_project(fac, y1, z1)
+        ridge_project(fac, y2, z2)
+        assert ridge_project(fac, y1, z1).tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_rho(self, rng, rho):
@@ -309,13 +332,20 @@ class TestRidgeSolve:
             ridge_factor(_dcchi_system(rng), rho)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_rhs(self, rng, bad):
-        fac = ridge_factor(_dcchi_system(rng), 1.0)
-        b = np.zeros((8, 8, 4))
-        b[3, 2, 1] = bad
+    @pytest.mark.parametrize("where", ["cassi", "pan", "z"])
+    def test_rejects_non_finite_input(self, rng, bad, where):
+        sys = _dcchi_system(rng)
+        fac = ridge_factor(sys, 1.0)
+        y, z = _planes_and_cube(sys, rng)
+        {"cassi": y.cassi, "pan": y.pan, "z": z}[where][3, 2] = bad
         with pytest.raises(DataError):
-            ridge_solve(fac, b)
+            ridge_project(fac, y, z)
 
-    def test_rejects_wrong_shape(self, rng):
+    @pytest.mark.parametrize("where", ["cassi", "pan", "z"])
+    def test_rejects_wrong_shape(self, rng, where):
+        sys = _dcchi_system(rng)
+        y, z = _planes_and_cube(sys, rng)
+        y = Measurement(y.cassi[:-1] if where == "cassi" else y.cassi,
+                        y.pan[:, :-1] if where == "pan" else y.pan)
         with pytest.raises(DimensionError):
-            ridge_solve(ridge_factor(_dcchi_system(rng), 1.0), np.zeros((8, 8, 3)))
+            ridge_project(ridge_factor(sys, 1.0), y, z[..., :3] if where == "z" else z)

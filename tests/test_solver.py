@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import make_smooth_cube
 from oracles import dense_solve
 
-from hsrecon import imaging, patches, solver, tensors
+from hsrecon import imaging, metrics, patches, solver, tensors
 from hsrecon.errors import DataError, DimensionError, HsreconError, UsageError
 from hsrecon.imaging import Measurement, SystemModel
 from hsrecon.solver import (
@@ -609,6 +609,29 @@ class TestReconstruct:
         except HsreconError:
             return
         assert np.all(np.isfinite(rec)) and rec.min() >= 0.0 and rec.max() <= 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("mode", [imaging.CASSI, imaging.DCCHI])
+    def test_tiny_tau_reads_the_same_finite_cube_at_every_scale(self, mode, sigma):
+        # Below the rounding of Phi^T Phi the data step is Phi's minimum-norm
+        # fit to y - Phi z, whatever tau is; a step that divides by rho = 2 tau
+        # returns rounding noise over rho instead, or overflows. With noise,
+        # the residuals of the 75 detector pixels no band reaches would
+        # overflow once divided by this rho.
+        f = make_smooth_cube(20, 20, 3, seed=4)
+        sys = SystemModel(imaging.generate_mask(20, 20, 0.5, 6), 3, mode=mode)
+        y = imaging.forward(f, sys)
+        rng = np.random.default_rng(7)
+        cassi = y.cassi + sigma * rng.standard_normal(y.cassi.shape)
+        pan = None if y.pan is None else y.pan + sigma * rng.standard_normal(y.pan.shape)
+        values = []
+        for tau in (1e-20, 1e-100, 1e-318):
+            p = SolverParams(tau=tau, s=3, step=2, k=6, window=4, max_iter=30)
+            rec = reconstruct(Measurement(cassi, pan), sys, p)
+            assert np.all(np.isfinite(rec))
+            values.append(metrics.psnr(f, rec))
+        assert max(values) - min(values) <= 1e-9, values
 
 
 class TestMomentum:
