@@ -10,12 +10,15 @@ The solver works on groups in batches. ``match_groups`` matches every
 anchor of a grid in one pass over the window's row offsets, each offset
 shifted differences of the cube's flat band planes, keeps each anchor's
 k nearest so far as the offsets arrive and returns a ``(g, k, 2)`` array
-of member anchors; ``gather_groups`` stacks it into ``(g, s*s, L, k)``
-with one fancy index into the flattened cube; ``coverage_counts`` counts
-the patches covering each pixel, one plane for all bands, from a count
-of the member anchors. With ``tensors.hosvd_batch`` these are the public
-batched API. The group step of ``solver.reconstruct`` checks the members
-once per rematch and then runs private kernels per chunk:
+of member anchors; ``solver.reconstruct`` runs its two halves itself,
+``_scan`` of a share of the row offsets and ``_fold`` of the shares, to
+split the offsets over processes. ``gather_groups`` stacks the members
+into ``(g, s*s, L, k)`` with one fancy index into the flattened cube;
+``coverage_counts`` counts the patches covering each pixel, one plane
+for all bands, from a count of the member anchors. With
+``tensors.hosvd_batch`` these are the public batched API. The group step
+of ``solver.reconstruct`` checks the members once per rematch and then
+runs private kernels per chunk:
 ``_voxel_indices``, the flat indices of a chunk's voxels, and
 ``_scatter``, which adds approximated groups back along them with
 ``np.bincount``; the tests hold both against ``build_group`` and
@@ -169,16 +172,38 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     No table of every anchor's window is built. Each anchor keeps its
     ``m = min(k, window candidates)`` smallest distances so far, leftmost
     among equals, in candidate order: the candidates seen after row
-    offset ``dr`` are window rows ``-dr`` to ``dr``, so the mirrored row
-    of the next offset goes before them and the direct row after, and
+    offsets up to ``dr`` are window rows ``-dr`` to ``dr``, so the mirrored
+    row of the next offset goes before them and the direct row after, and
     the m smallest of the three, leftmost among equals, are the m first
     of a stable sort of all the anchor's candidates. Only anchors where a
-    new candidate can enter are merged. One stable sort of the m kept
-    ones ends the call, so the selection holds two rows per anchor and
-    the m kept, whatever the window.
+    new candidate can enter are merged. The same holds for any ascending
+    subset of the row offsets, so the offsets can be scanned in shares
+    (``_scan``), and one sort of the shares' kept lists by distance, then
+    candidate index, ends the call (``_fold``): the selection holds two
+    rows per anchor and the m kept per share, whatever the window. Here
+    one share holds every offset; ``solver.reconstruct`` splits them.
     """
     f = check_array("cube", f, 3)
-    rows, cols, bands = f.shape
+    plan = _match_plan(f.shape, grid, k, window)
+    return _fold(plan, [_scan(_planes(f), plan, range(plan.wr + 1))])
+
+
+@dataclass(frozen=True)
+class _MatchPlan:
+    # The checked geometry of match_groups on one plane: anchor rows and
+    # columns, the window's half widths within the plane, and m.
+    shape: tuple[int, int, int]
+    s: int
+    k: int
+    ar: np.ndarray
+    ac: np.ndarray
+    wr: int
+    wc: int
+    m: int
+
+
+def _match_plan(shape: tuple[int, int, int], grid: PatchGrid, k: int, window: int) -> _MatchPlan:
+    rows, cols, _ = shape
     s = check_int("patch size", grid.patch_size, 1, min(rows, cols))
     k = check_int("k", k, 1)
     window = check_int("window", window, 0)
@@ -189,21 +214,36 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     ar = np.array([check_int("anchor row", a, 0, rows - s) for a in grid.rows], dtype=np.intp)
     ac = np.array([check_int("anchor column", a, 0, cols - s) for a in grid.cols], dtype=np.intp)
     wr, wc = min(window, rows - s), min(window, cols - s)
-    tr, tc = 2 * wr + 1, 2 * wc + 1
-    m = min(k, tr * tc)
+    return _MatchPlan(tuple(shape), s, k, ar, ac, wr, wc, min(k, (2 * wr + 1) * (2 * wc + 1)))
+
+
+def _planes(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # The cube's flat band planes, (L, rows*cols), written into out if given.
+    rows, cols, bands = f.shape
+    if out is None:
+        out = np.empty((bands, rows * cols))
+    np.copyto(out.reshape(bands, rows, cols), f.transpose(2, 0, 1))
+    return out
+
+
+def _scan(planes: np.ndarray, plan: _MatchPlan, drs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The share of match_groups over the window's row offsets drs, ascending:
+    # each anchor's m smallest distances over those rows, leftmost among
+    # equals, in candidate order, with +inf for a place no candidate has
+    # taken; their candidate indices; and the anchor's count of candidates
+    # in the plane.
+    rows, cols, _ = plan.shape
+    s, ar, ac, wr, wc, m = plan.s, plan.ar, plan.ac, plan.wr, plan.wc, plan.m
+    g, tc = len(ar) * len(ac), 2 * wc + 1
     t = np.arange(tc)
-    planes = np.ascontiguousarray(f.transpose(2, 0, 1)).reshape(bands, rows * cols)
     mirror_cols = np.clip(ac[:, None] - t + wc, 0, cols - s)
     cand = ac[:, None] + t - wc
     off_plane = (cand < 0) | (cand > cols - s)
-    # best[n]: anchor n's m smallest distances so far, leftmost among equals,
-    # in candidate order, at candidate indices at[n]; +inf holds a place no
-    # candidate has taken.
     best = np.full((g, m), np.inf)
     at = np.zeros((g, m), dtype=np.intp)
     n_valid = np.zeros(g, dtype=np.intp)
     two_rows = np.empty((2, len(ar), len(ac), tc))
-    for dr in range(wr + 1):
+    for dr in drs:
         # sq[t, y, x]: squared distance over bands of pixel (y, x) to pixel
         # (y + dr, x + t - wc), or to the pixel that far along the flat plane
         # where that wraps; 0 where it leaves the plane.
@@ -237,12 +277,25 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
         if enter.size:
             _merge_smallest(best, at, enter, above, below, (wr - dr) * tc + t, (wr + dr) * tc + t)
         del sq, flat  # freed before the next offset's are allocated
-    order = np.argsort(best, axis=1, kind="stable")
-    order = np.take_along_axis(order, np.arange(k) % n_valid[:, None], axis=1)
+    return best, at, n_valid
+
+
+def _fold(plan: _MatchPlan, shares) -> np.ndarray:
+    # The members of match_groups from the _scan results of shares that
+    # partition the window's row offsets, in any order. Each share keeps the
+    # m first of its candidates by (distance, candidate index), so the m
+    # first of all of them are among the shares' kept lists; the places no
+    # candidate took sort last, and the picks stop at the valid count.
+    best = np.concatenate([share[0] for share in shares], axis=1)
+    at = np.concatenate([share[1] for share in shares], axis=1)
+    n_valid = sum(share[2] for share in shares)
+    order = np.lexsort((at, best), axis=1)
+    order = np.take_along_axis(order, np.arange(plan.k) % n_valid[:, None], axis=1)
     pick = np.take_along_axis(at, order, axis=1)
-    members = np.empty((g, k, 2), dtype=np.intp)
-    members[..., 0] = np.repeat(ar, len(ac))[:, None] + pick // tc - wr
-    members[..., 1] = np.tile(ac, len(ar))[:, None] + pick % tc - wc
+    ar, ac, tc = plan.ar, plan.ac, 2 * plan.wc + 1
+    members = np.empty((len(pick), plan.k, 2), dtype=np.intp)
+    members[..., 0] = np.repeat(ar, len(ac))[:, None] + pick // tc - plan.wr
+    members[..., 1] = np.tile(ac, len(ar))[:, None] + pick % tc - plan.wc
     return members
 
 

@@ -16,7 +16,38 @@ and the gradient restart of O'Donoghue and Candes (2015): steps (a) and
 and the momentum scalar t, which starts at 1; x restarts at the new
 solution with t = 1 whenever the last step went against the momentum.
 
-Step (a) matches every anchor at once with ``patches.match_groups``.
+Step (a) matches every anchor at once, as ``patches.match_groups`` does,
+split over processes in a run that matches more than once. Matching is a
+long run of short NumPy calls (about 2600 of about 13 us each per match
+at 64x64x8, k = 45, window 20), each taking the GIL, so threads convoy on
+it: two concurrent ``match_groups`` calls there ran 0.94-1.6x (median
+about 1.1x) faster on two threads than one after the other, and
+0.81-1.75x (median about 1.4x) in two forked processes (10 alternations,
+one BLAS thread, a shared 2-CPU machine). So ``_matching`` forks
+min(WORKERS, row offsets) - 1 workers just before the first match and
+ends them after the last. Row offset dr of the window goes to share dr
+mod WORKERS; for each match the caller copies the point into one shared
+anonymous mapping, wakes each worker through its pipe, scans share 0
+itself and folds the shares by (distance, candidate index), which gives
+``match_groups``' members bit for bit for any split (``patches._scan``,
+``_fold``). A run that matches once spends about 3% of its time there
+and does not fork: the split would save at most half of that, against
+the fork and the copy-on-write faults after it. A worker that dies makes
+the caller raise; one whose caller dies reads end of file on its pipe and
+exits. Forking needs ``os.fork`` (Linux and other POSIX systems): with
+one CPU, without it, or where a pipe or a fork fails, the caller scans
+every share itself. The fork is safe in a process with other threads
+(OpenBLAS's pool, the caller's own, another ``reconstruct`` call's; the
+group step's are joined before each match): the worker closes every
+descriptor but its own two pipe ends, so it keeps no other worker from
+reading end of file, runs only ``_serve``, NumPy's array kernels on the
+shared planes with no BLAS call and no lock but the GIL and the
+allocator's, which CPython and glibc reset in the child, and pipe reads
+and writes, with the garbage collector off, so no finalizer of the
+caller's objects runs in it, and leaves by ``os._exit``. Python 3.12 and
+later warn at any fork in a process with threads; ``_matching`` silences
+that one warning.
+
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
 groups, on private kernels that the tests hold against the per-group
 reference path below. The members are checked once per rematch, by
@@ -33,11 +64,13 @@ are not allocated and freed once per chunk, and the allocator has no heap
 top to trim and fault back in at the next chunk. ``_denoise`` drops each
 other temporary as soon as it is dead: the unshrunk core once it is
 shrunk. The chunks of an iteration run on ``WORKERS`` threads, the
-calling thread among them (NumPy's ``eigh`` and ``matmul``
-release the GIL). Each thread takes the next chunk in order as it comes
-free, and the partial cubes are added in chunk order, each as soon as all
-before it are in, so the output is bitwise the same for any CPU count and
-timing.
+calling thread among them: NumPy's ``eigh`` and ``matmul`` release the
+GIL for hundreds of us at a time, so the step alone ran 1.7-1.9x faster
+on two threads, and a prototype that ran it on the matching workers too
+was no faster (1.35-1.45 s against 1.24-1.45 s on ``rematch_dcchi``).
+Each thread takes the next chunk in order as it comes free, and the
+partial cubes are added in chunk order, each as soon as all before it
+are in, so the output is bitwise the same for any CPU count and timing.
 
 As in reweighted l1, a coefficient g of kept magnitude m survives the
 shrink only if |g| (m + EPS) > c / (2 tau), m being |g| on a first visit
@@ -67,17 +100,27 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import math
 import os
 import threading
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import imaging, patches, tensors
-from .errors import DataError, DimensionError, UsageError, check_array, check_int, check_positive
+from .errors import (
+    DataError,
+    DimensionError,
+    HsreconError,
+    UsageError,
+    check_array,
+    check_int,
+    check_positive,
+)
 from .tensors import TuckerFactors, hosvd, tucker_reconstruct
 
 __all__ = [
@@ -105,8 +148,8 @@ EPS = 1e-6
 # more peak memory.
 CHUNK_BYTES = 384 << 10
 
-# Threads of the group step, the calling thread included: the CPUs this
-# process may run on. With one, no thread is started.
+# Threads of the group step, and processes of matching, the caller's
+# included: the CPUs this process may run on. With one, none is started.
 WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -337,21 +380,141 @@ def reconstruct(
 
     x, t = f, 1.0  # the point the group step reads, and the momentum scalar
     t0 = time.perf_counter()
-    for it in range(1, p.max_iter + 1):
-        if (it - 1) % p.rematch_every == 0:
-            mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
-            spare.clear()  # no chunk buffers held while matching
-            members = patches.match_groups(x, grid, p.k, p.window)
-            counts = patches.coverage_counts(members, p.s, (rows, cols))
-        with _one_blas_thread():
-            total = _ordered_sum(len(parts), step, np.zeros(dims))
-        f_new = imaging.ridge_project(data_step, y, total / counts)
-        x, t = _momentum(x, f_new, f, t)
-        f = f_new
-        if progress is not None:
-            fit = _data_fit(y, f, sys)
-            progress(it, fit, time.perf_counter() - t0)
+    # A run that matches once spends about 3% of its time there, too little
+    # to pay for the fork and its copy-on-write faults: it matches alone.
+    workers = WORKERS if p.max_iter > p.rematch_every else 1
+    with _matching(dims, grid, p.k, p.window, workers) as match:
+        for it in range(1, p.max_iter + 1):
+            if (it - 1) % p.rematch_every == 0:
+                mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
+                spare.clear()  # no chunk buffers held while matching
+                members = match(x, last=it + p.rematch_every > p.max_iter)
+                counts = patches.coverage_counts(members, p.s, (rows, cols))
+            with _one_blas_thread():
+                total = _ordered_sum(len(parts), step, np.zeros(dims))
+            f_new = imaging.ridge_project(data_step, y, total / counts)
+            x, t = _momentum(x, f_new, f, t)
+            f = f_new
+            if progress is not None:
+                fit = _data_fit(y, f, sys)
+                progress(it, fit, time.perf_counter() - t0)
     return np.clip(f, 0.0, 1.0)
+
+
+@contextlib.contextmanager
+def _matching(
+    dims: tuple[int, int, int], grid: patches.PatchGrid, k: int, window: int, workers: int
+):
+    # Forks min(workers, row offsets) - 1 matching workers and yields
+    # match(x, last), which returns patches.match_groups(x, grid, k, window)
+    # bit for bit: worker i scans the window's row offsets dr with
+    # dr % workers == i on the point the caller copies into one shared
+    # anonymous mapping, and the caller scans the rest and folds the shares.
+    # A call with last set closes the workers' request pipes, so each exits
+    # once idle, and drops the mapping; on leaving, every worker is waited
+    # for. With one worker, one row offset, no os.fork, or no mapping, pipe
+    # or fork to be had, the caller matches alone.
+    plan = patches._match_plan(dims, grid, k, window)
+    split = min(workers, plan.wr + 1)
+    pids: list[int] = []
+    requests: list[int] = []  # the caller's ends of the pipes, one pair per worker
+    replies: list[int] = []
+    shares: list[tuple[np.ndarray, ...]] = []  # each worker's kept lists, in the mapping
+    planes = None
+
+    def start() -> None:
+        nonlocal planes
+        import mmap
+
+        rows, cols, bands = dims
+        g, m = len(plan.ar) * len(plan.ac), plan.m
+        layout = [(np.float64, (bands, rows * cols))]
+        layout += [(np.float64, (g, m)), (np.intp, (g, m)), (np.intp, (g,))] * (split - 1)
+        try:
+            mapping = mmap.mmap(-1, sum(math.prod(sh) * np.dtype(dt).itemsize for dt, sh in layout))
+        except OSError:
+            return
+        views, offset = [], 0
+        for dt, sh in layout:
+            views.append(np.frombuffer(mapping, dt, math.prod(sh), offset).reshape(sh))
+            offset += views[-1].nbytes
+        planes = views[0]
+        for i in range(1, split):
+            out = tuple(views[3 * i - 2 : 3 * i + 1])
+            request = reply = ()
+            try:
+                request = os.pipe()
+                reply = os.pipe()
+                with warnings.catch_warnings():  # Python 3.12+ warns of other threads
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                for fd in request + reply:
+                    os.close(fd)
+                return
+            if pid == 0:
+                code = 1
+                try:
+                    gc.disable()  # no finalizer of the caller's garbage runs twice
+                    # Every descriptor but its own two goes: a worker that
+                    # held another worker's request end, of this call or of
+                    # one running on another thread, would keep it from
+                    # reading end of file, and its caller waiting for it.
+                    lo, hi = sorted((request[0], reply[1]))
+                    os.closerange(3, lo)
+                    os.closerange(lo + 1, hi)
+                    os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
+                    _serve(planes, plan, range(i, plan.wr + 1, split), out, request[0], reply[1])
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(request[0])
+            os.close(reply[1])
+            pids.append(pid)
+            requests.append(request[1])
+            replies.append(reply[0])
+            shares.append(out)
+
+    def match(x: np.ndarray, last: bool) -> np.ndarray:
+        nonlocal planes
+        if not requests:
+            return patches.match_groups(x, grid, k, window)
+        patches._planes(check_array("cube", x, 3), planes)
+        for fd in requests:
+            with contextlib.suppress(BrokenPipeError):  # a dead worker's reply reads end of file
+                os.write(fd, b"\0")
+        own = [dr for dr in range(plan.wr + 1) if not 0 < dr % split <= len(shares)]
+        kept = [patches._scan(planes, plan, own)]
+        for fd in replies:
+            if os.read(fd, 1) != b"\0":
+                raise HsreconError("a matching worker ended without a result")
+        members = patches._fold(plan, kept + shares)
+        if last:
+            while requests:
+                os.close(requests.pop())
+            planes = None
+            shares.clear()  # with the planes, the last views of the mapping
+        return members
+
+    try:
+        if split > 1 and hasattr(os, "fork"):
+            start()
+        yield match
+    finally:
+        for fd in requests + replies:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve(planes, plan, drs, out, request: int, reply: int) -> None:
+    # A matching worker: for each byte on request, scan the row offsets drs
+    # of the shared planes into out and answer one byte on reply; return at
+    # end of file.
+    while os.read(request, 1):
+        for dst, src in zip(out, patches._scan(planes, plan, drs)):
+            dst[...] = src
+        os.write(reply, b"\0")
 
 
 def _momentum(

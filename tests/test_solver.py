@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
+import os
 import threading
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -768,13 +771,244 @@ class TestWorkerPool:
         )
 
     def test_output_independent_of_worker_count(self, monkeypatch):
+        # at rematch_every 1 every iteration's match is split over the forked
+        # matching workers: one at WORKERS 2, two at 3; a run that matches
+        # once (rematch_every 4 of 4 iterations) forks none
         y, sys, p = self._problem()
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
-        outputs = []
-        for workers in (1, 2, 3):
+        pids = self._fork_spy(monkeypatch)
+        for rematch_every in (4, 3, 1):
+            p = dataclasses.replace(p, rematch_every=rematch_every)
+            outputs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(solver, "WORKERS", workers)
+                pids.clear()
+                outputs.append(self._run_in_thread(y, sys, p).tobytes())
+                assert len(pids) == (workers - 1 if rematch_every < p.max_iter else 0)
+                self._assert_reaped(pids)
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @staticmethod
+    def _fork_spy(monkeypatch):
+        # the pids of the processes os.fork starts, seen from the caller
+        fork, pids = os.fork, []
+
+        def spy():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
+
+    @staticmethod
+    def _assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # no such child: it was waited for
+                os.waitpid(pid, os.WNOHANG)
+
+    def _run_in_thread(self, y, sys, p, **kwargs):
+        # reconstruct's result or error, from a thread that must end in time
+        out = []
+
+        def call():
+            try:
+                out.append(reconstruct(y, sys, p, **kwargs))
+            except BaseException as e:
+                out.append(e)
+
+        t = threading.Thread(target=call, daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive() and len(out) == 1
+        return out[0]
+
+    @pytest.mark.parametrize("failure", ["raises", "exits", "exits after a reply"])
+    def test_worker_that_ends_without_a_result_raises_and_is_reaped(self, monkeypatch, failure):
+        # a worker that dies between matches (killed during the group step,
+        # say) leaves the caller's next request to a closed pipe
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "WORKERS", 2)
+        pids = self._fork_spy(monkeypatch)
+        caller, scan, read, reads = os.getpid(), patches._scan, os.read, []
+
+        def broken(*args):
+            if os.getpid() != caller:
+                if failure == "exits":
+                    os._exit(3)
+                raise MemoryError("worker out of memory")
+            return scan(*args)
+
+        def read_once(fd, n):
+            if os.getpid() != caller:
+                reads.append(fd)
+                if len(reads) == 2:  # the wait for the second request
+                    os._exit(3)
+            return read(fd, n)
+
+        if failure == "exits after a reply":
+            monkeypatch.setattr(os, "read", read_once)
+        else:
+            monkeypatch.setattr(patches, "_scan", broken)
+        start = threading.active_count()
+        error = self._run_in_thread(y, sys, p)
+        assert isinstance(error, HsreconError) and "worker" in str(error)
+        assert len(pids) == 1
+        self._assert_reaped(pids)
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("where", ["caller's share", "progress"])
+    def test_raise_in_the_caller_reaps_the_workers(self, monkeypatch, where):
+        # KeyboardInterrupt is no Exception: the workers must be reaped all the same
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "WORKERS", 3)
+        pids = self._fork_spy(monkeypatch)
+        caller, scan, calls = os.getpid(), patches._scan, []
+
+        def interrupted(*args):
+            calls.append(args)
+            if os.getpid() == caller and len(calls) == 2:
+                raise KeyboardInterrupt
+            return scan(*args)
+
+        def progress(it, fit, seconds):
+            if it == 2:
+                raise KeyboardInterrupt
+
+        kwargs = {}
+        if where == "progress":
+            kwargs["progress"] = progress
+        else:
+            monkeypatch.setattr(patches, "_scan", interrupted)
+        start = threading.active_count()
+        error = self._run_in_thread(y, sys, p, **kwargs)
+        assert isinstance(error, KeyboardInterrupt)
+        assert len(pids) == 2
+        self._assert_reaped(pids)
+        assert threading.active_count() == start
+
+    def test_fork_warning_of_other_threads_is_not_shown(self, monkeypatch):
+        # Python 3.12+ warns at a fork in a process with other threads (an
+        # unpinned OpenBLAS pool, say); the worker is safe to fork there
+        y, sys, p = self._problem()
+        monkeypatch.setattr(solver, "WORKERS", 1)
+        expect = reconstruct(y, sys, p).tobytes()
+        fork, pids = os.fork, []
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+                warnings.warn("This process is multi-threaded, use of fork() may lead to"
+                              " deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        monkeypatch.setattr(solver, "WORKERS", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reconstruct(y, sys, p).tobytes() == expect
+        assert len(pids) == 1
+        self._assert_reaped(pids)
+
+    def test_fork_that_fails_gives_the_same_output(self, monkeypatch):
+        # no worker at all, or at WORKERS 3 only the first: the caller then
+        # scans the second worker's share as well; the same when no pipe
+        # can be had (too many open files, say)
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "WORKERS", 1)
+        expect = reconstruct(y, sys, p).tobytes()
+        fork, pids = os.fork, []
+
+        def fork_once():
+            if pids:
+                raise OSError(11, "Resource temporarily unavailable")
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def fail():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        def pipe_once():
+            if pipes:
+                raise OSError(24, "Too many open files")
+            pipes.append(pipe())
+            return pipes[-1]
+
+        pipe, pipes = os.pipe, []
+        start = threading.active_count()
+        for spy, workers, forked in ((fail, 2, 0), (fail, 3, 0), (fork_once, 3, 1)):
+            monkeypatch.setattr(os, "fork", spy)
             monkeypatch.setattr(solver, "WORKERS", workers)
-            outputs.append(reconstruct(y, sys, p).tobytes())
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+            pids.clear()
+            assert self._run_in_thread(y, sys, p).tobytes() == expect
+            assert len(pids) == forked
+            self._assert_reaped(pids)
+        monkeypatch.setattr(os, "fork", fork_once)
+        monkeypatch.setattr(os, "pipe", pipe_once)  # the first worker's reply pipe fails
+        pids.clear()
+        assert self._run_in_thread(y, sys, p).tobytes() == expect
+        assert not pids
+        for fd in pipes[0]:  # closed again
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert threading.active_count() == start
+
+    def test_overlapping_calls_do_not_wait_on_each_other(self, monkeypatch):
+        # B forks its worker while A's is serving, then waits in its progress
+        # for A to return. A worker holds no pipe end of another call, so
+        # A's worker reads end of file after A's last match and A returns.
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "WORKERS", 1)
+        expect = reconstruct(y, sys, p).tobytes()
+        monkeypatch.setattr(solver, "WORKERS", 2)
+        pids = self._fork_spy(monkeypatch)
+        a_serving, b_forked, a_done = threading.Event(), threading.Event(), threading.Event()
+        out, b_saw_a_done = {}, []
+
+        def a_progress(it, fit, seconds):
+            if it == 1:
+                a_serving.set()
+                b_forked.wait(timeout=60)
+
+        def b_progress(it, fit, seconds):
+            if it == 1:
+                b_forked.set()
+                b_saw_a_done.append(a_done.wait(timeout=20))
+
+        def call(name, progress, before, after):
+            try:
+                if before is not None:
+                    before.wait(timeout=60)
+                out[name] = reconstruct(y, sys, p, progress=progress)
+            except BaseException as e:
+                out[name] = e
+            finally:
+                if after is not None:
+                    after.set()
+
+        start = threading.active_count()
+        threads = [
+            threading.Thread(target=call, args=("a", a_progress, None, a_done), daemon=True),
+            threading.Thread(target=call, args=("b", b_progress, a_serving, None), daemon=True),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=90)
+            assert not t.is_alive()
+        assert b_saw_a_done == [True]
+        assert out["a"].tobytes() == expect and out["b"].tobytes() == expect
+        assert len(pids) == 2
+        self._assert_reaped(pids)
+        assert threading.active_count() == start
 
     def test_two_group_chunks_at_31_bands_independent_of_worker_count(self, monkeypatch):
         # one 25 x 31 x 6 group fills CHUNK_BYTES, so every chunk holds the
