@@ -24,29 +24,30 @@ it: two concurrent ``match_groups`` calls there ran 0.94-1.6x (median
 about 1.1x) faster on two threads than one after the other, and
 0.81-1.75x (median about 1.4x) in two forked processes (10 alternations,
 one BLAS thread, a shared 2-CPU machine). So ``_matching`` forks
-min(WORKERS, row offsets) - 1 workers just before the first match and
-ends them after the last. Row offset dr of the window goes to share dr
-mod WORKERS; for each match the caller copies the point into one shared
-anonymous mapping, wakes each worker through its pipe, scans share 0
-itself and folds the shares by (distance, candidate index), which gives
-``match_groups``' members bit for bit for any split (``patches._scan``,
-``_fold``). A run that matches once spends about 3% of its time there
-and does not fork: the split would save at most half of that, against
-the fork and the copy-on-write faults after it. A worker that dies makes
-the caller raise; one whose caller dies reads end of file on its pipe and
-exits. Forking needs ``os.fork`` (Linux and other POSIX systems): with
-one CPU, without it, or where a pipe or a fork fails, the caller scans
-every share itself. The fork is safe in a process with other threads
-(OpenBLAS's pool, the caller's own, another ``reconstruct`` call's; the
-group step's are joined before each match): the worker closes every
-descriptor but its own two pipe ends, so it keeps no other worker from
-reading end of file, runs only ``_serve``, NumPy's array kernels on the
-shared planes with no BLAS call and no lock but the GIL and the
-allocator's, which CPython and glibc reset in the child, and pipe reads
-and writes, with the garbage collector off, so no finalizer of the
-caller's objects runs in it, and leaves by ``os._exit``. Python 3.12 and
-later warn at any fork in a process with threads; ``_matching`` silences
-that one warning.
+min(WORKERS, row offsets) - 1 workers just before the first match, and
+they live until ``reconstruct`` returns or raises. Row offset dr of the
+window goes to share dr mod WORKERS; for each match the caller copies the
+point into one shared anonymous mapping, wakes each worker through its
+pipe, scans share 0 itself and folds the shares by (distance, candidate
+index), which gives ``match_groups``' members bit for bit for any split
+(``patches._scan``, ``_fold``). A run that matches once spends about 3%
+of its time there and does not fork: the split would save at most half
+of that, against the fork and the copy-on-write faults after it. A
+worker that dies makes the caller raise; one whose caller dies reads end
+of file on its pipe and exits. Forking needs ``os.fork`` (Linux and other
+POSIX systems): with one CPU, without it, or where the mapping, a pipe or
+a fork fails, the caller scans every share itself. The fork is safe in a
+process with other threads (OpenBLAS's pool, the caller's own, another
+``reconstruct`` call's; the group step's are joined before each match):
+the worker closes every descriptor but its own two pipe ends, so it keeps
+no other worker from reading end of file, runs only its scan loop,
+NumPy's array kernels on the shared planes with no BLAS call and no lock
+but the GIL and the allocator's, which CPython and glibc reset in the
+child, and pipe reads and writes, with the garbage collector off, so no
+finalizer of the caller's objects runs in it, and leaves by
+``os._exit``. Python 3.12 and later warn at any fork in a process with
+threads; ``_matching`` silences that one warning, one fork at a time, as
+the filter list it swaps is the process's.
 
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
 groups, on private kernels that the tests hold against the per-group
@@ -102,6 +103,7 @@ import contextlib
 import functools
 import gc
 import math
+import mmap
 import os
 import threading
 import time
@@ -388,7 +390,7 @@ def reconstruct(
             if (it - 1) % p.rematch_every == 0:
                 mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
                 spare.clear()  # no chunk buffers held while matching
-                members = match(x, last=it + p.rematch_every > p.max_iter)
+                members = match(x)
                 counts = patches.coverage_counts(members, p.s, (rows, cols))
             with _one_blas_thread():
                 total = _ordered_sum(len(parts), step, np.zeros(dims))
@@ -401,57 +403,56 @@ def reconstruct(
     return np.clip(f, 0.0, 1.0)
 
 
+# Held across each fork with the warning filter it sets: catch_warnings
+# swaps the process-wide filter list, so two calls that overlapped on it
+# could restore each other's copy.
+_fork_lock = threading.Lock()
+
+
 @contextlib.contextmanager
 def _matching(
     dims: tuple[int, int, int], grid: patches.PatchGrid, k: int, window: int, workers: int
 ):
-    # Forks min(workers, row offsets) - 1 matching workers and yields
-    # match(x, last), which returns patches.match_groups(x, grid, k, window)
-    # bit for bit: worker i scans the window's row offsets dr with
-    # dr % workers == i on the point the caller copies into one shared
-    # anonymous mapping, and the caller scans the rest and folds the shares.
-    # A call with last set closes the workers' request pipes, so each exits
-    # once idle, and drops the mapping; on leaving, every worker is waited
-    # for. With one worker, one row offset, no os.fork, or no mapping, pipe
-    # or fork to be had, the caller matches alone.
+    # Forks min(workers, row offsets) - 1 matching workers, which live until
+    # the context exits, and yields match(x), which returns
+    # patches.match_groups(x, grid, k, window) bit for bit: the caller copies
+    # x into the planes, worker i scans the window's row offsets dr with
+    # dr % split == i into its record of the kept lists, the caller scans the
+    # rest and folds the shares. The planes and records share one anonymous
+    # mapping; with one worker, one row offset, no os.fork, or no mapping,
+    # pipe or fork to be had, the planes are a fresh array per match and the
+    # caller scans every offset.
     plan = patches._match_plan(dims, grid, k, window)
     split = min(workers, plan.wr + 1)
+    gm = (len(plan.ar) * len(plan.ac), plan.m)
+    record = np.dtype([("best", np.float64, gm), ("at", np.intp, gm), ("n_valid", np.intp, gm[0])])
     pids: list[int] = []
-    requests: list[int] = []  # the caller's ends of the pipes, one pair per worker
-    replies: list[int] = []
-    shares: list[tuple[np.ndarray, ...]] = []  # each worker's kept lists, in the mapping
-    planes = None
+    pipes: list[tuple[int, int]] = []  # the caller's request and reply ends, one pair per worker
+    planes, kept = None, ()
 
     def start() -> None:
-        nonlocal planes
-        import mmap
-
-        rows, cols, bands = dims
-        g, m = len(plan.ar) * len(plan.ac), plan.m
-        layout = [(np.float64, (bands, rows * cols))]
-        layout += [(np.float64, (g, m)), (np.intp, (g, m)), (np.intp, (g,))] * (split - 1)
+        nonlocal planes, kept
+        size = 8 * math.prod(dims)
         try:
-            mapping = mmap.mmap(-1, sum(math.prod(sh) * np.dtype(dt).itemsize for dt, sh in layout))
+            mapping = mmap.mmap(-1, size + (split - 1) * record.itemsize)
         except OSError:
             return
-        views, offset = [], 0
-        for dt, sh in layout:
-            views.append(np.frombuffer(mapping, dt, math.prod(sh), offset).reshape(sh))
-            offset += views[-1].nbytes
-        planes = views[0]
+        planes = np.frombuffer(mapping, np.float64, math.prod(dims)).reshape(dims[2], -1)
+        kept = np.frombuffer(mapping, record, split - 1, size)
         for i in range(1, split):
-            out = tuple(views[3 * i - 2 : 3 * i + 1])
             request = reply = ()
             try:
                 request = os.pipe()
                 reply = os.pipe()
-                with warnings.catch_warnings():  # Python 3.12+ warns of other threads
+                with _fork_lock, warnings.catch_warnings():  # Python 3.12+ warns of threads
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
-            except OSError:
+            except BaseException as e:  # a KeyboardInterrupt closes them too
                 for fd in request + reply:
                     os.close(fd)
-                return
+                if isinstance(e, OSError):
+                    return
+                raise
             if pid == 0:
                 code = 1
                 try:
@@ -464,57 +465,38 @@ def _matching(
                     os.closerange(3, lo)
                     os.closerange(lo + 1, hi)
                     os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
-                    _serve(planes, plan, range(i, plan.wr + 1, split), out, request[0], reply[1])
+                    while os.read(request[0], 1):  # until end of file
+                        kept[i - 1] = patches._scan(planes, plan, range(i, plan.wr + 1, split))
+                        os.write(reply[1], b"\0")
                     code = 0
                 finally:
                     os._exit(code)
             os.close(request[0])
             os.close(reply[1])
             pids.append(pid)
-            requests.append(request[1])
-            replies.append(reply[0])
-            shares.append(out)
+            pipes.append((request[1], reply[0]))
 
-    def match(x: np.ndarray, last: bool) -> np.ndarray:
-        nonlocal planes
-        if not requests:
-            return patches.match_groups(x, grid, k, window)
-        patches._planes(check_array("cube", x, 3), planes)
-        for fd in requests:
+    def match(x: np.ndarray) -> np.ndarray:
+        point = patches._planes(check_array("cube", x, 3), planes)
+        for request, _ in pipes:
             with contextlib.suppress(BrokenPipeError):  # a dead worker's reply reads end of file
-                os.write(fd, b"\0")
-        own = [dr for dr in range(plan.wr + 1) if not 0 < dr % split <= len(shares)]
-        kept = [patches._scan(planes, plan, own)]
-        for fd in replies:
-            if os.read(fd, 1) != b"\0":
+                os.write(request, b"\0")
+        own = [dr for dr in range(plan.wr + 1) if not 0 < dr % split <= len(pipes)]
+        shares = [patches._scan(point, plan, own)]
+        for _, reply in pipes:
+            if os.read(reply, 1) != b"\0":
                 raise HsreconError("a matching worker ended without a result")
-        members = patches._fold(plan, kept + shares)
-        if last:
-            while requests:
-                os.close(requests.pop())
-            planes = None
-            shares.clear()  # with the planes, the last views of the mapping
-        return members
+        return patches._fold(plan, shares + list(kept[: len(pipes)]))
 
     try:
         if split > 1 and hasattr(os, "fork"):
             start()
         yield match
     finally:
-        for fd in requests + replies:
+        for fd in sum(pipes, ()):
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
-
-
-def _serve(planes, plan, drs, out, request: int, reply: int) -> None:
-    # A matching worker: for each byte on request, scan the row offsets drs
-    # of the shared planes into out and answer one byte on reply; return at
-    # end of file.
-    while os.read(request, 1):
-        for dst, src in zip(out, patches._scan(planes, plan, drs)):
-            dst[...] = src
-        os.write(reply, b"\0")
 
 
 def _momentum(

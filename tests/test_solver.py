@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import mmap
 import os
 import threading
 import time
@@ -890,6 +891,38 @@ class TestWorkerPool:
         self._assert_reaped(pids)
         assert threading.active_count() == start
 
+    def test_interrupt_while_forking_reaps_the_workers_and_closes_the_pipes(self, monkeypatch):
+        # the second of two forks is interrupted: the first worker is reaped,
+        # and the pipes made for the second are closed with the first's
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "WORKERS", 3)
+        fork, pids, pipe, pipes = os.fork, [], os.pipe, []
+
+        def fork_once():
+            if pids:
+                raise KeyboardInterrupt
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def pipe_spy():
+            pipes.append(pipe())
+            return pipes[-1]
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        monkeypatch.setattr(os, "pipe", pipe_spy)
+        start = threading.active_count()
+        error = self._run_in_thread(y, sys, p)
+        assert isinstance(error, KeyboardInterrupt)
+        assert len(pids) == 1 and len(pipes) == 4
+        self._assert_reaped(pids)
+        for fd in itertools.chain(*pipes):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert threading.active_count() == start
+
     def test_fork_warning_of_other_threads_is_not_shown(self, monkeypatch):
         # Python 3.12+ warns at a fork in a process with other threads (an
         # unpinned OpenBLAS pool, say); the worker is safe to fork there
@@ -914,10 +947,61 @@ class TestWorkerPool:
         assert len(pids) == 1
         self._assert_reaped(pids)
 
+    def test_overlapping_forks_restore_the_warning_filters(self, monkeypatch):
+        # catch_warnings swaps the process-wide filter list: if call A's fork
+        # waited until call B had set its filter, and A then left first, B
+        # would restore the list A had set, with A's filter in it. The first
+        # fork waits for a second one, which then waits for the first to be
+        # done; with the forks one at a time, the first wait times out.
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "WORKERS", 1)
+        expect = reconstruct(y, sys, p).tobytes()
+        monkeypatch.setattr(solver, "WORKERS", 2)
+        fork, pids, calls, lock = os.fork, [], [], threading.Lock()
+        second, first_done = threading.Event(), threading.Event()
+
+        def slow_fork():
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first:
+                second.wait(timeout=1)
+            else:
+                second.set()
+                first_done.wait(timeout=10)
+                time.sleep(0.1)  # the first call leaves its catch_warnings
+            pid = fork()
+            if pid:
+                pids.append(pid)
+                first_done.set()
+            return pid
+
+        monkeypatch.setattr(os, "fork", slow_fork)
+        out = []
+        with warnings.catch_warnings():  # restores the filters if the test fails
+            before = list(warnings.filters)
+            start = threading.active_count()
+            threads = [
+                threading.Thread(target=lambda: out.append(reconstruct(y, sys, p)), daemon=True)
+                for _ in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert warnings.filters == before
+        assert [o.tobytes() for o in out] == [expect, expect]
+        assert len(pids) == 2
+        self._assert_reaped(pids)
+        assert threading.active_count() == start
+
     def test_fork_that_fails_gives_the_same_output(self, monkeypatch):
         # no worker at all, or at WORKERS 3 only the first: the caller then
-        # scans the second worker's share as well; the same when no pipe
-        # can be had (too many open files, say)
+        # scans the second worker's share as well; the same when no shared
+        # mapping or no pipe can be had (out of memory or too many open
+        # files, say)
         y, sys, p = self._problem()
         p = dataclasses.replace(p, rematch_every=1)
         monkeypatch.setattr(solver, "WORKERS", 1)
@@ -932,7 +1016,7 @@ class TestWorkerPool:
                 pids.append(pid)
             return pid
 
-        def fail():
+        def fail(*args):
             raise OSError(11, "Resource temporarily unavailable")
 
         def pipe_once():
@@ -951,6 +1035,12 @@ class TestWorkerPool:
             assert len(pids) == forked
             self._assert_reaped(pids)
         monkeypatch.setattr(os, "fork", fork_once)
+        with monkeypatch.context() as m:
+            m.setattr(mmap, "mmap", fail)
+            m.setattr(os, "pipe", pipe_once)
+            pids.clear()
+            assert self._run_in_thread(y, sys, p).tobytes() == expect
+            assert not pids and not pipes  # nothing forked, no descriptor opened
         monkeypatch.setattr(os, "pipe", pipe_once)  # the first worker's reply pipe fails
         pids.clear()
         assert self._run_in_thread(y, sys, p).tobytes() == expect
@@ -963,7 +1053,8 @@ class TestWorkerPool:
     def test_overlapping_calls_do_not_wait_on_each_other(self, monkeypatch):
         # B forks its worker while A's is serving, then waits in its progress
         # for A to return. A worker holds no pipe end of another call, so
-        # A's worker reads end of file after A's last match and A returns.
+        # A's worker reads end of file once A's reconstruct closes its pipes
+        # on the way out, and A returns.
         y, sys, p = self._problem()
         p = dataclasses.replace(p, rematch_every=1)
         monkeypatch.setattr(solver, "WORKERS", 1)
