@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -103,10 +104,10 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
 
     On any failure the temp file is removed and ``path`` keeps whatever it
-    held before.
+    held before. Each thread writes a temp file of its own.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as out:
             out.write(data)

@@ -226,58 +226,58 @@ def _planes(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _scan(planes: np.ndarray, plan: _MatchPlan, drs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan(planes: np.ndarray, plan: _MatchPlan, drs) -> tuple[np.ndarray, np.ndarray]:
     # The share of match_groups over the window's row offsets drs, ascending:
     # each anchor's m smallest distances over those rows, leftmost among
-    # equals, in candidate order, with +inf for a place no candidate has
-    # taken; their candidate indices; and the anchor's count of candidates
-    # in the plane.
+    # equals, in candidate order, and their candidate indices. +inf marks a
+    # place no candidate has taken: an overflowing distance is held at top.
     rows, cols, _ = plan.shape
     s, ar, ac, wr, wc, m = plan.s, plan.ar, plan.ac, plan.wr, plan.wc, plan.m
-    g, tc = len(ar) * len(ac), 2 * wc + 1
+    g, tc, top = len(ar) * len(ac), 2 * wc + 1, float(np.finfo(float).max)
     t = np.arange(tc)
     mirror_cols = np.clip(ac[:, None] - t + wc, 0, cols - s)
     cand = ac[:, None] + t - wc
     off_plane = (cand < 0) | (cand > cols - s)
     best = np.full((g, m), np.inf)
     at = np.zeros((g, m), dtype=np.intp)
-    n_valid = np.zeros(g, dtype=np.intp)
     two_rows = np.empty((2, len(ar), len(ac), tc))
-    for dr in drs:
-        # sq[t, y, x]: squared distance over bands of pixel (y, x) to pixel
-        # (y + dr, x + t - wc), or to the pixel that far along the flat plane
-        # where that wraps; 0 where it leaves the plane.
-        sq = np.zeros((tc, rows - dr, cols))
-        flat = sq.reshape(tc, -1)
-        for dc in range(-wc, wc + 1):
-            sh = dr * cols + dc
-            lo, hi = max(0, -sh), min(flat.shape[1], rows * cols - sh)
-            d = planes[:, lo:hi] - planes[:, lo + sh : hi + sh]
-            d *= d
-            np.sum(d, axis=0, out=flat[dc + wc, lo:hi])
-            del d  # one temporary the size of the planes at a time
-        # two_rows[0]: window row wr - dr of each anchor, two_rows[1]: row wr + dr
-        two_rows.fill(np.inf)
-        down = ar + dr <= rows - s
-        two_rows[1, down] = _box_sums(sq, ar[down], s)[:, :, ac].transpose(1, 2, 0)
-        if dr:
-            up = ar >= dr
-            # mirrored[a, t, n]: box of anchor row n at column mirror_cols[a, t]
-            mirrored = _box_sums(sq, ar[up] - dr, s)[t, :, mirror_cols]
-            two_rows[0, up] = mirrored.transpose(2, 0, 1)[..., ::-1]
-        else:
-            two_rows[1, :, :, wc] = -1.0  # the anchor itself comes first
-        two_rows[:, :, off_plane] = np.inf
-        n_valid += np.count_nonzero(np.isfinite(two_rows), axis=(0, 3)).ravel()
-        # A candidate enters if it is below the m-th kept distance, or equal to
-        # it and ahead of it in candidate order.
-        above, below = two_rows.reshape(2, g, tc)
-        worst = best.max(axis=1, keepdims=True)
-        enter = np.flatnonzero((above <= worst).any(axis=1) | (below < worst).any(axis=1))
-        if enter.size:
-            _merge_smallest(best, at, enter, above, below, (wr - dr) * tc + t, (wr + dr) * tc + t)
-        del sq, flat  # freed before the next offset's are allocated
-    return best, at, n_valid
+    with np.errstate(over="ignore"):
+        for dr in drs:
+            # sq[t, y, x]: squared distance over bands of pixel (y, x) to pixel
+            # (y + dr, x + t - wc), or to the pixel that far along the flat plane
+            # where that wraps; 0 where it leaves the plane.
+            sq = np.zeros((tc, rows - dr, cols))
+            flat = sq.reshape(tc, -1)
+            for dc in range(-wc, wc + 1):
+                sh = dr * cols + dc
+                lo, hi = max(0, -sh), min(flat.shape[1], rows * cols - sh)
+                d = planes[:, lo:hi] - planes[:, lo + sh : hi + sh]
+                d *= d
+                np.sum(d, axis=0, out=flat[dc + wc, lo:hi])
+                del d  # one temporary the size of the planes at a time
+            # two_rows[0]: window row wr - dr of each anchor, two_rows[1]: row wr + dr
+            two_rows.fill(np.inf)
+            down = ar + dr <= rows - s
+            box = _box_sums(sq, ar[down], s)[:, :, ac]
+            two_rows[1, down] = np.minimum(box, top, out=box).transpose(1, 2, 0)
+            if dr:
+                up = ar >= dr
+                # box[a, t, n]: box of anchor row n at column mirror_cols[a, t]
+                box = _box_sums(sq, ar[up] - dr, s)[t, :, mirror_cols]
+                two_rows[0, up] = np.minimum(box, top, out=box).transpose(2, 0, 1)[..., ::-1]
+            else:
+                two_rows[1, :, :, wc] = -1.0  # the anchor itself comes first
+            two_rows[:, :, off_plane] = np.inf
+            # A candidate enters if it is below the m-th kept distance, or equal to
+            # it and ahead of it in candidate order.
+            above, below = two_rows.reshape(2, g, tc)
+            worst = best.max(axis=1, keepdims=True)
+            enter = np.flatnonzero((above <= worst).any(axis=1) | (below < worst).any(axis=1))
+            if enter.size:
+                ids = (wr - dr) * tc + t, (wr + dr) * tc + t
+                _merge_smallest(best, at, enter, above, below, *ids)
+            del sq, flat  # freed before the next offset's are allocated
+    return best, at
 
 
 def _fold(plan: _MatchPlan, shares) -> np.ndarray:
@@ -285,12 +285,12 @@ def _fold(plan: _MatchPlan, shares) -> np.ndarray:
     # partition the window's row offsets, in any order. Each share keeps the
     # m first of its candidates by (distance, candidate index), so the m
     # first of all of them are among the shares' kept lists; the places no
-    # candidate took sort last, and the picks stop at the valid count.
+    # candidate took (+inf) sort last, and the picks cycle through the others.
     best = np.concatenate([share[0] for share in shares], axis=1)
     at = np.concatenate([share[1] for share in shares], axis=1)
-    n_valid = sum(share[2] for share in shares)
     order = np.lexsort((at, best), axis=1)
-    order = np.take_along_axis(order, np.arange(plan.k) % n_valid[:, None], axis=1)
+    valid = np.count_nonzero(best < np.inf, axis=1, keepdims=True)
+    order = np.take_along_axis(order, np.arange(plan.k) % valid, axis=1)
     pick = np.take_along_axis(at, order, axis=1)
     ar, ac, tc = plan.ar, plan.ac, 2 * plan.wc + 1
     members = np.empty((len(pick), plan.k, 2), dtype=np.intp)

@@ -82,14 +82,14 @@ along a mode exceeds sigma_j, the mode's j-th singular value, which
 the core up to the last slice, over the chunk, where 2 (sigma + sqrt(n
 eps) norm) could survive (n and norm the stack's size and norm: a factor
 2 over the eigenvalues' error, and no division), and at least the kept
-block (empty on a first visit), to which it zero-pads the kept magnitudes.
-A cut core's slice is the full one's, and each slice left out is zero
-after the full step's shrink: the output is the full step's up to
-rounding. Blocks are often much smaller than the full cores (README.md
-gives figures) and few of their entries are nonzero, so a visit keeps
-only the block's shape and the flat positions and values of its nonzero
-entries, from which the next visit rebuilds it bit for bit; a rematch
-resets them, so its next visit is a first visit.
+block (empty on a first visit). A cut core's slice is the full one's, and
+each slice left out is zero after the full step's shrink: the output is
+the full step's up to rounding. Blocks are often much smaller than the
+full cores (README.md gives figures) and few of their entries are
+nonzero, so a visit keeps only the block's shape and the flat positions
+and magnitudes of its nonzero entries. The next visit gives every entry
+a zero's weight, c / EPS, then the kept ones the weights of their
+magnitudes; a rematch resets them, so its next visit is a first visit.
 
 The reference path does the same work one group at a time:
 ``denoise_group`` on ``tensors.hosvd``, ``shrink_core`` and
@@ -229,40 +229,44 @@ def denoise_group(
 
 
 def _denoise(
-    stacked: np.ndarray, core_mag: np.ndarray | None, p: SolverParams, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    stacked: np.ndarray, kept: tuple | None, p: SolverParams, out: np.ndarray
+) -> tuple[np.ndarray, tuple]:
     # The chunk step of reconstruct: denoise_group of every group of a
-    # C-contiguous (g, s*s, L, k) stack. core_mag is the live block of the
-    # chunk's last shrunk cores (None on a first visit) and is only read; the
-    # magnitudes returned are the new live block: along each mode, up to the
-    # last index that is nonzero in some group, (g, 0, 0, 0) if none is. out,
-    # a C-contiguous array of the stack's shape, may be overwritten, the
-    # stack itself among them, as it is dead once the core is in: the weights
-    # and so the shrunk core go into its leading entries, and then the
-    # approximation into all of it. The stack is the caller's buffer, so
-    # nothing here frees it; the unshrunk core is dropped once it is shrunk.
+    # C-contiguous (g, s*s, L, k) stack. kept, only read, is the shape of the
+    # live block of the chunk's last shrunk cores and the flat positions and
+    # magnitudes of its nonzero entries (None on a first visit); the block of
+    # the state returned ends, along each mode, at the last index nonzero in
+    # some group, (g, 0, 0, 0) if none is. out, a C-contiguous array of the
+    # stack's shape and possibly the stack itself, dead once the core is in,
+    # takes the weights and so the shrunk core in its leading entries, then
+    # the approximation; the unshrunk core is dropped once it is shrunk.
     norm = np.linalg.norm(stacked.ravel())
     if not math.isfinite(norm * norm):  # the stack's one check; else eigh reads inf
         raise DataError("tensor stack contains non-finite values or overflows its Gram matrices")
-    kept = (0, 0, 0) if core_mag is None else core_mag.shape[1:]
+    widths = (0, 0, 0) if kept is None else kept[0][1:]
     err, t = math.sqrt(stacked.size * np.finfo(float).eps) * norm, p.c / (2.0 * p.tau)
 
     def block(lams):  # the module docstring's rule: s >= 2 sigma, m the kept magnitude
         s = [2.0 * (np.sqrt(lam.max(axis=0, initial=0.0)) + err) for lam in lams]
-        m = s if core_mag is None else (0.0, 0.0, 0.0)
-        return [max(r, np.count_nonzero(a * (b + EPS) > t)) for a, b, r in zip(s, m, kept)]
+        m = s if kept is None else (0.0, 0.0, 0.0)
+        return [max(r, np.count_nonzero(a * (b + EPS) > t)) for a, b, r in zip(s, m, widths)]
 
     core, factors = tensors._hosvd(stacked, block)
-    mag = core if core_mag is None else core_mag
-    if mag.shape != core.shape:  # zero-pad the kept block
-        mag = np.zeros(core.shape)
-        mag[tuple(slice(0, n) for n in core_mag.shape)] = core_mag
-    w = _weights(mag, p.c, out.ravel()[: core.size].reshape(core.shape))
+    w = out.ravel()[: core.size].reshape(core.shape)
+    if kept is None:
+        _weights(core, p.c, w)
+    else:  # _weights of the kept block zero-padded to the core's
+        shape, pos, vals = kept
+        w.fill(p.c / EPS)
+        w[tuple(slice(0, n) for n in shape)].flat[pos] = _weights(vals, p.c)
     g = _shrink(core, w, p.tau, out=w)
-    del core, mag
+    del core
     live = np.abs(g[_live_box(g)])
+    pos = np.flatnonzero(live != 0)  # several times faster on bools than on floats
+    state = live.shape, pos, live.take(pos)
+    del live  # before the rebuild: held through it, steady iterations fault pages
     # The rebuild's first product is the last read of g, so out can take it.
-    return tensors._mode_products_batch(g, factors, out), live
+    return tensors._mode_products_batch(g, factors, out), state
 
 
 def _live_box(g: np.ndarray) -> tuple[slice, ...]:
@@ -368,14 +372,7 @@ def reconstruct(
         # The indices are in range, so "clip" clips nothing; it takes out
         # as it is, where the default mode would fill a buffered copy.
         stack = np.take(x.ravel(), idx, out=stack_buf[:n], mode="clip")
-        mag = None
-        if mags[i] is not None:
-            shape, pos, vals = mags[i]
-            mag = np.zeros(shape)
-            mag.put(pos, vals)
-        approx, mag = _denoise(stack, mag, p, out=stack)
-        pos = np.flatnonzero(mag != 0)  # several times faster on bools than on floats
-        mags[i] = mag.shape, pos, mag.take(pos)
+        approx, kept[i] = _denoise(stack, kept[i], p, out=stack)
         part = patches._scatter(approx, idx, dims)
         spare.append((idx_buf, stack_buf))
         return part
@@ -388,7 +385,7 @@ def reconstruct(
     with _matching(dims, grid, p.k, p.window, workers) as match:
         for it in range(1, p.max_iter + 1):
             if (it - 1) % p.rematch_every == 0:
-                mags = [None] * len(parts)  # first visit: weights from the unshrunk cores
+                kept = [None] * len(parts)  # first visit: weights from the unshrunk cores
                 spare.clear()  # no chunk buffers held while matching
                 members = match(x)
                 counts = patches.coverage_counts(members, p.s, (rows, cols))
@@ -417,28 +414,29 @@ def _matching(
     # the context exits, and yields match(x), which returns
     # patches.match_groups(x, grid, k, window) bit for bit: the caller copies
     # x into the planes, worker i scans the window's row offsets dr with
-    # dr % split == i into its record of the kept lists, the caller scans the
-    # rest and folds the shares. The planes and records share one anonymous
+    # dr % split == i into its record, the kept distances and candidate
+    # indices that patches._scan returns, the caller scans the rest and
+    # folds the shares. The planes and records share one anonymous
     # mapping; with one worker, one row offset, no os.fork, or no mapping,
     # pipe or fork to be had, the planes are a fresh array per match and the
     # caller scans every offset.
     plan = patches._match_plan(dims, grid, k, window)
     split = min(workers, plan.wr + 1)
     gm = (len(plan.ar) * len(plan.ac), plan.m)
-    record = np.dtype([("best", np.float64, gm), ("at", np.intp, gm), ("n_valid", np.intp, gm[0])])
+    record = np.dtype([("best", np.float64, gm), ("at", np.intp, gm)])
     pids: list[int] = []
     pipes: list[tuple[int, int]] = []  # the caller's request and reply ends, one pair per worker
-    planes, kept = None, ()
+    planes, records = None, ()
 
     def start() -> None:
-        nonlocal planes, kept
+        nonlocal planes, records
         size = 8 * math.prod(dims)
         try:
             mapping = mmap.mmap(-1, size + (split - 1) * record.itemsize)
         except OSError:
             return
         planes = np.frombuffer(mapping, np.float64, math.prod(dims)).reshape(dims[2], -1)
-        kept = np.frombuffer(mapping, record, split - 1, size)
+        records = np.frombuffer(mapping, record, split - 1, size)
         for i in range(1, split):
             request = reply = ()
             try:
@@ -466,7 +464,7 @@ def _matching(
                     os.closerange(lo + 1, hi)
                     os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
                     while os.read(request[0], 1):  # until end of file
-                        kept[i - 1] = patches._scan(planes, plan, range(i, plan.wr + 1, split))
+                        records[i - 1] = patches._scan(planes, plan, range(i, plan.wr + 1, split))
                         os.write(reply[1], b"\0")
                     code = 0
                 finally:
@@ -486,7 +484,7 @@ def _matching(
         for _, reply in pipes:
             if os.read(reply, 1) != b"\0":
                 raise HsreconError("a matching worker ended without a result")
-        return patches._fold(plan, shares + list(kept[: len(pipes)]))
+        return patches._fold(plan, shares + list(records[: len(pipes)]))
 
     try:
         if split > 1 and hasattr(os, "fork"):
@@ -518,7 +516,8 @@ def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -
     """Add ``work(0)``, ..., ``work(n - 1)`` to ``total`` in that order.
 
     ``min(WORKERS, n) - 1`` threads and the calling thread each take the
-    next index as they come free. A result is added as soon as all before
+    next index as they come free; where a thread cannot be started, those
+    started do its share. A result is added as soon as all before
     it are, so ``total`` is bitwise the same for any worker count and
     timing. No thread runs more than two indexes per thread ahead of the
     last one added, which bounds the results held while one is late. If
@@ -546,27 +545,25 @@ def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -
                 taken += 1
             try:
                 part = work(i)
-            except BaseException as e:
+                with cond:
+                    done[i] = part
+                    i = added
+                    while i in done:
+                        total += done.pop(i)
+                        i = added = i + 1
+                    cond.notify_all()
+            except BaseException as e:  # work(i) failed, or adding result i did
                 with cond:
                     errors[i] = e
                     cond.notify_all()
                 return
-            with cond:
-                done[i] = part
-                try:
-                    while added in done:
-                        total += done.pop(added)
-                        added += 1
-                except BaseException as e:  # a result that does not fit total
-                    errors[added] = e
-                    return
-                finally:
-                    cond.notify_all()
 
     try:
         for _ in range(workers - 1):
-            threads.append(threading.Thread(target=run))
-            threads[-1].start()
+            thread = threading.Thread(target=run)
+            with contextlib.suppress(RuntimeError):  # "can't start new thread": left out
+                thread.start()
+                threads.append(thread)
         run()
     finally:
         with cond:
@@ -581,17 +578,18 @@ def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -
 
 @functools.cache
 def _openblas():
-    # The (get, set) thread-count functions of the loaded OpenBLAS, found in
-    # the process's mapped files as perfbench/job.py finds it; None without
-    # one, or without the symbols (another BLAS).
+    # The (get, set) thread-count functions of the loaded OpenBLAS, found by
+    # the path, a map line's sixth field, of a mapped file not since deleted;
+    # None without one, or without the symbols (another BLAS).
     import ctypes
 
     try:
         with open("/proc/self/maps") as maps:
-            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+            paths = [line.rstrip("\n").split(maxsplit=5)[-1] for line in maps]
     except OSError:
         return None
-    for lib in libs:
+    libs = {p for p in paths if "openblas" in p.lower() and not p.endswith(" (deleted)")}
+    for lib in sorted(libs):
         try:
             handle = ctypes.CDLL(lib)
         except OSError:

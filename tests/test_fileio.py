@@ -1,5 +1,6 @@
 import errno
 import struct
+import threading
 
 import math
 
@@ -168,6 +169,34 @@ class TestAtomicWrite:
         path.write_bytes(b"earlier" * 100)
         WRITERS[writer](path)
         assert not path.read_bytes().startswith(b"earlier")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_concurrent_writes_of_one_path_each_publish_a_whole_file(self, tmp_path, monkeypatch):
+        # both threads have written their temp file before either renames it
+        path = tmp_path / "out.bin"
+        replace, barrier = fileio.os.replace, threading.Barrier(2, timeout=10)
+
+        def held(src, dst):
+            barrier.wait()
+            replace(src, dst)
+
+        monkeypatch.setattr(fileio.os, "replace", held)
+        payloads = [bytes([n]) * 100_000 for n in (1, 2)]
+        errors = []
+
+        def write(data):
+            try:
+                write_atomic(path, data)
+            except BaseException as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=write, args=(data,)) for data in payloads]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not errors
+        assert path.read_bytes() in payloads
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 

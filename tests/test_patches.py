@@ -134,10 +134,13 @@ def _stacked_match_blocks(f, grid, s, k, window):
 
 
 @st.composite
-def _quarter_cubes(draw, max_row_period=None):
+def _quarter_cubes(draw, max_row_period=None, huge=False):
     # Values are multiples of 1/4, so every distance is exact in any
     # summation order: ties are real and member lists must agree bitwise.
-    # A period smaller than the plane repeats identical patches.
+    # A period smaller than the plane repeats identical patches. With huge,
+    # some values may be 2**600, so that distances between patches that
+    # differ there overflow: match_blocks reads them as +inf, and they are
+    # candidates all the same.
     rows = draw(st.integers(1, 14))
     cols = draw(st.integers(1, 14))
     bands = draw(st.integers(1, 3))
@@ -145,15 +148,18 @@ def _quarter_cubes(draw, max_row_period=None):
     period_r = draw(st.integers(1, min(rows, max_row_period or rows)))
     period_c = draw(st.integers(1, cols))
     seed = draw(st.integers(0, 2**32 - 1))
-    base = np.random.default_rng(seed).integers(0, levels, (period_r, period_c, bands))
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, levels, (period_r, period_c, bands)) / 4.0
+    if huge:
+        base[rng.random(base.shape) < draw(st.sampled_from([0.0, 0.02, 0.1, 0.5]))] = 2.0**600
     cube = np.tile(base, (-(-rows // period_r), -(-cols // period_c), 1))
-    return cube[:rows, :cols] / 4.0
+    return cube[:rows, :cols]
 
 
 class TestMatchGroups:
     @settings(max_examples=150, deadline=None)
     @given(
-        f=_quarter_cubes(),
+        f=_quarter_cubes(huge=True),
         s=st.integers(1, 4),
         step=st.integers(1, 4),
         k=st.integers(1, 60),
@@ -343,6 +349,28 @@ class TestFold:
         got = _fold_of_shares(f, grid, k, window, share_of)
         assert got.dtype == np.intp
         assert np.array_equal(got, match_groups(f, grid, k, window))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        f=_quarter_cubes(huge=True),
+        s=st.integers(1, 4),
+        step=st.integers(1, 4),
+        k=st.integers(1, 60),
+        window=st.integers(0, 8),
+    )
+    def test_shares_fold_to_match_blocks_where_distances_overflow(
+        self, data, f, s, step, k, window
+    ):
+        # each share counts an overflowing distance as a candidate, so the
+        # fold stops at the same place as match_blocks
+        rows, cols, _ = f.shape
+        s = min(s, rows, cols)
+        grid = plan_grid(rows, cols, s, step)
+        n = min(window, max(rows, cols) - s) + 1
+        owners = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        got = _fold_of_shares(f, grid, k, window, lambda dr, _: owners[dr])
+        assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import mmap
 import os
@@ -240,13 +241,15 @@ class TestDenoiseGroups:
                 outside[block] = 0.0
                 assert not np.any(outside)
 
-    def test_reads_core_mag_without_writing_it(self, rng):
+    def test_reads_kept_state_without_writing_it(self, rng):
+        # the state returned is new, and its values no view of the core
         stacked = rng.random((3, 9, 4, 5))
         p = SolverParams()
-        _, mag = _kernel(stacked, None, p)
-        before = mag.copy()
-        _, mag2 = _kernel(stacked, mag, p)
-        assert mag.tobytes() == before.tobytes() and mag2 is not mag
+        kept = solver._denoise(stacked.copy(), None, p, np.empty(stacked.shape))[1]
+        before = [a.copy() for a in kept[1:]]
+        kept2 = solver._denoise(stacked.copy(), kept, p, np.empty(stacked.shape))[1]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept[1:], before))
+        assert kept2[1] is not kept[1] and kept2[2] is not kept[2] and kept2[2].base is None
 
     def test_empty_stack(self):
         approx, mag = _kernel(np.zeros((0, 4, 2, 3)), None, SolverParams())
@@ -277,18 +280,39 @@ class TestDenoiseGroups:
         stacked = _smooth_groups(1, noise=0.01) * (1e4 if visit == "guard fails" else 1.0)
         mag = None if visit == "first" else _kernel(_smooth_groups(1), None, p)[1]
         assert mag is None or mag.shape[1:] != stacked.shape[1:]  # a cropped block
-        want_approx, want_mag = solver._denoise(stacked.copy(), mag, p, np.empty(stacked.shape))
+        want_approx, want_mag = _kernel(stacked, mag, p, out=np.empty(stacked.shape))
         buf = stacked.copy()
-        approx, got_mag = solver._denoise(buf, mag, p, out=buf)
+        approx, got = solver._denoise(buf, _kept(mag), p, out=buf)
         assert np.shares_memory(approx, buf)
         assert approx.tobytes() == want_approx.tobytes() == buf.tobytes()
+        got_mag = _block(got)
         assert got_mag.shape == want_mag.shape and got_mag.tobytes() == want_mag.tobytes()
 
 
-def _kernel(stacked, core_mag, p: SolverParams) -> tuple[np.ndarray, np.ndarray]:
-    """solver._denoise as the chunk step calls it: into its own stack, here a copy."""
+def _kernel(stacked, core_mag, p: SolverParams, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """solver._denoise as the chunk step calls it, into its own stack (here a copy)
+    unless ``out`` is given, on a dense block of kept magnitudes (None on a first
+    visit); returns the approximation and the new kept state as a dense block."""
     buf = np.array(stacked, dtype=np.float64, order="C")
-    return solver._denoise(buf, core_mag, p, out=buf)
+    approx, kept = solver._denoise(buf, _kept(core_mag), p, out=buf if out is None else out)
+    return approx, _block(kept)
+
+
+def _kept(mag):
+    """The kept core state of a dense block of magnitudes: its shape, and the
+    flat positions and values of its nonzero entries."""
+    if mag is None:
+        return None
+    pos = np.flatnonzero(mag)
+    return mag.shape, pos, mag.take(pos)
+
+
+def _block(kept) -> np.ndarray:
+    """The dense block of a kept core state, zero where no entry is kept."""
+    shape, pos, vals = kept
+    mag = np.zeros(shape)
+    mag.put(pos, vals)
+    return mag
 
 
 def _smooth_groups(seed: int, noise: float = 0.0) -> np.ndarray:
@@ -376,7 +400,6 @@ class TestLiveBlock:
         _, mag = _kernel(stacked, None, p)
         _, mag2 = _kernel(stacked + 0.01 * rng.standard_normal(stacked.shape), mag, p)
         for m in (mag, mag2):
-            assert m.base is None  # a copy, not a view of the full core
             for axis in (1, 2, 3):
                 last = np.take(m, m.shape[axis] - 1, axis=axis)
                 assert np.any(last)
@@ -714,10 +737,11 @@ class TestKeptCoreState:
     def test_revisit_receives_the_previous_block_bitwise(
         self, monkeypatch, workers, rematch_every
     ):
-        # Between visits reconstruct keeps only the nonzero entries of each
-        # chunk's shrunk-core block; the block a revisit is handed must be
-        # bitwise the one the chunk's previous visit returned. A rematch
-        # resets the kept state: with rematch_every 1 every visit is a first.
+        # Between visits reconstruct keeps, per chunk, the shape of the
+        # shrunk-core block and the flat positions and values of its nonzero
+        # entries; the state a revisit is handed must be bitwise the one the
+        # chunk's previous visit returned. A rematch resets the kept state:
+        # with rematch_every 1 every visit is a first.
         f_true = make_smooth_cube(20, 20, 3, seed=4)
         sys = SystemModel(imaging.generate_mask(20, 20, 0.5, 6), 3)
         y = imaging.forward(f_true, sys)
@@ -727,19 +751,22 @@ class TestKeptCoreState:
         indices, denoise = patches._voxel_indices, solver._denoise  # the chunk step's kernels
         current = threading.local()
         lock = threading.Lock()
-        visits = {}  # chunk -> (block received, block returned) per iteration
+        visits = {}  # chunk -> (state received, state returned) per iteration
 
         def indices_spy(members, block, dims, out):
             # a group's first member is its anchor, so this names the chunk
             current.chunk = tuple(members[0, 0].tolist())
             return indices(members, block, dims, out)
 
-        def denoise_spy(stacked, core_mag, p, out):
-            received = None if core_mag is None else core_mag.copy()
-            approx, mag = denoise(stacked, core_mag, p, out)
+        def copied(kept):
+            return kept[0], kept[1].copy(), kept[2].copy()
+
+        def denoise_spy(stacked, kept, p, out):
+            received = None if kept is None else copied(kept)
+            approx, state = denoise(stacked, kept, p, out)
             with lock:
-                visits.setdefault(current.chunk, []).append((received, mag.copy()))
-            return approx, mag
+                visits.setdefault(current.chunk, []).append((received, copied(state)))
+            return approx, state
 
         monkeypatch.setattr(patches, "_voxel_indices", indices_spy)
         monkeypatch.setattr(solver, "_denoise", denoise_spy)
@@ -753,11 +780,14 @@ class TestKeptCoreState:
                 if it % p.rematch_every == 0:  # first visit after a match
                     assert received is None
                     continue
-                returned = seq[it - 1][1]
-                assert received.dtype == returned.dtype == np.float64
-                assert received.shape == returned.shape
-                assert received.tobytes() == returned.tobytes()
-                zeros += received.size - np.count_nonzero(received)
+                (shape, pos, vals), returned = received, seq[it - 1][1]
+                assert shape == returned[0]
+                assert pos.dtype == returned[1].dtype == np.intp
+                assert vals.dtype == returned[2].dtype == np.float64
+                assert pos.tobytes() == returned[1].tobytes()
+                assert vals.tobytes() == returned[2].tobytes()
+                assert np.all(vals > 0)  # magnitudes of the nonzero entries only
+                zeros += np.prod(shape) - len(pos)
         # the blocks hold zeros that the kept state leaves out, if any is revisited
         assert (zeros > 0) == (p.rematch_every > 1)
 
@@ -1158,6 +1188,32 @@ class TestWorkerPool:
         finally:
             put(before)
 
+    def test_openblas_found_under_a_path_with_spaces(self, monkeypatch, tmp_path):
+        # a map line's path is its sixth field and may hold spaces; a mapped
+        # file since deleted, whose path ends in " (deleted)", is passed over
+        # even where a file of that name exists
+        try:
+            with open("/proc/self/maps") as maps:
+                libs = [line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line]
+        except OSError:
+            pytest.skip("no /proc/self/maps")
+        if solver._openblas() is None or not libs:
+            pytest.skip("no OpenBLAS with thread-count symbols is loaded")
+        (tmp_path / "my env").mkdir()
+        spaced, deleted = tmp_path / "my env" / "libopenblas.so", tmp_path / "libopenblas.so"
+        spaced.symlink_to(libs[0])
+        (tmp_path / "libopenblas.so (deleted)").symlink_to(libs[0])
+
+        def maps_of(path):
+            text = f"7f0000000000-7f0000001000 r-xp 00000000 fe:00 1234        {path}\n"
+            return lambda *args, **kwargs: io.StringIO(text)
+
+        monkeypatch.setattr(solver, "open", maps_of(spaced), raising=False)
+        blas = solver._openblas.__wrapped__()
+        assert blas is not None and blas[0]() == solver._openblas()[0]()
+        monkeypatch.setattr(solver, "open", maps_of(f"{deleted} (deleted)"), raising=False)
+        assert solver._openblas.__wrapped__() is None
+
     def test_dcchi_rematching_every_iteration_independent_of_worker_count(self, monkeypatch):
         # long enough for the momentum to restart, which the spy confirms
         f_true = make_smooth_cube(20, 20, 3, seed=4)
@@ -1180,6 +1236,47 @@ class TestWorkerPool:
             outputs.append(reconstruct(y, sys, p).tobytes())
             assert len(restarts) == p.max_iter and any(restarts)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_split_match_counts_overflowing_distances(self, workers):
+        # no record carries a candidate count: the fold counts the kept
+        # distances below +inf, and one that overflows is among them. The
+        # 2 x 2 corner's distance to every other candidate overflows, and its
+        # group is its 49 window candidates, not itself 60 times.
+        f = np.zeros((8, 8, 2))
+        f[:2, :2] = 1e200
+        f[5, 6, 1] = 2.0**600
+        grid = patches.plan_grid(8, 8, 2, 2)
+        anchors = itertools.product(grid.rows, grid.cols)
+        expect = [[list(m) for m in patches.match_blocks(f, a, 2, 60, 7)] for a in anchors]
+        with solver._matching(f.shape, grid, 60, 7, workers) as match:
+            for _ in range(2):
+                assert match(f).tolist() == expect
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_helper_thread_that_cannot_start_is_left_out(self, monkeypatch, failing):
+        # at WORKERS 3 each iteration's group step starts two helper threads;
+        # the first or the second start raises, as at a thread limit, and
+        # the threads started do the work, with the bits of WORKERS 1
+        y, sys, p = self._problem()
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
+        monkeypatch.setattr(solver, "WORKERS", 1)
+        expect = reconstruct(y, sys, p).tobytes()
+        starts = []
+
+        class Flaky(threading.Thread):
+            def start(self):
+                starts.append(None)
+                if len(starts) % 2 == failing % 2:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+
+        monkeypatch.setattr(solver.threading, "Thread", Flaky)
+        monkeypatch.setattr(solver, "WORKERS", 3)
+        start = threading.active_count()
+        assert reconstruct(y, sys, p).tobytes() == expect
+        assert len(starts) == 2 * p.max_iter
+        assert threading.active_count() == start
 
     def test_sum_order_fixed_under_any_timing(self, monkeypatch):
         # float addition does not associate, so any other order changes bits
