@@ -214,12 +214,20 @@ def ridge_factor(sys: SystemModel, rho: float) -> RidgeFactor:
     # Column c of L is column c of the band over its square-rooted diagonal;
     # then S[c + t + u, c + t] -= L[c + t + u, c] L[c + t, c] for t >= 1,
     # u >= 0, kept at chol[c + t, u]. An inf pivot has only zeros beside it.
-    for c in range(r):
-        col = chol[c]
-        np.sqrt(col[0], out=col[0])
-        col[1:] /= col[0]
-        for t in range(1, w + 1):
-            chol[c + t, : w + 1 - t] -= col[t] * col[t:]
+    # A pivot that rounding leaves at or below 0 (NaN once square-rooted) is
+    # reported after the loop.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for c in range(r):
+            col = chol[c]
+            np.sqrt(col[0], out=col[0])
+            col[1:] /= col[0]
+            for t in range(1, w + 1):
+                chol[c + t, : w + 1 - t] -= col[t] * col[t:]
+    if not np.all(chol[:r, 0] > 0.0):
+        raise UsageError(
+            f"rho={rho!r} is too small: the dual-camera rho I + Phi Phi^T is singular"
+            " up to rounding (reconstruct's rho is 2 tau)"
+        )
     return RidgeFactor(sys=sys, coded=coded, chol=chol, pan_diag=pan_diag)
 
 

@@ -127,29 +127,9 @@ def _smallest_stable(x: np.ndarray, m: int) -> np.ndarray:
     # row comes from a partition; the row keeps every entry below v and its
     # leftmost entries equal to v, m in all.
     v = np.partition(x, m - 1, axis=1)[:, m - 1 : m]
-    keep = x <= v
-    if np.count_nonzero(keep) > len(x) * m:  # rows with more entries equal to v than places left
-        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > m)
-        xt, vt = x[tied], v[tied]
-        below = xt < vt
-        at_v = xt == vt
-        spare = m - np.count_nonzero(below, axis=1, keepdims=True)
-        keep[tied] = below | (at_v & (np.cumsum(at_v, axis=1) <= spare))
-    return keep
-
-
-def _merge_smallest(best, at, enter, above, below, above_ids, below_ids) -> None:
-    # For the anchors enter, keep in best and at the m smallest distances of
-    # above, best and below, leftmost among equals, in that order, and their
-    # candidate indices: above_ids, at and below_ids.
-    n, m = len(enter), best.shape[1]
-    x = np.concatenate([above[enter], best[enter], below[enter]], axis=1)
-    ids = np.concatenate(
-        [np.tile(above_ids, (n, 1)), at[enter], np.tile(below_ids, (n, 1))], axis=1
-    )
-    keep = np.flatnonzero(_smallest_stable(x, m))
-    best[enter] = x.ravel()[keep].reshape(n, m)
-    at[enter] = ids.ravel()[keep].reshape(n, m)
+    below, at_v = x < v, x == v
+    spare = m - np.count_nonzero(below, axis=1, keepdims=True)
+    return below | (at_v & (np.cumsum(at_v, axis=1) <= spare))
 
 
 def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndarray:
@@ -175,13 +155,13 @@ def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndar
     offsets up to ``dr`` are window rows ``-dr`` to ``dr``, so the mirrored
     row of the next offset goes before them and the direct row after, and
     the m smallest of the three, leftmost among equals, are the m first
-    of a stable sort of all the anchor's candidates. Only anchors where a
-    new candidate can enter are merged. The same holds for any ascending
-    subset of the row offsets, so the offsets can be scanned in shares
-    (``_scan``), and one sort of the shares' kept lists by distance, then
-    candidate index, ends the call (``_fold``): the selection holds two
-    rows per anchor and the m kept per share, whatever the window. Here
-    one share holds every offset; ``solver.reconstruct`` splits them.
+    of a stable sort of all the anchor's candidates. Every anchor is merged
+    at every offset. The same holds for any ascending subset of the row
+    offsets, so the offsets can be scanned in shares (``_scan``), and one
+    sort of the shares' kept lists by distance, then candidate index, ends
+    the call (``_fold``): the selection holds two rows per anchor and the
+    m kept per share, whatever the window. Here one share holds every
+    offset; ``solver.reconstruct`` splits them.
     """
     f = check_array("cube", f, 3)
     plan = _match_plan(f.shape, grid, k, window)
@@ -268,14 +248,14 @@ def _scan(planes: np.ndarray, plan: _MatchPlan, drs) -> tuple[np.ndarray, np.nda
             else:
                 two_rows[1, :, :, wc] = -1.0  # the anchor itself comes first
             two_rows[:, :, off_plane] = np.inf
-            # A candidate enters if it is below the m-th kept distance, or equal to
-            # it and ahead of it in candidate order.
+            # The m smallest of the two rows and the kept list, leftmost among
+            # equals, in candidate order: window row wr - dr, kept, row wr + dr.
             above, below = two_rows.reshape(2, g, tc)
-            worst = best.max(axis=1, keepdims=True)
-            enter = np.flatnonzero((above <= worst).any(axis=1) | (below < worst).any(axis=1))
-            if enter.size:
-                ids = (wr - dr) * tc + t, (wr + dr) * tc + t
-                _merge_smallest(best, at, enter, above, below, *ids)
+            x = np.concatenate([above, best, below], axis=1)
+            ids = np.broadcast_to((wr - dr) * tc + t, (g, tc))
+            ids = np.concatenate([ids, at, ids + 2 * dr * tc], axis=1)
+            keep = np.flatnonzero(_smallest_stable(x, m))
+            best, at = x.ravel()[keep].reshape(g, m), ids.ravel()[keep].reshape(g, m)
             del sq, flat  # freed before the next offset's are allocated
     return best, at
 

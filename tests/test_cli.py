@@ -10,7 +10,7 @@ from conftest import make_smooth_cube, make_tucker_scene
 
 from hsrecon import fileio, metrics, patches, solver
 from hsrecon.cli import build_parser, cli
-from hsrecon.tensors import hosvd
+from hsrecon.tensors import hosvd, hosvd_batch
 
 
 @pytest.fixture
@@ -145,6 +145,32 @@ def test_spectrum_diag_matches_reference_path(tmp_path, cube_file, scene):
     expect = np.sort(np.abs(hosvd(group).core).ravel())[::-1]
     assert len(got) == expect.size
     assert np.max(np.abs(np.array(got) - expect)) <= 1e-9 * expect[0]
+
+
+@pytest.mark.parametrize("anchor", [(59, 0), (30, 27)])
+def test_spectrum_diag_matches_only_the_anchor_window(tmp_path, monkeypatch, anchor):
+    # a corner and an interior anchor: matching sees at most the window and
+    # the patch on each axis, and the CSV is that of the whole cube
+    cube = make_tucker_scene()
+    cube_file, out = tmp_path / "tucker.hsc", tmp_path / "sv.csv"
+    fileio.write_cube(cube, cube_file)
+    cube = fileio.read_cube(cube_file)  # at the file's float32 precision
+    s, k, window = 5, 20, 10
+    shapes, match = [], patches.match_groups
+
+    def recorded(f, grid, k, window):
+        shapes.append(f.shape)
+        return match(f, grid, k, window)
+
+    monkeypatch.setattr(patches, "match_groups", recorded)
+    assert cli(["spectrum-diag", "--cube", str(cube_file), "--anchor", "%d,%d" % anchor,
+                "--s", str(s), "--k", str(k), "--window", str(window), "--out", str(out)]) == 0
+    assert len(shapes) == 1 and max(shapes[0][:2]) <= 2 * window + s
+    grid = patches.PatchGrid(patch_size=s, rows=(anchor[0],), cols=(anchor[1],))
+    stacked = patches.gather_groups(cube, match(cube, grid, k, window), s)
+    mags = np.sort(np.abs(hosvd_batch(stacked).core).ravel())[::-1]
+    expect = "rank,magnitude\n" + "".join(f"{i},{m:.10e}\n" for i, m in enumerate(mags))
+    assert out.read_text() == expect
 
 
 @pytest.mark.parametrize("s", ["0", "-2"])

@@ -326,6 +326,17 @@ class TestRidgeProject:
         ridge_project(fac, y2, z2)
         assert ridge_project(fac, y1, z1).tobytes() == first.tobytes()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho", [2e-16, 2e-318])
+    def test_dual_camera_factor_names_a_rho_too_small(self, rho):
+        # on the desk mask the pan-eliminated system is singular up to
+        # rounding below rho ~ 1e-16: a pivot turns negative, and the factor
+        # says so, with no RuntimeWarning from its square root on the way
+        sys = SystemModel(generate_mask(64, 64, 0.5, 42), 8, mode=DCCHI)
+        with pytest.raises(UsageError, match="rho"):
+            ridge_factor(sys, rho)
+        assert np.all(ridge_factor(sys, 2e-14).chol[: sys.meas_rows, 0] > 0.0)
+
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_rho(self, rng, rho):
         with pytest.raises(UsageError):

@@ -638,6 +638,15 @@ class TestReconstruct:
         assert np.all(np.isfinite(rec)) and rec.min() >= 0.0 and rec.max() <= 1.0
 
     @pytest.mark.filterwarnings("error")
+    def test_tiny_tau_on_the_dual_camera_desk_scene_is_a_usage_error(self):
+        # rho = 2 tau is below the rounding of the pan-eliminated system on
+        # this mask: the data step's factor names rho before any iteration
+        sys = SystemModel(imaging.generate_mask(64, 64, 0.5, 42), 8, mode=imaging.DCCHI)
+        y = imaging.forward(make_smooth_cube(64, 64, 8, seed=5), sys)
+        with pytest.raises(UsageError, match="rho"):
+            reconstruct(y, sys, SolverParams(tau=1e-16, s=5, step=4, k=20, window=10, max_iter=2))
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     @pytest.mark.parametrize("mode", [imaging.CASSI, imaging.DCCHI])
     def test_tiny_tau_reads_the_same_finite_cube_at_every_scale(self, mode, sigma):
