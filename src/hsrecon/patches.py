@@ -12,7 +12,7 @@ shifted differences of the cube's flat band planes, keeps each anchor's
 k nearest so far as the offsets arrive and returns a ``(g, k, 2)`` array
 of member anchors; ``solver.reconstruct`` runs its two halves itself,
 ``_scan`` of a share of the row offsets and ``_fold`` of the shares, to
-split the offsets over processes. ``gather_groups`` stacks the members
+split the offsets over threads. ``gather_groups`` stacks the members
 into ``(g, s*s, L, k)`` with one fancy index into the flattened cube;
 ``coverage_counts`` counts the patches covering each pixel, one plane
 for all bands, from a count of the member anchors. With
@@ -21,10 +21,11 @@ of ``solver.reconstruct`` checks the members once per rematch and then
 runs private kernels per chunk:
 ``_voxel_indices``, the flat indices of a chunk's voxels, and
 ``_scatter``, which adds approximated groups back along them with
-``np.bincount``; the tests hold both against ``build_group`` and
-``aggregate``. ``match_blocks``, ``build_group`` and ``aggregate`` do
-the work one group at a time. They are the reference path, public
-because the benchmark traces them by name.
+``np.bincount`` into the band of the flat cube that the chunk spans;
+the tests hold both against ``build_group`` and ``aggregate``.
+``match_blocks``, ``build_group`` and ``aggregate`` do the work one group
+at a time. They are the reference path, public because the benchmark
+traces them by name.
 """
 from __future__ import annotations
 
@@ -373,11 +374,15 @@ def _voxel_indices(
     return np.add(origin[:, None, None, :], block[None, :, :, None], out=out)
 
 
-def _scatter(approx: np.ndarray, idx: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+def _scatter(approx: np.ndarray, idx: np.ndarray) -> tuple[int, np.ndarray]:
     # The total of aggregate for approximated groups and their voxel
-    # indices, accumulated in index order by np.bincount. Nothing is checked.
-    size = math.prod(dims)
-    return np.bincount(idx.ravel(), weights=approx.ravel(), minlength=size).reshape(dims)
+    # indices as (lo, band): lo the smallest index, and band the flat
+    # total's entries lo to the largest index, accumulated in index order by
+    # np.bincount. The total is zero outside the band. idx, a non-empty
+    # C-contiguous array, is shifted by -lo in place. Nothing is checked.
+    lo = int(idx.min())
+    idx -= lo
+    return lo, np.bincount(idx.ravel(), weights=approx.ravel())
 
 
 def gather_groups(f: np.ndarray, members: np.ndarray, s: int) -> np.ndarray:

@@ -17,37 +17,17 @@ and the momentum scalar t, which starts at 1; x restarts at the new
 solution with t = 1 whenever the last step went against the momentum.
 
 Step (a) matches every anchor at once, as ``patches.match_groups`` does,
-split over processes in a run that matches more than once. Matching is a
-long run of short NumPy calls (about 2600 of about 13 us each per match
-at 64x64x8, k = 45, window 20), each taking the GIL, so threads convoy on
-it: two concurrent ``match_groups`` calls there ran 0.94-1.6x (median
-about 1.1x) faster on two threads than one after the other, and
-0.81-1.75x (median about 1.4x) in two forked processes (10 alternations,
-one BLAS thread, a shared 2-CPU machine). So ``_matching`` forks
-min(WORKERS, row offsets) - 1 workers just before the first match, and
-they live until ``reconstruct`` returns or raises. Row offset dr of the
-window goes to share dr mod WORKERS; for each match the caller copies the
-point into one shared anonymous mapping, wakes each worker through its
-pipe, scans share 0 itself and folds the shares by (distance, candidate
+with the window's row offsets split into min(WORKERS, row offsets)
+shares, dr going to share dr mod that count. The shares run on the group
+step's pool (``_in_order``, below) and are folded by (distance, candidate
 index), which gives ``match_groups``' members bit for bit for any split
-(``patches._scan``, ``_fold``). A run that matches once spends about 3%
-of its time there and does not fork: the split would save at most half
-of that, against the fork and the copy-on-write faults after it. A
-worker that dies makes the caller raise; one whose caller dies reads end
-of file on its pipe and exits. Forking needs ``os.fork`` (Linux and other
-POSIX systems): with one CPU, without it, or where the mapping, a pipe or
-a fork fails, the caller scans every share itself. The fork is safe in a
-process with other threads (OpenBLAS's pool, the caller's own, another
-``reconstruct`` call's; the group step's are joined before each match):
-the worker closes every descriptor but its own two pipe ends, so it keeps
-no other worker from reading end of file, runs only its scan loop,
-NumPy's array kernels on the shared planes with no BLAS call and no lock
-but the GIL and the allocator's, which CPython and glibc reset in the
-child, and pipe reads and writes, with the garbage collector off, so no
-finalizer of the caller's objects runs in it, and leaves by
-``os._exit``. Python 3.12 and later warn at any fork in a process with
-threads; ``_matching`` silences that one warning, one fork at a time, as
-the filter list it swaps is the process's.
+(``patches._scan``, ``_fold``). Matching is a long run of short NumPy
+calls, each taking the GIL, so its threads convoy on it: on the
+benchmark's ``rematch_dcchi``, which matches every iteration, a run took
+about 11% longer than with the shares on forked processes (medians of
+four sets of 10 alternating runs read 1-16%), and 20-24% longer with
+matching on the calling thread alone (2 CPUs, one BLAS thread). No
+thread outlives the call.
 
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
 groups, on private kernels that the tests hold against the per-group
@@ -67,11 +47,11 @@ other temporary as soon as it is dead: the unshrunk core once it is
 shrunk. The chunks of an iteration run on ``WORKERS`` threads, the
 calling thread among them: NumPy's ``eigh`` and ``matmul`` release the
 GIL for hundreds of us at a time, so the step alone ran 1.7-1.9x faster
-on two threads, and a prototype that ran it on the matching workers too
-was no faster (1.35-1.45 s against 1.24-1.45 s on ``rematch_dcchi``).
-Each thread takes the next chunk in order as it comes free, and the
-partial cubes are added in chunk order, each as soon as all before it
-are in, so the output is bitwise the same for any CPU count and timing.
+on two threads. Each thread takes the next chunk in order as it comes
+free, and the chunks' partial sums, each over the band of the flat cube
+between its smallest and largest voxel index, are added in chunk order,
+each as soon as all before it are in, so the output is bitwise the same
+for any CPU count and timing.
 
 As in reweighted l1, a coefficient g of kept magnitude m survives the
 shrink only if |g| (m + EPS) > c / (2 tau), m being |g| on a first visit
@@ -101,15 +81,12 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import gc
 import math
-import mmap
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -117,7 +94,6 @@ from . import imaging, patches, tensors
 from .errors import (
     DataError,
     DimensionError,
-    HsreconError,
     UsageError,
     check_array,
     check_int,
@@ -150,8 +126,8 @@ EPS = 1e-6
 # more peak memory.
 CHUNK_BYTES = 384 << 10
 
-# Threads of the group step, and processes of matching, the caller's
-# included: the CPUs this process may run on. With one, none is started.
+# Threads of the group step and of matching, the caller's included: the
+# CPUs this process may run on. With one, none is started.
 WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -358,7 +334,7 @@ def reconstruct(
     buffer_shape = (min(chunk, len(grid.rows) * len(grid.cols)), *block.shape, p.k)
     spare: list[tuple[np.ndarray, np.ndarray]] = []  # index and stack buffers of no running chunk
 
-    def step(i: int) -> np.ndarray:
+    def step(i: int) -> tuple[int, np.ndarray]:
         # Chunk i of the group step on the current x, members and kept state,
         # through the unchecked kernels: the members were checked by
         # coverage_counts, and _denoise scans the stack.
@@ -373,128 +349,47 @@ def reconstruct(
         # as it is, where the default mode would fill a buffered copy.
         stack = np.take(x.ravel(), idx, out=stack_buf[:n], mode="clip")
         approx, kept[i] = _denoise(stack, kept[i], p, out=stack)
-        part = patches._scatter(approx, idx, dims)
+        part = patches._scatter(approx, idx)
         spare.append((idx_buf, stack_buf))
         return part
 
+    def add(part: tuple[int, np.ndarray]) -> None:
+        # A chunk's band of the flat cube into the iteration's total.
+        lo, band = part
+        total.reshape(-1)[lo : lo + band.size] += band
+
+    plan = patches._match_plan(dims, grid, p.k, p.window)
     x, t = f, 1.0  # the point the group step reads, and the momentum scalar
     t0 = time.perf_counter()
-    # A run that matches once spends about 3% of its time there, too little
-    # to pay for the fork and its copy-on-write faults: it matches alone.
-    workers = WORKERS if p.max_iter > p.rematch_every else 1
-    with _matching(dims, grid, p.k, p.window, workers) as match:
-        for it in range(1, p.max_iter + 1):
-            if (it - 1) % p.rematch_every == 0:
-                kept = [None] * len(parts)  # first visit: weights from the unshrunk cores
-                spare.clear()  # no chunk buffers held while matching
-                members = match(x)
-                counts = patches.coverage_counts(members, p.s, (rows, cols))
-            with _one_blas_thread():
-                total = _ordered_sum(len(parts), step, np.zeros(dims))
-            f_new = imaging.ridge_project(data_step, y, total / counts)
-            x, t = _momentum(x, f_new, f, t)
-            f = f_new
-            if progress is not None:
-                fit = _data_fit(y, f, sys)
-                progress(it, fit, time.perf_counter() - t0)
+    for it in range(1, p.max_iter + 1):
+        if (it - 1) % p.rematch_every == 0:
+            kept = [None] * len(parts)  # first visit: weights from the unshrunk cores
+            spare.clear()  # no chunk buffers held while matching
+            members = _match(x, plan)
+            counts = patches.coverage_counts(members, p.s, (rows, cols))
+        total = np.zeros(dims)
+        with _one_blas_thread():
+            _in_order(len(parts), step, add)
+        f_new = imaging.ridge_project(data_step, y, total / counts)
+        x, t = _momentum(x, f_new, f, t)
+        f = f_new
+        if progress is not None:
+            fit = _data_fit(y, f, sys)
+            progress(it, fit, time.perf_counter() - t0)
     return np.clip(f, 0.0, 1.0)
 
 
-# Held across each fork with the warning filter it sets: catch_warnings
-# swaps the process-wide filter list, so two calls that overlapped on it
-# could restore each other's copy.
-_fork_lock = threading.Lock()
-
-
-@contextlib.contextmanager
-def _matching(
-    dims: tuple[int, int, int], grid: patches.PatchGrid, k: int, window: int, workers: int
-):
-    # Forks min(workers, row offsets) - 1 matching workers, which live until
-    # the context exits, and yields match(x), which returns
-    # patches.match_groups(x, grid, k, window) bit for bit: the caller copies
-    # x into the planes, worker i scans the window's row offsets dr with
-    # dr % split == i into its record, the kept distances and candidate
-    # indices that patches._scan returns, the caller scans the rest and
-    # folds the shares. The planes and records share one anonymous
-    # mapping; with one worker, one row offset, no os.fork, or no mapping,
-    # pipe or fork to be had, the planes are a fresh array per match and the
-    # caller scans every offset.
-    plan = patches._match_plan(dims, grid, k, window)
-    split = min(workers, plan.wr + 1)
-    gm = (len(plan.ar) * len(plan.ac), plan.m)
-    record = np.dtype([("best", np.float64, gm), ("at", np.intp, gm)])
-    pids: list[int] = []
-    pipes: list[tuple[int, int]] = []  # the caller's request and reply ends, one pair per worker
-    planes, records = None, ()
-
-    def start() -> None:
-        nonlocal planes, records
-        size = 8 * math.prod(dims)
-        try:
-            mapping = mmap.mmap(-1, size + (split - 1) * record.itemsize)
-        except OSError:
-            return
-        planes = np.frombuffer(mapping, np.float64, math.prod(dims)).reshape(dims[2], -1)
-        records = np.frombuffer(mapping, record, split - 1, size)
-        for i in range(1, split):
-            request = reply = ()
-            try:
-                request = os.pipe()
-                reply = os.pipe()
-                with _fork_lock, warnings.catch_warnings():  # Python 3.12+ warns of threads
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-            except BaseException as e:  # a KeyboardInterrupt closes them too
-                for fd in request + reply:
-                    os.close(fd)
-                if isinstance(e, OSError):
-                    return
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    gc.disable()  # no finalizer of the caller's garbage runs twice
-                    # Every descriptor but its own two goes: a worker that
-                    # held another worker's request end, of this call or of
-                    # one running on another thread, would keep it from
-                    # reading end of file, and its caller waiting for it.
-                    lo, hi = sorted((request[0], reply[1]))
-                    os.closerange(3, lo)
-                    os.closerange(lo + 1, hi)
-                    os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
-                    while os.read(request[0], 1):  # until end of file
-                        records[i - 1] = patches._scan(planes, plan, range(i, plan.wr + 1, split))
-                        os.write(reply[1], b"\0")
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(request[0])
-            os.close(reply[1])
-            pids.append(pid)
-            pipes.append((request[1], reply[0]))
-
-    def match(x: np.ndarray) -> np.ndarray:
-        point = patches._planes(check_array("cube", x, 3), planes)
-        for request, _ in pipes:
-            with contextlib.suppress(BrokenPipeError):  # a dead worker's reply reads end of file
-                os.write(request, b"\0")
-        own = [dr for dr in range(plan.wr + 1) if not 0 < dr % split <= len(pipes)]
-        shares = [patches._scan(point, plan, own)]
-        for _, reply in pipes:
-            if os.read(reply, 1) != b"\0":
-                raise HsreconError("a matching worker ended without a result")
-        return patches._fold(plan, shares + list(records[: len(pipes)]))
-
-    try:
-        if split > 1 and hasattr(os, "fork"):
-            start()
-        yield match
-    finally:
-        for fd in sum(pipes, ()):
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
+def _match(x: np.ndarray, plan: patches._MatchPlan) -> np.ndarray:
+    # patches.match_groups of the cube x on the geometry of plan, bit for
+    # bit: x is copied into fresh flat band planes, share i of the pool
+    # scans the window's row offsets dr with dr % split == i, and the
+    # shares are folded (patches._scan, _fold).
+    planes = patches._planes(check_array("cube", x, 3))
+    split = min(WORKERS, plan.wr + 1)
+    shares: list[tuple[np.ndarray, np.ndarray]] = []
+    _in_order(split, lambda i: patches._scan(planes, plan, range(i, plan.wr + 1, split)),
+              shares.append)
+    return patches._fold(plan, shares)
 
 
 def _momentum(
@@ -512,29 +407,31 @@ def _momentum(
     return f_new + ((t - 1.0) / t_next) * step, t_next
 
 
-def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -> np.ndarray:
-    """Add ``work(0)``, ..., ``work(n - 1)`` to ``total`` in that order.
+def _in_order(n: int, work: Callable[[int], Any], add: Callable[[Any], object]) -> None:
+    """Hand ``work(0)``, ..., ``work(n - 1)`` to ``add`` in that order.
 
+    The one pool of ``reconstruct``: the group step adds each chunk's band
+    into the iteration's cube, matching appends each share's kept lists.
     ``min(WORKERS, n) - 1`` threads and the calling thread each take the
     next index as they come free; where a thread cannot be started, those
-    started do its share. A result is added as soon as all before
-    it are, so ``total`` is bitwise the same for any worker count and
-    timing. No thread runs more than two indexes per thread ahead of the
-    last one added, which bounds the results held while one is late. If
-    ``work`` raises, or its result cannot be added to ``total``, no further
-    index is handed out, every thread ends, and the error of the lowest
-    failing index is raised.
+    started do its share. A result is handed over as soon as all before
+    it are, one ``add`` at a time, so what ``add`` builds is bitwise the
+    same for any worker count and timing. No thread runs more than two
+    indexes per thread ahead of the last one handed over, which bounds the
+    results held while one is late. If ``work`` or ``add`` raises, no
+    further index is handed out, every thread ends before this returns,
+    and the error of the lowest failing index is raised.
     """
     workers = min(WORKERS, n)
     window = 2 * workers
     threads: list[threading.Thread] = []
     cond = threading.Condition()
     taken = added = 0
-    done: dict[int, np.ndarray] = {}
+    done: dict[int, Any] = {}
     errors: dict[int, BaseException] = {}
 
     def run() -> None:
-        nonlocal taken, added, total
+        nonlocal taken, added
         while True:
             with cond:
                 while taken - added >= window and taken < n and not errors:
@@ -549,10 +446,10 @@ def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -
                     done[i] = part
                     i = added
                     while i in done:
-                        total += done.pop(i)
+                        add(done.pop(i))
                         i = added = i + 1
                     cond.notify_all()
-            except BaseException as e:  # work(i) failed, or adding result i did
+            except BaseException as e:  # work(i) failed, or add of result i did
                 with cond:
                     errors[i] = e
                     cond.notify_all()
@@ -573,7 +470,6 @@ def _ordered_sum(n: int, work: Callable[[int], np.ndarray], total: np.ndarray) -
             t.join()
     if errors:
         raise errors[min(errors)]
-    return total
 
 
 @functools.cache

@@ -159,7 +159,10 @@ def test_criterion_5_aggregation_exactness(rng):
         groups.append((members[-1], patches.build_group(f, members[-1], 5)))
     total, counts = patches.aggregate(groups, f.shape)
     idx = patches._voxel_indices(np.array(members), patches._block_offsets(5, f.shape), f.shape)
-    batch_total = patches._scatter(patches.gather_groups(f, np.array(members), 5), idx, f.shape)
+    lo, band = patches._scatter(patches.gather_groups(f, np.array(members), 5), idx)
+    batch_total = np.zeros(f.size)
+    batch_total[lo : lo + band.size] = band
+    batch_total = batch_total.reshape(f.shape)
     plane = patches.coverage_counts(np.array(members), 5, (20, 20))
     batch_counts = np.broadcast_to(plane, f.shape)
     cov_ok = bool(np.all(counts >= 1.0)) and np.array_equal(batch_counts, counts)

@@ -576,13 +576,24 @@ class TestBatchedGroups:
         approx = stacked + rng.standard_normal(stacked.shape)
         groups = [([tuple(m) for m in mem], approx[n]) for n, mem in enumerate(members)]
         total, counts = aggregate(groups, f.shape)
-        got = _scatter(approx, idx, f.shape)
+        got = np.zeros(f.size)
+        for lo_g in range(0, len(members), 2):  # the group step's two-group chunks
+            chunk = idx[lo_g : lo_g + 2]
+            shifted = chunk.copy()
+            lo, band = _scatter(approx[lo_g : lo_g + 2], shifted)
+            # the band spans the chunk's indices, which are shifted in place
+            assert lo == chunk.min() and lo + band.size == chunk.max() + 1
+            assert np.array_equal(shifted, chunk - lo)
+            got[lo : lo + band.size] += band
+        got = got.reshape(f.shape)
         assert np.max(np.abs(got - total)) <= 1e-12 * np.max(np.abs(total))
         plane = coverage_counts(members, 5, f.shape[:2])
         assert plane.shape == (20, 20, 1)
         assert np.array_equal(np.broadcast_to(plane, counts.shape), counts)
-        exact = _scatter(stacked, idx, f.shape)
-        np.testing.assert_allclose(exact, counts * f, rtol=1e-12)
+        lo, band = _scatter(stacked, idx.copy())
+        exact = np.zeros(f.size)
+        exact[lo : lo + band.size] = band
+        np.testing.assert_allclose(exact.reshape(f.shape), counts * f, rtol=1e-12)
 
     def test_member_out_of_range(self, rng):
         f = rng.random((6, 6, 2))

@@ -1,11 +1,10 @@
 import dataclasses
 import io
 import itertools
-import mmap
 import os
 import threading
 import time
-import warnings
+from sys import getswitchinterval, setswitchinterval
 from unittest import mock
 
 import numpy as np
@@ -811,306 +810,81 @@ class TestWorkerPool:
         )
 
     def test_output_independent_of_worker_count(self, monkeypatch):
-        # at rematch_every 1 every iteration's match is split over the forked
-        # matching workers: one at WORKERS 2, two at 3; a run that matches
-        # once (rematch_every 4 of 4 iterations) forks none
+        # at rematch_every 1 every iteration's match is split over the pool:
+        # two shares at WORKERS 2, three at 3; at rematch_every 4 of 4
+        # iterations the run matches once
         y, sys, p = self._problem()
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
-        pids = self._fork_spy(monkeypatch)
         for rematch_every in (4, 3, 1):
             p = dataclasses.replace(p, rematch_every=rematch_every)
             outputs = []
             for workers in (1, 2, 3):
                 monkeypatch.setattr(solver, "WORKERS", workers)
-                pids.clear()
-                outputs.append(self._run_in_thread(y, sys, p).tobytes())
-                assert len(pids) == (workers - 1 if rematch_every < p.max_iter else 0)
-                self._assert_reaped(pids)
+                outputs.append(reconstruct(y, sys, p).tobytes())
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    @staticmethod
-    def _fork_spy(monkeypatch):
-        # the pids of the processes os.fork starts, seen from the caller
-        fork, pids = os.fork, []
+    @pytest.mark.parametrize(
+        "error", [MemoryError("share out of memory"), KeyboardInterrupt()],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_scan_that_raises_in_a_share_is_raised_and_threads_end(self, monkeypatch, error):
+        # share 1 of the second match raises, on whichever of the pool's
+        # threads scans it: reconstruct raises that very error, and every
+        # thread it started has ended
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "WORKERS", 3)
+        scan, shares = patches._scan, []
+
+        def broken(planes, plan, drs):
+            if drs[0] == 1:
+                shares.append(drs)
+                if len(shares) == 2:
+                    raise error
+            return scan(planes, plan, drs)
+
+        monkeypatch.setattr(patches, "_scan", broken)
+        start = threading.active_count()
+        with pytest.raises(type(error)) as raised:
+            reconstruct(y, sys, p)
+        assert raised.value is error
+        assert shares == [range(1, 5, 3)] * 2
+        assert threading.active_count() == start
+
+    def test_matching_forks_no_process(self, monkeypatch):
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "WORKERS", 3)
+        forks = []
 
         def spy():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
+            forks.append(None)
+            raise OSError("no fork expected")
 
         monkeypatch.setattr(os, "fork", spy)
-        return pids
-
-    @staticmethod
-    def _assert_reaped(pids):
-        for pid in pids:
-            with pytest.raises(ChildProcessError):  # no such child: it was waited for
-                os.waitpid(pid, os.WNOHANG)
-
-    def _run_in_thread(self, y, sys, p, **kwargs):
-        # reconstruct's result or error, from a thread that must end in time
-        out = []
-
-        def call():
-            try:
-                out.append(reconstruct(y, sys, p, **kwargs))
-            except BaseException as e:
-                out.append(e)
-
-        t = threading.Thread(target=call, daemon=True)
-        t.start()
-        t.join(timeout=60)
-        assert not t.is_alive() and len(out) == 1
-        return out[0]
-
-    @pytest.mark.parametrize("failure", ["raises", "exits", "exits after a reply"])
-    def test_worker_that_ends_without_a_result_raises_and_is_reaped(self, monkeypatch, failure):
-        # a worker that dies between matches (killed during the group step,
-        # say) leaves the caller's next request to a closed pipe
-        y, sys, p = self._problem()
-        p = dataclasses.replace(p, rematch_every=1)
-        monkeypatch.setattr(solver, "WORKERS", 2)
-        pids = self._fork_spy(monkeypatch)
-        caller, scan, read, reads = os.getpid(), patches._scan, os.read, []
-
-        def broken(*args):
-            if os.getpid() != caller:
-                if failure == "exits":
-                    os._exit(3)
-                raise MemoryError("worker out of memory")
-            return scan(*args)
-
-        def read_once(fd, n):
-            if os.getpid() != caller:
-                reads.append(fd)
-                if len(reads) == 2:  # the wait for the second request
-                    os._exit(3)
-            return read(fd, n)
-
-        if failure == "exits after a reply":
-            monkeypatch.setattr(os, "read", read_once)
-        else:
-            monkeypatch.setattr(patches, "_scan", broken)
-        start = threading.active_count()
-        error = self._run_in_thread(y, sys, p)
-        assert isinstance(error, HsreconError) and "worker" in str(error)
-        assert len(pids) == 1
-        self._assert_reaped(pids)
-        assert threading.active_count() == start
-
-    @pytest.mark.parametrize("where", ["caller's share", "progress"])
-    def test_raise_in_the_caller_reaps_the_workers(self, monkeypatch, where):
-        # KeyboardInterrupt is no Exception: the workers must be reaped all the same
-        y, sys, p = self._problem()
-        p = dataclasses.replace(p, rematch_every=1)
-        monkeypatch.setattr(solver, "WORKERS", 3)
-        pids = self._fork_spy(monkeypatch)
-        caller, scan, calls = os.getpid(), patches._scan, []
-
-        def interrupted(*args):
-            calls.append(args)
-            if os.getpid() == caller and len(calls) == 2:
-                raise KeyboardInterrupt
-            return scan(*args)
-
-        def progress(it, fit, seconds):
-            if it == 2:
-                raise KeyboardInterrupt
-
-        kwargs = {}
-        if where == "progress":
-            kwargs["progress"] = progress
-        else:
-            monkeypatch.setattr(patches, "_scan", interrupted)
-        start = threading.active_count()
-        error = self._run_in_thread(y, sys, p, **kwargs)
-        assert isinstance(error, KeyboardInterrupt)
-        assert len(pids) == 2
-        self._assert_reaped(pids)
-        assert threading.active_count() == start
-
-    def test_interrupt_while_forking_reaps_the_workers_and_closes_the_pipes(self, monkeypatch):
-        # the second of two forks is interrupted: the first worker is reaped,
-        # and the pipes made for the second are closed with the first's
-        y, sys, p = self._problem()
-        p = dataclasses.replace(p, rematch_every=1)
-        monkeypatch.setattr(solver, "WORKERS", 3)
-        fork, pids, pipe, pipes = os.fork, [], os.pipe, []
-
-        def fork_once():
-            if pids:
-                raise KeyboardInterrupt
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        def pipe_spy():
-            pipes.append(pipe())
-            return pipes[-1]
-
-        monkeypatch.setattr(os, "fork", fork_once)
-        monkeypatch.setattr(os, "pipe", pipe_spy)
-        start = threading.active_count()
-        error = self._run_in_thread(y, sys, p)
-        assert isinstance(error, KeyboardInterrupt)
-        assert len(pids) == 1 and len(pipes) == 4
-        self._assert_reaped(pids)
-        for fd in itertools.chain(*pipes):
-            with pytest.raises(OSError):
-                os.fstat(fd)
-        assert threading.active_count() == start
-
-    def test_fork_warning_of_other_threads_is_not_shown(self, monkeypatch):
-        # Python 3.12+ warns at a fork in a process with other threads (an
-        # unpinned OpenBLAS pool, say); the worker is safe to fork there
-        y, sys, p = self._problem()
-        monkeypatch.setattr(solver, "WORKERS", 1)
-        expect = reconstruct(y, sys, p).tobytes()
-        fork, pids = os.fork, []
-
-        def warning_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-                warnings.warn("This process is multi-threaded, use of fork() may lead to"
-                              " deadlocks in the child.", DeprecationWarning, stacklevel=2)
-            return pid
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        monkeypatch.setattr(solver, "WORKERS", 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert reconstruct(y, sys, p).tobytes() == expect
-        assert len(pids) == 1
-        self._assert_reaped(pids)
-
-    def test_overlapping_forks_restore_the_warning_filters(self, monkeypatch):
-        # catch_warnings swaps the process-wide filter list: if call A's fork
-        # waited until call B had set its filter, and A then left first, B
-        # would restore the list A had set, with A's filter in it. The first
-        # fork waits for a second one, which then waits for the first to be
-        # done; with the forks one at a time, the first wait times out.
-        y, sys, p = self._problem()
-        p = dataclasses.replace(p, rematch_every=1)
-        monkeypatch.setattr(solver, "WORKERS", 1)
-        expect = reconstruct(y, sys, p).tobytes()
-        monkeypatch.setattr(solver, "WORKERS", 2)
-        fork, pids, calls, lock = os.fork, [], [], threading.Lock()
-        second, first_done = threading.Event(), threading.Event()
-
-        def slow_fork():
-            with lock:
-                calls.append(None)
-                first = len(calls) == 1
-            if first:
-                second.wait(timeout=1)
-            else:
-                second.set()
-                first_done.wait(timeout=10)
-                time.sleep(0.1)  # the first call leaves its catch_warnings
-            pid = fork()
-            if pid:
-                pids.append(pid)
-                first_done.set()
-            return pid
-
-        monkeypatch.setattr(os, "fork", slow_fork)
-        out = []
-        with warnings.catch_warnings():  # restores the filters if the test fails
-            before = list(warnings.filters)
-            start = threading.active_count()
-            threads = [
-                threading.Thread(target=lambda: out.append(reconstruct(y, sys, p)), daemon=True)
-                for _ in range(2)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-            assert warnings.filters == before
-        assert [o.tobytes() for o in out] == [expect, expect]
-        assert len(pids) == 2
-        self._assert_reaped(pids)
-        assert threading.active_count() == start
-
-    def test_fork_that_fails_gives_the_same_output(self, monkeypatch):
-        # no worker at all, or at WORKERS 3 only the first: the caller then
-        # scans the second worker's share as well; the same when no shared
-        # mapping or no pipe can be had (out of memory or too many open
-        # files, say)
-        y, sys, p = self._problem()
-        p = dataclasses.replace(p, rematch_every=1)
-        monkeypatch.setattr(solver, "WORKERS", 1)
-        expect = reconstruct(y, sys, p).tobytes()
-        fork, pids = os.fork, []
-
-        def fork_once():
-            if pids:
-                raise OSError(11, "Resource temporarily unavailable")
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        def fail(*args):
-            raise OSError(11, "Resource temporarily unavailable")
-
-        def pipe_once():
-            if pipes:
-                raise OSError(24, "Too many open files")
-            pipes.append(pipe())
-            return pipes[-1]
-
-        pipe, pipes = os.pipe, []
-        start = threading.active_count()
-        for spy, workers, forked in ((fail, 2, 0), (fail, 3, 0), (fork_once, 3, 1)):
-            monkeypatch.setattr(os, "fork", spy)
-            monkeypatch.setattr(solver, "WORKERS", workers)
-            pids.clear()
-            assert self._run_in_thread(y, sys, p).tobytes() == expect
-            assert len(pids) == forked
-            self._assert_reaped(pids)
-        monkeypatch.setattr(os, "fork", fork_once)
-        with monkeypatch.context() as m:
-            m.setattr(mmap, "mmap", fail)
-            m.setattr(os, "pipe", pipe_once)
-            pids.clear()
-            assert self._run_in_thread(y, sys, p).tobytes() == expect
-            assert not pids and not pipes  # nothing forked, no descriptor opened
-        monkeypatch.setattr(os, "pipe", pipe_once)  # the first worker's reply pipe fails
-        pids.clear()
-        assert self._run_in_thread(y, sys, p).tobytes() == expect
-        assert not pids
-        for fd in pipes[0]:  # closed again
-            with pytest.raises(OSError):
-                os.fstat(fd)
-        assert threading.active_count() == start
+        reconstruct(y, sys, p)
+        assert not forks
 
     def test_overlapping_calls_do_not_wait_on_each_other(self, monkeypatch):
-        # B forks its worker while A's is serving, then waits in its progress
-        # for A to return. A worker holds no pipe end of another call, so
-        # A's worker reads end of file once A's reconstruct closes its pipes
-        # on the way out, and A returns.
+        # B starts while A is in its first progress call, then waits in its
+        # own progress for A to return: two calls share no pool and hold no
+        # lock across an iteration, so A runs on and returns.
         y, sys, p = self._problem()
         p = dataclasses.replace(p, rematch_every=1)
         monkeypatch.setattr(solver, "WORKERS", 1)
         expect = reconstruct(y, sys, p).tobytes()
         monkeypatch.setattr(solver, "WORKERS", 2)
-        pids = self._fork_spy(monkeypatch)
-        a_serving, b_forked, a_done = threading.Event(), threading.Event(), threading.Event()
+        a_serving, b_started, a_done = threading.Event(), threading.Event(), threading.Event()
         out, b_saw_a_done = {}, []
 
         def a_progress(it, fit, seconds):
             if it == 1:
                 a_serving.set()
-                b_forked.wait(timeout=60)
+                b_started.wait(timeout=60)
 
         def b_progress(it, fit, seconds):
             if it == 1:
-                b_forked.set()
+                b_started.set()
                 b_saw_a_done.append(a_done.wait(timeout=20))
 
         def call(name, progress, before, after):
@@ -1136,8 +910,6 @@ class TestWorkerPool:
             assert not t.is_alive()
         assert b_saw_a_done == [True]
         assert out["a"].tobytes() == expect and out["b"].tobytes() == expect
-        assert len(pids) == 2
-        self._assert_reaped(pids)
         assert threading.active_count() == start
 
     def test_two_group_chunks_at_31_bands_independent_of_worker_count(self, monkeypatch):
@@ -1247,8 +1019,8 @@ class TestWorkerPool:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_split_match_counts_overflowing_distances(self, workers):
-        # no record carries a candidate count: the fold counts the kept
+    def test_split_match_counts_overflowing_distances(self, monkeypatch, workers):
+        # no share carries a candidate count: the fold counts the kept
         # distances below +inf, and one that overflows is among them. The
         # 2 x 2 corner's distance to every other candidate overflows, and its
         # group is its 49 window candidates, not itself 60 times.
@@ -1258,14 +1030,45 @@ class TestWorkerPool:
         grid = patches.plan_grid(8, 8, 2, 2)
         anchors = itertools.product(grid.rows, grid.cols)
         expect = [[list(m) for m in patches.match_blocks(f, a, 2, 60, 7)] for a in anchors]
-        with solver._matching(f.shape, grid, 60, 7, workers) as match:
-            for _ in range(2):
-                assert match(f).tolist() == expect
+        monkeypatch.setattr(solver, "WORKERS", workers)
+        plan = patches._match_plan(f.shape, grid, 60, 7)
+        for _ in range(2):
+            assert solver._match(f, plan).tolist() == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 12),
+        bands=st.integers(1, 3),
+        levels=st.integers(1, 4),
+        huge=st.booleans(),
+        s=st.integers(1, 4),
+        step=st.integers(1, 4),
+        k=st.integers(1, 60),
+        window=st.integers(0, 12),
+        workers=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_equals_match_groups(
+        self, rows, cols, bands, levels, huge, s, step, k, window, workers, seed
+    ):
+        # few 0.1-rounded levels tie often; a 1e200 entry makes distances
+        # overflow, which every share holds at the largest float
+        rng = np.random.default_rng(seed)
+        f = np.round(rng.integers(0, levels, (rows, cols, bands)) * 0.1, 1)
+        if huge:
+            f[rng.random(f.shape) < 0.2] = 1e200
+        s = min(s, rows, cols)
+        grid = patches.plan_grid(rows, cols, s, step)
+        with mock.patch.object(solver, "WORKERS", workers):
+            got = solver._match(f, patches._match_plan(f.shape, grid, k, window))
+        assert np.array_equal(got, patches.match_groups(f, grid, k, window))
 
     @pytest.mark.parametrize("failing", [1, 2])
     def test_helper_thread_that_cannot_start_is_left_out(self, monkeypatch, failing):
-        # at WORKERS 3 each iteration's group step starts two helper threads;
-        # the first or the second start raises, as at a thread limit, and
+        # at WORKERS 3 each iteration's group step starts two helper threads,
+        # and so does each of the two matches (iterations 1 and 4); the first
+        # or the second start of each pair raises, as at a thread limit, and
         # the threads started do the work, with the bits of WORKERS 1
         y, sys, p = self._problem()
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
@@ -1284,8 +1087,13 @@ class TestWorkerPool:
         monkeypatch.setattr(solver, "WORKERS", 3)
         start = threading.active_count()
         assert reconstruct(y, sys, p).tobytes() == expect
-        assert len(starts) == 2 * p.max_iter
+        assert len(starts) == 2 * (p.max_iter + 2)
         assert threading.active_count() == start
+
+    @staticmethod
+    def _adder(total):
+        # the group step's kind of add: each result into total, in place
+        return lambda part: np.add(total, part, out=total)
 
     def test_sum_order_fixed_under_any_timing(self, monkeypatch):
         # float addition does not associate, so any other order changes bits
@@ -1302,8 +1110,33 @@ class TestWorkerPool:
 
         for workers in (2, 3, 5):
             monkeypatch.setattr(solver, "WORKERS", workers)
-            got = solver._ordered_sum(len(parts), work, np.zeros(64))
+            got = np.zeros(64)
+            solver._in_order(len(parts), work, self._adder(got))
             assert got.tobytes() == expect.tobytes()
+
+    def test_results_handed_to_add_one_at_a_time_in_order(self, monkeypatch):
+        # more threads than CPUs and a short switch interval: an add that
+        # yields between reading the list and writing it would misplace a
+        # result if a second add ran meanwhile
+        monkeypatch.setattr(solver, "WORKERS", 6)
+        handed = []
+
+        def work(i):
+            time.sleep(0)
+            return i
+
+        def add(i):
+            n = len(handed)
+            time.sleep(0)
+            handed[n:n] = [i]
+
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            solver._in_order(300, work, add)
+        finally:
+            setswitchinterval(interval)
+        assert handed == list(range(300))
 
     def test_threads_stay_within_window_of_a_late_chunk(self, monkeypatch):
         # while chunk 0 runs, nothing is added, so at most 2 * WORKERS
@@ -1320,7 +1153,8 @@ class TestWorkerPool:
                 started_early.append(i)
             return np.full(2, float(i))
 
-        total = solver._ordered_sum(40, work, np.zeros(2))
+        total = np.zeros(2)
+        solver._in_order(40, work, self._adder(total))
         assert total.tolist() == [780.0, 780.0]
         assert started_early and max(started_early) < 6
 
@@ -1340,7 +1174,7 @@ class TestWorkerPool:
         def call():
             caller.append(threading.current_thread())
             try:
-                solver._ordered_sum(50, work, np.zeros(2))
+                solver._in_order(50, work, self._adder(np.zeros(2)))
             except DataError as e:
                 errors.append(e)
 
@@ -1363,7 +1197,7 @@ class TestWorkerPool:
 
         def call():
             try:
-                solver._ordered_sum(30, work, np.zeros(2))
+                solver._in_order(30, work, self._adder(np.zeros(2)))
             except ValueError as e:
                 errors.append(e)
 
@@ -1392,7 +1226,7 @@ class TestWorkerPool:
             return np.ones(2)
 
         with pytest.raises(DataError, match="chunk 4"):
-            solver._ordered_sum(30, work, np.zeros(2))
+            solver._in_order(30, work, self._adder(np.zeros(2)))
         assert threading.active_count() == start
         assert len(calls) <= 10  # no new chunks once a failure is seen
 
