@@ -851,6 +851,93 @@ class TestWorkerPool:
         assert shares == [range(1, 5, 3)] * 2
         assert threading.active_count() == start
 
+    @staticmethod
+    def _raised(y, sys, p, **kwargs):
+        # what reconstruct raises on a thread named "caller", which must end in time
+        out = []
+
+        def call():
+            try:
+                reconstruct(y, sys, p, **kwargs)
+            except BaseException as e:
+                out.append(e)
+
+        t = threading.Thread(target=call, name="caller", daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive() and len(out) == 1
+        return out[0]
+
+    @pytest.mark.parametrize("failure", ["raises", "exits", "exits after a reply"])
+    def test_worker_that_ends_without_a_result_raises_and_is_reaped(self, monkeypatch, failure):
+        # the workers are the pool's helper threads. One raises in its share
+        # of a match, or ends there by SystemExit (which ends a thread's
+        # target unseen), or ends so in its second chunk of a group step,
+        # after its first was returned: reconstruct raises that very error,
+        # and every helper thread has been joined
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
+        monkeypatch.setattr(solver, "WORKERS", 2)
+        error = MemoryError("worker out of memory") if failure == "raises" else SystemExit(3)
+        scan, denoise, helper_calls = patches._scan, solver._denoise, []
+
+        def on_helper():
+            thread = threading.current_thread()
+            if thread.name == "caller":
+                time.sleep(0.02)  # the helper takes the next index meanwhile
+                return False
+            helper_calls.append(thread)
+            return True
+
+        def broken_scan(*args):
+            if on_helper():
+                raise error
+            return scan(*args)
+
+        def broken_denoise(*args, **kwargs):
+            if on_helper() and helper_calls.count(threading.current_thread()) == 2:
+                raise error
+            return denoise(*args, **kwargs)
+
+        if failure == "exits after a reply":
+            monkeypatch.setattr(solver, "_denoise", broken_denoise)
+        else:
+            monkeypatch.setattr(patches, "_scan", broken_scan)
+        start = threading.active_count()
+        assert self._raised(y, sys, p) is error
+        assert helper_calls
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("where", ["caller's share", "progress"])
+    def test_raise_in_the_caller_reaps_the_workers(self, monkeypatch, where):
+        # KeyboardInterrupt is no Exception: raised in the calling thread's
+        # own share of a match, or in progress between iterations, it leaves
+        # no helper thread of the pool running
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "WORKERS", 3)
+        scan, scanned_on = patches._scan, []
+
+        def spy(*args):
+            scanned_on.append(threading.current_thread().name)
+            if scanned_on[-1] != "caller":
+                time.sleep(0.02)  # the caller takes a share meanwhile
+            elif where == "caller's share" and scanned_on.count("caller") == 2:
+                raise KeyboardInterrupt
+            return scan(*args)
+
+        def progress(it, fit, seconds):
+            if it == 2:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(patches, "_scan", spy)
+        kwargs = {"progress": progress} if where == "progress" else {}
+        start = threading.active_count()
+        assert isinstance(self._raised(y, sys, p, **kwargs), KeyboardInterrupt)
+        assert "caller" in scanned_on and set(scanned_on) - {"caller"}
+        assert threading.active_count() == start
+
     def test_matching_forks_no_process(self, monkeypatch):
         y, sys, p = self._problem()
         p = dataclasses.replace(p, rematch_every=1)
