@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import color, fileio, imaging, metrics, patches, solver, tensors
-from .errors import HsreconError, UsageError, check_array
+from .errors import HsreconError, UsageError
 
 
 def _parse_ints(text: str, name: str, form: str) -> tuple[int, ...]:
@@ -110,17 +110,10 @@ def _cmd_preview(args) -> int:
 
 def _cmd_spectrum_diag(args) -> int:
     row, col = _parse_ints(args.anchor, "anchor", "row,col")
-    cube = check_array("cube", fileio.read_cube(args.cube), 3)
-    grid = patches.PatchGrid(patch_size=args.s, rows=(row,), cols=(col,))
-    # match_groups' checks against the whole cube, in its order; then every
-    # candidate lies in the anchor's window, so only that crop is matched
-    s = patches._match_plan(cube.shape, grid, args.k, args.window).s
-    r0, c0 = max(0, row - args.window), max(0, col - args.window)
-    cube = cube[r0 : row + args.window + s, c0 : col + args.window + s]
-    grid = patches.PatchGrid(patch_size=s, rows=(row - r0,), cols=(col - c0,))
-    members = patches.match_groups(cube, grid, args.k, args.window)
-    stacked = patches.gather_groups(cube, members, s)
-    mags = np.sort(np.abs(tensors.hosvd_batch(stacked).core).ravel())[::-1]
+    cube = fileio.read_cube(args.cube)
+    members = patches.match_blocks(cube, (row, col), args.s, args.k, args.window)
+    stacked = patches.build_group(cube, members, args.s)
+    mags = np.sort(np.abs(tensors.hosvd(stacked).core).ravel())[::-1]
     lines = ["rank,magnitude"]
     lines += [f"{i},{m:.10e}" for i, m in enumerate(mags)]
     fileio.write_atomic(args.out, ("\n".join(lines) + "\n").encode())

@@ -6,26 +6,44 @@ stacked into an ``(s*s, L, k)`` tensor: ``stacked[:, lam, m]`` is the
 column-major vectorization of member ``m``'s spatial block in band
 ``lam``.
 
-The solver works on groups in batches. ``match_groups`` matches every
-anchor of a grid in one pass over the window's row offsets, each offset
-shifted differences of the cube's flat band planes, keeps each anchor's
-k nearest so far as the offsets arrive and returns a ``(g, k, 2)`` array
-of member anchors; ``solver.reconstruct`` runs its two halves itself,
-``_scan`` of a share of the row offsets and ``_fold`` of the shares, to
-split the offsets over threads. ``gather_groups`` stacks the members
-into ``(g, s*s, L, k)`` with one fancy index into the flattened cube;
-``coverage_counts`` counts the patches covering each pixel, one plane
-for all bands, from a count of the member anchors. With
-``tensors.hosvd_batch`` these are the public batched API. The group step
-of ``solver.reconstruct`` checks the members once per rematch and then
-runs private kernels per chunk:
-``_voxel_indices``, the flat indices of a chunk's voxels, and
-``_scatter``, which adds approximated groups back along them with
-``np.bincount`` into the band of the flat cube that the chunk spans;
-the tests hold both against ``build_group`` and ``aggregate``.
-``match_blocks``, ``build_group`` and ``aggregate`` do the work one group
-at a time. They are the reference path, public because the benchmark
-traces them by name.
+The public functions work one group at a time: ``match_blocks`` matches
+one anchor, ``build_group`` stacks its members and ``aggregate`` adds
+approximated groups back. ``plan_grid`` places the anchors, and
+``coverage_counts`` counts the patches covering each pixel, one plane for
+all bands, from a count of the member anchors. The group step of
+``solver.reconstruct`` checks the members once per rematch, with
+``coverage_counts``, and then runs private kernels on every anchor of the
+grid, which the tests hold against the per-group functions:
+
+- Matching, ``_match_plan``, ``_scan`` and ``_fold``, gives each anchor
+  the members of ``match_blocks`` wherever no two candidate distances tie
+  up to rounding, and bitwise where distances are exact. The cube is held
+  as flat band planes, ``(L, rows*cols)`` (``_planes``), so for each row
+  offset ``dr >= 0`` and column offset ``dc`` of the window, the
+  band-summed squared difference between every pixel and the pixel
+  ``(dr, dc)`` away is one pass over two slices of the planes, shifted by
+  ``dr*cols + dc``. Its s x s box sum at ``a`` is the distance from ``a``
+  to ``a + (dr, dc)``: each anchor's candidate at ``(dr, dc)`` and, read
+  at ``anchor - (dr, dc)``, its candidate at ``(-dr, -dc)``. Pairs that
+  wrap across a row end only reach candidates outside the plane, which
+  are masked. Distances are sums of squared differences, never
+  ``|a|^2 + |b|^2 - 2ab``, so identical patches are at distance 0 and
+  equal distances stay equal. No table of every anchor's window is built:
+  each anchor keeps its ``m = min(k, window candidates)`` smallest
+  distances so far, leftmost among equals, in candidate order. The
+  candidates seen after the offsets up to ``dr`` are window rows ``-dr``
+  to ``dr``, so the next offset's mirrored row goes before the kept list
+  and its direct row after, and the m smallest of the three are the m
+  first of a stable sort of all of them. Matching so holds two window rows
+  and m kept candidates per anchor, whatever the window. The rule holds
+  for any ascending subset of the row offsets, so ``_scan`` takes a share
+  of them, and ``_fold`` sorts the shares' kept lists by (distance,
+  candidate index) into the members; the solver splits the offsets over
+  threads.
+- The group step's gather is ``np.take`` of ``_voxel_indices``, the flat
+  indices of a chunk's voxels, and ``_scatter`` adds approximated groups
+  back along them with ``np.bincount`` into the band of the flat cube
+  that the chunk spans.
 """
 from __future__ import annotations
 
@@ -41,10 +59,8 @@ __all__ = [
     "PatchGrid",
     "plan_grid",
     "match_blocks",
-    "match_groups",
     "build_group",
     "aggregate",
-    "gather_groups",
     "coverage_counts",
 ]
 
@@ -92,7 +108,7 @@ def match_blocks(
     f = check_array("cube", f, 3)
     rows, cols, _ = f.shape
     s = check_int("patch size", s, 1, min(rows, cols))
-    k = check_int("k", k, 1)
+    k = _check_k(k, 1)
     window = check_int("window", window, 0)
     ar, ac = check_sizes("anchor", anchor, 2, 0)
     ar = check_int("anchor row", ar, 0, rows - s)
@@ -107,6 +123,14 @@ def match_blocks(
     order = np.argsort(dist, axis=None, kind="stable")
     rr, cc = np.divmod(order[np.arange(k) % order.size], dist.shape[1])
     return list(zip((rr + r0).tolist(), (cc + c0).tolist()))
+
+
+def _check_k(k, groups: int) -> int:
+    # k as an int if NumPy can size the (groups, k, 2) member anchors.
+    k = check_int("k", k, 1)
+    if groups * k * 2 * np.dtype(np.intp).itemsize > np.iinfo(np.intp).max:
+        raise UsageError(f"k={k} is too large: NumPy cannot size a ({groups}, k, 2) array")
+    return k
 
 
 def _box_sums(sq: np.ndarray, ys: np.ndarray, s: int) -> np.ndarray:
@@ -133,46 +157,10 @@ def _smallest_stable(x: np.ndarray, m: int) -> np.ndarray:
     return below | (at_v & (np.cumsum(at_v, axis=1) <= spare))
 
 
-def match_groups(f: np.ndarray, grid: PatchGrid, k: int, window: int) -> np.ndarray:
-    """:func:`match_blocks` for every anchor of ``grid`` at once.
-
-    Returns a ``(G, k, 2)`` int array whose row ``n`` is :func:`match_blocks`
-    of the ``n``-th anchor of ``itertools.product(grid.rows, grid.cols)``. The
-    cube is held as flat band planes, ``(L, rows*cols)``, so for each row
-    offset ``dr >= 0`` and column offset ``dc`` of the window, the
-    band-summed squared difference between every pixel and the pixel
-    ``(dr, dc)`` away is one pass over two contiguous slices of the planes,
-    shifted by ``dr*cols + dc``. Its s x s box sum at position ``a`` is
-    the distance from ``a`` to ``a + (dr, dc)``, which gives each anchor
-    its candidate at ``(dr, dc)`` and, read at ``anchor - (dr, dc)``, its
-    candidate at ``(-dr, -dc)``; pairs that wrap across a row end only
-    reach candidates outside the plane, which are masked. The distances
-    are sums of squared differences, never ``|a|^2 + |b|^2 - 2ab``, so
-    identical patches are at distance 0 and equal distances stay equal.
-
-    No table of every anchor's window is built. Each anchor keeps its
-    ``m = min(k, window candidates)`` smallest distances so far, leftmost
-    among equals, in candidate order: the candidates seen after row
-    offsets up to ``dr`` are window rows ``-dr`` to ``dr``, so the mirrored
-    row of the next offset goes before them and the direct row after, and
-    the m smallest of the three, leftmost among equals, are the m first
-    of a stable sort of all the anchor's candidates. Every anchor is merged
-    at every offset. The same holds for any ascending subset of the row
-    offsets, so the offsets can be scanned in shares (``_scan``), and one
-    sort of the shares' kept lists by distance, then candidate index, ends
-    the call (``_fold``): the selection holds two rows per anchor and the
-    m kept per share, whatever the window. Here one share holds every
-    offset; ``solver.reconstruct`` splits them.
-    """
-    f = check_array("cube", f, 3)
-    plan = _match_plan(f.shape, grid, k, window)
-    return _fold(plan, [_scan(_planes(f), plan, range(plan.wr + 1))])
-
-
 @dataclass(frozen=True)
 class _MatchPlan:
-    # The checked geometry of match_groups on one plane: anchor rows and
-    # columns, the window's half widths within the plane, and m.
+    # The geometry of matching every anchor of a grid on one plane: anchor
+    # rows and columns, the window's half widths within the plane, and m.
     shape: tuple[int, int, int]
     s: int
     k: int
@@ -184,16 +172,11 @@ class _MatchPlan:
 
 
 def _match_plan(shape: tuple[int, int, int], grid: PatchGrid, k: int, window: int) -> _MatchPlan:
+    # grid is plan_grid's for the plane of shape, so its anchors are in range.
     rows, cols, _ = shape
-    s = check_int("patch size", grid.patch_size, 1, min(rows, cols))
-    k = check_int("k", k, 1)
+    s, ar, ac = grid.patch_size, np.asarray(grid.rows, np.intp), np.asarray(grid.cols, np.intp)
+    k = _check_k(k, len(ar) * len(ac))
     window = check_int("window", window, 0)
-    g = len(grid.rows) * len(grid.cols)
-    if g * k * 2 * np.dtype(np.intp).itemsize > np.iinfo(np.intp).max:
-        raise UsageError(f"k={k} is too large: NumPy cannot size a ({g}, k, 2) array")
-    # Checked as Python ints: an anchor far out of range may not fit in intp.
-    ar = np.array([check_int("anchor row", a, 0, rows - s) for a in grid.rows], dtype=np.intp)
-    ac = np.array([check_int("anchor column", a, 0, cols - s) for a in grid.cols], dtype=np.intp)
     wr, wc = min(window, rows - s), min(window, cols - s)
     return _MatchPlan(tuple(shape), s, k, ar, ac, wr, wc, min(k, (2 * wr + 1) * (2 * wc + 1)))
 
@@ -208,10 +191,11 @@ def _planes(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _scan(planes: np.ndarray, plan: _MatchPlan, drs) -> tuple[np.ndarray, np.ndarray]:
-    # The share of match_groups over the window's row offsets drs, ascending:
-    # each anchor's m smallest distances over those rows, leftmost among
-    # equals, in candidate order, and their candidate indices. +inf marks a
-    # place no candidate has taken: an overflowing distance is held at top.
+    # The share of the window's row offsets drs, ascending, as the module
+    # docstring says: each anchor's m smallest distances over those rows,
+    # leftmost among equals, in candidate order, and their candidate
+    # indices. +inf marks a place no candidate has taken: an overflowing
+    # distance is held at top.
     rows, cols, _ = plan.shape
     s, ar, ac, wr, wc, m = plan.s, plan.ar, plan.ac, plan.wr, plan.wc, plan.m
     g, tc, top = len(ar) * len(ac), 2 * wc + 1, float(np.finfo(float).max)
@@ -262,11 +246,12 @@ def _scan(planes: np.ndarray, plan: _MatchPlan, drs) -> tuple[np.ndarray, np.nda
 
 
 def _fold(plan: _MatchPlan, shares) -> np.ndarray:
-    # The members of match_groups from the _scan results of shares that
-    # partition the window's row offsets, in any order. Each share keeps the
-    # m first of its candidates by (distance, candidate index), so the m
-    # first of all of them are among the shares' kept lists; the places no
-    # candidate took (+inf) sort last, and the picks cycle through the others.
+    # The (g, k, 2) members of the anchors of itertools.product(grid.rows,
+    # grid.cols) from the _scan results of shares that partition the
+    # window's row offsets, in any order. Each share keeps the m first of its
+    # candidates by (distance, candidate index), so the m first of all of
+    # them are among the shares' kept lists; the places no candidate took
+    # (+inf) sort last, and the picks cycle through the others.
     best = np.concatenate([share[0] for share in shares], axis=1)
     at = np.concatenate([share[1] for share in shares], axis=1)
     order = np.lexsort((at, best), axis=1)
@@ -383,17 +368,6 @@ def _scatter(approx: np.ndarray, idx: np.ndarray) -> tuple[int, np.ndarray]:
     lo = int(idx.min())
     idx -= lo
     return lo, np.bincount(idx.ravel(), weights=approx.ravel())
-
-
-def gather_groups(f: np.ndarray, members: np.ndarray, s: int) -> np.ndarray:
-    """Stack groups of member anchors into ``(g, s*s, L, k)`` tensors.
-
-    ``members`` is a ``(g, k, 2)`` int array; ``stacked[n]`` equals
-    ``build_group(f, members[n], s)``.
-    """
-    f = check_array("cube", f, 3, finite=False)
-    members, s = _check_members(members, s, f.shape[:2])
-    return f.ravel()[_voxel_indices(members, _block_offsets(s, f.shape), f.shape)]
 
 
 def coverage_counts(members: np.ndarray, s: int, plane: tuple[int, int]) -> np.ndarray:

@@ -16,17 +16,17 @@ and the gradient restart of O'Donoghue and Candes (2015): steps (a) and
 and the momentum scalar t, which starts at 1; x restarts at the new
 solution with t = 1 whenever the last step went against the momentum.
 
-Step (a) matches every anchor at once, as ``patches.match_groups`` does,
-with the window's row offsets split into min(WORKERS, row offsets)
-shares, dr going to share dr mod that count. The shares run on the group
-step's pool (``_in_order``, below) and are folded by (distance, candidate
-index), which gives ``match_groups``' members bit for bit for any split
-(``patches._scan``, ``_fold``). Matching is a long run of short NumPy
-calls, each taking the GIL, so its threads convoy on it: on the
-benchmark's ``rematch_dcchi``, which matches every iteration, a run took
-about 11% longer than with the shares on forked processes (medians of
-four sets of 10 alternating runs read 1-16%), and 20-24% longer with
-matching on the calling thread alone (2 CPUs, one BLAS thread). No
+Step (a) matches every anchor at once, with the window's row offsets
+split into min(WORKERS, row offsets) shares, dr going to share dr mod that
+count. The shares run on the group step's pool (``_in_order``, below) and
+are folded by (distance, candidate index), which gives the same members
+bit for bit for any split (``patches._scan``, ``_fold``). Matching is a
+long run of short NumPy calls, each taking the GIL, so its threads convoy
+on it: on the benchmark's ``rematch_dcchi``, which matches every
+iteration, a run took about 11% longer than with the shares on forked
+processes (medians of four sets of 10 alternating runs read 1-16%), and
+7-9% less time than with matching on the calling thread alone (medians of
+two sets of 6 alternating in-process runs; 2 CPUs, one BLAS thread). No
 thread outlives the call.
 
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
@@ -380,10 +380,10 @@ def reconstruct(
 
 
 def _match(x: np.ndarray, plan: patches._MatchPlan) -> np.ndarray:
-    # patches.match_groups of the cube x on the geometry of plan, bit for
-    # bit: x is copied into fresh flat band planes, share i of the pool
-    # scans the window's row offsets dr with dr % split == i, and the
-    # shares are folded (patches._scan, _fold).
+    # The (g, k, 2) members of the cube x on the geometry of plan, the same
+    # bits for any WORKERS: x is copied into fresh flat band planes, share i
+    # of the pool scans the window's row offsets dr with dr % split == i,
+    # and the shares are folded (patches._scan, _fold).
     planes = patches._planes(check_array("cube", x, 3))
     split = min(WORKERS, plan.wr + 1)
     shares: list[tuple[np.ndarray, np.ndarray]] = []

@@ -4,15 +4,13 @@ A tensor is a C-contiguous ``float64`` ndarray of shape ``(d1, d2, d3)``
 (mode-1 index slowest). Modes are numbered 1..3 throughout, matching the
 usual multilinear-algebra convention.
 
-``hosvd_batch`` is the HOSVD of a stack of equally shaped tensors
-``(g, d1, d2, d3)``, with batched matrix products and one batched
-symmetric eigensolve per mode. The solver's group step runs its private
-kernels: ``_hosvd``, which computes the leading core block that a rule on
-the eigenvalues picks, and ``_mode_products_batch``, which rebuilds the
-groups; the tests hold each against the per-tensor ``hosvd`` and
-``tucker_reconstruct``. Those two, with ``unfold``, ``fold`` and
-``mode_n_product``, are the reference path, public because the benchmark
-traces them by name.
+The public functions work on one tensor. The solver's group step runs
+private kernels on a stack of equally shaped tensors ``(g, d1, d2, d3)``:
+``_hosvd``, the HOSVD from batched matrix products and one batched
+symmetric eigensolve per mode, which computes only the leading core block
+that a rule on the eigenvalues picks, and ``_mode_products_batch``, which
+rebuilds the groups. The tests hold each against ``hosvd`` and
+``tucker_reconstruct``.
 
 ``_mode_products_batch`` applies the three mode products in the order with
 the fewest multiplies, worked out from the shapes alone (Kolda and Bader,
@@ -23,13 +21,12 @@ factors (every full-rank HOSVD of a group whose modes each fit in the
 product of the other two) give that order's bits.
 
 Each factor column of an HOSVD is unique only up to sign, and neither
-fixes it: ``hosvd`` keeps the signs of LAPACK's ``svd``, ``hosvd_batch``
-those of its ``eigh``. Flipping
-column ``j`` of ``U_n`` negates exactly the core slice ``j`` along mode
-``n`` (IEEE rounding is sign-symmetric). The solver reads only core
+fixes it: ``hosvd`` keeps the signs of LAPACK's ``svd``, ``_hosvd`` those
+of its ``eigh``. Flipping column ``j`` of ``U_n`` negates exactly the core
+slice ``j`` along mode ``n`` (IEEE rounding is sign-symmetric). The solver reads only core
 magnitudes, shrinks with an odd soft threshold and rebuilds the group from
-factors and core, where the two negations cancel; ``spectrum-diag`` prints
-sorted magnitudes. Both are bitwise the same for any signs.
+factors and core, where the two negations cancel, so it is bitwise the
+same for any signs; so are ``spectrum-diag``'s sorted magnitudes.
 
 Unfolding layout contract: for mode ``n`` the columns of the unfolding are
 the mode-``n`` fibers, ordered cyclically over the remaining modes
@@ -53,7 +50,6 @@ __all__ = [
     "mode_n_product",
     "hosvd",
     "tucker_reconstruct",
-    "hosvd_batch",
 ]
 
 
@@ -166,13 +162,17 @@ def _mode_products_batch(t: np.ndarray, mats, out: np.ndarray | None = None) -> 
 
 
 def _hosvd(t: np.ndarray, widths) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    # hosvd_batch's core and factors for a checked stack, factor U_n cut to
-    # its leading r_n columns and the core to that block, (r1, r2, r3) =
-    # widths(lams): lams[n-1] holds the (g, f_n) eigenvalues of the mode-n
-    # Gram matrices, sigma_j^2 in descending order, f_n = min(d_n, d1*d2*d3
-    # / d_n) the reduced SVD's width, and r_n is 0 up to f_n. The factors
-    # are the full ones' leading columns, bit for bit, and the block is the
-    # full core's up to rounding.
+    # The HOSVD of each tensor of a finite (g, d1, d2, d3) stack with
+    # non-empty modes: factor U_n of tensor i, factors[n-1][i], holds the
+    # eigenvectors of its mode-n Gram matrix in descending eigenvalue order,
+    # with the signs LAPACK returns, cut to the leading r_n columns, and the
+    # core is cut to that block. (r1, r2, r3) = widths(lams): lams[n-1] holds
+    # the (g, f_n) eigenvalues of the mode-n Gram matrices, sigma_j^2 in
+    # descending order, f_n = min(d_n, d1*d2*d3 / d_n) the reduced SVD's
+    # width, and r_n is 0 up to f_n. At full width this is hosvd up to
+    # rounding, column signs and the basis of repeated singular values. The
+    # cut factors are the full ones' leading columns, bit for bit, and the
+    # block is the full core's up to rounding.
     g, d1, d2, d3 = t.shape
     m1 = t.reshape(g, d1, d2 * d3)
     m3 = t.reshape(g, d1 * d2, d3)
@@ -188,20 +188,3 @@ def _hosvd(t: np.ndarray, widths) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     factors = [np.ascontiguousarray(u[..., ::-1][..., :r]) for u, r in zip(us, ranks)]
     core = _mode_products_batch(t, [u.transpose(0, 2, 1) for u in factors])
     return core, (factors[0], factors[1], factors[2])
-
-
-def hosvd_batch(t: np.ndarray) -> TuckerFactors:
-    """HOSVD of every tensor in a ``(g, d1, d2, d3)`` stack.
-
-    Factor ``U_n`` of tensor ``i`` is ``factors[n-1][i]``: the leading
-    eigenvectors of the mode-``n`` Gram matrix, in descending eigenvalue
-    order, truncated to ``min(d_n, d1*d2*d3 / d_n)`` columns (the width of
-    the reduced SVD), with the column signs LAPACK returns. The core has
-    shape ``(g, r1, r2, r3)``. Per tensor this equals :func:`hosvd` up to
-    rounding, the sign of each factor column and its core slice, and the
-    choice of basis for repeated singular values.
-    """
-    t = check_array("tensor stack", t, 4)
-    if 0 in t.shape[1:]:  # an empty stack is fine
-        raise DimensionError(f"tensor modes must be non-empty, got shape {t.shape}")
-    return TuckerFactors(*_hosvd(t, lambda lams: [lam.shape[1] for lam in lams]))

@@ -27,6 +27,7 @@ with a negative, a float and a bool first entry, which must raise
 ``UsageError``.
 """
 import dataclasses
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -47,11 +48,19 @@ from hsrecon.errors import (
     check_sizes,
 )
 
+
+def _members(cube):
+    """Every group of the cube's stride-3 grid (s 3, k 4, window 2), as (g, k, 2)."""
+    grid = patches.plan_grid(cube.shape[0], cube.shape[1], 3, 3)
+    anchors = itertools.product(grid.rows, grid.cols)
+    return np.array([patches.match_blocks(cube, a, 3, 4, 2) for a in anchors])
+
+
 ROWS, COLS, BANDS = 10, 10, 3
 CUBE = make_smooth_cube(ROWS, COLS, BANDS, seed=3)
 MASK = imaging.generate_mask(ROWS, COLS, 0.5, 1)
 SYS = imaging.SystemModel(MASK, BANDS)
-MEMBERS = patches.match_groups(CUBE, patches.plan_grid(ROWS, COLS, 3, 3), 4, 2)
+MEMBERS = _members(CUBE)
 TENSOR = CUBE[:3, :4, :]
 ONE = np.ones((2, 2, 2))
 
@@ -75,17 +84,6 @@ _TABLE = {
     "match_blocks.s": (lambda v: patches.match_blocks(CUBE, (0, 0), v, 4, 2), min(ROWS, COLS)),
     "match_blocks.k": (lambda v: patches.match_blocks(CUBE, (0, 0), 3, v, 2), None),
     "match_blocks.window": (lambda v: patches.match_blocks(CUBE, (0, 0), 3, 4, v), None),
-    "match_groups.s": (
-        lambda v: patches.match_groups(CUBE, patches.PatchGrid(v, (0,), (0,)), 4, 2),
-        min(ROWS, COLS),
-    ),
-    "match_groups.k": (
-        lambda v: patches.match_groups(CUBE, patches.plan_grid(ROWS, COLS, 3, 3), v, 2), None
-    ),
-    "match_groups.window": (
-        lambda v: patches.match_groups(CUBE, patches.plan_grid(ROWS, COLS, 3, 3), 4, v), None
-    ),
-    "gather_groups.s": (lambda v: patches.gather_groups(CUBE, MEMBERS, v), min(ROWS, COLS)),
     "coverage_counts.s": (
         lambda v: patches.coverage_counts(MEMBERS, v, (ROWS, COLS)), min(ROWS, COLS)
     ),
@@ -119,12 +117,11 @@ A_MASK = imaging.generate_mask(12, 12, 0.5, 1)
 A_SYS = imaging.SystemModel(A_MASK, 3, imaging.DCCHI)
 A_MEAS = imaging.forward(A_CUBE, A_SYS)
 A_FAC = imaging.ridge_factor(A_SYS, 1.0)
-A_MEMBERS = patches.match_groups(A_CUBE, patches.plan_grid(12, 12, 3, 3), 4, 2)
-A_STACK = patches.gather_groups(A_CUBE, A_MEMBERS[:2], 3)
+A_MEMBERS = _members(A_CUBE)
+A_GROUP = patches.build_group(A_CUBE, A_MEMBERS[0].tolist(), 3)
 A_PARAMS = solver.SolverParams(s=3, step=3, k=4, window=2, max_iter=2, rematch_every=1)
-A_CORE = tensors.hosvd_batch(A_STACK).core[0]
-A_GROUP = A_STACK[0]
 A_TF = tensors.hosvd(A_GROUP)
+A_CORE = A_TF.core
 A_GROUP_MAG = solver.denoise_group(A_GROUP, None, A_PARAMS)[1]
 A_WL = np.array([450.0, 550.0, 650.0])
 
@@ -189,21 +186,15 @@ _ARRAYS = {
     "fold.m": (lambda v: tensors.fold(v, 2, A_CORE.shape), tensors.unfold(A_CORE, 2)),
     "mode_n_product.t": (lambda v: tensors.mode_n_product(v, np.eye(3), 2), A_CORE),
     "mode_n_product.a": (lambda v: tensors.mode_n_product(A_CORE, v, 2), np.eye(3)),
-    "hosvd.t": (tensors.hosvd, A_STACK[0]),
-    "hosvd_batch.t": (tensors.hosvd_batch, A_STACK),
+    "hosvd.t": (tensors.hosvd, A_GROUP),
     "tucker_reconstruct.core": (
         lambda v: tensors.tucker_reconstruct(tensors.TuckerFactors(v, A_TF.factors)), A_TF.core
     ),
     "match_blocks.f": (lambda v: patches.match_blocks(v, (0, 0), 3, 4, 2), A_CUBE),
-    "match_groups.f": (
-        lambda v: patches.match_groups(v, patches.plan_grid(12, 12, 3, 3), 4, 2), A_CUBE
-    ),
     "build_group.f": (lambda v: patches.build_group(v, [(0, 0), (3, 6)], 3), A_CUBE),
     "aggregate.approx": (
         lambda v: patches.aggregate([(A_MEMBERS[0].tolist(), v)], A_CUBE.shape), A_GROUP
     ),
-    "gather_groups.f": (lambda v: patches.gather_groups(v, A_MEMBERS, 3), A_CUBE),
-    "gather_groups.members": (lambda v: patches.gather_groups(A_CUBE, v, 3), A_MEMBERS),
     "coverage_counts.members": (lambda v: patches.coverage_counts(v, 3, A_CUBE.shape[:2]),
                                 A_MEMBERS),
     "rgb_preview.f": (lambda v: color.rgb_preview(v, A_WL), A_CUBE),

@@ -21,9 +21,7 @@ from hsrecon.patches import (
     aggregate,
     build_group,
     coverage_counts,
-    gather_groups,
     match_blocks,
-    match_groups,
     plan_grid,
 )
 
@@ -97,7 +95,7 @@ class TestMatchBlocks:
         with pytest.raises(UsageError):
             match_blocks(np.zeros((8, 8, 2)), (7, 0), 3, 2, 2)
 
-    def test_rejects_what_match_groups_rejects(self):
+    def test_rejects_bad_cubes_and_anchors(self):
         with pytest.raises(DimensionError):
             match_blocks(np.zeros((8, 8)), (0, 0), 3, 2, 2)
         for anchor in [(1.5, 0), (0, 2.0), (np.nan, 0), (True, 0)]:
@@ -110,6 +108,13 @@ class TestMatchBlocks:
         f[4, 4, 1] = np.nan
         with pytest.raises(DataError):
             match_blocks(f, (0, 0), 3, 2, 2)
+
+    # (2**62, 2) intp member anchors are 2**66 bytes, past NumPy's limit; 10**12
+    # is sized (7.28 TiB) and left to the allocator
+    @pytest.mark.parametrize("k", [2**62, 10**20])
+    def test_k_numpy_cannot_size_is_a_usage_error(self, k):
+        with pytest.raises(UsageError, match=f"k={k} is too large"):
+            match_blocks(np.zeros((8, 8, 2)), (3, 3), 3, k, 3)
 
     def test_deterministic(self, rng):
         f = rng.random((12, 12, 3))
@@ -131,6 +136,12 @@ class TestMatchBlocks:
 def _stacked_match_blocks(f, grid, s, k, window):
     anchors = itertools.product(grid.rows, grid.cols)
     return np.array([match_blocks(f, a, s, k, window) for a in anchors], dtype=np.intp)
+
+
+def _match_all(f, grid, k, window):
+    # every anchor of grid matched at once: one _scan of every row offset, folded
+    plan = _match_plan(f.shape, grid, k, window)
+    return _fold(plan, [_scan(_planes(f), plan, range(plan.wr + 1))])
 
 
 @st.composite
@@ -156,7 +167,7 @@ def _quarter_cubes(draw, max_row_period=None, huge=False):
     return cube[:rows, :cols]
 
 
-class TestMatchGroups:
+class TestMatchAll:
     @settings(max_examples=150, deadline=None)
     @given(
         f=_quarter_cubes(huge=True),
@@ -168,7 +179,7 @@ class TestMatchGroups:
     def test_equals_match_blocks_on_exact_distances(self, f, s, step, k, window):
         s = min(s, f.shape[0], f.shape[1])
         grid = plan_grid(f.shape[0], f.shape[1], s, step)
-        got = match_groups(f, grid, k, window)
+        got = _match_all(f, grid, k, window)
         assert got.dtype == np.intp
         assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
 
@@ -189,7 +200,7 @@ class TestMatchGroups:
         s = min(s, f.shape[0], f.shape[1])
         k = max(1, (2 * window + 1) ** 2 + extra)
         grid = plan_grid(f.shape[0], f.shape[1], s, step)
-        got = match_groups(f, grid, k, window)
+        got = _match_all(f, grid, k, window)
         assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
 
     def test_peak_memory_below_the_window_table(self, rng):
@@ -201,7 +212,7 @@ class TestMatchGroups:
         g, window = len(grid.rows) * len(grid.cols), 12
         tracemalloc.start()
         try:
-            match_groups(f, grid, 8, window)
+            _match_all(f, grid, 8, window)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -220,7 +231,7 @@ class TestMatchGroups:
     def test_equals_match_blocks_real_valued(self, rng, shape, s, step, k, window):
         f = rng.random(shape)
         grid = plan_grid(shape[0], shape[1], s, step)
-        got = match_groups(f, grid, k, window)
+        got = _match_all(f, grid, k, window)
         assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
 
     def test_identical_patches_at_distance_zero(self, rng):
@@ -228,7 +239,7 @@ class TestMatchGroups:
         f = rng.random((10, 10, 3))
         f[6 : 6 + 3, 1 : 1 + 3, :] = f[1 : 1 + 3, 2 : 2 + 3, :]
         grid = PatchGrid(patch_size=3, rows=(1, 6), cols=(1, 2))
-        got = match_groups(f, grid, 2, 7)
+        got = _match_all(f, grid, 2, 7)
         assert got[1].tolist() == [[1, 2], [6, 1]]
         assert got[2].tolist() == [[6, 1], [1, 2]]
 
@@ -238,7 +249,7 @@ class TestMatchGroups:
         # candidates also repeats the selection cyclically.
         f = rng.integers(0, 3, (7, 19, 3)) / 4.0
         grid = plan_grid(7, 19, 2, 1)
-        got = match_groups(f, grid, 120, 30)
+        got = _match_all(f, grid, 120, 30)
         assert np.array_equal(got, _stacked_match_blocks(f, grid, 2, 120, 30))
 
     @pytest.mark.parametrize("tiled", [False, True], ids=["constant", "tiled"])
@@ -255,7 +266,7 @@ class TestMatchGroups:
     def test_equals_match_blocks_on_tie_heavy_cubes(
         self, tiled, shape, s, step, k, window, grid_shape
     ):
-        # match_groups selects one anchor row at a time; ties must still
+        # matching selects one anchor row at a time; ties must still
         # break as in match_blocks, anchor by anchor
         rows, cols, bands = shape
         if tiled:  # one s x s patch repeated over the plane
@@ -265,7 +276,7 @@ class TestMatchGroups:
             f = np.full(shape, 0.5)
         grid = plan_grid(rows, cols, s, step)
         assert (len(grid.rows), len(grid.cols)) == grid_shape
-        got = match_groups(f, grid, k, window)
+        got = _match_all(f, grid, k, window)
         expect = _stacked_match_blocks(f, grid, s, k, window)
         for n, anchor in enumerate(itertools.product(grid.rows, grid.cols)):
             assert got[n].tolist() == expect[n].tolist(), anchor
@@ -274,26 +285,11 @@ class TestMatchGroups:
     @pytest.mark.parametrize("k, window", [(0, 2), (-1, 2), (2, -1), (2**55, 2), (10**20, 2)])
     def test_rejects_bad_k_and_window(self, k, window):
         with pytest.raises(UsageError):
-            match_groups(np.zeros((8, 8, 2)), plan_grid(8, 8, 3, 2), k, window)
-
-    def test_rejects_bad_grid_and_cube(self):
-        f = np.zeros((8, 8, 2))
-        # 10**30 and -10**30 do not fit in intp; a fractional anchor must not truncate
-        for rows in ((0, 6), (10**30,), (-(10**30),), (1.5,), (True,), (np.float64(2.0),)):
-            with pytest.raises(UsageError):
-                match_groups(f, PatchGrid(3, rows=rows, cols=(0,)), 2, 2)
-        for s in (9, 0, -2):
-            with pytest.raises(UsageError, match="patch size"):
-                match_groups(f, PatchGrid(s, rows=(0,), cols=(0,)), 2, 2)
-        with pytest.raises(DimensionError):
-            match_groups(np.zeros((8, 8)), plan_grid(8, 8, 3, 2), 2, 2)
-        f[4, 4, 1] = np.nan
-        with pytest.raises(DataError):
-            match_groups(f, plan_grid(8, 8, 3, 2), 2, 2)
+            _match_plan((8, 8, 2), plan_grid(8, 8, 3, 2), k, window)
 
 
 def _fold_of_shares(f, grid, k, window, share_of):
-    # match_groups through one _scan per share, the row offset dr going to
+    # _match_all through one _scan per share, the row offset dr going to
     # share share_of(dr, n_offsets), and the shares folded last first
     plan = _match_plan(f.shape, grid, k, window)
     offsets = range(plan.wr + 1)
@@ -328,7 +324,7 @@ class TestFold:
         window=st.integers(0, 16),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_any_partition_of_row_offsets_folds_to_match_groups(
+    def test_any_partition_of_row_offsets_folds_to_one_share(
         self, data, rows, cols, bands, levels, s, step, k, window, seed
     ):
         # 0.1-rounded values: few distinct levels, so distances tie often,
@@ -348,7 +344,7 @@ class TestFold:
         }[kind]
         got = _fold_of_shares(f, grid, k, window, share_of)
         assert got.dtype == np.intp
-        assert np.array_equal(got, match_groups(f, grid, k, window))
+        assert np.array_equal(got, _match_all(f, grid, k, window))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -386,16 +382,16 @@ class TestFold:
         ],
         ids=["window-0", "window-wider-than-plane", "rematch-size", "k-past-candidates"],
     )
-    def test_named_cases_fold_to_match_groups(self, shape, s, step, k, window, split, count):
+    def test_named_cases_fold_to_one_share(self, shape, s, step, k, window, split, count):
         f = np.round(np.random.default_rng(11).random(shape), 1)
         grid = plan_grid(shape[0], shape[1], s, step)
         got = _fold_of_shares(f, grid, k, window, split(count))
-        assert np.array_equal(got, match_groups(f, grid, k, window))
+        assert np.array_equal(got, _match_all(f, grid, k, window))
 
 
 @st.composite
 def _tied_rows(draw):
-    # Distance rows as match_groups builds them: few distinct values, +inf
+    # Distance rows as _scan builds them: few distinct values, +inf
     # for candidates outside the plane and -1 at the anchor's own slot.
     n = draw(st.integers(1, 24))
     values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, np.inf]), st.floats(0.0, 4.0))
@@ -555,11 +551,18 @@ def _matched(f, s, k, window, step):
     return _stacked_match_blocks(f, plan_grid(f.shape[0], f.shape[1], s, step), s, k, window)
 
 
+def _built(f, members, s):
+    # build_group of every group of a (g, k, 2) member array, stacked
+    return np.stack([build_group(f, [tuple(m) for m in mem], s) for mem in members])
+
+
 class TestBatchedGroups:
     def test_gather_is_build_group_bitwise(self, rng):
+        # the group step's gather, np.take along _voxel_indices
         f = rng.random((13, 11, 3))
         members = _matched(f, 4, 7, 3, 3)
-        stacked = gather_groups(f, members, 4)
+        idx = _voxel_indices(members, _block_offsets(4, f.shape), f.shape)
+        stacked = np.take(f.ravel(), idx)
         assert stacked.shape == (len(members), 16, 3, 7)
         for n, mem in enumerate(members):
             expect = build_group(f, [tuple(m) for m in mem], 4)
@@ -570,7 +573,7 @@ class TestBatchedGroups:
         # group step's kernels, with perturbed approximations
         f = rng.random((20, 20, 4))
         members = _matched(f, 5, 6, 4, 4)
-        stacked = gather_groups(f, members, 5)
+        stacked = _built(f, members, 5)
         idx = _voxel_indices(members, _block_offsets(5, f.shape), f.shape)
         assert f.ravel()[idx].tobytes() == stacked.tobytes()
         approx = stacked + rng.standard_normal(stacked.shape)
@@ -595,36 +598,26 @@ class TestBatchedGroups:
         exact[lo : lo + band.size] = band
         np.testing.assert_allclose(exact.reshape(f.shape), counts * f, rtol=1e-12)
 
-    def test_member_out_of_range(self, rng):
-        f = rng.random((6, 6, 2))
+    def test_member_out_of_range(self):
         with pytest.raises(UsageError):
-            gather_groups(f, np.array([[[0, 0], [3, 0]]]), 4)
+            coverage_counts(np.array([[[0, 0], [3, 0]]]), 4, (6, 6))
         with pytest.raises(DimensionError):
-            gather_groups(f, np.array([[0, 0]]), 4)
+            coverage_counts(np.array([[0, 0]]), 4, (6, 6))
 
-    def test_member_anchors_must_be_integers(self, rng):
+    def test_member_anchors_must_be_integers(self):
         # a float anchor used to be truncated to another patch's
-        f = rng.random((6, 6, 2))
         bad = np.full((1, 2, 2), 1.5), np.full((1, 2, 2), np.nan), np.ones((1, 2, 2), bool)
         for members in bad:
             with pytest.raises(UsageError, match="integer"):
-                gather_groups(f, members, 3)
-            with pytest.raises(UsageError, match="integer"):
-                coverage_counts(members, 3, f.shape[:2])
-        stacked = gather_groups(f, np.array([[[0, 0], [1, 1]]], np.uint8), 3)
-        assert stacked.tobytes() == gather_groups(f, np.array([[[0, 0], [1, 1]]]), 3).tobytes()
+                coverage_counts(members, 3, (6, 6))
+        members = np.array([[[0, 0], [1, 1]]])
+        counts = coverage_counts(members.astype(np.uint8), 3, (6, 6))
+        assert counts.tobytes() == coverage_counts(members, 3, (6, 6)).tobytes()
 
-    def test_member_lists_must_not_be_ragged(self, rng):
-        f = rng.random((6, 6, 2))
+    def test_member_lists_must_not_be_ragged(self):
         ragged = [[[0, 0], [1, 1]], [[0, 0]]]
         with pytest.raises(UsageError, match="integer array"):
-            gather_groups(f, ragged, 3)
-        with pytest.raises(UsageError, match="integer array"):
-            coverage_counts(ragged, 3, f.shape[:2])
-
-    def test_gather_rejects_a_plane(self):
-        with pytest.raises(DimensionError, match="3-D"):
-            gather_groups(np.ones((4, 4)), np.zeros((1, 1, 2), int), 2)
+            coverage_counts(ragged, 3, (6, 6))
 
     # An 8x8 plane with one group: a plane is two counts.
     @pytest.mark.parametrize("plane, error", [

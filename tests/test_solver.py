@@ -317,9 +317,11 @@ def _block(kept) -> np.ndarray:
 def _smooth_groups(seed: int, noise: float = 0.0) -> np.ndarray:
     """Four (25, 8, 20) groups of a smooth cube, whose shrunk cores crop."""
     f = make_smooth_cube(24, 24, 8, seed=5)
-    members = patches.match_groups(f, patches.plan_grid(24, 24, 5, 4), 20, 6)
+    grid = patches.plan_grid(24, 24, 5, 4)
+    anchors = list(itertools.product(grid.rows, grid.cols))[4 * seed : 4 * seed + 4]
+    members = [patches.match_blocks(f, a, 5, 20, 6) for a in anchors]
     f = f + noise * np.random.default_rng(seed).standard_normal(f.shape)
-    return patches.gather_groups(f, members[4 * seed : 4 * seed + 4], 5)
+    return np.stack([patches.build_group(f, m, 5) for m in members])
 
 
 def _padded(mag: np.ndarray, shape) -> np.ndarray:
@@ -1133,11 +1135,10 @@ class TestWorkerPool:
         step=st.integers(1, 4),
         k=st.integers(1, 60),
         window=st.integers(0, 12),
-        workers=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_match_equals_match_groups(
-        self, rows, cols, bands, levels, huge, s, step, k, window, workers, seed
+    def test_match_is_the_same_for_any_worker_count(
+        self, rows, cols, bands, levels, huge, s, step, k, window, seed
     ):
         # few 0.1-rounded levels tie often; a 1e200 entry makes distances
         # overflow, which every share holds at the largest float
@@ -1146,10 +1147,12 @@ class TestWorkerPool:
         if huge:
             f[rng.random(f.shape) < 0.2] = 1e200
         s = min(s, rows, cols)
-        grid = patches.plan_grid(rows, cols, s, step)
-        with mock.patch.object(solver, "WORKERS", workers):
-            got = solver._match(f, patches._match_plan(f.shape, grid, k, window))
-        assert np.array_equal(got, patches.match_groups(f, grid, k, window))
+        plan = patches._match_plan(f.shape, patches.plan_grid(rows, cols, s, step), k, window)
+        got = {}
+        for workers in (1, 2, 3):
+            with mock.patch.object(solver, "WORKERS", workers):
+                got[workers] = solver._match(f, plan)
+        assert np.array_equal(got[2], got[1]) and np.array_equal(got[3], got[1])
 
     @pytest.mark.parametrize("failing", [1, 2])
     def test_helper_thread_that_cannot_start_is_left_out(self, monkeypatch, failing):

@@ -11,7 +11,6 @@ from hsrecon.tensors import (
     TuckerFactors,
     fold,
     hosvd,
-    hosvd_batch,
     mode_n_product,
     tucker_reconstruct,
     unfold,
@@ -222,15 +221,20 @@ def test_mode_n_product_composition(rng):
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
+def _full_hosvd(stack):
+    """The group step's HOSVD kernel at the full widths of the reduced SVD."""
+    return TuckerFactors(*tensors._hosvd(stack, lambda lams: [lam.shape[1] for lam in lams]))
+
+
 def _assert_batch_matches_hosvd(stack):
-    """hosvd_batch against per-tensor hosvd: core, reconstruction, factors.
+    """The batched HOSVD kernel against per-tensor hosvd: core, reconstruction, factors.
 
     The reconstruction is the group step's rebuild kernel,
-    ``_mode_products_batch``. hosvd_batch keeps LAPACK's column signs, so
+    ``_mode_products_batch``. ``_hosvd`` keeps LAPACK's column signs, so
     each core slice is first given the sign that aligns its factor column
     with hosvd's.
     """
-    tf = hosvd_batch(stack)
+    tf = _full_hosvd(stack)
     rec = tensors._mode_products_batch(tf.core, tf.factors)
     for i, t in enumerate(stack):
         ref = hosvd(t)
@@ -252,38 +256,27 @@ def _assert_batch_matches_hosvd(stack):
 @pytest.mark.parametrize(
     "shape", [(25, 8, 20), (25, 1, 45), (1, 8, 20), (9, 2, 30), (4, 5, 3), (1, 1, 1)]
 )
-def test_hosvd_batch_matches_hosvd(rng, shape):
+def test_hosvd_kernel_matches_hosvd(rng, shape):
     _assert_batch_matches_hosvd(rng.standard_normal((5,) + shape))
 
 
-def test_hosvd_batch_zero_and_rank_one_groups(rng):
+def test_hosvd_kernel_zero_and_rank_one_groups(rng):
     a, b, c = rng.random(9), rng.random(4), rng.random(12)
     stack = np.stack([np.zeros((9, 4, 12)), np.einsum("i,j,k->ijk", a, b, c)])
     _assert_batch_matches_hosvd(stack)
-    assert not np.any(hosvd_batch(stack[:1]).core)
+    assert not np.any(_full_hosvd(stack[:1]).core)
 
 
 @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0, 4), (3, 4, 0)])
 def test_hosvd_rejects_zero_length_mode(shape):
     with pytest.raises(DimensionError):
         hosvd(np.zeros(shape))
-    with pytest.raises(DimensionError):
-        hosvd_batch(np.zeros((2,) + shape))
 
 
-def test_hosvd_batch_empty_stack():
-    tf = hosvd_batch(np.zeros((0, 3, 2, 4)))
+def test_hosvd_kernel_empty_stack():
+    tf = _full_hosvd(np.zeros((0, 3, 2, 4)))
     assert tf.core.shape == (0, 3, 2, 4)
     assert [u.shape for u in tf.factors] == [(0, 3, 3), (0, 2, 2), (0, 4, 4)]
-
-
-def test_hosvd_batch_rejects_non_finite_and_bad_ndim():
-    t = np.zeros((2, 2, 2, 2))
-    t[1, 0, 0, 0] = np.inf
-    with pytest.raises(DataError):
-        hosvd_batch(t)
-    with pytest.raises(DimensionError):
-        hosvd_batch(np.zeros((2, 2, 2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,7 +286,7 @@ def test_hosvd_batch_rejects_non_finite_and_bad_ndim():
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_hosvd_batch_round_trip_property(dims, seed):
+def test_hosvd_kernel_round_trip_property(dims, seed):
     d1, d2, d3, g = dims
     stack = np.random.default_rng(seed).standard_normal((g, d1, d2, d3))
     _assert_batch_matches_hosvd(stack)
@@ -323,7 +316,7 @@ def test_hosvd_kernel_ranks_keep_the_leading_block(dims, low_rank, data):
         data.draw(st.integers(0, r), label=f"r{n}")
         for n, r in enumerate(_full_ranks((d1, d2, d3)), start=1)
     )
-    full = TuckerFactors(*tensors._hosvd(stack, lambda lams: [lam.shape[1] for lam in lams]))
+    full = _full_hosvd(stack)
     part = TuckerFactors(*tensors._hosvd(stack, lambda lams: ranks))
     for u, v, r in zip(part.factors, full.factors, ranks):
         assert u.shape == (g, v.shape[1], r)
@@ -335,7 +328,7 @@ def test_hosvd_kernel_ranks_keep_the_leading_block(dims, low_rank, data):
 
 def test_hosvd_kernel_ranks_zero_and_full(rng):
     stack = rng.standard_normal((3, 25, 8, 20))
-    full = hosvd_batch(stack)
+    full = _full_hosvd(stack)
     same = TuckerFactors(*tensors._hosvd(stack, lambda lams: (25, 8, 20)))
     assert same.core.tobytes() == full.core.tobytes()
     none = TuckerFactors(*tensors._hosvd(stack, lambda lams: [0, 0, 0]))
