@@ -136,13 +136,18 @@ def _written(write, array) -> bytes:
 _ARRAYS = {
     "psnr.ref": (lambda v: metrics.psnr(v, A_EST), A_CUBE),
     "psnr.est": (lambda v: metrics.psnr(A_CUBE, v), A_EST),
+    "ssim.ref": (lambda v: metrics.ssim(v, A_EST), A_CUBE),
     "ssim.est": (lambda v: metrics.ssim(A_CUBE, v), A_EST),
+    "rmse.ref": (lambda v: metrics.rmse(v, A_EST), A_CUBE),
     "rmse.est": (lambda v: metrics.rmse(A_CUBE, v), A_EST),
     "ergas.ref": (lambda v: metrics.ergas(v, A_EST), A_CUBE),
+    "ergas.est": (lambda v: metrics.ergas(A_CUBE, v), A_EST),
     "evaluate.ref": (lambda v: metrics.evaluate(v, A_EST), A_CUBE),
     "evaluate.est": (lambda v: metrics.evaluate(A_CUBE, v), A_EST),
     "SystemModel.mask": (lambda v: imaging.SystemModel(v, 3, imaging.DCCHI), A_MASK),
     "forward.f": (lambda v: imaging.forward(v, A_SYS), A_CUBE),
+    "cassi_forward.f": (lambda v: imaging.cassi_forward(v, A_SYS), A_CUBE),
+    "pan_forward.f": (lambda v: imaging.pan_forward(v, A_SYS), A_CUBE),
     "adjoint.cassi": (lambda v: imaging.adjoint(imaging.Measurement(v, A_MEAS.pan), A_SYS),
                       A_MEAS.cassi),
     "adjoint.pan": (lambda v: imaging.adjoint(imaging.Measurement(A_MEAS.cassi, v), A_SYS),
@@ -190,6 +195,12 @@ _ARRAYS = {
     "tucker_reconstruct.core": (
         lambda v: tensors.tucker_reconstruct(tensors.TuckerFactors(v, A_TF.factors)), A_TF.core
     ),
+    "tucker_reconstruct.factors": (
+        lambda v: tensors.tucker_reconstruct(
+            tensors.TuckerFactors(A_CORE, (v, *A_TF.factors[1:]))
+        ),
+        A_TF.factors[0],
+    ),
     "match_blocks.f": (lambda v: patches.match_blocks(v, (0, 0), 3, 4, 2), A_CUBE),
     "build_group.f": (lambda v: patches.build_group(v, [(0, 0), (3, 6)], 3), A_CUBE),
     "aggregate.approx": (
@@ -202,6 +213,7 @@ _ARRAYS = {
     "cmf_at.wavelengths": (color.cmf_at, A_WL),
     "write_cube.cube": (lambda v: _written(fileio.write_cube, v), A_CUBE),
     "write_plane.plane": (lambda v: _written(fileio.write_plane, v), A_MASK),
+    "write_ppm.image": (lambda v: _written(color.write_ppm, v), color.rgb_preview(A_CUBE, A_WL)),
 }
 
 
