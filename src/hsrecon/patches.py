@@ -172,22 +172,17 @@ class _MatchPlan:
 
 
 def _match_plan(shape: tuple[int, int, int], grid: PatchGrid, k: int, window: int) -> _MatchPlan:
-    # grid is plan_grid's for the plane of shape, so its anchors are in range.
+    # grid is plan_grid's for shape's plane (anchors in range), window SolverParams' int.
     rows, cols, _ = shape
     s, ar, ac = grid.patch_size, np.asarray(grid.rows, np.intp), np.asarray(grid.cols, np.intp)
     k = _check_k(k, len(ar) * len(ac))
-    window = check_int("window", window, 0)
     wr, wc = min(window, rows - s), min(window, cols - s)
     return _MatchPlan(tuple(shape), s, k, ar, ac, wr, wc, min(k, (2 * wr + 1) * (2 * wc + 1)))
 
 
-def _planes(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # The cube's flat band planes, (L, rows*cols), written into out if given.
-    rows, cols, bands = f.shape
-    if out is None:
-        out = np.empty((bands, rows * cols))
-    np.copyto(out.reshape(bands, rows, cols), f.transpose(2, 0, 1))
-    return out
+def _planes(f: np.ndarray) -> np.ndarray:
+    # The cube's flat band planes, (L, rows*cols), in a new array.
+    return np.array(f.transpose(2, 0, 1), order="C").reshape(f.shape[2], -1)
 
 
 def _scan(planes: np.ndarray, plan: _MatchPlan, drs) -> tuple[np.ndarray, np.ndarray]:

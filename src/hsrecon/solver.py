@@ -22,12 +22,10 @@ count. The shares run on the group step's pool (``_in_order``, below) and
 are folded by (distance, candidate index), which gives the same members
 bit for bit for any split (``patches._scan``, ``_fold``). Matching is a
 long run of short NumPy calls, each taking the GIL, so its threads convoy
-on it: on the benchmark's ``rematch_dcchi``, which matches every
-iteration, a run took about 11% longer than with the shares on forked
-processes (medians of four sets of 10 alternating runs read 1-16%), and
-7-9% less time than with matching on the calling thread alone (medians of
-two sets of 6 alternating in-process runs; 2 CPUs, one BLAS thread). No
-thread outlives the call.
+on it; still, on the benchmark's ``rematch_dcchi``, which matches every
+iteration, a run took 7-9% less time than with matching on the calling
+thread alone (medians of two sets of 6 alternating in-process runs; 2
+CPUs, one BLAS thread). No thread outlives the call.
 
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
 groups, on private kernels that the tests hold against the per-group
@@ -135,7 +133,10 @@ WORKERS = (
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Tuning knobs; the defaults are the method's reference settings."""
+    """Tuning knobs; the defaults are the method's reference settings.
+
+    Each field is stored as its check returns it: a Python float (tau, c) or int.
+    """
 
     tau: float = 1.0
     c: float = 0.0055
@@ -147,13 +148,16 @@ class SolverParams:
     rematch_every: int = 40
 
     def __post_init__(self):
-        if not math.isfinite(2.0 * check_positive("tau", self.tau)):  # the data step's rho
+        put = functools.partial(object.__setattr__, self)
+        tau = check_positive("tau", self.tau)
+        if not math.isfinite(2.0 * tau):  # the data step's rho
             raise UsageError(f"tau must be at most half the largest float, got {self.tau!r}")
-        check_positive("c", self.c)
+        put("tau", tau)
+        put("c", check_positive("c", self.c))
         for name, low in dict(s=1, k=1, window=0, max_iter=1, rematch_every=1).items():
-            check_int(name, getattr(self, name), low)
+            put(name, check_int(name, getattr(self, name), low))
         # With step <= s the anchors alone tile the plane, so every voxel is covered.
-        check_int("step", self.step, 1, self.s)
+        put("step", check_int("step", self.step, 1, self.s))
 
 
 def shrink_core(g_hat: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:

@@ -7,8 +7,14 @@ fractional, not finite, negative, zero, one past its upper bound, a bool,
 a string or None, and asserts the call returns or raises an
 ``HsreconError``. Tier-1 turns RuntimeWarnings into errors, so a value
 that overflows instead of being rejected fails too. No value is a large
-integer, so no call allocates more than a few MiB; ``SolverParams`` is
-only constructed, never run.
+integer, so no call allocates more than a few MiB; the property only
+constructs ``SolverParams``.
+
+Settings, a table, ``_RUNS``: each row runs ``reconstruct`` (CASSI,
+``make_smooth_cube`` seed 1, mask seed 0) with one ``SolverParams`` field
+given as a narrow NumPy scalar (``int8``, ``uint8`` for ``s``, ``float16``)
+or, for ``tau`` and ``c``, a ``Fraction``, and must give the output bytes
+and the ``progress`` call count of the same value given as a Python number.
 
 Arrays, a table, ``_ARRAYS``: each row is a small legal call on a 12x12x3
 cube with one array argument left open, and a valid value for it. Each
@@ -27,8 +33,10 @@ with a negative, a float and a bool first entry, which must raise
 ``UsageError``.
 """
 import dataclasses
+import hashlib
 import itertools
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +117,40 @@ def test_scalar_argument_works_or_raises_a_package_error(name, data):
         call(value)
     except HsreconError:
         pass
+
+
+R_SMALL = make_smooth_cube(12, 12, 3, seed=1), dict(s=3, step=2, k=4, window=3, max_iter=3)
+R_LARGE = make_smooth_cube(24, 24, 8, seed=1), dict(k=20, window=10, max_iter=2)
+
+# Name -> (scene and its settings, the settings under test, the same as Python numbers).
+_RUNS = {
+    "tau float16": (R_SMALL, {"tau": np.float16(2**15)}, {"tau": 2.0**15}),
+    "tau Fraction": (R_SMALL, {"tau": Fraction(1, 4)}, {"tau": 0.25}),
+    "c float16": (R_SMALL, {"c": np.float16(0.125)}, {"c": 0.125}),
+    "c Fraction": (R_SMALL, {"c": Fraction(1, 200)}, {"c": 0.005}),
+    "s uint8": (R_LARGE, {"s": np.uint8(5)}, {"s": 5}),
+    "step int8": (R_SMALL, {"step": np.int8(2)}, {"step": 2}),
+    "k int8": (R_LARGE, {"k": np.int8(20)}, {"k": 20}),
+    "window int8": (R_SMALL, {"window": np.int8(3)}, {"window": 3}),
+    "max_iter int8": (R_SMALL, {"max_iter": np.int8(127)}, {"max_iter": 127}),
+    "rematch_every int8": (R_SMALL, {"rematch_every": np.int8(40), "max_iter": 130},
+                           {"rematch_every": 40, "max_iter": 130}),
+}
+
+
+def _run(scene, settings) -> tuple[str, int]:
+    # The sha256 of reconstruct's output on the scene, and its progress calls.
+    cube, base = scene
+    system = imaging.SystemModel(imaging.generate_mask(*cube.shape[:2], 0.5, 0), cube.shape[2])
+    p, calls = solver.SolverParams(**{**base, **settings}), []
+    out = solver.reconstruct(imaging.forward(cube, system), system, p, lambda *a: calls.append(a))
+    return hashlib.sha256(out.tobytes()).hexdigest(), len(calls)
+
+
+@pytest.mark.parametrize("name", list(_RUNS))
+def test_setting_runs_as_its_python_value(name):
+    scene, settings, same = _RUNS[name]
+    assert _run(scene, settings) == _run(scene, same)
 
 
 A_CUBE = make_smooth_cube(12, 12, 3, seed=3)

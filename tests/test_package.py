@@ -9,9 +9,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_import_loads_no_scipy():
     # scipy.signal alone once took most of the package's import time, and
-    # concurrent.futures adds about 5 ms; the group step's threads and the
-    # matching workers, which are forked without multiprocessing, start only
-    # inside reconstruct
+    # concurrent.futures adds about 5 ms; the pool's threads, which run the
+    # group step and matching, start only inside reconstruct
     code = """
 import json, os, sys, threading, hsrecon, hsrecon.cli
 try:

@@ -282,7 +282,7 @@ class TestMatchAll:
             assert got[n].tolist() == expect[n].tolist(), anchor
 
     # the last two: a (16, k, 2) intp array of 2**63 bytes or more, past NumPy's limit
-    @pytest.mark.parametrize("k, window", [(0, 2), (-1, 2), (2, -1), (2**55, 2), (10**20, 2)])
+    @pytest.mark.parametrize("k, window", [(0, 2), (-1, 2), (2**55, 2), (10**20, 2)])
     def test_rejects_bad_k_and_window(self, k, window):
         with pytest.raises(UsageError):
             _match_plan((8, 8, 2), plan_grid(8, 8, 3, 2), k, window)

@@ -4,6 +4,7 @@ import itertools
 import os
 import threading
 import time
+from fractions import Fraction
 from sys import getswitchinterval, setswitchinterval
 from unittest import mock
 
@@ -121,6 +122,12 @@ class TestUpdateWeights:
         assert np.all(np.diff(w.ravel()[order]) <= 0)
 
 
+# Settings given as narrow NumPy scalars and Fractions.
+_NARROW = [("tau", np.float16(2**15)), ("tau", Fraction(1, 4)), ("c", np.float16(0.125)),
+           ("c", Fraction(1, 200)), ("s", np.uint8(5)), ("step", np.int8(2)), ("k", np.int8(20)),
+           ("window", np.int8(3)), ("max_iter", np.int8(127)), ("rematch_every", np.int8(40))]
+
+
 class TestSolverParams:
     @pytest.mark.parametrize("field", ["s", "step", "k", "max_iter", "rematch_every"])
     @pytest.mark.parametrize("value", [0, -1])
@@ -165,6 +172,16 @@ class TestSolverParams:
     def test_reals_must_be_numbers(self, field):
         with pytest.raises(UsageError, match=field):
             SolverParams(**{field: "1"})
+
+    @pytest.mark.parametrize(
+        "field, value", _NARROW, ids=[f"{f}-{type(v).__name__}" for f, v in _NARROW]
+    )
+    def test_fields_are_stored_as_python_numbers(self, field, value):
+        settings = {field: value}
+        for p in (SolverParams(**settings), dataclasses.replace(SolverParams(), **settings)):
+            types = [type(getattr(p, f.name)) for f in dataclasses.fields(p)]
+            assert types == [float, float, int, int, int, int, int, int]
+            assert float(getattr(p, field)) == float(value)
 
 
 class TestDenoiseGroup:
