@@ -40,10 +40,12 @@ grid, which the tests hold against the per-group functions:
   of them, and ``_fold`` sorts the shares' kept lists by (distance,
   candidate index) into the members; the solver splits the offsets over
   threads.
-- The group step's gather is ``np.take`` of ``_voxel_indices``, the flat
-  indices of a chunk's voxels, and ``_scatter`` adds approximated groups
-  back along them with ``np.bincount`` into the band of the flat cube
-  that the chunk spans.
+- The group step plans each chunk's band of the flat cube once per
+  rematch: ``_band_plan`` gives lo, the chunk's smallest voxel index, and
+  its members' first voxels less lo. ``_voxel_indices`` of those are the
+  chunk's voxels less lo, so its gather is ``np.take`` of them from the
+  flat cube from lo on, and one ``np.bincount`` along them adds its
+  approximated groups back into its band, lo to its largest voxel.
 """
 from __future__ import annotations
 
@@ -339,30 +341,27 @@ def _block_offsets(s: int, dims: tuple[int, int, int]) -> np.ndarray:
     return ((i * cols + j) * bands)[:, None] + np.arange(bands)
 
 
-def _voxel_indices(
-    members: np.ndarray,
-    block: np.ndarray,
-    dims: tuple[int, int, int],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    # Entry [n, i + s*j, lam, m] is the C-order flat index of voxel
-    # (r + i, c + j, lam) of a ``dims`` cube, (r, c) = members[n, m], for
-    # block = _block_offsets(s, dims), written into out if given. Nothing is
-    # checked.
+def _band_plan(members: np.ndarray, dims: tuple[int, int, int], parts) -> tuple[np.ndarray, list]:
+    # For chunks that are slices of the (g, k, 2) members: the members' first
+    # voxels (r*cols + c)*bands in a C-order ``dims`` cube, each less lo, its
+    # chunk's smallest one, and the chunks' los. The smallest offset of
+    # _block_offsets is 0, so lo is also the chunk's smallest voxel. Nothing
+    # is checked.
     _, cols, bands = dims
-    origin = (members[..., 0] * cols + members[..., 1]) * bands
-    return np.add(origin[:, None, None, :], block[None, :, :, None], out=out)
+    origins = (members[..., 0] * cols + members[..., 1]) * bands
+    los = [int(origins[part].min()) for part in parts]
+    for part, lo in zip(parts, los):
+        origins[part] -= lo
+    return origins, los
 
 
-def _scatter(approx: np.ndarray, idx: np.ndarray) -> tuple[int, np.ndarray]:
-    # The total of aggregate for approximated groups and their voxel
-    # indices as (lo, band): lo the smallest index, and band the flat
-    # total's entries lo to the largest index, accumulated in index order by
-    # np.bincount. The total is zero outside the band. idx, a non-empty
-    # C-contiguous array, is shifted by -lo in place. Nothing is checked.
-    lo = int(idx.min())
-    idx -= lo
-    return lo, np.bincount(idx.ravel(), weights=approx.ravel())
+def _voxel_indices(
+    origins: np.ndarray, block: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    # Entry [n, i + s*j, lam, m] is origins[n, m] plus the offset of voxel
+    # (i, j, lam) of block = _block_offsets(s, dims), written into out if
+    # given: with _band_plan's origins, the chunk's voxels less its lo.
+    return np.add(origins[:, None, None, :], block[None, :, :, None], out=out)
 
 
 def coverage_counts(members: np.ndarray, s: int, plane: tuple[int, int]) -> np.ndarray:

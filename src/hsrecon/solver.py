@@ -29,27 +29,30 @@ CPUs, one BLAS thread). No thread outlives the call.
 
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
 groups, on private kernels that the tests hold against the per-group
-reference path below. The members are checked once per rematch, by
-``patches.coverage_counts``, and the gather offsets are built once per
-call; each chunk then runs ``patches._voxel_indices``, ``_denoise`` (on
-``tensors._hosvd``, ``_weights``, ``_shrink`` and
-``tensors._mode_products_batch``) and ``patches._scatter``, and its one
-check is ``_denoise``'s, on the stack's norm. A chunk gathers its indices
-and stack into a pair of buffers that no running chunk holds, one chunk
-in size, made at most once per thread and kept until the next rematch,
-and once the core is in, the stack's memory takes the weights, the
-shrunk core and then the rebuilt groups. So the arrays of a chunk's size
-are not allocated and freed once per chunk, and the allocator has no heap
-top to trim and fault back in at the next chunk. ``_denoise`` drops each
-other temporary as soon as it is dead: the unshrunk core once it is
-shrunk. The chunks of an iteration run on ``WORKERS`` threads, the
-calling thread among them: NumPy's ``eigh`` and ``matmul`` release the
-GIL for hundreds of us at a time, so the step alone ran 1.7-1.9x faster
-on two threads. Each thread takes the next chunk in order as it comes
-free, and the chunks' partial sums, each over the band of the flat cube
-between its smallest and largest voxel index, are added in chunk order,
-each as soon as all before it are in, so the output is bitwise the same
-for any CPU count and timing.
+reference path below. The gather offsets are built once per call. Once
+per rematch the members are checked, by ``patches.coverage_counts``, and
+each chunk's band of the flat cube is planned, by
+``patches._band_plan``: its smallest voxel index lo, and its members'
+first voxels less lo. Each chunk then runs ``patches._voxel_indices`` of
+those, a gather from lo on, ``_denoise`` (on ``tensors._hosvd``,
+``_weights``, ``_shrink`` and ``tensors._mode_products_batch``) and one
+``np.bincount`` into its band, and its one check is ``_denoise``'s, on
+the stack's norm. A chunk gathers its indices and stack into a pair of
+buffers that no running chunk holds, one chunk in size, made at most
+once per thread and kept until the next rematch, and once the core is
+in, the stack's memory takes the weights, the shrunk core and then the
+rebuilt groups. So the arrays of a chunk's size are not allocated and
+freed once per chunk, and the allocator has no heap top to trim and
+fault back in at the next chunk. ``_denoise`` drops each other temporary
+as soon as it is dead: the unshrunk core once it is shrunk. The chunks
+of an iteration run on ``WORKERS`` threads, the calling thread among
+them: NumPy's ``eigh`` and ``matmul`` release the GIL for hundreds of us
+at a time, so the step alone ran 1.7-1.9x faster on two threads. Each
+thread takes the next chunk in order as it comes free, and the chunks'
+partial sums, each over the band of the flat cube between its smallest
+and largest voxel index, are added in chunk order, each as soon as all
+before it are in, so the output is bitwise the same for any CPU count
+and timing.
 
 As in reweighted l1, a coefficient g of kept magnitude m survives the
 shrink only if |g| (m + EPS) > c / (2 tau), m being |g| on a first visit
@@ -241,23 +244,13 @@ def _denoise(
         w[tuple(slice(0, n) for n in shape)].flat[pos] = _weights(vals, p.c)
     g = _shrink(core, w, p.tau, out=w)
     del core
-    live = np.abs(g[_live_box(g)])
-    pos = np.flatnonzero(live != 0)  # several times faster on bools than on floats
-    state = live.shape, pos, live.take(pos)
-    del live  # before the rebuild: held through it, steady iterations fault pages
+    nz = np.flatnonzero(g != 0)  # several times faster on bools than on floats
+    at = np.unravel_index(nz, g.shape)
+    shape = (len(g), *(int(a.max(initial=-1)) + 1 for a in at[1:]))
+    state = shape, np.ravel_multi_index(at, shape), np.abs(g.ravel().take(nz))
+    del nz, at  # before the rebuild: held through it, steady iterations fault pages
     # The rebuild's first product is the last read of g, so out can take it.
     return tensors._mode_products_batch(g, factors, out), state
-
-
-def _live_box(g: np.ndarray) -> tuple[slice, ...]:
-    # Index of the leading block of a (g, r1, r2, r3) stack that holds
-    # every nonzero entry.
-    live = (g != 0).any(axis=0)
-    box = [slice(None)]
-    for axis in range(3):
-        hit = np.flatnonzero(live.any(axis=tuple(a for a in range(3) if a != axis)))
-        box.append(slice(0, hit[-1] + 1 if hit.size else 0))
-    return tuple(box)
 
 
 def cg_solve_image(
@@ -339,23 +332,23 @@ def reconstruct(
     spare: list[tuple[np.ndarray, np.ndarray]] = []  # index and stack buffers of no running chunk
 
     def step(i: int) -> tuple[int, np.ndarray]:
-        # Chunk i of the group step on the current x, members and kept state,
-        # through the unchecked kernels: the members were checked by
+        # Chunk i of the group step on the current x, band plan and kept
+        # state, through the unchecked kernels: the members were checked by
         # coverage_counts, and _denoise scans the stack.
-        chunk_members = members[parts[i]]
-        n = len(chunk_members)
+        chunk_origins, lo = origins[parts[i]], los[i]
+        n = len(chunk_origins)
         try:
             idx_buf, stack_buf = spare.pop()
         except IndexError:  # all in use: at most one pair per thread is made
             idx_buf, stack_buf = np.empty(buffer_shape, dtype=np.intp), np.empty(buffer_shape)
-        idx = patches._voxel_indices(chunk_members, block, dims, out=idx_buf[:n])
+        idx = patches._voxel_indices(chunk_origins, block, out=idx_buf[:n])  # voxels less lo
         # The indices are in range, so "clip" clips nothing; it takes out
         # as it is, where the default mode would fill a buffered copy.
-        stack = np.take(x.ravel(), idx, out=stack_buf[:n], mode="clip")
+        stack = np.take(x.ravel()[lo:], idx, out=stack_buf[:n], mode="clip")
         approx, kept[i] = _denoise(stack, kept[i], p, out=stack)
-        part = patches._scatter(approx, idx)
+        band = np.bincount(idx.ravel(), weights=approx.ravel())
         spare.append((idx_buf, stack_buf))
-        return part
+        return lo, band
 
     def add(part: tuple[int, np.ndarray]) -> None:
         # A chunk's band of the flat cube into the iteration's total.
@@ -371,6 +364,7 @@ def reconstruct(
             spare.clear()  # no chunk buffers held while matching
             members = _match(x, plan)
             counts = patches.coverage_counts(members, p.s, (rows, cols))
+            origins, los = patches._band_plan(members, dims, parts)
         total = np.zeros(dims)
         with _one_blas_thread():
             _in_order(len(parts), step, add)

@@ -159,8 +159,9 @@ def test_criterion_5_aggregation_exactness(rng):
         members.append(patches.match_blocks(f, anchor, 5, 6, 4))
         groups.append((members[-1], patches.build_group(f, members[-1], 5)))
     total, counts = patches.aggregate(groups, f.shape)
-    idx = patches._voxel_indices(np.array(members), patches._block_offsets(5, f.shape), f.shape)
-    lo, band = patches._scatter(np.take(f.ravel(), idx), idx)
+    origins, (lo,) = patches._band_plan(np.array(members), f.shape, [slice(None)])
+    idx = patches._voxel_indices(origins, patches._block_offsets(5, f.shape))
+    band = np.bincount(idx.ravel(), weights=np.take(f.ravel()[lo:], idx).ravel())
     batch_total = np.zeros(f.size)
     batch_total[lo : lo + band.size] = band
     batch_total = batch_total.reshape(f.shape)

@@ -10,12 +10,12 @@ from hypothesis.extra import numpy as hnp
 from hsrecon.errors import DataError, DimensionError, HsreconError, UsageError
 from hsrecon.patches import (
     PatchGrid,
+    _band_plan,
     _block_offsets,
     _fold,
     _match_plan,
     _planes,
     _scan,
-    _scatter,
     _smallest_stable,
     _voxel_indices,
     aggregate,
@@ -556,13 +556,20 @@ def _built(f, members, s):
     return np.stack([build_group(f, [tuple(m) for m in mem], s) for mem in members])
 
 
+def _voxels(shape, members, s):
+    # build_group of every group on a cube whose entries are their own
+    # C-order flat indices: the group step's voxels, exactly in float64
+    return _built(np.arange(np.prod(shape), dtype=float).reshape(shape), members, s)
+
+
 class TestBatchedGroups:
     def test_gather_is_build_group_bitwise(self, rng):
-        # the group step's gather, np.take along _voxel_indices
+        # the group step's gather, np.take along _voxel_indices from lo on
         f = rng.random((13, 11, 3))
         members = _matched(f, 4, 7, 3, 3)
-        idx = _voxel_indices(members, _block_offsets(4, f.shape), f.shape)
-        stacked = np.take(f.ravel(), idx)
+        origins, (lo,) = _band_plan(members, f.shape, [slice(None)])
+        idx = _voxel_indices(origins, _block_offsets(4, f.shape))
+        stacked = np.take(f.ravel()[lo:], idx)
         assert stacked.shape == (len(members), 16, 3, 7)
         for n, mem in enumerate(members):
             expect = build_group(f, [tuple(m) for m in mem], 4)
@@ -574,29 +581,72 @@ class TestBatchedGroups:
         f = rng.random((20, 20, 4))
         members = _matched(f, 5, 6, 4, 4)
         stacked = _built(f, members, 5)
-        idx = _voxel_indices(members, _block_offsets(5, f.shape), f.shape)
-        assert f.ravel()[idx].tobytes() == stacked.tobytes()
+        voxels = _voxels(f.shape, members, 5)
+        block = _block_offsets(5, f.shape)
+        parts = [slice(a, a + 2) for a in range(0, len(members), 2)]  # the group step's chunks
+        origins, los = _band_plan(members, f.shape, parts)
         approx = stacked + rng.standard_normal(stacked.shape)
         groups = [([tuple(m) for m in mem], approx[n]) for n, mem in enumerate(members)]
         total, counts = aggregate(groups, f.shape)
         got = np.zeros(f.size)
-        for lo_g in range(0, len(members), 2):  # the group step's two-group chunks
-            chunk = idx[lo_g : lo_g + 2]
-            shifted = chunk.copy()
-            lo, band = _scatter(approx[lo_g : lo_g + 2], shifted)
-            # the band spans the chunk's indices, which are shifted in place
-            assert lo == chunk.min() and lo + band.size == chunk.max() + 1
-            assert np.array_equal(shifted, chunk - lo)
+        for part, lo in zip(parts, los):
+            idx = _voxel_indices(origins[part], block)
+            assert np.array_equal(idx + lo, voxels[part])
+            assert f.ravel()[lo:][idx].tobytes() == stacked[part].tobytes()
+            band = np.bincount(idx.ravel(), weights=approx[part].ravel())
+            # the band spans the chunk's voxels
+            assert lo == voxels[part].min() and lo + band.size == voxels[part].max() + 1
             got[lo : lo + band.size] += band
         got = got.reshape(f.shape)
         assert np.max(np.abs(got - total)) <= 1e-12 * np.max(np.abs(total))
         plane = coverage_counts(members, 5, f.shape[:2])
         assert plane.shape == (20, 20, 1)
         assert np.array_equal(np.broadcast_to(plane, counts.shape), counts)
-        lo, band = _scatter(stacked, idx.copy())
+        origins, (lo,) = _band_plan(members, f.shape, [slice(None)])
+        band = np.bincount(_voxel_indices(origins, block).ravel(), weights=stacked.ravel())
         exact = np.zeros(f.size)
         exact[lo : lo + band.size] = band
         np.testing.assert_allclose(exact.reshape(f.shape), counts * f, rtol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_band_plan_on_any_members_and_chunks(self, data):
+        # Any plane, bands, s, k, members and partition of the groups into
+        # chunks: each chunk's gather from lo on is build_group's, its band
+        # spans exactly its smallest to its largest voxel, and the bands
+        # added at their los are aggregate's total. The first group starts at
+        # the plane's last patch and ends at its first, so a lo taken from
+        # a chunk's first member is above the chunk's lowest voxel.
+        s = data.draw(st.integers(1, 4), label="s")
+        rows = data.draw(st.integers(s + 1, s + 5), label="rows")
+        cols = data.draw(st.integers(s, s + 5), label="cols")
+        bands = data.draw(st.integers(1, 4), label="bands")
+        k = data.draw(st.integers(2, 4), label="k")
+        g = data.draw(st.integers(1, 4), label="groups")
+        anchor = st.tuples(st.integers(0, rows - s), st.integers(0, cols - s))
+        members = np.array(data.draw(st.lists(anchor, min_size=g * k, max_size=g * k)))
+        members = members.reshape(g, k, 2)
+        members[0, 0], members[0, -1] = (rows - s, cols - s), (0, 0)
+        cuts = sorted(data.draw(st.sets(st.integers(1, g - 1)), label="cuts") if g > 1 else [])
+        parts = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, g])]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        f = rng.random((rows, cols, bands))
+        approx = rng.standard_normal((g, s * s, bands, k))
+
+        origins, los = _band_plan(members, f.shape, parts)
+        voxels = _voxels(f.shape, members, s)
+        block = _block_offsets(s, f.shape)
+        got = np.zeros(f.size)
+        for part, lo in zip(parts, los):
+            idx = _voxel_indices(origins[part], block)
+            stacked = np.take(f.ravel()[lo:], idx, mode="clip")
+            assert stacked.tobytes() == _built(f, members[part], s).tobytes()
+            band = np.bincount(idx.ravel(), weights=approx[part].ravel())
+            assert lo == voxels[part].min() and lo + band.size - 1 == voxels[part].max()
+            got[lo : lo + band.size] += band
+        groups = [([tuple(m) for m in mem], approx[n]) for n, mem in enumerate(members)]
+        total, _ = aggregate(groups, f.shape)
+        assert np.max(np.abs(got - total.ravel())) <= 1e-12 * max(1.0, np.max(np.abs(total)))
 
     def test_member_out_of_range(self):
         with pytest.raises(UsageError):

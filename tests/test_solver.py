@@ -759,6 +759,65 @@ class TestBatchedPipeline:
 
 
 class TestKeptCoreState:
+    @staticmethod
+    def _visits(monkeypatch, workers, rematch_every, c=SolverParams.c):
+        # Per chunk, per iteration, the state _denoise was handed and the one
+        # it returned, of a 20x20x3 reconstruct in 9 chunks. Each returned
+        # state is the shape of the bounding box of the nonzero entries of the
+        # shrunk block that the rebuild read, (g, 0, 0, 0) if none is, and the
+        # flat positions in that box and magnitudes of those entries, in C
+        # order.
+        f_true = make_smooth_cube(20, 20, 3, seed=4)
+        sys = SystemModel(imaging.generate_mask(20, 20, 0.5, 6), 3)
+        y = imaging.forward(f_true, sys)
+        p = SolverParams(c=c, k=6, window=4, max_iter=7, rematch_every=rematch_every)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
+        monkeypatch.setattr(solver, "WORKERS", workers)
+        in_order, denoise = solver._in_order, solver._denoise
+        rebuild = tensors._mode_products_batch
+        current = threading.local()
+        lock = threading.Lock()
+        visits = {}  # chunk -> (state received, state returned) per iteration
+
+        def in_order_spy(n, work, add):
+            def named(i):  # the pool's index i of a group step names chunk i
+                current.chunk = i
+                return work(i)
+
+            return in_order(n, named, add)
+
+        def rebuild_spy(t, mats, out=None):
+            if out is not None:  # the rebuild; _hosvd's core products pass no out
+                current.shrunk = t.copy()  # out may hold t's memory
+            return rebuild(t, mats, out)
+
+        def copied(kept):
+            return kept[0], kept[1].copy(), kept[2].copy()
+
+        def denoise_spy(stacked, kept, p, out):
+            received = None if kept is None else copied(kept)
+            approx, state = denoise(stacked, kept, p, out)
+            g, (shape, pos, vals) = current.shrunk, state
+            at = np.nonzero(g)
+            box = [len(g)] + [int(a.max()) + 1 if a.size else 0 for a in at[1:]]
+            assert shape == tuple(box)
+            assert pos.dtype == np.intp and vals.dtype == np.float64
+            assert np.array_equal(pos, np.ravel_multi_index(at, shape))
+            assert np.array_equal(np.unravel_index(pos, shape), at)
+            assert vals.tobytes() == np.abs(g[at]).tobytes()
+            with lock:
+                visits.setdefault(current.chunk, []).append((received, copied(state)))
+            return approx, state
+
+        monkeypatch.setattr(solver, "_in_order", in_order_spy)
+        monkeypatch.setattr(tensors, "_mode_products_batch", rebuild_spy)
+        monkeypatch.setattr(solver, "_denoise", denoise_spy)
+        reconstruct(y, sys, p)
+        assert sorted(visits) == list(range(9))
+        for seq in visits.values():
+            assert len(seq) == p.max_iter
+        return visits
+
     @pytest.mark.parametrize("rematch_every", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_revisit_receives_the_previous_block_bitwise(
@@ -769,42 +828,12 @@ class TestKeptCoreState:
         # entries; the state a revisit is handed must be bitwise the one the
         # chunk's previous visit returned. A rematch resets the kept state:
         # with rematch_every 1 every visit is a first.
-        f_true = make_smooth_cube(20, 20, 3, seed=4)
-        sys = SystemModel(imaging.generate_mask(20, 20, 0.5, 6), 3)
-        y = imaging.forward(f_true, sys)
-        p = SolverParams(k=6, window=4, max_iter=7, rematch_every=rematch_every)
-        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
-        monkeypatch.setattr(solver, "WORKERS", workers)
-        indices, denoise = patches._voxel_indices, solver._denoise  # the chunk step's kernels
-        current = threading.local()
-        lock = threading.Lock()
-        visits = {}  # chunk -> (state received, state returned) per iteration
-
-        def indices_spy(members, block, dims, out):
-            # a group's first member is its anchor, so this names the chunk
-            current.chunk = tuple(members[0, 0].tolist())
-            return indices(members, block, dims, out)
-
-        def copied(kept):
-            return kept[0], kept[1].copy(), kept[2].copy()
-
-        def denoise_spy(stacked, kept, p, out):
-            received = None if kept is None else copied(kept)
-            approx, state = denoise(stacked, kept, p, out)
-            with lock:
-                visits.setdefault(current.chunk, []).append((received, copied(state)))
-            return approx, state
-
-        monkeypatch.setattr(patches, "_voxel_indices", indices_spy)
-        monkeypatch.setattr(solver, "_denoise", denoise_spy)
-        reconstruct(y, sys, p)
-
+        visits = self._visits(monkeypatch, workers, rematch_every)
         assert len(visits) == 9
         zeros = 0
         for seq in visits.values():
-            assert len(seq) == p.max_iter
             for it, (received, _) in enumerate(seq):
-                if it % p.rematch_every == 0:  # first visit after a match
+                if it % rematch_every == 0:  # first visit after a match
                     assert received is None
                     continue
                 (shape, pos, vals), returned = received, seq[it - 1][1]
@@ -816,7 +845,18 @@ class TestKeptCoreState:
                 assert np.all(vals > 0)  # magnitudes of the nonzero entries only
                 zeros += np.prod(shape) - len(pos)
         # the blocks hold zeros that the kept state leaves out, if any is revisited
-        assert (zeros > 0) == (p.rematch_every > 1)
+        assert (zeros > 0) == (rematch_every > 1)
+
+    def test_core_shrunk_to_zero_keeps_an_empty_block(self, monkeypatch):
+        # c far above any group's squared norm: every coefficient shrinks to
+        # zero, the box is (g, 0, 0, 0), and the next visit's widths are 0
+        visits = self._visits(monkeypatch, 2, 3, c=1e6)
+        for chunk, seq in visits.items():
+            for it, (received, (shape, pos, vals)) in enumerate(seq):
+                assert shape == (1 if chunk == 8 else 3, 0, 0, 0)  # 25 groups, 3 a chunk
+                assert pos.size == vals.size == 0
+                if it % 3:
+                    assert received[0][1:] == (0, 0, 0)  # the widths _denoise reads
 
 
 class TestWorkerPool:
