@@ -35,11 +35,7 @@ grid, which the tests hold against the per-group functions:
   to ``dr``, so the next offset's mirrored row goes before the kept list
   and its direct row after, and the m smallest of the three are the m
   first of a stable sort of all of them. Matching so holds two window rows
-  and m kept candidates per anchor, whatever the window. The rule holds
-  for any ascending subset of the row offsets, so ``_scan`` takes a share
-  of them, and ``_fold`` sorts the shares' kept lists by (distance,
-  candidate index) into the members; the solver splits the offsets over
-  threads.
+  and m kept candidates per anchor, whatever the window.
 - The group step plans each chunk's band of the flat cube once per
   rematch: ``_band_plan`` gives lo, the chunk's smallest voxel index, and
   its members' first voxels less lo. ``_voxel_indices`` of those are the
@@ -187,12 +183,11 @@ def _planes(f: np.ndarray) -> np.ndarray:
     return np.array(f.transpose(2, 0, 1), order="C").reshape(f.shape[2], -1)
 
 
-def _scan(planes: np.ndarray, plan: _MatchPlan, drs) -> tuple[np.ndarray, np.ndarray]:
-    # The share of the window's row offsets drs, ascending, as the module
-    # docstring says: each anchor's m smallest distances over those rows,
-    # leftmost among equals, in candidate order, and their candidate
-    # indices. +inf marks a place no candidate has taken: an overflowing
-    # distance is held at top.
+def _scan(planes: np.ndarray, plan: _MatchPlan) -> tuple[np.ndarray, np.ndarray]:
+    # Every row offset of the window, as the module docstring says: each
+    # anchor's m smallest distances, leftmost among equals, in candidate
+    # order, and their candidate indices. +inf marks a place no candidate
+    # has taken: an overflowing distance is held at top.
     rows, cols, _ = plan.shape
     s, ar, ac, wr, wc, m = plan.s, plan.ar, plan.ac, plan.wr, plan.wc, plan.m
     g, tc, top = len(ar) * len(ac), 2 * wc + 1, float(np.finfo(float).max)
@@ -204,7 +199,7 @@ def _scan(planes: np.ndarray, plan: _MatchPlan, drs) -> tuple[np.ndarray, np.nda
     at = np.zeros((g, m), dtype=np.intp)
     two_rows = np.empty((2, len(ar), len(ac), tc))
     with np.errstate(over="ignore"):
-        for dr in drs:
+        for dr in range(wr + 1):
             # sq[t, y, x]: squared distance over bands of pixel (y, x) to pixel
             # (y + dr, x + t - wc), or to the pixel that far along the flat plane
             # where that wraps; 0 where it leaves the plane.
@@ -242,15 +237,11 @@ def _scan(planes: np.ndarray, plan: _MatchPlan, drs) -> tuple[np.ndarray, np.nda
     return best, at
 
 
-def _fold(plan: _MatchPlan, shares) -> np.ndarray:
+def _fold(plan: _MatchPlan, best: np.ndarray, at: np.ndarray) -> np.ndarray:
     # The (g, k, 2) members of the anchors of itertools.product(grid.rows,
-    # grid.cols) from the _scan results of shares that partition the
-    # window's row offsets, in any order. Each share keeps the m first of its
-    # candidates by (distance, candidate index), so the m first of all of
-    # them are among the shares' kept lists; the places no candidate took
-    # (+inf) sort last, and the picks cycle through the others.
-    best = np.concatenate([share[0] for share in shares], axis=1)
-    at = np.concatenate([share[1] for share in shares], axis=1)
+    # grid.cols) from _scan's kept distances and candidate indices, sorted
+    # by (distance, candidate index): the places no candidate took (+inf)
+    # sort last, and the picks cycle through the others.
     order = np.lexsort((at, best), axis=1)
     valid = np.count_nonzero(best < np.inf, axis=1, keepdims=True)
     order = np.take_along_axis(order, np.arange(plan.k) % valid, axis=1)

@@ -16,17 +16,6 @@ and the gradient restart of O'Donoghue and Candes (2015): steps (a) and
 and the momentum scalar t, which starts at 1; x restarts at the new
 solution with t = 1 whenever the last step went against the momentum.
 
-Step (a) matches every anchor at once, with the window's row offsets
-split into min(WORKERS, row offsets) shares, dr going to share dr mod that
-count. The shares run on the group step's pool (``_in_order``, below) and
-are folded by (distance, candidate index), which gives the same members
-bit for bit for any split (``patches._scan``, ``_fold``). Matching is a
-long run of short NumPy calls, each taking the GIL, so its threads convoy
-on it; still, on the benchmark's ``rematch_dcchi``, which matches every
-iteration, a run took 7-9% less time than with matching on the calling
-thread alone (medians of two sets of 6 alternating in-process runs; 2
-CPUs, one BLAS thread). No thread outlives the call.
-
 Steps (b) and (c) run as one array pipeline over fixed-size chunks of
 groups, on private kernels that the tests hold against the per-group
 reference path below. The gather offsets are built once per call. Once
@@ -52,7 +41,7 @@ thread takes the next chunk in order as it comes free, and the chunks'
 partial sums, each over the band of the flat cube between its smallest
 and largest voxel index, are added in chunk order, each as soon as all
 before it are in, so the output is bitwise the same for any CPU count
-and timing.
+and timing. No thread outlives the call.
 
 As in reweighted l1, a coefficient g of kept magnitude m survives the
 shrink only if |g| (m + EPS) > c / (2 tau), m being |g| on a first visit
@@ -127,8 +116,8 @@ EPS = 1e-6
 # more peak memory.
 CHUNK_BYTES = 384 << 10
 
-# Threads of the group step and of matching, the caller's included: the
-# CPUs this process may run on. With one, none is started.
+# Threads of the group step, the caller's included: the CPUs this process
+# may run on. With one, none is started.
 WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -378,16 +367,11 @@ def reconstruct(
 
 
 def _match(x: np.ndarray, plan: patches._MatchPlan) -> np.ndarray:
-    # The (g, k, 2) members of the cube x on the geometry of plan, the same
-    # bits for any WORKERS: x is copied into fresh flat band planes, share i
-    # of the pool scans the window's row offsets dr with dr % split == i,
-    # and the shares are folded (patches._scan, _fold).
+    # The (g, k, 2) members of the cube x on the geometry of plan: x is
+    # copied into fresh flat band planes, and every row offset of the window
+    # is scanned on the calling thread (patches._scan, _fold).
     planes = patches._planes(check_array("cube", x, 3))
-    split = min(WORKERS, plan.wr + 1)
-    shares: list[tuple[np.ndarray, np.ndarray]] = []
-    _in_order(split, lambda i: patches._scan(planes, plan, range(i, plan.wr + 1, split)),
-              shares.append)
-    return patches._fold(plan, shares)
+    return patches._fold(plan, *patches._scan(planes, plan))
 
 
 def _momentum(
@@ -408,8 +392,8 @@ def _momentum(
 def _in_order(n: int, work: Callable[[int], Any], add: Callable[[Any], object]) -> None:
     """Hand ``work(0)``, ..., ``work(n - 1)`` to ``add`` in that order.
 
-    The one pool of ``reconstruct``: the group step adds each chunk's band
-    into the iteration's cube, matching appends each share's kept lists.
+    The pool of ``reconstruct``'s group step, whose ``add`` adds each
+    chunk's band into the iteration's cube.
     ``min(WORKERS, n) - 1`` threads and the calling thread each take the
     next index as they come free; where a thread cannot be started, those
     started do its share. A result is handed over as soon as all before

@@ -141,7 +141,7 @@ def _stacked_match_blocks(f, grid, s, k, window):
 def _match_all(f, grid, k, window):
     # every anchor of grid matched at once: one _scan of every row offset, folded
     plan = _match_plan(f.shape, grid, k, window)
-    return _fold(plan, [_scan(_planes(f), plan, range(plan.wr + 1))])
+    return _fold(plan, *_scan(_planes(f), plan))
 
 
 @st.composite
@@ -221,11 +221,12 @@ class TestMatchAll:
     @pytest.mark.parametrize(
         "shape, s, step, k, window",
         [
+            ((13, 11, 3), 3, 2, 7, 0),  # window 0: one row offset
             ((13, 11, 3), 4, 3, 7, 3),
-            ((20, 17, 5), 5, 4, 45, 20),
+            ((20, 17, 5), 5, 4, 45, 20),  # the rematch size
             ((9, 30, 2), 3, 2, 12, 6),
             ((24, 24, 31), 5, 4, 45, 20),
-            ((16, 16, 4), 4, 3, 300, 40),
+            ((16, 16, 4), 4, 3, 300, 40),  # k above every anchor's candidate count
         ],
     )
     def test_equals_match_blocks_real_valued(self, rng, shape, s, step, k, window):
@@ -286,107 +287,6 @@ class TestMatchAll:
     def test_rejects_bad_k_and_window(self, k, window):
         with pytest.raises(UsageError):
             _match_plan((8, 8, 2), plan_grid(8, 8, 3, 2), k, window)
-
-
-def _fold_of_shares(f, grid, k, window, share_of):
-    # _match_all through one _scan per share, the row offset dr going to
-    # share share_of(dr, n_offsets), and the shares folded last first
-    plan = _match_plan(f.shape, grid, k, window)
-    offsets = range(plan.wr + 1)
-    owners = [share_of(dr, len(offsets)) for dr in offsets]
-    planes = _planes(f)
-    shares = [
-        _scan(planes, plan, [dr for dr in offsets if owners[dr] == i])
-        for i in range(max(owners) + 1)
-    ]
-    return _fold(plan, shares[::-1])
-
-
-def _interleaved(n):
-    return lambda dr, _: dr % n
-
-
-def _contiguous(n):
-    return lambda dr, count: dr * n // count
-
-
-class TestFold:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        data=st.data(),
-        rows=st.integers(1, 14),
-        cols=st.integers(1, 14),
-        bands=st.integers(1, 3),
-        levels=st.integers(1, 4),
-        s=st.integers(1, 4),
-        step=st.integers(1, 4),
-        k=st.integers(1, 60),
-        window=st.integers(0, 16),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_any_partition_of_row_offsets_folds_to_one_share(
-        self, data, rows, cols, bands, levels, s, step, k, window, seed
-    ):
-        # 0.1-rounded values: few distinct levels, so distances tie often,
-        # and they are inexact in binary, so a share must compute each
-        # distance as the whole scan does, bit for bit
-        f = np.round(np.random.default_rng(seed).integers(0, levels, (rows, cols, bands)) * 0.1, 1)
-        s = min(s, rows, cols)
-        grid = plan_grid(rows, cols, s, step)
-        n = min(window, max(rows, cols) - s) + 1  # at least the row offsets
-        owners = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        kind = data.draw(st.sampled_from(["interleaved", "contiguous", "any"]))
-        count = data.draw(st.integers(1, 4))
-        share_of = {
-            "interleaved": _interleaved(count),
-            "contiguous": _contiguous(count),
-            "any": lambda dr, _: owners[dr],
-        }[kind]
-        got = _fold_of_shares(f, grid, k, window, share_of)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, _match_all(f, grid, k, window))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        data=st.data(),
-        f=_quarter_cubes(huge=True),
-        s=st.integers(1, 4),
-        step=st.integers(1, 4),
-        k=st.integers(1, 60),
-        window=st.integers(0, 8),
-    )
-    def test_shares_fold_to_match_blocks_where_distances_overflow(
-        self, data, f, s, step, k, window
-    ):
-        # each share counts an overflowing distance as a candidate, so the
-        # fold stops at the same place as match_blocks
-        rows, cols, _ = f.shape
-        s = min(s, rows, cols)
-        grid = plan_grid(rows, cols, s, step)
-        n = min(window, max(rows, cols) - s) + 1
-        owners = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        got = _fold_of_shares(f, grid, k, window, lambda dr, _: owners[dr])
-        assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
-
-    @pytest.mark.parametrize("count", [1, 2, 3, 4])
-    @pytest.mark.parametrize(
-        "split", [_interleaved, _contiguous], ids=["interleaved", "contiguous"]
-    )
-    @pytest.mark.parametrize(
-        "shape, s, step, k, window",
-        [
-            ((13, 11, 3), 3, 2, 7, 0),  # one row offset: the other shares are empty
-            ((9, 11, 3), 3, 2, 70, 30),  # wider than the plane; k > 63 candidates
-            ((20, 17, 5), 5, 4, 45, 20),
-            ((16, 16, 4), 4, 3, 300, 40),  # k above every anchor's candidate count
-        ],
-        ids=["window-0", "window-wider-than-plane", "rematch-size", "k-past-candidates"],
-    )
-    def test_named_cases_fold_to_one_share(self, shape, s, step, k, window, split, count):
-        f = np.round(np.random.default_rng(11).random(shape), 1)
-        grid = plan_grid(shape[0], shape[1], s, step)
-        got = _fold_of_shares(f, grid, k, window, split(count))
-        assert np.array_equal(got, _match_all(f, grid, k, window))
 
 
 @st.composite

@@ -869,9 +869,8 @@ class TestWorkerPool:
         )
 
     def test_output_independent_of_worker_count(self, monkeypatch):
-        # at rematch_every 1 every iteration's match is split over the pool:
-        # two shares at WORKERS 2, three at 3; at rematch_every 4 of 4
-        # iterations the run matches once
+        # at rematch_every 1 every iteration matches; at rematch_every 4 of
+        # 4 iterations the run matches once
         y, sys, p = self._problem()
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
         for rematch_every in (4, 3, 1):
@@ -883,32 +882,57 @@ class TestWorkerPool:
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @pytest.mark.parametrize(
-        "error", [MemoryError("share out of memory"), KeyboardInterrupt()],
+        "error", [MemoryError("scan out of memory"), KeyboardInterrupt()],
         ids=lambda e: type(e).__name__,
     )
-    def test_scan_that_raises_in_a_share_is_raised_and_threads_end(self, monkeypatch, error):
-        # share 1 of the second match raises, on whichever of the pool's
-        # threads scans it: reconstruct raises that very error, and every
-        # thread it started has ended
+    def test_scan_that_raises_is_raised_and_threads_end(self, monkeypatch, error):
+        # the second match's scan raises: reconstruct raises that very
+        # error, and every thread it started has ended
         y, sys, p = self._problem()
         p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
         monkeypatch.setattr(solver, "WORKERS", 3)
-        scan, shares = patches._scan, []
+        scan, calls = patches._scan, []
 
-        def broken(planes, plan, drs):
-            if drs[0] == 1:
-                shares.append(drs)
-                if len(shares) == 2:
-                    raise error
-            return scan(planes, plan, drs)
+        def broken(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise error
+            return scan(*args)
 
         monkeypatch.setattr(patches, "_scan", broken)
         start = threading.active_count()
         with pytest.raises(type(error)) as raised:
             reconstruct(y, sys, p)
         assert raised.value is error
-        assert shares == [range(1, 5, 3)] * 2
+        assert len(calls) == 2
         assert threading.active_count() == start
+
+    def test_matching_starts_no_thread(self, monkeypatch):
+        # a 20 x 20 plane and window 4: five row offsets. Each rematch scans
+        # them all in one _scan, on the main thread, with no thread of the
+        # pool running; the pool runs once per iteration, for the group step
+        y, sys, p = self._problem()
+        p = dataclasses.replace(p, rematch_every=1, max_iter=3)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
+        monkeypatch.setattr(solver, "WORKERS", 3)
+        scan, in_order, scans, pools = patches._scan, solver._in_order, [], []
+
+        def scan_spy(*args):
+            scans.append((threading.current_thread() is threading.main_thread(),
+                          threading.active_count()))
+            return scan(*args)
+
+        def in_order_spy(n, work, add):
+            pools.append(n)
+            return in_order(n, work, add)
+
+        monkeypatch.setattr(patches, "_scan", scan_spy)
+        monkeypatch.setattr(solver, "_in_order", in_order_spy)
+        start = threading.active_count()
+        reconstruct(y, sys, p)
+        assert scans == [(True, start)] * p.max_iter
+        assert pools == [9] * p.max_iter
 
     @staticmethod
     def _raised(y, sys, p, **kwargs):
@@ -929,72 +953,63 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("failure", ["raises", "exits", "exits after a reply"])
     def test_worker_that_ends_without_a_result_raises_and_is_reaped(self, monkeypatch, failure):
-        # the workers are the pool's helper threads. One raises in its share
-        # of a match, or ends there by SystemExit (which ends a thread's
-        # target unseen), or ends so in its second chunk of a group step,
-        # after its first was returned: reconstruct raises that very error,
-        # and every helper thread has been joined
+        # the workers are the pool's helper threads. One raises in its first
+        # chunk of a group step, or ends there by SystemExit (which ends a
+        # thread's target unseen), or ends so in its second chunk, after its
+        # first was returned: reconstruct raises that very error, and every
+        # helper thread has been joined
         y, sys, p = self._problem()
         p = dataclasses.replace(p, rematch_every=1)
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
         monkeypatch.setattr(solver, "WORKERS", 2)
         error = MemoryError("worker out of memory") if failure == "raises" else SystemExit(3)
-        scan, denoise, helper_calls = patches._scan, solver._denoise, []
+        nth = 2 if failure == "exits after a reply" else 1
+        denoise, helper_calls = solver._denoise, []
 
-        def on_helper():
+        def broken_denoise(*args, **kwargs):
             thread = threading.current_thread()
             if thread.name == "caller":
                 time.sleep(0.02)  # the helper takes the next index meanwhile
-                return False
-            helper_calls.append(thread)
-            return True
-
-        def broken_scan(*args):
-            if on_helper():
-                raise error
-            return scan(*args)
-
-        def broken_denoise(*args, **kwargs):
-            if on_helper() and helper_calls.count(threading.current_thread()) == 2:
-                raise error
+            else:
+                helper_calls.append(thread)
+                if helper_calls.count(thread) == nth:
+                    raise error
             return denoise(*args, **kwargs)
 
-        if failure == "exits after a reply":
-            monkeypatch.setattr(solver, "_denoise", broken_denoise)
-        else:
-            monkeypatch.setattr(patches, "_scan", broken_scan)
+        monkeypatch.setattr(solver, "_denoise", broken_denoise)
         start = threading.active_count()
         assert self._raised(y, sys, p) is error
         assert helper_calls
         assert threading.active_count() == start
 
-    @pytest.mark.parametrize("where", ["caller's share", "progress"])
+    @pytest.mark.parametrize("where", ["caller's chunk", "progress"])
     def test_raise_in_the_caller_reaps_the_workers(self, monkeypatch, where):
         # KeyboardInterrupt is no Exception: raised in the calling thread's
-        # own share of a match, or in progress between iterations, it leaves
-        # no helper thread of the pool running
+        # own chunk of a group step, or in progress between iterations, it
+        # leaves no helper thread of the pool running
         y, sys, p = self._problem()
         p = dataclasses.replace(p, rematch_every=1)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
         monkeypatch.setattr(solver, "WORKERS", 3)
-        scan, scanned_on = patches._scan, []
+        denoise, ran_on = solver._denoise, []
 
-        def spy(*args):
-            scanned_on.append(threading.current_thread().name)
-            if scanned_on[-1] != "caller":
-                time.sleep(0.02)  # the caller takes a share meanwhile
-            elif where == "caller's share" and scanned_on.count("caller") == 2:
+        def spy(*args, **kwargs):
+            ran_on.append(threading.current_thread().name)
+            if ran_on[-1] != "caller":
+                time.sleep(0.02)  # the caller takes a chunk meanwhile
+            elif where == "caller's chunk" and ran_on.count("caller") == 2:
                 raise KeyboardInterrupt
-            return scan(*args)
+            return denoise(*args, **kwargs)
 
         def progress(it, fit, seconds):
             if it == 2:
                 raise KeyboardInterrupt
 
-        monkeypatch.setattr(patches, "_scan", spy)
+        monkeypatch.setattr(solver, "_denoise", spy)
         kwargs = {"progress": progress} if where == "progress" else {}
         start = threading.active_count()
         assert isinstance(self._raised(y, sys, p, **kwargs), KeyboardInterrupt)
-        assert "caller" in scanned_on and set(scanned_on) - {"caller"}
+        assert "caller" in ran_on and set(ran_on) - {"caller"}
         assert threading.active_count() == start
 
     def test_matching_forks_no_process(self, monkeypatch):
@@ -1164,9 +1179,8 @@ class TestWorkerPool:
             assert len(restarts) == p.max_iter and any(restarts)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_split_match_counts_overflowing_distances(self, monkeypatch, workers):
-        # no share carries a candidate count: the fold counts the kept
+    def test_match_counts_overflowing_distances(self):
+        # the scan carries no candidate count: the fold counts the kept
         # distances below +inf, and one that overflows is among them. The
         # 2 x 2 corner's distance to every other candidate overflows, and its
         # group is its 49 window candidates, not itself 60 times.
@@ -1176,47 +1190,16 @@ class TestWorkerPool:
         grid = patches.plan_grid(8, 8, 2, 2)
         anchors = itertools.product(grid.rows, grid.cols)
         expect = [[list(m) for m in patches.match_blocks(f, a, 2, 60, 7)] for a in anchors]
-        monkeypatch.setattr(solver, "WORKERS", workers)
         plan = patches._match_plan(f.shape, grid, 60, 7)
         for _ in range(2):
             assert solver._match(f, plan).tolist() == expect
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        rows=st.integers(1, 12),
-        cols=st.integers(1, 12),
-        bands=st.integers(1, 3),
-        levels=st.integers(1, 4),
-        huge=st.booleans(),
-        s=st.integers(1, 4),
-        step=st.integers(1, 4),
-        k=st.integers(1, 60),
-        window=st.integers(0, 12),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_match_is_the_same_for_any_worker_count(
-        self, rows, cols, bands, levels, huge, s, step, k, window, seed
-    ):
-        # few 0.1-rounded levels tie often; a 1e200 entry makes distances
-        # overflow, which every share holds at the largest float
-        rng = np.random.default_rng(seed)
-        f = np.round(rng.integers(0, levels, (rows, cols, bands)) * 0.1, 1)
-        if huge:
-            f[rng.random(f.shape) < 0.2] = 1e200
-        s = min(s, rows, cols)
-        plan = patches._match_plan(f.shape, patches.plan_grid(rows, cols, s, step), k, window)
-        got = {}
-        for workers in (1, 2, 3):
-            with mock.patch.object(solver, "WORKERS", workers):
-                got[workers] = solver._match(f, plan)
-        assert np.array_equal(got[2], got[1]) and np.array_equal(got[3], got[1])
-
     @pytest.mark.parametrize("failing", [1, 2])
     def test_helper_thread_that_cannot_start_is_left_out(self, monkeypatch, failing):
-        # at WORKERS 3 each iteration's group step starts two helper threads,
-        # and so does each of the two matches (iterations 1 and 4); the first
-        # or the second start of each pair raises, as at a thread limit, and
-        # the threads started do the work, with the bits of WORKERS 1
+        # at WORKERS 3 each iteration's group step starts two helper threads;
+        # the first or the second start of each pair raises, as at a thread
+        # limit, and the threads started do the work, with the bits of
+        # WORKERS 1
         y, sys, p = self._problem()
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
         monkeypatch.setattr(solver, "WORKERS", 1)
@@ -1234,7 +1217,7 @@ class TestWorkerPool:
         monkeypatch.setattr(solver, "WORKERS", 3)
         start = threading.active_count()
         assert reconstruct(y, sys, p).tobytes() == expect
-        assert len(starts) == 2 * (p.max_iter + 2)
+        assert len(starts) == 2 * p.max_iter
         assert threading.active_count() == start
 
     @staticmethod
