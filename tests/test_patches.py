@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hsrecon.errors import DataError, DimensionError, HsreconError, UsageError
 from hsrecon.patches import (
@@ -167,6 +168,20 @@ def _quarter_cubes(draw, max_row_period=None, huge=False):
     return cube[:rows, :cols]
 
 
+_NAMED_CASES = [
+    ((13, 11, 3), 3, 2, 7, 0),  # one row offset
+    ((9, 11, 3), 3, 2, 70, 30),  # wider than the plane; k > 63 candidates
+    ((20, 17, 5), 5, 4, 45, 20),
+    ((16, 16, 4), 4, 3, 300, 40),  # k above every anchor's candidate count
+]
+_NAMED_IDS = ["window-0", "window-wider-than-plane", "rematch-size", "k-past-candidates"]
+
+
+def _named_cube(shape):
+    # multiples of 1/4 at four levels: exact distances that tie often
+    return np.random.default_rng(11).integers(0, 4, shape) / 4.0
+
+
 class TestMatchAll:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -221,12 +236,12 @@ class TestMatchAll:
     @pytest.mark.parametrize(
         "shape, s, step, k, window",
         [
-            ((13, 11, 3), 3, 2, 7, 0),  # window 0: one row offset
             ((13, 11, 3), 4, 3, 7, 3),
             ((20, 17, 5), 5, 4, 45, 20),  # the rematch size
             ((9, 30, 2), 3, 2, 12, 6),
             ((24, 24, 31), 5, 4, 45, 20),
             ((16, 16, 4), 4, 3, 300, 40),  # k above every anchor's candidate count
+            ((13, 11, 3), 3, 2, 7, 0),  # window 0: one row offset
         ],
     )
     def test_equals_match_blocks_real_valued(self, rng, shape, s, step, k, window):
@@ -287,6 +302,177 @@ class TestMatchAll:
     def test_rejects_bad_k_and_window(self, k, window):
         with pytest.raises(UsageError):
             _match_plan((8, 8, 2), plan_grid(8, 8, 3, 2), k, window)
+
+    @pytest.mark.parametrize("shape, s, step, k, window", _NAMED_CASES, ids=_NAMED_IDS)
+    def test_named_cases_equal_match_blocks_on_tied_quarters(self, shape, s, step, k, window):
+        f = _named_cube(shape)
+        grid = plan_grid(shape[0], shape[1], s, step)
+        got = _match_all(f, grid, k, window)
+        assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
+
+
+def _window_table(f, plan):
+    # Each anchor's distance to every candidate of its window, in candidate
+    # order (row-major): -1 at the anchor itself, +inf off the plane, and an
+    # overflowing distance held at the largest float, as _scan keeps them.
+    rows, cols, _ = plan.shape
+    s, wr, wc = plan.s, plan.wr, plan.wc
+    view = sliding_window_view(f, (s, s), axis=(0, 1))
+    dr, dc = np.divmod(np.arange((2 * wr + 1) * (2 * wc + 1)), 2 * wc + 1)
+    table = []
+    for ar, ac in itertools.product(plan.ar, plan.ac):
+        r, c = ar + dr - wr, ac + dc - wc
+        on = (r >= 0) & (r <= rows - s) & (c >= 0) & (c <= cols - s)
+        d = view[r[on], c[on]] - view[ar, ac]
+        row = np.full(r.shape, np.inf)
+        with np.errstate(over="ignore"):
+            row[on] = np.minimum(np.einsum("nlij,nlij->n", d, d), np.finfo(float).max)
+        row[wr * (2 * wc + 1) + wc] = -1.0
+        table.append(row)
+    return np.array(table)
+
+
+def _assert_kept(f, plan):
+    # _scan keeps each anchor's m smallest window distances, the lowest
+    # candidate index first among equals, stored in candidate order; the
+    # places past the candidates in the plane hold +inf
+    best, at = _scan(_planes(f), plan)
+    table = _window_table(f, plan)
+    assert best.shape == at.shape == (len(table), plan.m)
+    first = np.sort(np.argsort(table, axis=1, kind="stable")[:, : plan.m], axis=1)
+    for n in range(len(table)):
+        expect = [i for i in first[n] if table[n, i] < np.inf]
+        finite = best[n] < np.inf
+        assert at[n, finite].tolist() == expect
+        assert best[n, finite].tolist() == table[n, expect].tolist()
+
+
+class TestScan:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=_quarter_cubes(huge=True),
+        s=st.integers(1, 4),
+        step=st.integers(1, 4),
+        k=st.integers(1, 60),
+        window=st.integers(0, 16),
+    )
+    def test_keeps_the_m_smallest_in_candidate_order(self, f, s, step, k, window):
+        rows, cols, _ = f.shape
+        s = min(s, rows, cols)
+        _assert_kept(f, _match_plan(f.shape, plan_grid(rows, cols, s, step), k, window))
+
+    @pytest.mark.parametrize("shape, s, step, k, window", _NAMED_CASES, ids=_NAMED_IDS)
+    def test_named_cases_keep_the_m_smallest(self, shape, s, step, k, window):
+        f = _named_cube(shape)
+        _assert_kept(f, _match_plan(shape, plan_grid(shape[0], shape[1], s, step), k, window))
+
+    def test_overflowing_distance_is_held_at_top(self):
+        # the corner pixel's distance to each of its 8 window neighbours
+        # overflows: kept at the largest float, and so counted a candidate,
+        # while the 16 places past the plane stay +inf
+        f = np.zeros((6, 6, 1))
+        f[0, 0, 0] = 2.0**600
+        plan = _match_plan(f.shape, plan_grid(6, 6, 1, 1), 25, 2)
+        best, at = _scan(_planes(f), plan)
+        top = np.finfo(float).max
+        finite = best[0] < np.inf
+        assert at[0, finite].tolist() == [12, 13, 14, 17, 18, 19, 22, 23, 24]
+        assert best[0, finite].tolist() == [-1.0, top, top, top, top, top, top, top, top]
+        assert np.count_nonzero(~finite) == 16
+
+    def test_leaves_the_planes_unchanged(self, rng):
+        f = rng.random((11, 9, 3))
+        planes = _planes(f)
+        before = planes.copy()
+        _scan(planes, _match_plan(f.shape, plan_grid(11, 9, 3, 2), 12, 4))
+        assert planes.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "k, window, m",
+        [
+            (1, 0, 1),
+            (5, 0, 1),  # window 0: the anchor alone
+            (7, 1, 7),
+            (9, 1, 9),
+            (10, 1, 9),  # the 3 x 3 window
+            (100, 50, 63),  # the window clipped to the 6 x 5 plane: 9 x 7
+        ],
+    )
+    def test_keeps_the_smaller_of_k_and_the_window(self, rng, k, window, m):
+        f = rng.random((6, 5, 2))
+        plan = _match_plan(f.shape, plan_grid(6, 5, 2, 2), k, window)
+        best, at = _scan(_planes(f), plan)
+        assert plan.m == m
+        assert best.shape == at.shape == (9, m)
+
+
+def _fold_plan(k):
+    # nine 3 x 3 anchors at rows and columns 0, 3, 6 of a 9 x 9 plane; window 1
+    return _match_plan((9, 9, 1), plan_grid(9, 9, 3, 3), k, 1)
+
+
+class TestFold:
+    def test_members_sort_by_distance_then_candidate_index(self):
+        plan = _fold_plan(4)
+        best = np.tile([0.5, -1.0, 0.5, 0.25], (9, 1))
+        at = np.tile([7, 4, 2, 8], (9, 1))
+        members = _fold(plan, best, at)
+        # the anchor at (3, 3) is the fifth; candidate i is at (2 + i // 3, 2 + i % 3)
+        assert members[4].tolist() == [[3, 3], [4, 4], [2, 4], [4, 3]]
+        assert members.dtype == np.intp and members.shape == (9, 4, 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 9, 20])
+    def test_picks_cycle_through_the_places_below_inf(self, k):
+        # the window holds three candidates: by distance the anchor (index 4),
+        # index 5 and index 0. The kept list holds the m smallest of them in
+        # candidate order, and +inf past them
+        plan = _fold_plan(k)
+        kept = sorted([(4, -1.0), (5, 0.25), (0, 0.75)][: plan.m])
+        best = np.full((9, plan.m), np.inf)
+        at = np.zeros((9, plan.m), dtype=np.intp)
+        best[:, : len(kept)] = [d for _, d in kept]
+        at[:, : len(kept)] = [i for i, _ in kept]
+        found = [[3, 3], [3, 4], [2, 2]][: len(kept)]
+        members = _fold(plan, best, at)
+        assert members[4].tolist() == [found[i % len(found)] for i in range(k)]
+
+    def test_candidate_index_is_the_window_offset(self):
+        plan = _fold_plan(1)
+        anchors = np.array(list(itertools.product((0, 3, 6), (0, 3, 6))))
+        for i in range(9):
+            members = _fold(plan, np.zeros((9, 1)), np.full((9, 1), i))
+            assert members[:, 0].tolist() == (anchors + [i // 3 - 1, i % 3 - 1]).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=_quarter_cubes(huge=True),
+        s=st.integers(1, 4),
+        step=st.integers(1, 4),
+        k=st.integers(1, 60),
+        window=st.integers(0, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_order_of_the_kept_list_folds_alike(self, f, s, step, k, window, seed):
+        rows, cols, _ = f.shape
+        s = min(s, rows, cols)
+        plan = _match_plan(f.shape, plan_grid(rows, cols, s, step), k, window)
+        _assert_fold_ignores_order(f, plan, seed)
+
+    @pytest.mark.parametrize("shape, s, step, k, window", _NAMED_CASES, ids=_NAMED_IDS)
+    def test_named_cases_fold_alike_in_any_order(self, shape, s, step, k, window):
+        plan = _match_plan(shape, plan_grid(shape[0], shape[1], s, step), k, window)
+        _assert_fold_ignores_order(_named_cube(shape), plan, 5)
+
+
+def _assert_fold_ignores_order(f, plan, seed):
+    # the fold sorts by (distance, candidate index), so shuffling each
+    # anchor's kept places, distance and index together, changes no member
+    best, at = _scan(_planes(f), plan)
+    shuffle = np.random.default_rng(seed).permuted(
+        np.broadcast_to(np.arange(plan.m), best.shape), axis=1
+    )
+    shuffled = _fold(plan, np.take_along_axis(best, shuffle, 1), np.take_along_axis(at, shuffle, 1))
+    assert np.array_equal(shuffled, _fold(plan, best, at))
 
 
 @st.composite

@@ -908,14 +908,15 @@ class TestWorkerPool:
         assert len(calls) == 2
         assert threading.active_count() == start
 
-    def test_matching_starts_no_thread(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matching_starts_no_thread(self, monkeypatch, workers):
         # a 20 x 20 plane and window 4: five row offsets. Each rematch scans
         # them all in one _scan, on the main thread, with no thread of the
         # pool running; the pool runs once per iteration, for the group step
         y, sys, p = self._problem()
         p = dataclasses.replace(p, rematch_every=1, max_iter=3)
         monkeypatch.setattr(solver, "CHUNK_BYTES", 3 * 8 * 25 * 3 * 6)  # 9 chunks
-        monkeypatch.setattr(solver, "WORKERS", 3)
+        monkeypatch.setattr(solver, "WORKERS", workers)
         scan, in_order, scans, pools = patches._scan, solver._in_order, [], []
 
         def scan_spy(*args):
@@ -1179,20 +1180,53 @@ class TestWorkerPool:
             assert len(restarts) == p.max_iter and any(restarts)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_match_counts_overflowing_distances(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_match_counts_overflowing_distances(self, monkeypatch, workers):
         # the scan carries no candidate count: the fold counts the kept
         # distances below +inf, and one that overflows is among them. The
         # 2 x 2 corner's distance to every other candidate overflows, and its
-        # group is its 49 window candidates, not itself 60 times.
+        # group is its 49 window candidates, not itself 60 times, at any
+        # worker count.
         f = np.zeros((8, 8, 2))
         f[:2, :2] = 1e200
         f[5, 6, 1] = 2.0**600
         grid = patches.plan_grid(8, 8, 2, 2)
         anchors = itertools.product(grid.rows, grid.cols)
         expect = [[list(m) for m in patches.match_blocks(f, a, 2, 60, 7)] for a in anchors]
+        monkeypatch.setattr(solver, "WORKERS", workers)
         plan = patches._match_plan(f.shape, grid, 60, 7)
         for _ in range(2):
             assert solver._match(f, plan).tolist() == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 12),
+        bands=st.integers(1, 3),
+        levels=st.integers(1, 4),
+        huge=st.booleans(),
+        s=st.integers(1, 4),
+        step=st.integers(1, 4),
+        k=st.integers(1, 60),
+        window=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_is_the_same_for_any_worker_count(
+        self, rows, cols, bands, levels, huge, s, step, k, window, seed
+    ):
+        # WORKERS sizes the group step's pool alone. Few 0.1-rounded levels
+        # tie often; a 1e200 entry makes distances overflow
+        rng = np.random.default_rng(seed)
+        f = np.round(rng.integers(0, levels, (rows, cols, bands)) * 0.1, 1)
+        if huge:
+            f[rng.random(f.shape) < 0.2] = 1e200
+        s = min(s, rows, cols)
+        plan = patches._match_plan(f.shape, patches.plan_grid(rows, cols, s, step), k, window)
+        got = {}
+        for workers in (1, 2, 3):
+            with mock.patch.object(solver, "WORKERS", workers):
+                got[workers] = solver._match(f, plan)
+        assert np.array_equal(got[2], got[1]) and np.array_equal(got[3], got[1])
 
     @pytest.mark.parametrize("failing", [1, 2])
     def test_helper_thread_that_cannot_start_is_left_out(self, monkeypatch, failing):
