@@ -15,27 +15,28 @@ all bands, from a count of the member anchors. The group step of
 ``coverage_counts``, and then runs private kernels on every anchor of the
 grid, which the tests hold against the per-group functions:
 
-- Matching, ``_match_plan``, ``_scan`` and ``_fold``, gives each anchor
-  the members of ``match_blocks`` wherever no two candidate distances tie
-  up to rounding, and bitwise where distances are exact. The cube is held
-  as flat band planes, ``(L, rows*cols)`` (``_planes``), so for each row
-  offset ``dr >= 0`` and column offset ``dc`` of the window, the
-  band-summed squared difference between every pixel and the pixel
-  ``(dr, dc)`` away is one pass over two slices of the planes, shifted by
-  ``dr*cols + dc``. Its s x s box sum at ``a`` is the distance from ``a``
-  to ``a + (dr, dc)``: each anchor's candidate at ``(dr, dc)`` and, read
-  at ``anchor - (dr, dc)``, its candidate at ``(-dr, -dc)``. Pairs that
-  wrap across a row end only reach candidates outside the plane, which
-  are masked. Distances are sums of squared differences, never
-  ``|a|^2 + |b|^2 - 2ab``, so identical patches are at distance 0 and
-  equal distances stay equal. No table of every anchor's window is built:
-  each anchor keeps its ``m = min(k, window candidates)`` smallest
-  distances so far, leftmost among equals, in candidate order. The
-  candidates seen after the offsets up to ``dr`` are window rows ``-dr``
-  to ``dr``, so the next offset's mirrored row goes before the kept list
-  and its direct row after, and the m smallest of the three are the m
-  first of a stable sort of all of them. Matching so holds two window rows
-  and m kept candidates per anchor, whatever the window.
+- Matching has one entry, ``_match(x, plan)`` on ``_match_plan``'s
+  geometry: it holds the cube as flat band planes, ``(L, rows*cols)``
+  (``_planes``), scans them (``_scan``) and folds the kept lists
+  (``_fold``). It gives each anchor the members of ``match_blocks``
+  wherever no two candidate distances tie up to rounding, and bitwise
+  where distances are exact. For each row offset ``dr >= 0`` and column
+  offset ``dc`` of the window, the band-summed squared difference between
+  every pixel and the pixel ``(dr, dc)`` away is one pass over two slices
+  of the planes, shifted by ``dr*cols + dc``. Its s x s box sum at ``a``
+  is the distance from ``a`` to ``a + (dr, dc)``: each anchor's candidate
+  at ``(dr, dc)`` and, read at ``anchor - (dr, dc)``, its candidate at
+  ``(-dr, -dc)``. Pairs that wrap across a row end only reach candidates
+  outside the plane, which are masked. Distances are sums of squared
+  differences, never ``|a|^2 + |b|^2 - 2ab``, so identical patches are at
+  distance 0 and equal distances stay equal. No table of every anchor's
+  window is built: each anchor keeps its ``m = min(k, window candidates)``
+  smallest distances so far, leftmost among equals, in candidate order.
+  The candidates seen after the offsets up to ``dr`` are window rows
+  ``-dr`` to ``dr``, so the next offset's mirrored row goes before the
+  kept list and its direct row after, and the m smallest of the three are
+  the m first of a stable sort of all of them. Matching so holds two
+  window rows and m kept candidates per anchor, whatever the window.
 - The group step plans each chunk's band of the flat cube once per
   rematch: ``_band_plan`` gives lo, the chunk's smallest voxel index, and
   its members' first voxels less lo. ``_voxel_indices`` of those are the
@@ -251,6 +252,14 @@ def _fold(plan: _MatchPlan, best: np.ndarray, at: np.ndarray) -> np.ndarray:
     members[..., 0] = np.repeat(ar, len(ac))[:, None] + pick // tc - plan.wr
     members[..., 1] = np.tile(ac, len(ar))[:, None] + pick % tc - plan.wc
     return members
+
+
+def _match(x: np.ndarray, plan: _MatchPlan) -> np.ndarray:
+    # The (g, k, 2) members of the cube x on the geometry of plan: x is
+    # copied into fresh flat band planes, and every row offset of the window
+    # is scanned on the calling thread (patches._scan, _fold).
+    planes = _planes(check_array("cube", x, 3))
+    return _fold(plan, *_scan(planes, plan))
 
 
 def build_group(f: np.ndarray, members: list[tuple[int, int]], s: int) -> np.ndarray:

@@ -36,12 +36,14 @@ fault back in at the next chunk. ``_denoise`` drops each other temporary
 as soon as it is dead: the unshrunk core once it is shrunk. The chunks
 of an iteration run on ``WORKERS`` threads, the calling thread among
 them: NumPy's ``eigh`` and ``matmul`` release the GIL for hundreds of us
-at a time, so the step alone ran 1.7-1.9x faster on two threads. Each
-thread takes the next chunk in order as it comes free, and the chunks'
-partial sums, each over the band of the flat cube between its smallest
-and largest voxel index, are added in chunk order, each as soon as all
-before it are in, so the output is bitwise the same for any CPU count
-and timing. No thread outlives the call.
+at a time, so on two CPUs the step alone ran 1.1-2.2x faster on two
+threads than on one, a gain that GIL round trips bound: a chunk takes
+the GIL back after each such call, and waits while the other thread
+holds it. Each thread takes the next chunk in order as it comes free,
+and the chunks' partial sums, each over the band of the flat cube
+between its smallest and largest voxel index, are added in chunk order,
+each as soon as all before it are in, so the output is bitwise the same
+for any CPU count and timing. No thread outlives the call.
 
 As in reweighted l1, a coefficient g of kept magnitude m survives the
 shrink only if |g| (m + EPS) > c / (2 tau), m being |g| on a first visit
@@ -81,14 +83,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import imaging, patches, tensors
-from .errors import (
-    DataError,
-    DimensionError,
-    UsageError,
-    check_array,
-    check_int,
-    check_positive,
-)
+from .errors import DataError, DimensionError, UsageError, check_array, check_int, check_positive
 from .tensors import TuckerFactors, hosvd, tucker_reconstruct
 
 __all__ = [
@@ -351,7 +346,7 @@ def reconstruct(
         if (it - 1) % p.rematch_every == 0:
             kept = [None] * len(parts)  # first visit: weights from the unshrunk cores
             spare.clear()  # no chunk buffers held while matching
-            members = _match(x, plan)
+            members = patches._match(x, plan)
             counts = patches.coverage_counts(members, p.s, (rows, cols))
             origins, los = patches._band_plan(members, dims, parts)
         total = np.zeros(dims)
@@ -364,14 +359,6 @@ def reconstruct(
             fit = _data_fit(y, f, sys)
             progress(it, fit, time.perf_counter() - t0)
     return np.clip(f, 0.0, 1.0)
-
-
-def _match(x: np.ndarray, plan: patches._MatchPlan) -> np.ndarray:
-    # The (g, k, 2) members of the cube x on the geometry of plan: x is
-    # copied into fresh flat band planes, and every row offset of the window
-    # is scanned on the calling thread (patches._scan, _fold).
-    planes = patches._planes(check_array("cube", x, 3))
-    return patches._fold(plan, *patches._scan(planes, plan))
 
 
 def _momentum(

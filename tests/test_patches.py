@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
+from hsrecon import patches
 from hsrecon.errors import DataError, DimensionError, HsreconError, UsageError
 from hsrecon.patches import (
     PatchGrid,
     _band_plan,
     _block_offsets,
     _fold,
+    _match,
     _match_plan,
     _planes,
     _scan,
@@ -140,9 +142,8 @@ def _stacked_match_blocks(f, grid, s, k, window):
 
 
 def _match_all(f, grid, k, window):
-    # every anchor of grid matched at once: one _scan of every row offset, folded
-    plan = _match_plan(f.shape, grid, k, window)
-    return _fold(plan, *_scan(_planes(f), plan))
+    # every anchor of grid matched at once through matching's one entry
+    return _match(f, _match_plan(f.shape, grid, k, window))
 
 
 @st.composite
@@ -249,6 +250,17 @@ class TestMatchAll:
         grid = plan_grid(shape[0], shape[1], s, step)
         got = _match_all(f, grid, k, window)
         assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_cube_before_any_scan(self, monkeypatch, bad):
+        scans = []
+        monkeypatch.setattr(patches, "_scan", lambda *args: scans.append(args))
+        f = np.zeros((8, 8, 2))
+        f[3, 5, 1] = bad
+        plan = _match_plan(f.shape, plan_grid(8, 8, 3, 2), 4, 2)
+        with pytest.raises(DataError, match="cube"):
+            _match(f, plan)
+        assert scans == []
 
     def test_identical_patches_at_distance_zero(self, rng):
         # real-valued duplicates, as in test_duplicate_patch_found
