@@ -37,13 +37,17 @@ as soon as it is dead: the unshrunk core once it is shrunk. The chunks
 of an iteration run on ``WORKERS`` threads, the calling thread among
 them: NumPy's ``eigh`` and ``matmul`` release the GIL for hundreds of us
 at a time, so on two CPUs the step alone ran 1.1-2.2x faster on two
-threads than on one, a gain that GIL round trips bound: a chunk takes
-the GIL back after each such call, and waits while the other thread
-holds it. Each thread takes the next chunk in order as it comes free,
-and the chunks' partial sums, each over the band of the flat cube
-between its smallest and largest voxel index, are added in chunk order,
-each as soon as all before it are in, so the output is bitwise the same
-for any CPU count and timing. No thread outlives the call.
+threads than on one. The measurements do not tell what bounds that gain
+(``desk_cassi``, one BLAS thread): a chunk took 2.5 ms alone and 3.0-3.2
+ms in the pool, but two forked processes, which share no GIL, ran the
+same chunks no faster than two threads (42.5 against 37.8 ms per
+iteration, 54.5 on one), and two single-thread runs side by side took
+55-81 ms per iteration each, over two measurements, against 54 alone.
+Each thread takes the next chunk in order as it comes free, and the
+chunks' partial sums, each over the band of the flat cube between its
+smallest and largest voxel index, are added in chunk order, each as
+soon as all before it are in, so the output is bitwise the same for any
+CPU count and timing. No thread outlives the call.
 
 As in reweighted l1, a coefficient g of kept magnitude m survives the
 shrink only if |g| (m + EPS) > c / (2 tau), m being |g| on a first visit
