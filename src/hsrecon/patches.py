@@ -22,21 +22,23 @@ grid, which the tests hold against the per-group functions:
   wherever no two candidate distances tie up to rounding, and bitwise
   where distances are exact. For each row offset ``dr >= 0`` and column
   offset ``dc`` of the window, the band-summed squared difference between
-  every pixel and the pixel ``(dr, dc)`` away is one pass over two slices
-  of the planes, shifted by ``dr*cols + dc``. Its s x s box sum at ``a``
-  is the distance from ``a`` to ``a + (dr, dc)``: each anchor's candidate
-  at ``(dr, dc)`` and, read at ``anchor - (dr, dc)``, its candidate at
-  ``(-dr, -dc)``. Pairs that wrap across a row end only reach candidates
-  outside the plane, which are masked. Distances are sums of squared
-  differences, never ``|a|^2 + |b|^2 - 2ab``, so identical patches are at
-  distance 0 and equal distances stay equal. No table of every anchor's
-  window is built: each anchor keeps its ``m = min(k, window candidates)``
-  smallest distances so far, leftmost among equals, in candidate order.
-  The candidates seen after the offsets up to ``dr`` are window rows
-  ``-dr`` to ``dr``, so the next offset's mirrored row goes before the
-  kept list and its direct row after, and the m smallest of the three are
-  the m first of a stable sort of all of them. Matching so holds two
-  window rows and m kept candidates per anchor, whatever the window.
+  every pixel and the pixel ``(dr, dc)`` away is one ``np.einsum`` pass
+  over the difference of two slices of the planes, shifted by
+  ``dr*cols + dc``, which sums the bands in ``np.sum``'s order, band 0
+  first. Its s x s box sum at ``a`` is the distance from ``a`` to
+  ``a + (dr, dc)``: each anchor's candidate at ``(dr, dc)`` and, read at
+  ``anchor - (dr, dc)``, its candidate at ``(-dr, -dc)``. Pairs that wrap
+  across a row end only reach candidates outside the plane, which are
+  masked. Distances are sums of squared differences, never
+  ``|a|^2 + |b|^2 - 2ab``, so identical patches are at distance 0 and
+  equal distances stay equal. No table of every anchor's window is built:
+  each anchor keeps its ``m = min(k, window candidates)`` smallest
+  distances so far, leftmost among equals, in candidate order. The
+  candidates seen after the offsets up to ``dr`` are window rows ``-dr``
+  to ``dr``, so the next offset's mirrored row goes before the kept list
+  and its direct row after, and the m smallest of the three are the m
+  first of a stable sort of all of them. Matching so holds two window rows
+  and m kept candidates per anchor, whatever the window.
 - The group step plans each chunk's band of the flat cube once per
   rematch: ``_band_plan`` gives lo, the chunk's smallest voxel index, and
   its members' first voxels less lo. ``_voxel_indices`` of those are the
@@ -210,8 +212,7 @@ def _scan(planes: np.ndarray, plan: _MatchPlan) -> tuple[np.ndarray, np.ndarray]
                 sh = dr * cols + dc
                 lo, hi = max(0, -sh), min(flat.shape[1], rows * cols - sh)
                 d = planes[:, lo:hi] - planes[:, lo + sh : hi + sh]
-                d *= d
-                np.sum(d, axis=0, out=flat[dc + wc, lo:hi])
+                np.einsum("ij,ij->j", d, d, out=flat[dc + wc, lo:hi])
                 del d  # one temporary the size of the planes at a time
             # two_rows[0]: window row wr - dr of each anchor, two_rows[1]: row wr + dr
             two_rows.fill(np.inf)

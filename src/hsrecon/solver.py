@@ -25,29 +25,28 @@ each chunk's band of the flat cube is planned, by
 first voxels less lo. Each chunk then runs ``patches._voxel_indices`` of
 those, a gather from lo on, ``_denoise`` (on ``tensors._hosvd``,
 ``_weights``, ``_shrink`` and ``tensors._mode_products_batch``) and one
-``np.bincount`` into its band, and its one check is ``_denoise``'s, on
-the stack's norm. A chunk gathers its indices and stack into a pair of
-buffers that no running chunk holds, one chunk in size, made at most
-once per thread and kept until the next rematch, and once the core is
-in, the stack's memory takes the weights, the shrunk core and then the
-rebuilt groups. So the arrays of a chunk's size are not allocated and
-freed once per chunk, and the allocator has no heap top to trim and
-fault back in at the next chunk. ``_denoise`` drops each other temporary
-as soon as it is dead: the unshrunk core once it is shrunk. The chunks
-of an iteration run on ``WORKERS`` threads, the calling thread among
-them: NumPy's ``eigh`` and ``matmul`` release the GIL for hundreds of us
-at a time, so on two CPUs the step alone ran 1.1-2.2x faster on two
-threads than on one. The measurements do not tell what bounds that gain
-(``desk_cassi``, one BLAS thread): a chunk took 2.5 ms alone and 3.0-3.2
-ms in the pool, but two forked processes, which share no GIL, ran the
-same chunks no faster than two threads (42.5 against 37.8 ms per
-iteration, 54.5 on one), and two single-thread runs side by side took
-55-81 ms per iteration each, over two measurements, against 54 alone.
-Each thread takes the next chunk in order as it comes free, and the
-chunks' partial sums, each over the band of the flat cube between its
-smallest and largest voxel index, are added in chunk order, each as
-soon as all before it are in, so the output is bitwise the same for any
-CPU count and timing. No thread outlives the call.
+``np.bincount`` of the stack into its band, and its one check is
+``_denoise``'s, on the stack's norm. A chunk gathers its indices and stack
+into a pair of buffers that no running chunk holds, one chunk in size,
+made at most once per thread and kept until the next rematch. ``_denoise``
+works in place: once the core is in, the stack takes the weights, the
+shrunk core and then the rebuilt groups, and only the chunk's new kept
+state is returned. So the arrays of a chunk's size are not allocated and
+freed once per chunk, and the allocator has no heap top to trim and fault
+back in at the next chunk. The chunks of an iteration run on ``WORKERS``
+threads, the calling thread among them: NumPy's ``eigh`` and ``matmul``
+release the GIL for hundreds of us at a time, so on two CPUs the step
+alone ran 1.1-2.2x faster on two threads than on one. The measurements do
+not tell what bounds that gain (``desk_cassi``, one BLAS thread): a chunk
+took 2.5 ms alone and 3.0-3.2 ms in the pool, but two forked processes,
+which share no GIL, ran the same chunks no faster than two threads (42.5
+against 37.8 ms per iteration, 54.5 on one), and two single-thread runs
+side by side took 55-81 ms per iteration each, over two measurements,
+against 54 alone. Each thread takes the next chunk in order as it comes
+free, and the chunks' partial sums, each over the band of the flat cube
+between its smallest and largest voxel index, are added in chunk order,
+each as soon as all before it are in, so the output is bitwise the same
+for any CPU count and timing. No thread outlives the call.
 
 As in reweighted l1, a coefficient g of kept magnitude m survives the
 shrink only if |g| (m + EPS) > c / (2 tau), m being |g| on a first visit
@@ -199,18 +198,15 @@ def denoise_group(
     return tucker_reconstruct(TuckerFactors(core=g, factors=tf.factors)), np.abs(g)
 
 
-def _denoise(
-    stacked: np.ndarray, kept: tuple | None, p: SolverParams, out: np.ndarray
-) -> tuple[np.ndarray, tuple]:
-    # The chunk step of reconstruct: denoise_group of every group of a
-    # C-contiguous (g, s*s, L, k) stack. kept, only read, is the shape of the
-    # live block of the chunk's last shrunk cores and the flat positions and
-    # magnitudes of its nonzero entries (None on a first visit); the block of
-    # the state returned ends, along each mode, at the last index nonzero in
-    # some group, (g, 0, 0, 0) if none is. out, a C-contiguous array of the
-    # stack's shape and possibly the stack itself, dead once the core is in,
-    # takes the weights and so the shrunk core in its leading entries, then
-    # the approximation; the unshrunk core is dropped once it is shrunk.
+def _denoise(stacked: np.ndarray, kept: tuple | None, p: SolverParams) -> tuple:
+    # The chunk step of reconstruct, in place: denoise_group of every group of
+    # a C-contiguous (g, s*s, L, k) stack, whose memory, dead once the core
+    # is in, takes the weights, so the shrunk core, in its leading entries,
+    # then the approximation. kept, only read, is the shape of the live block
+    # of the chunk's last shrunk cores and the flat positions and magnitudes
+    # of its nonzero entries (None on a first visit); returns the new one,
+    # whose block ends, along each mode, at the last index nonzero in some
+    # group, (g, 0, 0, 0) if none is. The unshrunk core is dropped once shrunk.
     norm = np.linalg.norm(stacked.ravel())
     if not math.isfinite(norm * norm):  # the stack's one check; else eigh reads inf
         raise DataError("tensor stack contains non-finite values or overflows its Gram matrices")
@@ -223,7 +219,7 @@ def _denoise(
         return [max(r, np.count_nonzero(a * (b + EPS) > t)) for a, b, r in zip(s, m, widths)]
 
     core, factors = tensors._hosvd(stacked, block)
-    w = out.ravel()[: core.size].reshape(core.shape)
+    w = stacked.ravel()[: core.size].reshape(core.shape)
     if kept is None:
         _weights(core, p.c, w)
     else:  # _weights of the kept block zero-padded to the core's
@@ -237,8 +233,9 @@ def _denoise(
     shape = (len(g), *(int(a.max(initial=-1)) + 1 for a in at[1:]))
     state = shape, np.ravel_multi_index(at, shape), np.abs(g.ravel().take(nz))
     del nz, at  # before the rebuild: held through it, steady iterations fault pages
-    # The rebuild's first product is the last read of g, so out can take it.
-    return tensors._mode_products_batch(g, factors, out), state
+    # The rebuild's first product is the last read of g, so the stack can take it.
+    tensors._mode_products_batch(g, factors, stacked)
+    return state
 
 
 def cg_solve_image(
@@ -333,8 +330,8 @@ def reconstruct(
         # The indices are in range, so "clip" clips nothing; it takes out
         # as it is, where the default mode would fill a buffered copy.
         stack = np.take(x.ravel()[lo:], idx, out=stack_buf[:n], mode="clip")
-        approx, kept[i] = _denoise(stack, kept[i], p, out=stack)
-        band = np.bincount(idx.ravel(), weights=approx.ravel())
+        kept[i] = _denoise(stack, kept[i], p)
+        band = np.bincount(idx.ravel(), weights=stack.ravel())
         spare.append((idx_buf, stack_buf))
         return lo, band
 

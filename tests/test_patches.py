@@ -392,6 +392,30 @@ class TestScan:
         assert best[0, finite].tolist() == [-1.0, top, top, top, top, top, top, top, top]
         assert np.count_nonzero(~finite) == 16
 
+    @pytest.mark.parametrize("shape", [(7, 10, 4), (9, 8, 31)])
+    def test_distances_add_the_bands_in_order_then_the_box(self, rng, shape):
+        # Real-valued distances, bitwise: per pixel the squared differences
+        # of bands 0, 1, ... added in that order, then the s x s box added
+        # row by row and then column by column, over the patch of the anchor
+        # (a candidate below it or on its row) or of the candidate (above).
+        f = rng.random(shape)
+        rows, cols, bands = shape
+        plan = _match_plan(shape, plan_grid(rows, cols, 3, 2), 1000, 2)
+        best, _ = _scan(_planes(f), plan)
+        for n, (ar, ac) in enumerate(itertools.product(plan.ar, plan.ac)):
+            expect = []
+            for r, c in itertools.product(range(ar - 2, ar + 3), range(ac - 2, ac + 3)):
+                if not (0 <= r <= rows - 3 and 0 <= c <= cols - 3):
+                    continue
+                (y, x), (v, u) = ((r, c), (ar, ac)) if r < ar else ((ar, ac), (r, c))
+                sq = np.zeros((3, 3))
+                for i, j, lam in itertools.product(range(3), range(3), range(bands)):
+                    d = f[y + i, x + j, lam] - f[v + i, u + j, lam]
+                    sq[i, j] = d * d if lam == 0 else sq[i, j] + d * d
+                rowsum = [sq[0, j] + sq[1, j] + sq[2, j] for j in range(3)]
+                expect.append(-1.0 if (r, c) == (ar, ac) else rowsum[0] + rowsum[1] + rowsum[2])
+            assert best[n, best[n] < np.inf].tolist() == expect
+
     def test_leaves_the_planes_unchanged(self, rng):
         f = rng.random((11, 9, 3))
         planes = _planes(f)
