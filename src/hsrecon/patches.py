@@ -16,18 +16,20 @@ all bands, from a count of the member anchors. The group step of
 grid, which the tests hold against the per-group functions:
 
 - Matching has one entry, ``_match(x, plan)`` on ``_match_plan``'s
-  geometry: it holds the cube as flat band planes, ``(L, rows*cols)``
-  (``_planes``), scans them (``_scan``) and folds the kept lists
-  (``_fold``). It gives each anchor the members of ``match_blocks``
-  wherever no two candidate distances tie up to rounding, and bitwise
-  where distances are exact. For each row offset ``dr >= 0`` and column
-  offset ``dc`` of the window, the band-summed squared difference between
-  every pixel and the pixel ``(dr, dc)`` away is one ``np.einsum`` pass
-  over the difference of two slices of the planes, shifted by
-  ``dr*cols + dc``, which sums the bands in ``np.sum``'s order, band 0
-  first. Its s x s box sum at ``a`` is the distance from ``a`` to
-  ``a + (dr, dc)``: each anchor's candidate at ``(dr, dc)`` and, read at
-  ``anchor - (dr, dc)``, its candidate at ``(-dr, -dc)``. Pairs that wrap
+  geometry: ``_scan`` copies the cube into flat band planes,
+  ``(L, rows*cols)``, and scans them, and ``_fold`` folds the kept lists.
+  For each row offset ``dr >= 0`` and column offset ``dc`` of the window,
+  the band-summed squared difference between every pixel and the pixel
+  ``(dr, dc)`` away is one ``np.einsum`` pass over the difference of two
+  slices of the planes, shifted by ``dr*cols + dc``, which sums the bands
+  in ``np.sum``'s order, band 0 first. Its s x s box sum at ``a``, by rows
+  and then by columns, is the distance from ``a`` to ``a + (dr, dc)``:
+  each anchor's candidate at ``(dr, dc)`` and, read at
+  ``anchor - (dr, dc)``, its candidate at ``(-dr, -dc)``. ``match_blocks``
+  adds each distance in the same order, so the two keep the same members,
+  ties included. One case is apart: where a slice holds a single pixel
+  pair (s = 1, and the window reaches the plane's far corner),
+  ``np.einsum`` adds its bands in another order. Pairs that wrap
   across a row end only reach candidates outside the plane, which are
   masked. Distances are sums of squared differences, never
   ``|a|^2 + |b|^2 - 2ab``, so identical patches are at distance 0 and
@@ -117,9 +119,14 @@ def match_blocks(
     view = sliding_window_view(f, (s, s), axis=(0, 1))  # (R, C, L, s, s)
     r0, r1 = max(0, ar - window), min(rows - s, ar + window)
     c0, c1 = max(0, ac - window), min(cols - s, ac + window)
-    ref = view[ar, ac]
-    diff = view[r0 : r1 + 1, c0 : c1 + 1] - ref
-    dist = np.einsum("rclij,rclij->rc", diff, diff)
+    # Each distance added as _scan adds it, so that the two round alike at a
+    # tie: per pixel the squared differences in band order (the same einsum
+    # pass), then the s x s box by rows, then by columns.
+    with np.errstate(over="ignore"):
+        diff = view[r0 : r1 + 1, c0 : c1 + 1] - view[ar, ac]
+        d = np.moveaxis(diff, 2, 0).reshape(f.shape[2], -1)
+        sq = np.einsum("ij,ij->j", d, d).reshape(diff.shape[:2] + (s, s))
+        dist = sum(sum(sq[..., i, j] for i in range(s)) for j in range(s))
     dist[ar - r0, ac - c0] = -1.0  # the anchor itself comes first
     order = np.argsort(dist, axis=None, kind="stable")
     rr, cc = np.divmod(order[np.arange(k) % order.size], dist.shape[1])
@@ -181,17 +188,13 @@ def _match_plan(shape: tuple[int, int, int], grid: PatchGrid, k: int, window: in
     return _MatchPlan(tuple(shape), s, k, ar, ac, wr, wc, min(k, (2 * wr + 1) * (2 * wc + 1)))
 
 
-def _planes(f: np.ndarray) -> np.ndarray:
-    # The cube's flat band planes, (L, rows*cols), in a new array.
-    return np.array(f.transpose(2, 0, 1), order="C").reshape(f.shape[2], -1)
-
-
-def _scan(planes: np.ndarray, plan: _MatchPlan) -> tuple[np.ndarray, np.ndarray]:
-    # Every row offset of the window, as the module docstring says: each
-    # anchor's m smallest distances, leftmost among equals, in candidate
-    # order, and their candidate indices. +inf marks a place no candidate
-    # has taken: an overflowing distance is held at top.
+def _scan(f: np.ndarray, plan: _MatchPlan) -> tuple[np.ndarray, np.ndarray]:
+    # Every row offset of the window over the cube f, as the module
+    # docstring says: each anchor's m smallest distances, leftmost among
+    # equals, in candidate order, and their candidate indices. +inf marks a
+    # place no candidate has taken: an overflowing distance is held at top.
     rows, cols, _ = plan.shape
+    planes = np.array(f.transpose(2, 0, 1), order="C").reshape(f.shape[2], -1)  # a new array
     s, ar, ac, wr, wc, m = plan.s, plan.ar, plan.ac, plan.wr, plan.wc, plan.m
     g, tc, top = len(ar) * len(ac), 2 * wc + 1, float(np.finfo(float).max)
     t = np.arange(tc)
@@ -256,11 +259,10 @@ def _fold(plan: _MatchPlan, best: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _match(x: np.ndarray, plan: _MatchPlan) -> np.ndarray:
-    # The (g, k, 2) members of the cube x on the geometry of plan: x is
-    # copied into fresh flat band planes, and every row offset of the window
-    # is scanned on the calling thread (patches._scan, _fold).
-    planes = _planes(check_array("cube", x, 3))
-    return _fold(plan, *_scan(planes, plan))
+    # The (g, k, 2) members of the cube x on the geometry of plan: every row
+    # offset of the window is scanned on the calling thread (patches._scan,
+    # _fold).
+    return _fold(plan, *_scan(check_array("cube", x, 3), plan))
 
 
 def build_group(f: np.ndarray, members: list[tuple[int, int]], s: int) -> np.ndarray:

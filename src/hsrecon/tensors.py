@@ -16,9 +16,12 @@ rebuilds the groups. The tests hold each against ``hosvd`` and
 the fewest multiplies, worked out from the shapes alone (Kolda and Bader,
 SIAM Review 2009): for a thin core block such as (25, 1, 25) of a
 (25, 31, 45) group, mode 2 goes first when the core is computed and last
-when the group is rebuilt. A tie keeps the order 1, 2, 3, so square
-factors (every full-rank HOSVD of a group whose modes each fit in the
-product of the other two) give that order's bits.
+when the group is rebuilt. Swapping two adjacent products shows that mode
+n goes before mode m when (r_n - d_n) / (r_n d_n) is the lower, d_n the
+mode's size before its product and r_n after, so one stable sort on that
+key, in exact integers, gives the order. A tie keeps the order 1, 2, 3,
+so square factors (every full-rank HOSVD of a group whose modes each fit
+in the product of the other two) give that order's bits.
 
 Each factor column of an HOSVD is unique only up to sign, and neither
 fixes it: ``hosvd`` keeps the signs of LAPACK's ``svd``, ``_hosvd`` those
@@ -35,8 +38,6 @@ the mode-``n`` fibers, ordered cyclically over the remaining modes
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,19 +133,15 @@ def _mode_products_batch(t: np.ndarray, mats, out: np.ndarray | None = None) -> 
     # written into out, a C-contiguous (g, r1, r2, r3) array, if given. Only
     # the first product reads t, so out may share t's memory.
     dims, ranks = t.shape[1:], [a.shape[1] for a in mats]
-
-    def multiplies(order):
-        shape, total = list(dims), 0
-        for n in order:
-            shape[n] = ranks[n]
-            total += dims[n] * math.prod(shape)
-        return total
+    # The module docstring's key (r_n - d_n) / (r_n d_n) times the other two
+    # modes' r*d > 0, in exact integers (a zero r*d, where any order does, as 1).
+    rd = [r * d or 1 for r, d in zip(ranks, dims)]
+    order = sorted(range(3), key=lambda n: (ranks[n] - dims[n]) * rd[n - 1] * rd[n - 2])
 
     def into(y, *shape):
         return None if y is None else y.reshape(shape)
 
     x = t
-    order = min(itertools.permutations(range(3)), key=multiplies)
     for n in order:
         a, y = mats[n], out if n == order[-1] else None
         g, e1, e2, e3 = x.shape

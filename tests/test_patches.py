@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hsrecon import patches
+from conftest import make_smooth_cube
+from hsrecon import imaging, patches, solver
 from hsrecon.errors import DataError, DimensionError, HsreconError, UsageError
 from hsrecon.patches import (
     PatchGrid,
@@ -17,7 +18,6 @@ from hsrecon.patches import (
     _fold,
     _match,
     _match_plan,
-    _planes,
     _scan,
     _smallest_stable,
     _voxel_indices,
@@ -251,6 +251,18 @@ class TestMatchAll:
         got = _match_all(f, grid, k, window)
         assert np.array_equal(got, _stacked_match_blocks(f, grid, s, k, window))
 
+    def test_equals_match_blocks_at_a_tie_that_rounds(self):
+        # The first iterate of a 6x6x1 CASSI reconstruct at s 2, step 1, k 11
+        # and window 2: anchor (3, 3)'s candidates (3, 4) and (4, 3) are at
+        # the same distance in exact arithmetic, and only the 11th member
+        # tells them apart. Summed in another order, the two round apart.
+        sys = imaging.SystemModel(imaging.generate_mask(6, 6, 0.5, 311), 1)
+        y = imaging.forward(make_smooth_cube(6, 6, 1, seed=310), sys)
+        fac = imaging.ridge_factor(sys, solver.INIT_RIDGE)
+        x = imaging.ridge_project(fac, y, np.zeros((6, 6, 1)))
+        grid = plan_grid(6, 6, 2, 1)
+        assert np.array_equal(_match_all(x, grid, 11, 2), _stacked_match_blocks(x, grid, 2, 11, 2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_cube_before_any_scan(self, monkeypatch, bad):
         scans = []
@@ -348,7 +360,7 @@ def _assert_kept(f, plan):
     # _scan keeps each anchor's m smallest window distances, the lowest
     # candidate index first among equals, stored in candidate order; the
     # places past the candidates in the plane hold +inf
-    best, at = _scan(_planes(f), plan)
+    best, at = _scan(f, plan)
     table = _window_table(f, plan)
     assert best.shape == at.shape == (len(table), plan.m)
     first = np.sort(np.argsort(table, axis=1, kind="stable")[:, : plan.m], axis=1)
@@ -385,7 +397,7 @@ class TestScan:
         f = np.zeros((6, 6, 1))
         f[0, 0, 0] = 2.0**600
         plan = _match_plan(f.shape, plan_grid(6, 6, 1, 1), 25, 2)
-        best, at = _scan(_planes(f), plan)
+        best, at = _scan(f, plan)
         top = np.finfo(float).max
         finite = best[0] < np.inf
         assert at[0, finite].tolist() == [12, 13, 14, 17, 18, 19, 22, 23, 24]
@@ -401,7 +413,7 @@ class TestScan:
         f = rng.random(shape)
         rows, cols, bands = shape
         plan = _match_plan(shape, plan_grid(rows, cols, 3, 2), 1000, 2)
-        best, _ = _scan(_planes(f), plan)
+        best, _ = _scan(f, plan)
         for n, (ar, ac) in enumerate(itertools.product(plan.ar, plan.ac)):
             expect = []
             for r, c in itertools.product(range(ar - 2, ar + 3), range(ac - 2, ac + 3)):
@@ -416,12 +428,11 @@ class TestScan:
                 expect.append(-1.0 if (r, c) == (ar, ac) else rowsum[0] + rowsum[1] + rowsum[2])
             assert best[n, best[n] < np.inf].tolist() == expect
 
-    def test_leaves_the_planes_unchanged(self, rng):
+    def test_leaves_the_cube_unchanged(self, rng):
         f = rng.random((11, 9, 3))
-        planes = _planes(f)
-        before = planes.copy()
-        _scan(planes, _match_plan(f.shape, plan_grid(11, 9, 3, 2), 12, 4))
-        assert planes.tobytes() == before.tobytes()
+        before = f.copy()
+        _scan(f, _match_plan(f.shape, plan_grid(11, 9, 3, 2), 12, 4))
+        assert f.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
         "k, window, m",
@@ -437,7 +448,7 @@ class TestScan:
     def test_keeps_the_smaller_of_k_and_the_window(self, rng, k, window, m):
         f = rng.random((6, 5, 2))
         plan = _match_plan(f.shape, plan_grid(6, 5, 2, 2), k, window)
-        best, at = _scan(_planes(f), plan)
+        best, at = _scan(f, plan)
         assert plan.m == m
         assert best.shape == at.shape == (9, m)
 
@@ -503,7 +514,7 @@ class TestFold:
 def _assert_fold_ignores_order(f, plan, seed):
     # the fold sorts by (distance, candidate index), so shuffling each
     # anchor's kept places, distance and index together, changes no member
-    best, at = _scan(_planes(f), plan)
+    best, at = _scan(f, plan)
     shuffle = np.random.default_rng(seed).permuted(
         np.broadcast_to(np.arange(plan.m), best.shape), axis=1
     )
